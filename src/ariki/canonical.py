@@ -4,16 +4,17 @@ For each diagonal-crystal vertex, applying the divided powers dictated by
 its residue sequence to the empty multipartition yields a bar-invariant
 vector whose leading coefficient is 1 and whose other terms all have
 strictly larger a-value.  Straightening these vectors in decreasing
-a-value order, by repeatedly subtracting the bar-symmetric completion of
-any offending coefficient times an already-finished basis element, yields
-the canonical basis: leading coefficient 1, every other coefficient in
-q*Z[q].  Specializing q = 1 gives the decomposition matrix, with rows and
-columns sorted by ascending a-value (ties lexicographic) so its
-unitriangular shape is visually literal.
+a-value order yields the canonical basis: leading coefficient 1, every
+other coefficient in q*Z[q].  Each vector is straightened in one pass over
+the finished labels of larger a-value, in ascending order, subtracting the
+bar-symmetric completion of any offending coefficient times that label's
+basis element; a subtraction only touches labels of still larger a-value,
+so no coefficient already passed changes.  Specializing q = 1 gives the
+decomposition matrix, with rows and columns sorted by ascending a-value
+(ties lexicographic) so its unitriangular shape is visually literal.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .aseq import a_sequence_blocks
@@ -23,13 +24,6 @@ from .fock import FockVector, f_divided
 from .laurent import LaurentPoly
 from .partitions import empty_multipartition, enumerate_multipartitions
 from .symbols import a_value
-
-
-def worker_count(threads=None) -> int:
-    """Worker cap: explicit argument, else ARIKI_THREADS, else 1."""
-    if threads is None:
-        threads = int(os.environ.get("ARIKI_THREADS", "1"))
-    return max(1, threads)
 
 
 def compute_A(mp, p: ChargeParams) -> FockVector:
@@ -61,46 +55,30 @@ def _bar_symmetric_completion(c: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(data)
 
 
-def canonical_basis(p: ChargeParams, n: int, threads=None, _tie_reverse=False):
-    """All canonical basis elements at rank n, sorted by (a-value, label).
+def _straighten(p: ChargeParams, labels, avals, tie_reverse=False):
+    """Straighten compute_A of each label; elements sorted by (a-value, label).
 
-    Straightens in strictly decreasing a-value order; equal-a labels never
-    interact, so the lexicographic tie-break (reversible via _tie_reverse,
-    for tests) cannot change the result.  After straightening, every
-    non-leading coefficient (crystal label or not) must land in q*Z[q];
-    anything else is an error.
+    avals holds at least the labels' a-values.  Equal-a labels never
+    interact, so the tie-break (lexicographic, reversed by tie_reverse)
+    cannot change the result.  Every non-leading coefficient (crystal label
+    or not) must end in q*Z[q]; anything else is an error.
     """
-    labels = flotw_multipartitions(p, n)
-    avals = {mp: a_value(mp, p) for mp in enumerate_multipartitions(p.d, n)}
-
-    workers = worker_count(threads)
-    if workers > 1 and len(labels) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            raw = dict(zip(labels, pool.map(lambda mp: compute_A(mp, p), labels)))
-    else:
-        raw = {mp: compute_A(mp, p) for mp in labels}
-
     def tie_key(m):
-        return tuple(tuple(-x for x in comp) for comp in m) if _tie_reverse else m
+        return tuple(tuple(-x for x in comp) for comp in m) if tie_reverse else m
 
-    flotw_set = set(labels)
+    ascending = sorted(labels, key=lambda m: (avals[m], tie_key(m)))
+    ascending_a = [avals[m] for m in ascending]
     basis = {}
-    cap = max(8, len(labels) + 2)
-    for mp in sorted(labels, key=lambda m: (-avals[m],) + (tie_key(m),)):
-        vec = raw[mp]
-        for _ in range(cap):
-            offending = [nu for nu in vec.support()
-                         if nu != mp and nu in flotw_set
-                         and not vec.coefficient(nu).in_q_zq()]
-            if not offending:
-                break
-            nu = min(offending, key=lambda m: (avals[m],) + (tie_key(m),))
-            gamma = _bar_symmetric_completion(vec.coefficient(nu))
+    for mp in reversed(ascending):
+        vec = compute_A(mp, p)
+        for nu in ascending[bisect_right(ascending_a, avals[mp]):]:
+            coeff = vec.terms.get(nu)
+            if coeff is None or coeff.in_q_zq():
+                continue
+            gamma = _bar_symmetric_completion(coeff)
             if gamma != gamma.bar():
                 raise RuntimeError("correction coefficient is not bar-symmetric")
             vec = vec - basis[nu].scale(gamma)
-        else:
-            raise RuntimeError(f"straightening of {mp} did not terminate")
         if vec.coefficient(mp) != LaurentPoly.one():
             raise RuntimeError(f"straightening destroyed the leading term of {mp}")
         for nu in vec.support():
@@ -112,6 +90,17 @@ def canonical_basis(p: ChargeParams, n: int, threads=None, _tie_reverse=False):
 
     order = sorted(labels, key=lambda m: (avals[m], m))
     return [CanonicalBasisElement(label=mp, vector=basis[mp]) for mp in order]
+
+
+def canonical_basis(p: ChargeParams, n: int, _tie_reverse=False):
+    """All canonical basis elements at rank n, sorted by (a-value, label).
+
+    Labels are handled in decreasing a-value order.  Each label's vector A
+    is straightened in one ascending pass over the finished labels of larger
+    a-value.  _tie_reverse reverses the lexicographic tie-break, for tests.
+    """
+    labels = flotw_multipartitions(p, n)
+    return _straighten(p, labels, {mp: a_value(mp, p) for mp in labels}, _tie_reverse)
 
 
 @dataclass(frozen=True)
@@ -139,11 +128,12 @@ class DecompositionMatrix:
                         for j in range(len(self.columns))))
 
 
-def decomposition_matrix(p: ChargeParams, n: int, threads=None) -> DecompositionMatrix:
+def decomposition_matrix(p: ChargeParams, n: int) -> DecompositionMatrix:
     """Canonical basis at q = 1, assembled into the a-sorted matrix."""
-    basis = canonical_basis(p, n, threads=threads)
-    avals = {mp: a_value(mp, p) for mp in enumerate_multipartitions(p.d, n)}
-    rows = sorted(enumerate_multipartitions(p.d, n), key=lambda m: (avals[m], m))
+    rows = enumerate_multipartitions(p.d, n)
+    avals = {mp: a_value(mp, p) for mp in rows}
+    basis = _straighten(p, flotw_multipartitions(p, n), avals)
+    rows = sorted(rows, key=lambda m: (avals[m], m))
     columns = tuple(el.label for el in basis)
     specialized = [el.vector.at_one() for el in basis]
     entries = tuple(tuple(spec.get(mp, 0) for spec in specialized) for mp in rows)

@@ -4,8 +4,7 @@ Subcommands mirror the library: enumerate, a-value, symbol, a-seq, a-graph,
 crystal, bijection, canonical, decomp, typeb, verify.  Charge parameters
 come from --d/--e/--charges with an optional --shift override of the
 minimal weight shift.  Exit codes: 0 success, 1 internal assertion failure,
-2 invalid parameters.  ARIKI_THREADS caps worker parallelism; output is
-byte-identical regardless.
+2 invalid parameters.  Output is byte-identical across runs and hash seeds.
 """
 
 import argparse

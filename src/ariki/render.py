@@ -2,7 +2,7 @@
 
 Every function returns a complete output string; nothing here touches
 stdout.  All iteration happens over canonically sorted structures, so equal
-inputs produce byte-identical output regardless of thread counts.
+inputs produce byte-identical output across runs and hash seeds.
 """
 
 import json
@@ -89,9 +89,9 @@ def render_bijection(p: ChargeParams, mp, inverse: bool = False) -> str:
     return format_multipartition(image) + "\n"
 
 
-def render_canonical(p: ChargeParams, n: int, threads=None) -> str:
+def render_canonical(p: ChargeParams, n: int) -> str:
     lines = []
-    for el in canonical_basis(p, n, threads=threads):
+    for el in canonical_basis(p, n):
         terms = " + ".join(f"({el.vector.coefficient(mp)})*[{format_multipartition(mp)}]"
                            for mp in el.vector.support())
         lines.append(f"{format_multipartition(el.label)}: {terms}")
@@ -127,11 +127,11 @@ def render_matrix(matrix, fmt: str = "text") -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_decomp(p: ChargeParams, n: int, fmt: str = "text", threads=None) -> str:
-    return render_matrix(decomposition_matrix(p, n, threads=threads), fmt)
+def render_decomp(p: ChargeParams, n: int, fmt: str = "text") -> str:
+    return render_matrix(decomposition_matrix(p, n), fmt)
 
 
-def render_typeb(n: int, e: int, action: str, fmt: str = "text", threads=None) -> str:
+def render_typeb(n: int, e: int, action: str, fmt: str = "text") -> str:
     if action == "basic-set":
         labels = canonical_basic_set_b(n, e)
         if fmt == "json":
@@ -143,5 +143,5 @@ def render_typeb(n: int, e: int, action: str, fmt: str = "text", threads=None) -
             return json.dumps([[multipartition_to_json(bp), a] for bp, a in pairs])
         return "\n".join(f"{format_multipartition(bp)}: {a}" for bp, a in pairs) + "\n"
     if action == "decomp":
-        return render_matrix(decomposition_matrix_b(n, e, threads=threads), fmt)
+        return render_matrix(decomposition_matrix_b(n, e), fmt)
     raise ValueError(f"unknown type B action {action!r}")

@@ -156,14 +156,16 @@ def schur_valuation(mp, p: ChargeParams) -> int:
     for i in range(d):
         for j in range(i + 1, d):
             exp_a, exp_b = sm[i], sm[j]
-            assert (exp_a, i) != (exp_b, j)
+            if (exp_a, i) == (exp_b, j):
+                raise RuntimeError(f"vanishing nu factor at components {i}, {j}")
             val += sym.height * min(exp_a, exp_b)
     for i in range(d):
         for j in range(d):
             for alpha in rows[i]:
                 for k in range(1, alpha + 1):
                     exp_a, exp_b = d * k + sm[i], sm[j]
-                    assert (exp_a, i) != (exp_b, j)
+                    if (exp_a, i) == (exp_b, j):
+                        raise RuntimeError(f"vanishing theta factor at components {i}, {j}")
                     val += min(exp_a, exp_b)
 
     # delta: one factor per admissible pair of symbol entries, divided out
@@ -173,13 +175,15 @@ def schur_valuation(mp, p: ChargeParams) -> int:
             for j2 in range(j1 + 1, len(row)):
                 alpha, beta = row[j1], row[j2]
                 exp_a, exp_b = d * alpha + sm[i], d * beta + sm[i]
-                assert exp_a != exp_b, "equal entries in a partition symbol row"
+                if exp_a == exp_b:
+                    raise RuntimeError("equal entries in a partition symbol row")
                 val -= min(exp_a, exp_b)
         for j in range(i + 1, d):
             for alpha in row:
                 for beta in rows[j]:
                     exp_a, exp_b = d * alpha + sm[i], d * beta + sm[j]
-                    assert (exp_a, i) != (exp_b, j)
+                    if (exp_a, i) == (exp_b, j):
+                        raise RuntimeError(f"vanishing delta factor at components {i}, {j}")
                     val -= min(exp_a, exp_b)
     return val
 

@@ -65,15 +65,15 @@ def type_a_params(e: int) -> ChargeParams:
     return ChargeParams(1, e, (0,), 0)
 
 
-def decomposition_matrix_b(n: int, e: int, threads=None) -> DecompositionMatrix:
+def decomposition_matrix_b(n: int, e: int) -> DecompositionMatrix:
     """Type B decomposition matrix for either parity of e."""
     if e < 2:
         raise ValueError("e must be at least 2")
     if e % 2 == 0:
-        return decomposition_matrix(even_charge_params(e), n, threads=threads)
+        return decomposition_matrix(even_charge_params(e), n)
 
     pa = type_a_params(e)
-    factors = {l: decomposition_matrix(pa, l, threads=threads) for l in range(n + 1)}
+    factors = {l: decomposition_matrix(pa, l) for l in range(n + 1)}
 
     def type_a_entry(l, mu, lam):
         m = factors[l]

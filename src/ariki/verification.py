@@ -7,6 +7,9 @@ The parameter grid used throughout pairs both orders with d = 2 and d = 3
 charge sets, which is what pins every ordering convention in the package.
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -277,19 +280,43 @@ def check_typeb(caps):
     return True, "a-value agreement, block tensor rule, identity blocks"
 
 
+def hash_seed_outputs(code):
+    """Stdout bytes of `python -c code` under PYTHONHASHSEED 0 and then 1.
+
+    The child imports this copy of the package: the directory holding it
+    goes first on PYTHONPATH.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outputs = []
+    for seed in (0, 1):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True)
+        if proc.returncode:
+            raise RuntimeError(f"child under PYTHONHASHSEED={seed} exited "
+                               f"{proc.returncode}: {proc.stderr.decode()[-500:]}")
+        outputs.append(proc.stdout)
+    return outputs
+
+
 def check_determinism(caps):
-    """Canonical/decomposition output is byte-identical across thread counts."""
+    """Canonical/decomposition output is byte-identical across hash seeds."""
     from .render import render_canonical, render_decomp
-    p = ChargeParams(2, 4, (0, 1))
     n = min(4, caps.canonical)
-    runs = {render_canonical(p, n, threads=t) + render_decomp(p, n, threads=t)
-            for t in (1, 4)}
-    if len(runs) != 1:
-        return False, "outputs differ across thread counts"
-    runs_b = {render_decomp(even_charge_params(2), 3, threads=t) for t in (1, 3)}
-    if len(runs_b) != 1:
-        return False, "type B outputs differ across thread counts"
-    return True, "thread counts 1 and 4 agree byte for byte"
+    code = ("import sys\n"
+            "from ariki.charge import ChargeParams\n"
+            "from ariki.render import render_canonical, render_decomp\n"
+            "from ariki.typeb import even_charge_params\n"
+            "p = ChargeParams(2, 4, (0, 1))\n"
+            f"sys.stdout.write(render_canonical(p, {n}) + render_decomp(p, {n})\n"
+            "                 + render_decomp(even_charge_params(2), 3))\n")
+    p = ChargeParams(2, 4, (0, 1))
+    here = (render_canonical(p, n) + render_decomp(p, n)
+            + render_decomp(even_charge_params(2), 3)).encode()
+    if hash_seed_outputs(code) != [here, here]:
+        return False, "outputs differ across hash seeds"
+    return True, "PYTHONHASHSEED 0, 1 and this process agree byte for byte"
 
 
 ALL_CHECKS = (

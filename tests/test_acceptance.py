@@ -20,6 +20,7 @@ from ariki.symbols import (a_value, ordinary_symbol, prec, schur_valuation,
                            shifted_symbol)
 from ariki.typeb import (a_value_typeb, bipartitions_of, decomposition_matrix_b,
                          even_charge_params, type_a_params)
+from ariki.verification import hash_seed_outputs
 
 GRID = (ChargeParams(2, 4, (0, 1)), ChargeParams(2, 2, (0, 1)),
         ChargeParams(3, 3, (0, 1, 2)), ChargeParams(2, 4, (1, 2)))
@@ -213,13 +214,20 @@ def test_criterion_12_type_b():
 
 
 def test_criterion_13_determinism_across_threads():
-    outputs = set()
-    for threads in (1, 4):
-        text = render_canonical(ChargeParams(2, 4, (0, 1)), 6, threads=threads)
-        text += render_decomp(ChargeParams(2, 4, (0, 1)), 6, threads=threads)
-        text += render_decomp(ChargeParams(2, 2, (0, 1)), 5, threads=threads)
-        text += render_typeb(3, 3, "decomp", threads=threads)
-        text += render_typeb(2, 2, "decomp", threads=threads)
-        outputs.add(text)
-    assert len(outputs) == 1
-    _report(13, "criteria 9-12 outputs byte-identical for 1 and 4 workers")
+    # keeps its old name; runs under PYTHONHASHSEED 0 and 1 must agree with
+    # each other and with this process
+    code = ("import sys\n"
+            "from ariki.charge import ChargeParams\n"
+            "from ariki.render import render_canonical, render_decomp, render_typeb\n"
+            "sys.stdout.write(render_canonical(ChargeParams(2, 4, (0, 1)), 6)\n"
+            "                 + render_decomp(ChargeParams(2, 4, (0, 1)), 6)\n"
+            "                 + render_decomp(ChargeParams(2, 2, (0, 1)), 5)\n"
+            "                 + render_typeb(3, 3, 'decomp')\n"
+            "                 + render_typeb(2, 2, 'decomp'))\n")
+    here = (render_canonical(ChargeParams(2, 4, (0, 1)), 6)
+            + render_decomp(ChargeParams(2, 4, (0, 1)), 6)
+            + render_decomp(ChargeParams(2, 2, (0, 1)), 5)
+            + render_typeb(3, 3, "decomp")
+            + render_typeb(2, 2, "decomp")).encode()
+    assert hash_seed_outputs(code) == [here, here]
+    _report(13, "criteria 9-12 outputs byte-identical for PYTHONHASHSEED 0 and 1")

@@ -9,6 +9,7 @@ from ariki.fock import FockVector
 from ariki.laurent import LaurentPoly
 from ariki.partitions import enumerate_multipartitions
 from ariki.symbols import a_value
+from ariki.verification import GRID
 
 P24 = ChargeParams(2, 4, (0, 1))
 D1E2 = ChargeParams(1, 2, (0,), 0)
@@ -155,12 +156,18 @@ def test_simple_module_a_values():
             simple_module_a_values(p, n)  # raises on any min-identity failure
 
 
-def test_thread_pool_gives_identical_basis():
-    for threads in (1, 3):
-        basis = canonical_basis(P24, 4, threads=threads)
-        baseline = canonical_basis(P24, 4, threads=1)
-        assert [(el.label, el.vector) for el in basis] == \
-            [(el.label, el.vector) for el in baseline]
+def test_decomposition_matrix_agrees_with_canonical_basis():
+    # decomposition_matrix straightens with the a-values of every row,
+    # canonical_basis with those of its labels only
+    for p in GRID:
+        for n in range(6):
+            m = decomposition_matrix(p, n)
+            basis = canonical_basis(p, n)
+            assert m.columns == tuple(el.label for el in basis)
+            assert m.column_a_values == tuple(a_value(el.label, p) for el in basis)
+            for j, el in enumerate(basis):
+                spec = el.vector.at_one()
+                assert [row[j] for row in m.entries] == [spec.get(mp, 0) for mp in m.rows]
 
 
 def _hook_dimension(p):

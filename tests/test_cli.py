@@ -6,6 +6,7 @@ from ariki.cli import main
 from ariki.charge import ChargeParams
 from ariki.render import (render_canonical, render_crystal, render_decomp,
                           render_typeb)
+from ariki.verification import hash_seed_outputs
 
 
 def run_cli(capsys, *argv):
@@ -129,14 +130,20 @@ def test_verify_quick(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
-def test_output_byte_identical_across_runs_and_threads(capsys, monkeypatch):
+def test_output_byte_identical_across_runs_and_threads():
+    # keeps its old name; runs under PYTHONHASHSEED 0 and 1 must agree with
+    # each other and with this process
+    code = ("import sys\n"
+            "from ariki.charge import ChargeParams\n"
+            "from ariki.render import (render_canonical, render_crystal,\n"
+            "                          render_decomp, render_typeb)\n"
+            "p = ChargeParams(2, 4, (0, 1))\n"
+            "sys.stdout.write(render_canonical(p, 4) + render_decomp(p, 4)\n"
+            "                 + render_crystal(p, 4, 'flotw') + render_typeb(3, 3, 'decomp'))\n")
     p = ChargeParams(2, 4, (0, 1))
-    outputs = set()
-    for threads in ("1", "3"):
-        monkeypatch.setenv("ARIKI_THREADS", threads)
-        outputs.add(render_canonical(p, 4) + render_decomp(p, 4)
-                    + render_crystal(p, 4, "flotw") + render_typeb(3, 3, "decomp"))
-    assert len(outputs) == 1
+    here = (render_canonical(p, 4) + render_decomp(p, 4)
+            + render_crystal(p, 4, "flotw") + render_typeb(3, 3, "decomp")).encode()
+    assert hash_seed_outputs(code) == [here, here]
 
 
 def test_json_round_trip_multipartitions(capsys):
