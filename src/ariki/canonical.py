@@ -70,15 +70,24 @@ def _straighten(p: ChargeParams, labels, avals, tie_reverse=False):
     ascending_a = [avals[m] for m in ascending]
     basis = {}
     for mp in reversed(ascending):
-        vec = compute_A(mp, p)
+        terms = dict(compute_A(mp, p).terms)
         for nu in ascending[bisect_right(ascending_a, avals[mp]):]:
-            coeff = vec.terms.get(nu)
+            coeff = terms.get(nu)
             if coeff is None or coeff.in_q_zq():
                 continue
             gamma = _bar_symmetric_completion(coeff)
             if gamma != gamma.bar():
                 raise RuntimeError("correction coefficient is not bar-symmetric")
-            vec = vec - basis[nu].scale(gamma)
+            # terms -= gamma * basis[nu], in place
+            minus_gamma = -gamma
+            for mu, c in basis[nu].terms.items():
+                old = terms.get(mu)
+                new = c * minus_gamma if old is None else old + c * minus_gamma
+                if new.is_zero():
+                    terms.pop(mu, None)
+                else:
+                    terms[mu] = new
+        vec = FockVector(terms)
         if vec.coefficient(mp) != LaurentPoly.one():
             raise RuntimeError(f"straightening destroyed the leading term of {mp}")
         for nu in vec.support():

@@ -8,12 +8,22 @@ being measured in either the component-major order ("am") or the diagonal
 order ("flotw").  Divided powers add several equal-residue nodes at once
 with the closed-form multi-node exponent; dividing the j-fold ordinary
 action by [j]! must reproduce them exactly, which the tests exploit.
+
+The multi-node exponent has a closed form.  Adding a node of residue i
+changes the addable or removable status only of that node and of cells of
+residue i + 1 and i - 1, so adding a set S of lam's addable i-nodes A
+leaves A minus S as the addable i-nodes of the result.  The exponent,
+summed over gamma in S, counts those below gamma minus lam's removable
+i-nodes R below gamma.  With A sorted lowest first and S at indices
+s_0 < ... < s_{j-1}, below A[s_k] lie s_k nodes of A, k of them in S, so
+the exponent is sum_k (s_k - k - #{r in R below A[s_k]}).
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
-from .charge import ChargeParams, ORDERS, is_above, is_below, residue
+from .charge import ChargeParams, ORDERS, below_key, is_above, is_below, residue
 from .laurent import LaurentPoly, gauss_factorial
 from .partitions import (add_node, addable_nodes, check_multipartition,
                          diagram_nodes, rank, remove_node, removable_nodes)
@@ -36,6 +46,17 @@ class FockVector:
         if len(ranks) > 1:
             raise ValueError("mixed ranks in a Fock vector")
         object.__setattr__(self, "terms", data)
+
+    @classmethod
+    def _of(cls, terms):
+        """Wrap terms unchecked: a dict of nonzero LaurentPolys of one rank.
+
+        Only for the results of internal arithmetic, whose inputs were
+        validated already; everything else goes through the constructor.
+        """
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "terms", terms)
+        return vec
 
     def __setattr__(self, name, value):
         raise AttributeError("FockVector is immutable")
@@ -67,6 +88,10 @@ class FockVector:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
+        # each side has one rank, so one term of each decides
+        if self.terms and other.terms and (
+                rank(next(iter(self.terms))) != rank(next(iter(other.terms)))):
+            raise ValueError("mixed ranks in a Fock vector")
         data = dict(self.terms)
         for mp, poly in other.terms.items():
             new = data.get(mp, LaurentPoly.zero()) + poly
@@ -74,10 +99,10 @@ class FockVector:
                 data.pop(mp, None)
             else:
                 data[mp] = new
-        return FockVector(data)
+        return FockVector._of(data)
 
     def __neg__(self):
-        return FockVector({mp: -poly for mp, poly in self.terms.items()})
+        return FockVector._of({mp: -poly for mp, poly in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -143,18 +168,6 @@ def raising_exponent(mu, lam, gamma, i, order, p: ChargeParams) -> int:
     return add - rem
 
 
-def multi_lowering_exponent(lam, mu, added, i, order, p: ChargeParams) -> int:
-    """Multi-node exponent: for each added node, addable i-nodes of mu below it
-    minus removable i-nodes of lam below it, summed."""
-    total = 0
-    add_mu = addable_i_nodes(mu, i, p)
-    rem_lam = removable_i_nodes(lam, i, p)
-    for gamma in added:
-        total += sum(1 for g in add_mu if is_below(g, gamma, order, p))
-        total -= sum(1 for g in rem_lam if is_below(g, gamma, order, p))
-    return total
-
-
 def f_action(v: FockVector, i, order: str, p: ChargeParams) -> FockVector:
     """Lowering generator f_i: add one i-node every possible way."""
     _check_order(order)
@@ -183,25 +196,53 @@ def e_action(v: FockVector, i, order: str, p: ChargeParams) -> FockVector:
     return FockVector(out)
 
 
+def _add_nodes(lam, nodes):
+    """lam with the given addable nodes (distinct rows per component) added."""
+    comps = [list(comp) for comp in lam]
+    for a, _, c in nodes:
+        comp = comps[c]
+        if a > len(comp):
+            comp.append(1)
+        else:
+            comp[a - 1] += 1
+    return tuple(map(tuple, comps))
+
+
 def f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVector:
-    """Divided power f_i^(j): add j distinct i-nodes with the multi-node exponent."""
+    """Divided power f_i^(j): add j distinct i-nodes with the multi-node exponent.
+
+    Adding i-nodes changes no other addable i-node, so for lam's addable
+    i-nodes A sorted lowest first and a subset at indices s_0 < ... < s_{j-1}
+    the exponent is sum_k (s_k - k - rem_below[s_k]), where rem_below[s]
+    counts lam's removable i-nodes below A[s] (see the module docstring).
+    """
     _check_order(order)
     if j < 0:
         raise ValueError("j must be nonnegative")
     if j == 0:
         return v
+    key = below_key(order, p)
+    offset = j * (j - 1) // 2  # the -k terms, the same for every subset
+    raw = {}
+    for lam, coef in v.terms.items():
+        add = sorted(addable_i_nodes(lam, i, p), key=key)
+        if len(add) < j:
+            continue
+        rem_keys = sorted(map(key, removable_i_nodes(lam, i, p)))
+        # s - rem_below[s]
+        weight = [s - bisect_left(rem_keys, key(g)) for s, g in enumerate(add)]
+        terms = coef.coeffs.items()
+        for chosen in combinations(range(len(add)), j):
+            exp = sum(weight[s] for s in chosen) - offset
+            acc = raw.setdefault(_add_nodes(lam, [add[s] for s in chosen]), {})
+            for e, c in terms:
+                acc[e + exp] = acc.get(e + exp, 0) + c
     out = {}
-    for lam in v.support():
-        coef = v.terms[lam]
-        candidates = addable_i_nodes(lam, i, p)
-        for added in combinations(candidates, j):
-            mu = lam
-            for gamma in added:
-                mu = add_node(mu, gamma)
-            exp = multi_lowering_exponent(lam, mu, added, i, order, p)
-            prev = out.get(mu, LaurentPoly.zero())
-            out[mu] = prev + coef * LaurentPoly.q_power(exp)
-    return FockVector(out)
+    for mu, acc in raw.items():
+        coeffs = {e: c for e, c in acc.items() if c}
+        if coeffs:
+            out[mu] = LaurentPoly._of(coeffs)
+    return FockVector._of(out)
 
 
 def f_power_divided_oracle(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVector:

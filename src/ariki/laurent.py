@@ -23,6 +23,17 @@ class LaurentPoly:
                     data[int(e)] = c
         object.__setattr__(self, "coeffs", data)
 
+    @classmethod
+    def _of(cls, coeffs):
+        """Wrap coeffs unchecked: a dict of int exponents to nonzero ints.
+
+        Only for the results of internal arithmetic, whose inputs were
+        validated already; everything else goes through the constructor.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", coeffs)
+        return poly
+
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
@@ -63,7 +74,7 @@ class LaurentPoly:
 
     def bar(self):
         """Image under q -> q^(-1)."""
-        return LaurentPoly({-e: c for e, c in self.coeffs.items()})
+        return LaurentPoly._of({-e: c for e, c in self.coeffs.items()})
 
     def at_one(self) -> int:
         """Value at q = 1."""
@@ -96,12 +107,12 @@ class LaurentPoly:
                 data[e] = new
             else:
                 data.pop(e, None)
-        return LaurentPoly(data)
+        return LaurentPoly._of(data)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
+        return LaurentPoly._of({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -113,7 +124,9 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self.coeffs.items()})
+            if not other:
+                return LaurentPoly._of({})
+            return LaurentPoly._of({e: c * other for e, c in self.coeffs.items()})
         data = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -123,7 +136,7 @@ class LaurentPoly:
                     data[e] = new
                 else:
                     data.pop(e, None)
-        return LaurentPoly(data)
+        return LaurentPoly._of(data)
 
     __rmul__ = __mul__
 

@@ -13,7 +13,7 @@ from .canonical import DecompositionMatrix, decomposition_matrix
 from .charge import ChargeParams
 from .crystal import flotw_multipartitions
 from .partitions import (check_multipartition, is_e_regular, part,
-                         partitions_of, rank)
+                         partitions_of)
 
 
 def even_charge_params(e: int) -> ChargeParams:
@@ -82,12 +82,13 @@ def decomposition_matrix_b(n: int, e: int) -> DecompositionMatrix:
     avals = {bp: a_value_typeb(bp) for bp in bipartitions_of(n)}
     rows = sorted(bipartitions_of(n), key=lambda bp: (avals[bp], bp))
     columns = sorted(canonical_basic_set_b(n, e), key=lambda bp: (avals[bp], bp))
+    column_sizes = [sum(lam[0]) for lam in columns]
     entries = []
     for mu in rows:
+        a = sum(mu[0])
         line = []
-        for lam in columns:
-            if rank((mu[0],)) == rank((lam[0],)):
-                a = rank((lam[0],))
+        for lam, size in zip(columns, column_sizes):
+            if size == a:
                 line.append(type_a_entry(a, mu[0], lam[0])
                             * type_a_entry(n - a, mu[1], lam[1]))
             else:

@@ -1,7 +1,11 @@
 """Command-line behavior: outputs, exit codes, schemas, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
+import ariki
 from ariki.cli import main
 from ariki.charge import ChargeParams
 from ariki.render import (render_canonical, render_crystal, render_decomp,
@@ -126,6 +130,19 @@ def test_verify_quick(capsys):
     code, out, _ = run_cli(capsys, "verify", "--quick")
     assert code == 0
     lines = [line for line in out.splitlines() if line]
+    assert len(lines) == 13
+    assert all(line.startswith("PASS") for line in lines)
+
+
+def test_verify_quick_survives_python_O():
+    # python -O strips assert statements; every check must still run and pass
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ariki.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "ariki.cli", "verify", "--quick"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stdout.splitlines() if line]
     assert len(lines) == 13
     assert all(line.startswith("PASS") for line in lines)
 

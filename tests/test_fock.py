@@ -1,7 +1,10 @@
 """Fock vectors, the two node-adding actions, divided powers, and weights."""
 
+import random
+
 import pytest
 
+import ariki
 from ariki.charge import ChargeParams
 from ariki.fock import (FockVector, e_action, f_action, f_divided,
                         f_power_divided_oracle, weights)
@@ -66,6 +69,51 @@ def test_divided_power_oracle_small():
                                 f_power_divided_oracle(vec, i, j, order, p)
 
 
+def _random_poly(rng):
+    return LaurentPoly({rng.randint(-3, 3): rng.choice((-3, -2, -1, 1, 2, 3))
+                        for _ in range(rng.randint(1, 3))})
+
+
+def _assert_normalized(vec):
+    for poly in vec.terms.values():
+        assert poly.coeffs and all(poly.coeffs.values())
+
+
+def test_divided_power_oracle_multi_term():
+    # sums of several basis vectors with signed Laurent coefficients, so
+    # terms from different multipartitions accumulate on a common target
+    rng = random.Random(20260)
+    for p in GRID:
+        for n in range(4):
+            mps = enumerate_multipartitions(p.d, n)
+            for _ in range(3):
+                chosen = rng.sample(mps, min(len(mps), rng.randint(2, 5)))
+                vec = FockVector({mp: _random_poly(rng) for mp in chosen})
+                for order in ("am", "flotw"):
+                    for i in range(p.e):
+                        for j in range(1, 5):
+                            out = f_divided(vec, i, j, order, p)
+                            assert out == f_power_divided_oracle(vec, i, j, order, p)
+                            _assert_normalized(out)
+
+
+def test_divided_power_cancelling_terms_dropped():
+    # at e = 2 both (2) and (1,1) reach (2,1) by adding one 1-node
+    p = GRID[1]
+    lam1, lam2, mu = ((2,), ()), ((1, 1), ()), ((2, 1), ())
+    for order in ("am", "flotw"):
+        x1 = f_divided(FockVector.unit(lam1), 1, 1, order, p).coefficient(mu)
+        x2 = f_divided(FockVector.unit(lam2), 1, 1, order, p).coefficient(mu)
+        assert not x1.is_zero() and not x2.is_zero()
+        vec = FockVector({lam1: x2, lam2: -x1})
+        for j in (1, 2):
+            out = f_divided(vec, 1, j, order, p)
+            assert out == f_power_divided_oracle(vec, 1, j, order, p)
+            assert mu not in out.terms
+            _assert_normalized(out)
+        assert not f_divided(vec, 1, 1, order, p).is_zero()
+
+
 def test_distant_residues_commute():
     # residues at distance > 1 mod e commute as operators
     p = P24
@@ -104,6 +152,28 @@ def test_vector_arithmetic_and_division():
 def test_mixed_rank_rejected():
     with pytest.raises(ValueError):
         FockVector({((1,), ()): LaurentPoly.one(), ((), ()): LaurentPoly.one()})
+
+
+def test_arithmetic_rejects_mixed_ranks():
+    a = FockVector.unit(((1,), ()))
+    b = FockVector.unit(((1,), (1,)))
+    with pytest.raises(ValueError):
+        a + b
+    with pytest.raises(ValueError):
+        a - b
+    assert (a + FockVector.zero()) == a and (FockVector.zero() - a) == -a
+
+
+def test_float_coefficient_rejected():
+    with pytest.raises(TypeError):
+        FockVector({((1,), ()): 1.5})
+    with pytest.raises(TypeError):
+        LaurentPoly({0: 1.5})
+
+
+def test_unchecked_constructors_are_private():
+    assert not any(name.startswith("_of") for name in dir(ariki))
+    assert not hasattr(ariki, "_of")
 
 
 def test_vector_json_pairs():
