@@ -16,10 +16,11 @@ decomposition matrix, with rows and columns sorted by ascending a-value
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from .aseq import a_sequence_blocks
 from .charge import ChargeParams
-from .crystal import bijection_j_inverse, flotw_multipartitions
+from .crystal import crystal_bijection, flotw_multipartitions
 from .fock import FockVector, f_divided
 from .laurent import LaurentPoly
 from .partitions import empty_multipartition, enumerate_multipartitions
@@ -127,8 +128,16 @@ class DecompositionMatrix:
     row_a_values: tuple
     column_a_values: tuple
 
+    @cached_property
+    def _row_index(self):
+        return {mp: i for i, mp in enumerate(self.rows)}
+
+    @cached_property
+    def _column_index(self):
+        return {mp: j for j, mp in enumerate(self.columns)}
+
     def entry(self, mp_row, mp_col) -> int:
-        return self.entries[self.rows.index(mp_row)][self.columns.index(mp_col)]
+        return self.entries[self._row_index[mp_row]][self._column_index[mp_col]]
 
     def is_identity(self) -> bool:
         return (len(self.rows) == len(self.columns)
@@ -139,14 +148,17 @@ class DecompositionMatrix:
 
 def decomposition_matrix(p: ChargeParams, n: int) -> DecompositionMatrix:
     """Canonical basis at q = 1, assembled into the a-sorted matrix."""
+    # computed first, so its two crystal graphs are freed before the basis
+    # peaks; its keys are the diagonal-order vertices, the column labels
+    dual = crystal_bijection(p, n)
     rows = enumerate_multipartitions(p.d, n)
     avals = {mp: a_value(mp, p) for mp in rows}
-    basis = _straighten(p, flotw_multipartitions(p, n), avals)
+    basis = _straighten(p, sorted(dual), avals)
     rows = sorted(rows, key=lambda m: (avals[m], m))
     columns = tuple(el.label for el in basis)
     specialized = [el.vector.at_one() for el in basis]
     entries = tuple(tuple(spec.get(mp, 0) for spec in specialized) for mp in rows)
-    kleshchev = tuple(bijection_j_inverse(col, p) for col in columns)
+    kleshchev = tuple(dual[col] for col in columns)
     return DecompositionMatrix(
         rows=tuple(rows), columns=columns, kleshchev_labels=kleshchev,
         entries=entries,

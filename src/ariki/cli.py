@@ -149,6 +149,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # argparse parses a value of "--" (as in --mp=--) to [] instead of a string
+    listed = [name for name, value in vars(args).items() if isinstance(value, list)]
+    if listed:
+        print(f"error: invalid value for {listed[0]}", file=sys.stderr)
+        return 2
     try:
         return run(args)
     except ValueError as exc:

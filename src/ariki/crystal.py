@@ -13,12 +13,15 @@ rank by rank.
 
 Component-major-order crystal vertices are called Kleshchev multipartitions
 and diagonal-order vertices satisfy the explicit conditions below
-(is_flotw).  Replaying residue paths between the two crystals gives the
-canonical bijection between the two vertex sets.
+(is_flotw).  Each connected component of the Fock-space crystal has one
+highest-weight vertex, and raising lowers the rank inside the component,
+so a multipartition is a vertex exactly when one greedy raising path
+reaches empty.  The bijection between the two vertex sets is the crystal
+isomorphism: one vertex is mapped by replaying its raising residues as
+lowerings in the other order, a whole rank along the two crystal graphs.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .charge import ChargeParams, ORDERS, below_key, residue
 from .partitions import (add_node, addable_nodes, check_multipartition,
@@ -78,33 +81,37 @@ def crystal_lower(mp, i, order: str, p: ChargeParams):
     return add_node(mp, g) if g is not None else None
 
 
-def crystal_raise(mp, i, order: str, p: ChargeParams):
-    """One step up the crystal, or None."""
-    g = good_removable_node(mp, i, order, p)
-    return remove_node(mp, g) if g is not None else None
+def _check_components(mp, p):
+    """Validated multipartition, which must have exactly p.d components."""
+    mp = check_multipartition(mp)
+    if len(mp) != p.d:
+        raise ValueError(f"expected {p.d} components, got {len(mp)}")
+    return mp
 
 
-@lru_cache(maxsize=None)
-def _kleshchev_cached(mp, p: ChargeParams) -> bool:
-    if rank(mp) == 0:
-        return True
-    for i in range(p.e):
-        g = good_removable_node(mp, i, "am", p)
-        if g is not None and _kleshchev_cached(remove_node(mp, g), p):
-            return True
-    return False
+def _raising_path(mp, order, p):
+    """Residues removed by greedy raising down to empty, or None if stuck."""
+    path = []
+    while rank(mp) > 0:
+        for i in range(p.e):
+            _, removable = _reduced_signature(mp, i, order, p)
+            if removable:
+                path.append(i)
+                mp = remove_node(mp, removable[-1])
+                break
+        else:
+            return None
+    return path
 
 
 def is_kleshchev(mp, p: ChargeParams) -> bool:
     """Reachable from empty by good-node additions in the component-major order."""
-    return _kleshchev_cached(check_multipartition(mp), p)
+    return _raising_path(_check_components(mp, p), "am", p) is not None
 
 
 def is_flotw(mp, p: ChargeParams) -> bool:
     """Explicit two-condition membership test for the diagonal-order crystal."""
-    mp = check_multipartition(mp)
-    if len(mp) != p.d:
-        raise ValueError(f"expected {p.d} components, got {len(mp)}")
+    mp = _check_components(mp, p)
     d, e, v = p.d, p.e, p.v
     hmax = max((len(comp) for comp in mp), default=0)
     for i in range(1, hmax + 1):
@@ -136,10 +143,6 @@ class CrystalGraph:
     def vertices(self, r: int):
         return self.levels[r]
 
-    @property
-    def depth(self):
-        return len(self.levels) - 1
-
 
 def crystal_graph(p: ChargeParams, n: int, order: str) -> CrystalGraph:
     """Breadth-first crystal from the empty multipartition up to rank n."""
@@ -148,22 +151,17 @@ def crystal_graph(p: ChargeParams, n: int, order: str) -> CrystalGraph:
     levels = [[empty_multipartition(p.d)]]
     edges = []
     for r in range(n):
-        seen = set()
-        next_level = []
+        targets = set()
         level_edges = []
         for mp in levels[r]:
             for i in range(p.e):
-                g = good_addable_node(mp, i, order, p)
-                if g is None:
-                    continue
-                nxt = add_node(mp, g)
-                level_edges.append((mp, i, g, nxt))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    next_level.append(nxt)
-        next_level.sort()
+                addable, _ = _reduced_signature(mp, i, order, p)
+                if addable:
+                    nxt = add_node(mp, addable[0])
+                    level_edges.append((mp, i, addable[0], nxt))
+                    targets.add(nxt)
         level_edges.sort()
-        levels.append(next_level)
+        levels.append(sorted(targets))
         edges.append(tuple(level_edges))
     return CrystalGraph(order=order,
                         levels=tuple(tuple(lv) for lv in levels),
@@ -172,7 +170,7 @@ def crystal_graph(p: ChargeParams, n: int, order: str) -> CrystalGraph:
 
 def kleshchev_multipartitions(p: ChargeParams, n: int):
     """All component-major-order crystal vertices of rank n, sorted."""
-    return [mp for mp in enumerate_multipartitions(p.d, n) if is_kleshchev(mp, p)]
+    return list(crystal_graph(p, n, "am").vertices(n))
 
 
 def flotw_multipartitions(p: ChargeParams, n: int):
@@ -180,44 +178,45 @@ def flotw_multipartitions(p: ChargeParams, n: int):
     return [mp for mp in enumerate_multipartitions(p.d, n) if is_flotw(mp, p)]
 
 
-def _raising_path(mp, order, p):
-    """Residues removed on the way down to empty, in removal order."""
-    path = []
-    cur = mp
-    while rank(cur) > 0:
-        for i in range(p.e):
-            g = good_removable_node(cur, i, order, p)
-            if g is not None:
-                path.append(i)
-                cur = remove_node(cur, g)
-                break
-        else:
-            raise ValueError(f"{cur} has no good removable node; not a crystal vertex")
-    return path
+def crystal_bijection(p: ChargeParams, n: int):
+    """{diagonal-order vertex: component-major vertex} at rank n.
+
+    Walks the two crystal graphs rank by rank: the image of the target of
+    a diagonal i-edge is the target of the component-major i-edge leaving
+    the image of its source.
+    """
+    gf, ga = crystal_graph(p, n, "flotw"), crystal_graph(p, n, "am")
+    image = {empty_multipartition(p.d): empty_multipartition(p.d)}
+    for flotw_edges, am_edges in zip(gf.edges, ga.edges):
+        lower_am = {(src, i): dst for src, i, _, dst in am_edges}
+        level = {}
+        for src, i, _, dst in flotw_edges:
+            target = lower_am.get((image[src], i))
+            if target is None or level.setdefault(dst, target) != target:
+                raise RuntimeError(f"crystals disagree at {dst}")
+        image = level
+    return image
 
 
-def _lowering_replay(path, order, p):
-    """Rebuild a crystal vertex from empty by good additions, last removal first."""
+def _transport(mp, p, source, target):
+    """Image of a source-order vertex: its raising path replayed in target order."""
+    path = _raising_path(_check_components(mp, p), source, p)
+    if path is None:
+        raise ValueError(f"{mp} is not a vertex of the {source} crystal")
     cur = empty_multipartition(p.d)
     for i in reversed(path):
-        nxt = crystal_lower(cur, i, order, p)
-        if nxt is None:
-            raise ValueError("residue path cannot be replayed; crystals disagree")
-        cur = nxt
+        addable, _ = _reduced_signature(cur, i, target, p)
+        if not addable:
+            raise RuntimeError("residue path cannot be replayed; crystals disagree")
+        cur = add_node(cur, addable[0])
     return cur
 
 
 def bijection_j(mp, p: ChargeParams):
     """Image of a Kleshchev multipartition in the diagonal-order crystal."""
-    mp = check_multipartition(mp)
-    if not is_kleshchev(mp, p):
-        raise ValueError(f"{mp} is not a Kleshchev multipartition")
-    return _lowering_replay(_raising_path(mp, "am", p), "flotw", p)
+    return _transport(mp, p, "am", "flotw")
 
 
 def bijection_j_inverse(mp, p: ChargeParams):
     """Image of a diagonal-order crystal vertex in the component-major crystal."""
-    mp = check_multipartition(mp)
-    if not is_flotw(mp, p):
-        raise ValueError(f"{mp} does not satisfy the membership conditions")
-    return _lowering_replay(_raising_path(mp, "flotw", p), "am", p)
+    return _transport(mp, p, "flotw", "am")

@@ -76,8 +76,7 @@ def decomposition_matrix_b(n: int, e: int) -> DecompositionMatrix:
     factors = {l: decomposition_matrix(pa, l) for l in range(n + 1)}
 
     def type_a_entry(l, mu, lam):
-        m = factors[l]
-        return m.entry((mu,), (lam,))
+        return factors[l].entry((mu,), (lam,))
 
     avals = {bp: a_value_typeb(bp) for bp in bipartitions_of(n)}
     rows = sorted(bipartitions_of(n), key=lambda bp: (avals[bp], bp))

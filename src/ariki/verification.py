@@ -16,7 +16,7 @@ from fractions import Fraction
 from .aseq import a_graph, a_sequence, residue_path_terminals
 from .canonical import canonical_basis, decomposition_matrix, simple_module_a_values
 from .charge import ChargeParams, is_semisimple
-from .crystal import flotw_multipartitions, kleshchev_multipartitions
+from .crystal import flotw_multipartitions, is_kleshchev, kleshchev_multipartitions
 from .fock import FockVector, f_divided, f_power_divided_oracle
 from .laurent import LaurentPoly
 from .partitions import enumerate_multipartitions, is_e_regular
@@ -90,11 +90,19 @@ def check_a_sequence_example(caps):
 
 
 def check_counting_identity(caps):
-    """Both crystal vertex sets are equinumerous at every rank."""
+    """Both crystal vertex sets are equinumerous at every rank.
+
+    The component-major set comes from the crystal walk; it must equal the
+    multipartitions whose raising path reaches empty.
+    """
     for p in GRID:
         for n in range(caps.counting + 1):
-            k = len(kleshchev_multipartitions(p, n))
-            f = len(flotw_multipartitions(p, n))
+            walked = kleshchev_multipartitions(p, n)
+            raised = [mp for mp in enumerate_multipartitions(p.d, n)
+                      if is_kleshchev(mp, p)]
+            if raised != walked:
+                return False, f"{p.to_dict()} rank {n}: raising path and walk differ"
+            k, f = len(walked), len(flotw_multipartitions(p, n))
             if k != f:
                 return False, f"{p.to_dict()} rank {n}: {k} vs {f}"
     return True, f"all ranks <= {caps.counting} on the grid"

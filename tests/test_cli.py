@@ -2,10 +2,12 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import ariki
+from ariki import crystal
 from ariki.cli import main
 from ariki.charge import ChargeParams
 from ariki.render import (render_canonical, render_crystal, render_decomp,
@@ -90,6 +92,65 @@ def test_bijection(capsys):
     assert code == 2 and "error" in err
 
 
+def test_bijection_wrong_component_count_exit_2(capsys):
+    for flags in ([], ["--inverse"]):
+        for mp in ("2", "2,-,1"):
+            code, out, err = run_cli(capsys, "bijection", "--d", "2", "--e", "4",
+                                     "--charges", "0,1", "--mp", mp, *flags)
+            assert code == 2 and out == "" and "expected 2 components" in err
+
+
+def test_bijection_replay_fault_exit_1(capsys, monkeypatch):
+    # a residue path the target crystal cannot replay is an internal fault,
+    # not bad input
+    real = crystal._reduced_signature
+
+    def no_diagonal_additions(mp, i, order, p):
+        addable, removable = real(mp, i, order, p)
+        return ([] if order == "flotw" else addable), removable
+
+    monkeypatch.setattr(crystal, "_reduced_signature", no_diagonal_additions)
+    code, _, err = run_cli(capsys, "bijection", "--d", "2", "--e", "4",
+                           "--charges", "0,1", "--mp", "1,-")
+    assert code == 1 and "internal error: residue path cannot be replayed" in err
+
+
+def test_fuzz_single_vertex_commands(capsys):
+    # malformed text, bad parameters, wrong component counts and
+    # non-vertices must exit 2 with a message, never 1 or a traceback
+    rng = random.Random(4)
+    junk = ["", "-", "--", ",", ",,", "x", "1..2", "1.", ".1", "-1", "0", "1.-2",
+            "2.3", "1e3", " 1 ", "1,x", "1.0", "3.+1"]
+    commands = (["a-value"], ["symbol"], ["a-seq"], ["a-graph"],
+                ["bijection"], ["bijection", "--inverse"])
+
+    def random_mp(d):
+        comps = []
+        for _ in range(max(1, d + rng.choice((-1, 0, 0, 0, 0, 1)))):
+            parts = sorted((rng.randint(1, 4) for _ in range(rng.randint(0, 3))),
+                           reverse=rng.random() < 0.9)
+            comps.append(".".join(map(str, parts)) or "-")
+        return ",".join(comps)
+
+    for _ in range(400):
+        d = rng.choice((1, 2, 2, 3, 3)) if rng.random() < 0.95 else 0
+        e = rng.choice((2, 3, 4, 5)) if rng.random() < 0.95 else 1
+        charges = sorted(rng.randint(0, e - 1) for _ in range(max(1, d)))
+        charges = ",".join(map(str, charges))
+        if rng.random() < 0.1:
+            charges = rng.choice(junk + ["0,5", "1,0", "0,0,0,0"])
+        mp = random_mp(d) if rng.random() < 0.8 else rng.choice(junk)
+        cmd = rng.choice(commands)
+        argv = [*cmd, "--d", str(d), "--e", str(e), f"--charges={charges}", f"--mp={mp}"]
+        if rng.random() < 0.2:
+            argv.append(f"--shift={rng.choice((-1, 0, 1, 3))}")
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 2), (argv, err)
+        assert "Traceback" not in err
+        if code == 0 and cmd[0] == "bijection":
+            assert len(out.strip().split(",")) == d, (argv, out)
+
+
 def test_a_graph_text(capsys):
     code, out, _ = run_cli(capsys, "a-graph", "--d", "2", "--e", "4",
                            "--charges", "0,1", "--mp", "2.2,2.2.1")
@@ -124,6 +185,8 @@ def test_invalid_parameters_exit_2(capsys):
     code, _, err = run_cli(capsys, "a-seq", "--d", "2", "--e", "4",
                            "--charges", "0,1", "--mp", "bogus")
     assert code == 2
+    code, _, err = run_cli(capsys, "enumerate", "--d=--", "--n", "2")
+    assert code == 2 and "invalid value" in err  # argparse parses "--" to []
 
 
 def test_verify_quick(capsys):

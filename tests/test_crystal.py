@@ -5,8 +5,8 @@ from collections import Counter
 import pytest
 
 from ariki.charge import ChargeParams
-from ariki.crystal import (bijection_j, bijection_j_inverse, crystal_graph,
-                           crystal_lower, flotw_multipartitions,
+from ariki.crystal import (bijection_j, bijection_j_inverse, crystal_bijection,
+                           crystal_graph, crystal_lower, flotw_multipartitions,
                            good_addable_node, good_removable_node, is_flotw,
                            is_kleshchev, kleshchev_multipartitions)
 from ariki.partitions import (Node, add_node, enumerate_multipartitions,
@@ -79,12 +79,16 @@ def test_d1_crystal_is_e_regular_set():
 
 
 def test_crystal_regenerates_membership_sets():
-    for p in GRID:
-        gf = crystal_graph(p, 5, "flotw")
-        ga = crystal_graph(p, 5, "am")
-        for n in range(6):
+    # brute-force reachability on the right: the multipartitions whose greedy
+    # raising path reaches empty are exactly the vertices of the walk
+    cases = [(p, 5) for p in GRID] + [(ChargeParams(1, e, (0,), 0), 8) for e in (2, 3)]
+    for p, cap in cases:
+        gf = crystal_graph(p, cap, "flotw")
+        ga = crystal_graph(p, cap, "am")
+        for n in range(cap + 1):
             assert list(gf.vertices(n)) == flotw_multipartitions(p, n)
-            assert list(ga.vertices(n)) == kleshchev_multipartitions(p, n)
+            assert list(ga.vertices(n)) == [mp for mp in enumerate_multipartitions(p.d, n)
+                                            if is_kleshchev(mp, p)]
 
 
 def test_counting_identity():
@@ -137,6 +141,24 @@ def test_bijection_round_trip():
                 assert bijection_j_inverse(nu, p) == mp
                 images.add(nu)
             assert images == set(flotw_multipartitions(p, n))
+
+
+def test_crystal_bijection_matches_single_vertex_replay():
+    cases = [(p, 5) for p in GRID] + [(ChargeParams(3, 4, (0, 1, 3)), 6)]
+    for p, cap in cases:
+        for n in range(cap + 1):
+            dual = crystal_bijection(p, n)
+            labels = flotw_multipartitions(p, n)
+            assert sorted(dual) == labels
+            for nu in labels:
+                assert dual[nu] == bijection_j_inverse(nu, p)
+
+
+def test_wrong_component_count_rejected():
+    for mp in (((2,),), ((2,), (), ())):
+        for fn in (is_kleshchev, is_flotw, bijection_j, bijection_j_inverse):
+            with pytest.raises(ValueError, match="expected 2 components"):
+                fn(mp, P24)
 
 
 def test_bijection_rejects_non_members():
