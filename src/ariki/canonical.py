@@ -157,11 +157,23 @@ def decomposition_matrix(p: ChargeParams, n: int) -> DecompositionMatrix:
     rows = sorted(rows, key=lambda m: (avals[m], m))
     columns = tuple(el.label for el in basis)
     specialized = [el.vector.at_one() for el in basis]
-    entries = tuple(tuple(spec.get(mp, 0) for spec in specialized) for mp in rows)
+    # each row is a copy of one zero row with its nonzeros written in
+    row_of = {mp: r for r, mp in enumerate(rows)}
+    nonzero_columns = [[] for _ in rows]
+    for j, spec in enumerate(specialized):
+        for mp in spec:
+            nonzero_columns[row_of[mp]].append(j)
+    zeros = [0] * len(columns)
+    entries = []
+    for mp, js in zip(rows, nonzero_columns):
+        row = zeros.copy()
+        for j in js:
+            row[j] = specialized[j][mp]
+        entries.append(tuple(row))
     kleshchev = tuple(dual[col] for col in columns)
     return DecompositionMatrix(
         rows=tuple(rows), columns=columns, kleshchev_labels=kleshchev,
-        entries=entries,
+        entries=tuple(entries),
         row_a_values=tuple(avals[mp] for mp in rows),
         column_a_values=tuple(avals[mp] for mp in columns))
 

@@ -75,6 +75,32 @@ def residue(node: Node, p: ChargeParams) -> int:
     return (b - a + p.v[c]) % p.e
 
 
+def i_nodes(mp, i, p: ChargeParams):
+    """(addable, removable) i-nodes of a multipartition, from one pass over its rows.
+
+    Each list is in the order of addable_nodes/removable_nodes filtered by
+    residue.  The end of row a has residue r = (length - a + v_c) mod e;
+    the node after it has residue r + 1, so a row contributes at most one
+    of the two kinds (e >= 2).
+    """
+    if len(mp) > p.d:
+        raise ValueError(f"component index {p.d} out of range for d={p.d}")
+    e, before = p.e, (i - 1) % p.e
+    addable, removable = [], []
+    for c, comp in enumerate(mp):
+        vc, height = p.v[c], len(comp)
+        for a, length in enumerate(comp, start=1):
+            r = (length - a + vc) % e
+            if r == i:
+                if a == height or comp[a] < length:  # row a+1 is shorter
+                    removable.append(Node(a, length, c))
+            elif r == before and (a == 1 or comp[a - 2] > length):  # row a-1 longer
+                addable.append(Node(a, length + 1, c))
+        if (vc - height) % e == i:
+            addable.append(Node(height + 1, 1, c))
+    return addable, removable
+
+
 def am_below(g: Node, g2: Node) -> bool:
     """Component-major order: g lies below g2 iff (c, a) < (c', a')."""
     return (g.comp, g.row) < (g2.comp, g2.row)

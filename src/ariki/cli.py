@@ -4,7 +4,8 @@ Subcommands mirror the library: enumerate, a-value, symbol, a-seq, a-graph,
 crystal, bijection, canonical, decomp, typeb, verify.  Charge parameters
 come from --d/--e/--charges with an optional --shift override of the
 minimal weight shift.  Exit codes: 0 success, 1 internal assertion failure,
-2 invalid parameters.  Output is byte-identical across runs and hash seeds.
+2 invalid parameters, an --mp above MAX_MP_RANK cells among them.  Output is
+byte-identical across runs and hash seeds.
 """
 
 import argparse
@@ -12,8 +13,12 @@ import sys
 
 from . import render
 from .charge import ChargeParams
-from .partitions import parse_multipartition
+from .partitions import parse_multipartition, rank
 from .verification import RankCaps, run_all
+
+# Largest --mp rank accepted.  The a-value is quadratic in the symbol height,
+# so a single column is the slowest shape: 500 cells at d = 3 take about 1 s.
+MAX_MP_RANK = 500
 
 
 def _add_charge_args(sub, shift_flag=True):
@@ -32,6 +37,13 @@ def _charge_params(args) -> ChargeParams:
     except ValueError:
         raise ValueError(f"cannot parse charges {args.charges!r}")
     return ChargeParams(args.d, args.e, v, getattr(args, "shift", None))
+
+
+def _multipartition(args, require_partitions=True):
+    mp = parse_multipartition(args.mp, require_partitions)
+    if rank(mp) > MAX_MP_RANK:
+        raise ValueError(f"--mp has rank {rank(mp)}, above the limit {MAX_MP_RANK}")
+    return mp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,24 +119,24 @@ def run(args) -> int:
         out.write(render.render_enumerate(args.d, args.n, args.format))
     elif cmd == "a-value":
         p = _charge_params(args)
-        out.write(render.render_a_value(p, parse_multipartition(args.mp)))
+        out.write(render.render_a_value(p, _multipartition(args)))
     elif cmd == "symbol":
         p = _charge_params(args)
-        mc = parse_multipartition(args.mp, require_partitions=False)
+        mc = _multipartition(args, require_partitions=False)
         out.write(render.render_symbol(p, mc, args.symbol_shift))
     elif cmd == "a-seq":
         p = _charge_params(args)
-        out.write(render.render_a_seq(p, parse_multipartition(args.mp)))
+        out.write(render.render_a_seq(p, _multipartition(args)))
     elif cmd == "a-graph":
         p = _charge_params(args)
-        out.write(render.render_a_graph(p, parse_multipartition(args.mp), args.format))
+        out.write(render.render_a_graph(p, _multipartition(args), args.format))
     elif cmd == "crystal":
         p = _charge_params(args)
         fmt = "dot" if args.dot else "json"
         out.write(render.render_crystal(p, args.n, args.order, fmt))
     elif cmd == "bijection":
         p = _charge_params(args)
-        out.write(render.render_bijection(p, parse_multipartition(args.mp), args.inverse))
+        out.write(render.render_bijection(p, _multipartition(args), args.inverse))
     elif cmd == "canonical":
         p = _charge_params(args)
         out.write(render.render_canonical(p, args.n))

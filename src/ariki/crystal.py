@@ -23,21 +23,23 @@ lowerings in the other order, a whole rank along the two crystal graphs.
 
 from dataclasses import dataclass
 
-from .charge import ChargeParams, ORDERS, below_key, residue
-from .partitions import (add_node, addable_nodes, check_multipartition,
-                         empty_multipartition, enumerate_multipartitions,
-                         part, rank, remove_node, removable_nodes)
+from .charge import ChargeParams, ORDERS, below_key, i_nodes
+from .partitions import (add_node, check_multipartition, empty_multipartition,
+                         enumerate_multipartitions, part, rank, remove_node)
 
 ADDABLE = "A"
 REMOVABLE = "R"
 
 
 def signature(mp, i, order: str, p: ChargeParams):
-    """Addable/removable i-nodes with kinds, lowest node of the order first."""
+    """Addable/removable i-nodes with kinds, lowest node of the order first.
+
+    The nodes come from one charge.i_nodes pass over the rows.
+    """
     if order not in ORDERS:
         raise ValueError(f"order must be one of {ORDERS}")
-    items = [(g, ADDABLE) for g in addable_nodes(mp) if residue(g, p) == i]
-    items += [(g, REMOVABLE) for g in removable_nodes(mp) if residue(g, p) == i]
+    addable, removable = i_nodes(mp, i, p)
+    items = [(g, ADDABLE) for g in addable] + [(g, REMOVABLE) for g in removable]
     key = below_key(order, p)
     items.sort(key=lambda item: key(item[0]))
     return items

@@ -23,7 +23,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
-from .charge import ChargeParams, ORDERS, below_key, is_above, is_below, residue
+from .charge import (ChargeParams, ORDERS, below_key, i_nodes, is_above, is_below,
+                     residue)
 from .laurent import LaurentPoly, gauss_factorial
 from .partitions import (add_node, addable_nodes, check_multipartition,
                          diagram_nodes, rank, remove_node, removable_nodes)
@@ -215,6 +216,8 @@ def f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVect
     i-nodes A sorted lowest first and a subset at indices s_0 < ... < s_{j-1}
     the exponent is sum_k (s_k - k - rem_below[s_k]), where rem_below[s]
     counts lam's removable i-nodes below A[s] (see the module docstring).
+    A and R come from one charge.i_nodes pass over lam's rows; f_action and
+    the oracle keep the generic addable_i_nodes/removable_i_nodes filters.
     """
     _check_order(order)
     if j < 0:
@@ -225,10 +228,11 @@ def f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVect
     offset = j * (j - 1) // 2  # the -k terms, the same for every subset
     raw = {}
     for lam, coef in v.terms.items():
-        add = sorted(addable_i_nodes(lam, i, p), key=key)
+        add, rem = i_nodes(lam, i, p)
         if len(add) < j:
             continue
-        rem_keys = sorted(map(key, removable_i_nodes(lam, i, p)))
+        add.sort(key=key)
+        rem_keys = sorted(map(key, rem))
         # s - rem_below[s]
         weight = [s - bisect_left(rem_keys, key(g)) for s, g in enumerate(add)]
         terms = coef.coeffs.items()

@@ -118,12 +118,18 @@ def render_matrix(matrix, fmt: str = "text") -> str:
             dual = f"  kleshchev {format_multipartition(matrix.kleshchev_labels[j])}"
         lines.append(f"  [{j}] {format_multipartition(col)}"
                      f"  a={format_rational(matrix.column_a_values[j])}{dual}")
-    label_width = max((len(format_multipartition(mp)) for mp in matrix.rows), default=1)
-    entry_width = max((len(str(x)) for row in matrix.entries for x in row), default=1)
+    labels = [format_multipartition(mp) for mp in matrix.rows]
+    label_width = max(map(len, labels), default=1)
+    # the matrix has few distinct values: pad each once, then look cells up
+    values = set()
+    for row in matrix.entries:
+        values.update(row)
+    entry_width = max((len(str(x)) for x in values), default=1)
+    cell = {x: f"{x if x else '.':>{entry_width}}" for x in values}
     lines.append("rows:")
-    for i, mp in enumerate(matrix.rows):
-        cells = " ".join(f"{x if x else '.':>{entry_width}}" for x in matrix.entries[i])
-        lines.append(f"  {format_multipartition(mp):<{label_width}}  | {cells}")
+    for label, row in zip(labels, matrix.entries):
+        cells = " ".join(map(cell.__getitem__, row))
+        lines.append(f"  {label:<{label_width}}  | {cells}")
     return "\n".join(lines) + "\n"
 
 

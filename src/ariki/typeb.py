@@ -43,6 +43,8 @@ def a_value_typeb(bp, r: int = None) -> int:
 
 def bipartitions_of(n: int):
     """All bipartitions of rank n, in canonical order."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     out = [(p0, p1)
            for a in range(n + 1)
            for p0 in partitions_of(a)
@@ -69,29 +71,33 @@ def decomposition_matrix_b(n: int, e: int) -> DecompositionMatrix:
     """Type B decomposition matrix for either parity of e."""
     if e < 2:
         raise ValueError("e must be at least 2")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if e % 2 == 0:
         return decomposition_matrix(even_charge_params(e), n)
 
     pa = type_a_params(e)
-    factors = {l: decomposition_matrix(pa, l) for l in range(n + 1)}
-
-    def type_a_entry(l, mu, lam):
-        return factors[l].entry((mu,), (lam,))
+    # per rank and row partition of a type-A factor: its nonzero (column, entry)
+    nonzero = []
+    for l in range(n + 1):
+        factor = decomposition_matrix(pa, l)
+        nonzero.append({mu: [(lam, x) for (lam,), x in zip(factor.columns, line) if x]
+                        for (mu,), line in zip(factor.rows, factor.entries)})
 
     avals = {bp: a_value_typeb(bp) for bp in bipartitions_of(n)}
-    rows = sorted(bipartitions_of(n), key=lambda bp: (avals[bp], bp))
+    rows = sorted(avals, key=lambda bp: (avals[bp], bp))
     columns = sorted(canonical_basic_set_b(n, e), key=lambda bp: (avals[bp], bp))
-    column_sizes = [sum(lam[0]) for lam in columns]
+    # an entry is the product of the component-wise type-A entries, so only
+    # products of two nonzeros are written; size mismatches stay zero
+    column_of = {lam: j for j, lam in enumerate(columns)}
+    zeros = [0] * len(columns)
     entries = []
-    for mu in rows:
-        a = sum(mu[0])
-        line = []
-        for lam, size in zip(columns, column_sizes):
-            if size == a:
-                line.append(type_a_entry(a, mu[0], lam[0])
-                            * type_a_entry(n - a, mu[1], lam[1]))
-            else:
-                line.append(0)
+    for mu0, mu1 in rows:
+        a = sum(mu0)
+        line = zeros.copy()
+        for lam0, x in nonzero[a][mu0]:
+            for lam1, y in nonzero[n - a][mu1]:
+                line[column_of[lam0, lam1]] = x * y
         entries.append(tuple(line))
     return DecompositionMatrix(
         rows=tuple(rows), columns=tuple(columns), kleshchev_labels=None,

@@ -3,12 +3,13 @@
 from ariki.canonical import (_bar_symmetric_completion, canonical_basis,
                              compute_A, decomposition_matrix,
                              simple_module_a_values)
-from ariki.charge import ChargeParams, is_semisimple
+from ariki.charge import ChargeParams, diagram_residues, is_semisimple
 from ariki.crystal import flotw_multipartitions
 from ariki.fock import FockVector
 from ariki.laurent import LaurentPoly
 from ariki.partitions import enumerate_multipartitions
 from ariki.symbols import a_value
+from ariki.typeb import decomposition_matrix_b, even_charge_params
 from ariki.verification import GRID
 
 P24 = ChargeParams(2, 4, (0, 1))
@@ -168,6 +169,24 @@ def test_decomposition_matrix_agrees_with_canonical_basis():
             for j, el in enumerate(basis):
                 spec = el.vector.at_one()
                 assert [row[j] for row in m.entries] == [spec.get(mp, 0) for mp in m.rows]
+
+
+def test_nonzero_entries_share_residue_content():
+    # block structure: f_i preserves residue content, and the blocks of the
+    # algebra are its content classes (Lyle-Mathas 2007), so a nonzero
+    # entry joins a row and a column of equal content
+    cases = [(p, decomposition_matrix(p, n)) for p in GRID for n in range(7)]
+    cases += [(even_charge_params(e), decomposition_matrix_b(n, e))
+              for e in (2, 4) for n in range(7)]
+    checked = 0
+    for p, m in cases:
+        content = {mp: diagram_residues(mp, p) for mp in m.rows}
+        for mp, row in zip(m.rows, m.entries):
+            for col, x in zip(m.columns, row):
+                if x:
+                    assert content[mp] == content[col], (p, mp, col)
+                    checked += 1
+    assert checked > len(cases)
 
 
 def _hook_dimension(p):

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from ariki.charge import (ChargeParams, am_below, below_key, flotw_above,
-                          is_below, is_semisimple, residue)
+                          i_nodes, is_below, is_semisimple, residue)
 from ariki.crystal import flotw_multipartitions
-from ariki.partitions import Node, diagram_nodes
+from ariki.partitions import (Node, addable_nodes, diagram_nodes,
+                              enumerate_multipartitions, removable_nodes)
+from ariki.verification import GRID
 
 
 def test_residue_examples():
@@ -28,6 +30,19 @@ def test_residue_constant_on_diagonals():
         for b in range(1, 5):
             for c in range(3):
                 assert residue(Node(a, b, c), p) == residue(Node(a + 1, b + 1, c), p)
+
+
+def test_i_nodes_match_generic_filters():
+    # the one-pass scan equals the residue filters, order included
+    for p in (*GRID, ChargeParams(3, 4, (0, 1, 3))):
+        for n in range(8):
+            for mp in enumerate_multipartitions(p.d, n):
+                for i in range(p.e):
+                    addable = [g for g in addable_nodes(mp) if residue(g, p) == i]
+                    removable = [g for g in removable_nodes(mp) if residue(g, p) == i]
+                    assert i_nodes(mp, i, p) == (addable, removable), (p, mp, i)
+    with pytest.raises(ValueError):
+        i_nodes(((1,), (), ()), 0, ChargeParams(2, 4, (0, 1)))
 
 
 def test_am_below_examples():

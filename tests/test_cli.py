@@ -8,10 +8,12 @@ import sys
 
 import ariki
 from ariki import crystal
-from ariki.cli import main
+from ariki.canonical import DecompositionMatrix
+from ariki.cli import MAX_MP_RANK, main
 from ariki.charge import ChargeParams
+from ariki.partitions import format_multipartition
 from ariki.render import (render_canonical, render_crystal, render_decomp,
-                          render_typeb)
+                          render_matrix, render_typeb)
 from ariki.verification import hash_seed_outputs
 
 
@@ -149,6 +151,83 @@ def test_fuzz_single_vertex_commands(capsys):
         assert "Traceback" not in err
         if code == 0 and cmd[0] == "bijection":
             assert len(out.strip().split(",")) == d, (argv, out)
+
+    # one huge part or a long column is rejected before any work
+    for cmd in commands:
+        for mp in (".".join(["1"] * (MAX_MP_RANK + 1)), "100000000"):
+            code, out, err = run_cli(capsys, *cmd, "--d", "1", "--e", "3",
+                                     "--charges", "0", f"--mp={mp}")
+            assert code == 2 and out == "" and "above the limit" in err, cmd
+
+
+def test_fuzz_rank_commands(capsys):
+    # enumerate, crystal, canonical, decomp and typeb at small ranks and on
+    # malformed values: exit 0 or 2 with no traceback, and 2 for negative n
+    rng = random.Random(5)
+    junk = ["", "-", "--", "x", "1.5", "1e3", " 2 ", "-0", "+1", "0x3"]
+
+    def value(good):
+        return str(good) if rng.random() < 0.9 else rng.choice(junk)
+
+    for _ in range(250):
+        cmd = rng.choice(("enumerate", "crystal", "canonical", "decomp", "typeb"))
+        n = rng.choice((-2, -1, 0, 1, 2, 3, 4))
+        d = rng.choice((1, 2, 2, 3)) if rng.random() < 0.9 else rng.choice((0, -1))
+        e = rng.choice((2, 3, 4, 5)) if rng.random() < 0.9 else rng.choice((0, 1, -3))
+        n_text = value(n)
+        argv = [cmd, f"--n={n_text}"]
+        if cmd == "typeb":
+            argv[1:1] = [rng.choice(("basic-set", "a-values", "decomp", "bogus"))]
+            argv.append(f"--e={value(e)}")
+        elif cmd == "enumerate":
+            argv.append(f"--d={value(d)}")
+        else:
+            charges = ",".join(map(str, sorted(rng.randint(0, max(e, 1) - 1)
+                                               for _ in range(max(d, 1)))))
+            if rng.random() < 0.1:
+                charges = rng.choice(junk + ["0,5", "1,0", "0,0,0,0"])
+            argv += [f"--d={value(d)}", f"--e={value(e)}", f"--charges={charges}"]
+            if rng.random() < 0.2:
+                argv.append(f"--shift={rng.choice((-1, 0, 1, 3))}")
+        if cmd == "crystal":
+            argv.append(rng.choice(("--order=am", "--order=flotw", "--order=x", "--dot")))
+        if cmd in ("enumerate", "decomp", "typeb") and rng.random() < 0.5:
+            argv.append(f"--format={rng.choice(('text', 'json', 'dot'))}")
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 2), (argv, err)
+        assert "Traceback" not in err
+        if n_text == str(n) and n < 0:
+            assert code == 2, (argv, out)
+        if code == 0:
+            assert out, argv
+
+
+def _per_cell_rows(matrix):
+    # reference: every cell padded by its own f-string
+    label_width = max((len(format_multipartition(mp)) for mp in matrix.rows), default=1)
+    entry_width = max((len(str(x)) for row in matrix.entries for x in row), default=1)
+    lines = []
+    for i, mp in enumerate(matrix.rows):
+        cells = " ".join(f"{x if x else '.':>{entry_width}}" for x in matrix.entries[i])
+        lines.append(f"  {format_multipartition(mp):<{label_width}}  | {cells}")
+    return lines
+
+
+def test_render_matrix_matches_per_cell_formatting():
+    rows = (((3,), ()), ((2, 1), ()), ((1,), (1, 1)), ((), (1, 1, 1)))
+    columns = rows[:3]
+    for entries in (((1, 0, 0), (12, 1, 0), (0, 3, 1), (10, 0, 7)),
+                    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)),
+                    ((0, 0, 0),) * 4):
+        for dual in (None, columns[::-1]):
+            m = DecompositionMatrix(rows=rows, columns=columns, kleshchev_labels=dual,
+                                    entries=entries, row_a_values=(0, 1, 2, 3),
+                                    column_a_values=(0, 1, 2))
+            lines = render_matrix(m).splitlines()
+            assert lines[lines.index("rows:") + 1:] == _per_cell_rows(m)
+    empty = DecompositionMatrix(rows=(), columns=(), kleshchev_labels=None, entries=(),
+                                row_a_values=(), column_a_values=())
+    assert render_matrix(empty) == "columns:\nrows:\n"
 
 
 def test_a_graph_text(capsys):

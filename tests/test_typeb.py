@@ -62,12 +62,15 @@ def test_even_matrix_delegates():
     assert m.entries == direct.entries
 
 
-def test_odd_matrix_block_tensor_structure():
-    n, e = 3, 3
+def _check_entry_formula(n, e, factors, row_sizes):
+    # the reference is the per-entry formula: a product of type-A entries
+    # where the component sizes match, zero elsewhere
     m = decomposition_matrix_b(n, e)
-    factors = {l: decomposition_matrix(type_a_params(e), l) for l in range(n + 1)}
-    assert len(m.rows) == len(bipartitions_of(n))
+    assert m.rows == tuple(sorted(bipartitions_of(n),
+                                  key=lambda bp: (a_value_typeb(bp), bp)))
     for i, mu in enumerate(m.rows):
+        if sum(mu[0]) not in row_sizes:
+            continue
         for j, lam in enumerate(m.columns):
             if sum(mu[0]) != sum(lam[0]):
                 expected = 0
@@ -75,7 +78,27 @@ def test_odd_matrix_block_tensor_structure():
                 a = sum(lam[0])
                 expected = (factors[a].entry((mu[0],), (lam[0],))
                             * factors[n - a].entry((mu[1],), (lam[1],)))
-            assert m.entries[i][j] == expected
+            assert m.entries[i][j] == expected, (n, e, mu, lam)
+
+
+def test_odd_matrix_block_tensor_structure():
+    for e in (3, 5):
+        top = 12 if e == 3 else 9
+        factors = [decomposition_matrix(type_a_params(e), l) for l in range(top + 1)]
+        for n in range(10):
+            _check_entry_formula(n, e, factors, range(n + 1))
+        if e == 3:
+            # every type-A entry is 0 or 1 below rank 12; at rank 12 the rows
+            # with an empty component meet the entries 2 of the rank-12 factor
+            _check_entry_formula(12, e, factors, (0, 12))
+
+
+def test_negative_rank_rejected():
+    for e in (2, 3, 4, 5):
+        for call in (bipartitions_of, lambda n: canonical_basic_set_b(n, e),
+                     lambda n: decomposition_matrix_b(n, e)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                call(-1)
 
 
 def test_odd_matrix_identity_blocks_where_semisimple():
