@@ -7,7 +7,7 @@ from .charge import (ChargeParams, am_below, flotw_above, is_semisimple, residue
 from .crystal import (CrystalGraph, bijection_j, bijection_j_inverse, crystal_graph,
                       flotw_multipartitions, good_addable_node, good_removable_node,
                       is_flotw, is_kleshchev, kleshchev_multipartitions)
-from .fock import FockVector, e_action, f_action, f_divided, weights
+from .fock import FockVector, e_action, f_action, f_divided
 from .laurent import LaurentPoly, gauss_binomial, gauss_factorial, gauss_number
 from .partitions import (Node, addable_nodes, border_nodes, conjugate, dominates,
                          enumerate_multipartitions, format_multipartition,

@@ -1,30 +1,53 @@
 """Canonical bases of the highest-weight submodule and decomposition matrices.
 
-For each diagonal-crystal vertex, applying the divided powers dictated by
-its residue sequence to the empty multipartition yields a bar-invariant
-vector whose leading coefficient is 1 and whose other terms all have
-strictly larger a-value.  Straightening these vectors in decreasing
-a-value order yields the canonical basis: leading coefficient 1, every
-other coefficient in q*Z[q].  Each vector is straightened in one pass over
-the finished labels of larger a-value, in ascending order, subtracting the
-bar-symmetric completion of any offending coefficient times that label's
-basis element; a subtraction only touches labels of still larger a-value,
-so no coefficient already passed changes.  Specializing q = 1 gives the
-decomposition matrix, with rows and columns sorted by ascending a-value
-(ties lexicographic) so its unitriangular shape is visually literal.
+The basis is built rank by rank, by the recursion of the LLT algorithm
+(Lascoux-Leclerc-Thibon 1996; Uglov 1999 for the higher-level Fock
+space), over the levels of one diagonal-crystal walk from the empty
+multipartition.  Peeling a label lam once gives a residue k, the number c
+of k-nodes removed and the rest lam', a label of rank n - c; then
+A'(lam) = f_k^(c) G(lam') applies one divided power to the finished basis
+element G(lam').  A'(lam) is bar-invariant, its leading coefficient is 1 and
+its other terms all have strictly larger a-value.  Straightening the
+vectors of one rank in decreasing a-value order yields that rank's
+canonical basis: leading coefficient 1, every other coefficient in q*Z[q].
+Each vector is straightened in one pass over the finished labels of larger
+a-value, in ascending order, subtracting the bar-symmetric completion of
+any offending coefficient times that label's basis element; a subtraction
+only touches labels of still larger a-value, so no coefficient already
+passed changes.
+
+Memory: G(mu) of a lower rank is kept only while a label still to be
+built peels to mu (the peel steps are counted first), and each rank's
+element list is dropped before the next rank is straightened.
+
+compute_A, the paper's A-vector, replays a label's whole residue sequence
+from the empty vector.  It is not on the basis path; straightened the same
+way it must give the same basis, which the tests and `verify` check.
+
+Specializing q = 1 gives the decomposition matrix, with rows and columns
+sorted by ascending a-value (ties lexicographic) so its unitriangular
+shape is visually literal.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .aseq import a_sequence_blocks
+from .aseq import a_sequence_blocks, peel_step
 from .charge import ChargeParams
-from .crystal import crystal_bijection, flotw_multipartitions
+from .crystal import _graph_bijection, crystal_graph
 from .fock import FockVector, f_divided
 from .laurent import LaurentPoly
 from .partitions import empty_multipartition, enumerate_multipartitions
 from .symbols import a_value
+
+
+def _leading_one(mp, vec: FockVector) -> FockVector:
+    """vec, whose coefficient at mp must be 1."""
+    lead = vec.coefficient(mp)
+    if lead != LaurentPoly.one():
+        raise RuntimeError(f"leading coefficient of A({mp}) is {lead}, not 1")
+    return vec
 
 
 def compute_A(mp, p: ChargeParams) -> FockVector:
@@ -33,10 +56,7 @@ def compute_A(mp, p: ChargeParams) -> FockVector:
     vec = FockVector.unit(empty_multipartition(p.d))
     for i, count in blocks:
         vec = f_divided(vec, i, count, "flotw", p)
-    lead = vec.coefficient(mp)
-    if lead != LaurentPoly.one():
-        raise RuntimeError(f"leading coefficient of A({mp}) is {lead}, not 1")
-    return vec
+    return _leading_one(mp, vec)
 
 
 @dataclass(frozen=True)
@@ -56,13 +76,15 @@ def _bar_symmetric_completion(c: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(data)
 
 
-def _straighten(p: ChargeParams, labels, avals, tie_reverse=False):
-    """Straighten compute_A of each label; elements sorted by (a-value, label).
+def _straighten(labels, avals, start, tie_reverse=False):
+    """{label: straightened vector} of one rank, from start(label).
 
-    avals holds at least the labels' a-values.  Equal-a labels never
-    interact, so the tie-break (lexicographic, reversed by tie_reverse)
-    cannot change the result.  Every non-leading coefficient (crystal label
-    or not) must end in q*Z[q]; anything else is an error.
+    start(mp) returns a fresh term dict of a bar-invariant vector with
+    leading term mp; it is called once per label, in decreasing (a-value,
+    tie) order.  avals holds at least the labels' a-values.  Equal-a labels
+    never interact, so the tie-break (lexicographic, reversed by
+    tie_reverse) cannot change the result.  Every non-leading coefficient
+    (crystal label or not) must end in q*Z[q]; anything else is an error.
     """
     def tie_key(m):
         return tuple(tuple(-x for x in comp) for comp in m) if tie_reverse else m
@@ -71,7 +93,7 @@ def _straighten(p: ChargeParams, labels, avals, tie_reverse=False):
     ascending_a = [avals[m] for m in ascending]
     basis = {}
     for mp in reversed(ascending):
-        terms = dict(compute_A(mp, p).terms)
+        terms = start(mp)
         for nu in ascending[bisect_right(ascending_a, avals[mp]):]:
             coeff = terms.get(nu)
             if coeff is None or coeff.in_q_zq():
@@ -88,29 +110,69 @@ def _straighten(p: ChargeParams, labels, avals, tie_reverse=False):
                     terms.pop(mu, None)
                 else:
                     terms[mu] = new
-        vec = FockVector(terms)
-        if vec.coefficient(mp) != LaurentPoly.one():
+        if terms.get(mp) != LaurentPoly.one():
             raise RuntimeError(f"straightening destroyed the leading term of {mp}")
-        for nu in vec.support():
-            if nu != mp and not vec.coefficient(nu).in_q_zq():
+        for nu, c in terms.items():
+            if nu != mp and not c.in_q_zq():
                 raise RuntimeError(
                     f"coefficient of {nu} in the element labeled {mp} "
-                    f"is {vec.coefficient(nu)}, not in q*Z[q]")
-        basis[mp] = vec
+                    f"is {c}, not in q*Z[q]")
+        basis[mp] = FockVector._of(terms)
+    return basis
 
-    order = sorted(labels, key=lambda m: (avals[m], m))
+
+def _basis_by_rank(p: ChargeParams, levels, avals, tie_reverse=False):
+    """{label: straightened vector} at the top level of a diagonal walk.
+
+    levels[r] lists the diagonal-crystal vertices of rank r, and avals
+    holds at least the top level's a-values.  Every rank is straightened in
+    turn, each label starting from f_k^(c) of its peel rest's element.
+    """
+    peels, refs = {}, {}
+    for level in levels[1:]:
+        for mp in level:
+            step = peel_step(mp, p)
+            peels[mp] = (step.k, len(step.removed), step.rest)
+            refs[step.rest] = refs.get(step.rest, 0) + 1
+    empty = levels[0][0]
+    finished = {empty: FockVector.unit(empty)}
+    if len(levels) == 1:
+        return finished
+
+    def lift(mp):
+        k, c, rest = peels.pop(mp)
+        below = finished.get(rest)
+        if below is None:
+            raise RuntimeError(f"{mp} peels to {rest}, which is not a finished label")
+        refs[rest] -= 1
+        if not refs[rest]:
+            del finished[rest]
+        return dict(_leading_one(mp, f_divided(below, k, c, "flotw", p)).terms)
+
+    for level in levels[1:-1]:
+        basis = _straighten(level, {mp: a_value(mp, p) for mp in level}, lift, tie_reverse)
+        finished.update((mp, vec) for mp, vec in basis.items() if refs.get(mp))
+        del basis  # only the elements some label above still peels to stay
+    return _straighten(levels[-1], avals, lift, tie_reverse)
+
+
+def _elements(basis, avals):
+    """Basis elements sorted by (a-value, label)."""
+    order = sorted(basis, key=lambda m: (avals[m], m))
     return [CanonicalBasisElement(label=mp, vector=basis[mp]) for mp in order]
 
 
 def canonical_basis(p: ChargeParams, n: int, _tie_reverse=False):
     """All canonical basis elements at rank n, sorted by (a-value, label).
 
-    Labels are handled in decreasing a-value order.  Each label's vector A
-    is straightened in one ascending pass over the finished labels of larger
-    a-value.  _tie_reverse reverses the lexicographic tie-break, for tests.
+    The labels are the rank-n vertices of the diagonal crystal; the basis of
+    every lower rank is built on the way (see the module docstring).
+    _tie_reverse reverses the lexicographic tie-break at every rank, for
+    tests.
     """
-    labels = flotw_multipartitions(p, n)
-    return _straighten(p, labels, {mp: a_value(mp, p) for mp in labels}, _tie_reverse)
+    levels = crystal_graph(p, n, "flotw").levels
+    avals = {mp: a_value(mp, p) for mp in levels[n]}
+    return _elements(_basis_by_rank(p, levels, avals, _tie_reverse), avals)
 
 
 @dataclass(frozen=True)
@@ -148,12 +210,15 @@ class DecompositionMatrix:
 
 def decomposition_matrix(p: ChargeParams, n: int) -> DecompositionMatrix:
     """Canonical basis at q = 1, assembled into the a-sorted matrix."""
-    # computed first, so its two crystal graphs are freed before the basis
-    # peaks; its keys are the diagonal-order vertices, the column labels
-    dual = crystal_bijection(p, n)
+    # one diagonal walk labels the columns and builds the basis; both
+    # graphs' edges are freed once the columns' duals are read off
+    flotw = crystal_graph(p, n, "flotw")
+    dual = _graph_bijection(flotw, crystal_graph(p, n, "am"))
+    levels = flotw.levels
+    del flotw
     rows = enumerate_multipartitions(p.d, n)
     avals = {mp: a_value(mp, p) for mp in rows}
-    basis = _straighten(p, sorted(dual), avals)
+    basis = _elements(_basis_by_rank(p, levels, avals), avals)
     rows = sorted(rows, key=lambda m: (avals[m], m))
     columns = tuple(el.label for el in basis)
     specialized = [el.vector.at_one() for el in basis]

@@ -23,9 +23,10 @@ lowerings in the other order, a whole rank along the two crystal graphs.
 
 from dataclasses import dataclass
 
-from .charge import ChargeParams, ORDERS, below_key, i_nodes
-from .partitions import (add_node, check_multipartition, empty_multipartition,
-                         enumerate_multipartitions, part, rank, remove_node)
+from .charge import ChargeParams, ORDERS, below_key, i_nodes, residue
+from .partitions import (add_node, addable_nodes, check_multipartition,
+                         empty_multipartition, enumerate_multipartitions, part,
+                         rank, remove_node, removable_nodes)
 
 ADDABLE = "A"
 REMOVABLE = "R"
@@ -91,11 +92,21 @@ def _check_components(mp, p):
     return mp
 
 
+def _residues(nodes, p):
+    """Sorted distinct residues of some nodes: the only i worth a signature.
+
+    An i-signature without addable (removable) i-nodes has no surviving
+    addable (removable) node, so trying these residues in ascending order
+    finds the same smallest i as trying all e of them.
+    """
+    return sorted({residue(g, p) for g in nodes})
+
+
 def _raising_path(mp, order, p):
     """Residues removed by greedy raising down to empty, or None if stuck."""
     path = []
     while rank(mp) > 0:
-        for i in range(p.e):
+        for i in _residues(removable_nodes(mp), p):
             _, removable = _reduced_signature(mp, i, order, p)
             if removable:
                 path.append(i)
@@ -156,7 +167,7 @@ def crystal_graph(p: ChargeParams, n: int, order: str) -> CrystalGraph:
         targets = set()
         level_edges = []
         for mp in levels[r]:
-            for i in range(p.e):
+            for i in _residues(addable_nodes(mp), p):
                 addable, _ = _reduced_signature(mp, i, order, p)
                 if addable:
                     nxt = add_node(mp, addable[0])
@@ -187,8 +198,13 @@ def crystal_bijection(p: ChargeParams, n: int):
     a diagonal i-edge is the target of the component-major i-edge leaving
     the image of its source.
     """
-    gf, ga = crystal_graph(p, n, "flotw"), crystal_graph(p, n, "am")
-    image = {empty_multipartition(p.d): empty_multipartition(p.d)}
+    return _graph_bijection(crystal_graph(p, n, "flotw"), crystal_graph(p, n, "am"))
+
+
+def _graph_bijection(gf: CrystalGraph, ga: CrystalGraph):
+    """crystal_bijection at the top rank of a diagonal and a component-major graph."""
+    empty = gf.levels[0][0]
+    image = {empty: empty}
     for flotw_edges, am_edges in zip(gf.edges, ga.edges):
         lower_am = {(src, i): dst for src, i, _, dst in am_edges}
         level = {}

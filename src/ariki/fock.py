@@ -20,14 +20,13 @@ the exponent is sum_k (s_k - k - #{r in R below A[s_k]}).
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import combinations
 
 from .charge import (ChargeParams, ORDERS, below_key, i_nodes, is_above, is_below,
                      residue)
 from .laurent import LaurentPoly, gauss_factorial
-from .partitions import (add_node, addable_nodes, check_multipartition,
-                         diagram_nodes, rank, remove_node, removable_nodes)
+from .partitions import (add_node, addable_nodes, check_multipartition, rank,
+                         remove_node, removable_nodes)
 
 
 class FockVector:
@@ -255,22 +254,3 @@ def f_power_divided_oracle(v: FockVector, i, j: int, order: str, p: ChargeParams
     for _ in range(j):
         out = f_action(out, i, order, p)
     return out.exact_div(gauss_factorial(j))
-
-
-@dataclass(frozen=True)
-class Weights:
-    """Diagonal weight data of one multipartition."""
-    net_addable: tuple   # per residue: addable minus removable i-nodes
-    zero_nodes: int      # number of 0-nodes in the diagram
-
-
-def weights(mp, p: ChargeParams) -> Weights:
-    """Exponents of the diagonal generators on a basis multipartition."""
-    mp = check_multipartition(mp)
-    net = [0] * p.e
-    for g in addable_nodes(mp):
-        net[residue(g, p)] += 1
-    for g in removable_nodes(mp):
-        net[residue(g, p)] -= 1
-    zeros = sum(1 for g in diagram_nodes(mp) if residue(g, p) == 0)
-    return Weights(net_addable=tuple(net), zero_nodes=zeros)

@@ -18,10 +18,6 @@ from .typeb import (a_value_typeb, bipartitions_of, canonical_basic_set_b,
                     decomposition_matrix_b)
 
 
-def params_header(p: ChargeParams) -> str:
-    return f"d={p.d} e={p.e} v={','.join(map(str, p.v))} s={p.s}"
-
-
 def render_enumerate(d: int, n: int, fmt: str = "text") -> str:
     mps = enumerate_multipartitions(d, n)
     if fmt == "json":
@@ -92,9 +88,10 @@ def render_bijection(p: ChargeParams, mp, inverse: bool = False) -> str:
 def render_canonical(p: ChargeParams, n: int) -> str:
     lines = []
     for el in canonical_basis(p, n):
-        terms = " + ".join(f"({el.vector.coefficient(mp)})*[{format_multipartition(mp)}]"
-                           for mp in el.vector.support())
-        lines.append(f"{format_multipartition(el.label)}: {terms}")
+        terms = el.vector.terms
+        body = " + ".join(f"({terms[mp]})*[{format_multipartition(mp)}]"
+                          for mp in sorted(terms))
+        lines.append(f"{format_multipartition(el.label)}: {body}")
     return "\n".join(lines) + "\n"
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .aseq import a_graph, a_sequence, residue_path_terminals
-from .canonical import canonical_basis, decomposition_matrix, simple_module_a_values
+from .canonical import (_elements, _straighten, canonical_basis, compute_A,
+                        decomposition_matrix, simple_module_a_values)
 from .charge import ChargeParams, is_semisimple
 from .crystal import flotw_multipartitions, is_kleshchev, kleshchev_multipartitions
 from .fock import FockVector, f_divided, f_power_divided_oracle
@@ -190,14 +191,32 @@ def check_minimality(caps):
     return True, f"{checked} terminal multipartitions compared"
 
 
+def replayed_basis(p, n, tie_reverse=False):
+    """canonical_basis straightened from compute_A instead of the rank recursion.
+
+    Each label's vector replays its whole residue sequence from the empty
+    vector, and the labels come from the direct membership test, so neither
+    the finished lower-rank elements nor the crystal walk is used.
+    """
+    labels = flotw_multipartitions(p, n)
+    avals = {mp: a_value(mp, p) for mp in labels}
+    basis = _straighten(labels, avals, lambda mp: dict(compute_A(mp, p).terms),
+                        tie_reverse)
+    return _elements(basis, avals)
+
+
 def check_canonical_structure(caps):
-    """Leading 1, q*Z[q] coefficients, strict a-triangularity, min-identity."""
+    """Leading 1, q*Z[q] coefficients, strict a-triangularity, min-identity,
+    and equality with the straightened compute_A replays."""
     cases = [(ChargeParams(2, 4, (0, 1)), caps.canonical),
              (ChargeParams(2, 2, (0, 1)), max(0, caps.canonical - 1))]
     for p, cap in cases:
         for n in range(cap + 1):
             avals = {mp: a_value(mp, p) for mp in enumerate_multipartitions(p.d, n)}
-            for el in canonical_basis(p, n):
+            basis = canonical_basis(p, n)
+            if basis != replayed_basis(p, n):
+                return False, f"{p.to_dict()} rank {n}: recursion and replay differ"
+            for el in basis:
                 vec = el.vector
                 if vec.coefficient(el.label) != LaurentPoly.one():
                     return False, f"leading coefficient at {el.label}"
@@ -212,7 +231,7 @@ def check_canonical_structure(caps):
                     if avals[nu] <= avals[el.label]:
                         return False, f"a({nu}) <= a({el.label})"
             simple_module_a_values(p, n)
-    return True, "both parameter sets, all ranks"
+    return True, "both parameter sets, all ranks, equal to the compute_A replay"
 
 
 def check_small_known_matrix(caps):

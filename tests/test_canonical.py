@@ -1,5 +1,9 @@
 """Straightened basis vectors, decomposition matrices, and their shape."""
 
+import dataclasses
+
+import pytest
+
 from ariki.canonical import (_bar_symmetric_completion, canonical_basis,
                              compute_A, decomposition_matrix,
                              simple_module_a_values)
@@ -10,7 +14,7 @@ from ariki.laurent import LaurentPoly
 from ariki.partitions import enumerate_multipartitions
 from ariki.symbols import a_value
 from ariki.typeb import decomposition_matrix_b, even_charge_params
-from ariki.verification import GRID
+from ariki.verification import GRID, replayed_basis
 
 P24 = ChargeParams(2, 4, (0, 1))
 D1E2 = ChargeParams(1, 2, (0,), 0)
@@ -87,6 +91,27 @@ def test_canonical_basis_stable_under_tie_break():
         reversed_ties = canonical_basis(P24, n, _tie_reverse=True)
         assert [(el.label, el.vector) for el in default] == \
             [(el.label, el.vector) for el in reversed_ties]
+
+
+@pytest.mark.parametrize("tie_reverse", (False, True))
+def test_rank_recursion_matches_compute_A_replay(tie_reverse):
+    # f_k^(c) G(peel rest), straightened, against compute_A straightened:
+    # the paper's A-vectors replayed from the empty vector are the oracle
+    cases = [(p, 5 if p.d == 3 else 6) for p in GRID]
+    cases += [(ChargeParams(1, e, (0,), 0), 9) for e in (2, 3)]
+    for p, cap in cases:
+        for n in range(cap + 1):
+            got = canonical_basis(p, n, _tie_reverse=tie_reverse)
+            assert got == replayed_basis(p, n, tie_reverse), (p, n)
+
+
+def test_peel_rest_must_be_a_finished_label(monkeypatch):
+    import ariki.canonical as canonical
+    real = canonical.peel_step
+    monkeypatch.setattr(canonical, "peel_step",
+                        lambda mp, p: dataclasses.replace(real(mp, p), rest=mp))
+    with pytest.raises(RuntimeError, match="not a finished label"):
+        canonical_basis(P24, 2)
 
 
 def test_decomposition_matrix_d1e2():

@@ -168,6 +168,27 @@ def test_bijection_rejects_non_members():
         bijection_j_inverse(((), (1, 1)), P24)
 
 
+def test_signature_count_does_not_grow_with_e(monkeypatch):
+    # only the residues of a vertex's addable or removable nodes are tried,
+    # so a huge e costs no more signatures than a small one
+    import ariki.crystal as crystal
+    calls = Counter()
+    real = crystal._reduced_signature
+
+    def counted(mp, i, order, p):
+        calls[p.e] += 1
+        return real(mp, i, order, p)
+
+    monkeypatch.setattr(crystal, "_reduced_signature", counted)
+    for e in (5, 10**6):
+        p = ChargeParams(1, e, (0,), 0)
+        assert is_kleshchev(((2, 1),), p)
+        bijection_j_inverse(((2, 1),), p)
+        for order in ("am", "flotw"):
+            crystal_graph(p, 3, order)
+    assert calls[5] == calls[10**6] > 0
+
+
 def test_kleshchev_differs_from_flotw_in_general():
     # the two vertex sets agree in cardinality but not elementwise
     found = False

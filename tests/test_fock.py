@@ -1,4 +1,4 @@
-"""Fock vectors, the two node-adding actions, divided powers, and weights."""
+"""Fock vectors, the two node-adding actions, and divided powers."""
 
 import random
 
@@ -7,7 +7,7 @@ import pytest
 import ariki
 from ariki.charge import ChargeParams
 from ariki.fock import (FockVector, e_action, f_action, f_divided,
-                        f_power_divided_oracle, weights)
+                        f_power_divided_oracle)
 from ariki.laurent import LaurentPoly, gauss_factorial
 from ariki.partitions import enumerate_multipartitions
 
@@ -126,18 +126,6 @@ def test_distant_residues_commute():
                     ab = f_action(f_action(vec, i, order, p), j, order, p)
                     ba = f_action(f_action(vec, j, order, p), i, order, p)
                     assert ab == ba
-
-
-def test_weights_examples():
-    w = weights(((), ()), P24)
-    assert w.net_addable == (1, 1, 0, 0)
-    assert w.zero_nodes == 0
-    w = weights(((1,), ()), P24)
-    assert w.zero_nodes == 1
-    for n in range(5):
-        for mp in enumerate_multipartitions(2, n):
-            w = weights(mp, P24)
-            assert sum(w.net_addable) == 2  # one net corner per component
 
 
 def test_vector_arithmetic_and_division():
