@@ -16,9 +16,12 @@ any offending coefficient times that label's basis element; a subtraction
 only touches labels of still larger a-value, so no coefficient already
 passed changes.
 
-Memory: G(mu) of a lower rank is kept only while a label still to be
-built peels to mu (the peel steps are counted first), and each rank's
-element list is dropped before the next rank is straightened.
+The recursion yields every rank in turn, so one walk to rank n serves a
+caller that wants all ranks 0..n (odd-e type B) as well as one that wants
+only the top.  Memory: G(mu) of a lower rank is kept only while a label
+still to be built peels to mu (the peel steps are counted first), and a
+caller that drops each yielded rank at once holds no rank's element list
+while the next rank is straightened.
 
 compute_A, the paper's A-vector, replays a label's whole residue sequence
 from the empty vector.  It is not on the basis path; straightened the same
@@ -121,12 +124,13 @@ def _straighten(labels, avals, start, tie_reverse=False):
     return basis
 
 
-def _basis_by_rank(p: ChargeParams, levels, avals, tie_reverse=False):
-    """{label: straightened vector} at the top level of a diagonal walk.
+def _bases_by_rank(p: ChargeParams, levels, avals, tie_reverse=False):
+    """Yield {label: straightened vector} for each level of a diagonal walk.
 
     levels[r] lists the diagonal-crystal vertices of rank r, and avals
-    holds at least the top level's a-values.  Every rank is straightened in
-    turn, each label starting from f_k^(c) of its peel rest's element.
+    holds at least the top level's a-values.  Ranks come out from 0 to the
+    top, each label starting from f_k^(c) of its peel rest's element.  A
+    caller that wants only the top rank should drop each rank as it comes.
     """
     peels, refs = {}, {}
     for level in levels[1:]:
@@ -136,8 +140,7 @@ def _basis_by_rank(p: ChargeParams, levels, avals, tie_reverse=False):
             refs[step.rest] = refs.get(step.rest, 0) + 1
     empty = levels[0][0]
     finished = {empty: FockVector.unit(empty)}
-    if len(levels) == 1:
-        return finished
+    yield dict(finished)
 
     def lift(mp):
         k, c, rest = peels.pop(mp)
@@ -149,11 +152,22 @@ def _basis_by_rank(p: ChargeParams, levels, avals, tie_reverse=False):
             del finished[rest]
         return dict(_leading_one(mp, f_divided(below, k, c, "flotw", p)).terms)
 
-    for level in levels[1:-1]:
-        basis = _straighten(level, {mp: a_value(mp, p) for mp in level}, lift, tie_reverse)
+    top = len(levels) - 1
+    for r in range(1, top + 1):
+        level = levels[r]
+        level_avals = avals if r == top else {mp: a_value(mp, p) for mp in level}
+        basis = _straighten(level, level_avals, lift, tie_reverse)
         finished.update((mp, vec) for mp, vec in basis.items() if refs.get(mp))
+        yield basis
         del basis  # only the elements some label above still peels to stay
-    return _straighten(levels[-1], avals, lift, tie_reverse)
+
+
+def _top_basis(p: ChargeParams, levels, avals, tie_reverse=False):
+    """The top level's {label: straightened vector}; lower ranks are dropped."""
+    ranks = _bases_by_rank(p, levels, avals, tie_reverse)
+    for _ in range(len(levels) - 1):
+        next(ranks)
+    return next(ranks)
 
 
 def _elements(basis, avals):
@@ -172,7 +186,7 @@ def canonical_basis(p: ChargeParams, n: int, _tie_reverse=False):
     """
     levels = crystal_graph(p, n, "flotw").levels
     avals = {mp: a_value(mp, p) for mp in levels[n]}
-    return _elements(_basis_by_rank(p, levels, avals, _tie_reverse), avals)
+    return _elements(_top_basis(p, levels, avals, _tie_reverse), avals)
 
 
 @dataclass(frozen=True)
@@ -210,15 +224,15 @@ class DecompositionMatrix:
 
 def decomposition_matrix(p: ChargeParams, n: int) -> DecompositionMatrix:
     """Canonical basis at q = 1, assembled into the a-sorted matrix."""
-    # one diagonal walk labels the columns and builds the basis; both
-    # graphs' edges are freed once the columns' duals are read off
+    # one diagonal walk labels the columns, gives their duals along its
+    # edges and builds the basis; its edges are freed once the duals are read
     flotw = crystal_graph(p, n, "flotw")
-    dual = _graph_bijection(flotw, crystal_graph(p, n, "am"))
+    dual = _graph_bijection(flotw, p)
     levels = flotw.levels
     del flotw
     rows = enumerate_multipartitions(p.d, n)
     avals = {mp: a_value(mp, p) for mp in rows}
-    basis = _elements(_basis_by_rank(p, levels, avals), avals)
+    basis = _elements(_top_basis(p, levels, avals), avals)
     rows = sorted(rows, key=lambda m: (avals[m], m))
     columns = tuple(el.label for el in basis)
     specialized = [el.vector.at_one() for el in basis]

@@ -4,8 +4,9 @@ Subcommands mirror the library: enumerate, a-value, symbol, a-seq, a-graph,
 crystal, bijection, canonical, decomp, typeb, verify.  Charge parameters
 come from --d/--e/--charges with an optional --shift override of the
 minimal weight shift.  Exit codes: 0 success, 1 internal assertion failure,
-2 invalid parameters, an --mp above MAX_MP_RANK cells among them.  Output is
-byte-identical across runs and hash seeds.
+2 invalid parameters, an --mp above MAX_MP_RANK cells or a symbol --shift
+above MAX_MP_RANK among them.  Output is byte-identical across runs and hash
+seeds.
 """
 
 import argparse
@@ -18,6 +19,7 @@ from .verification import RankCaps, run_all
 
 # Largest --mp rank accepted.  The a-value is quadratic in the symbol height,
 # so a single column is the slowest shape: 500 cells at d = 3 take about 1 s.
+# It also caps symbol --shift, whose symbol table grows linearly with it.
 MAX_MP_RANK = 500
 
 
@@ -106,8 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify", help="run the invariant suite")
     sub.add_argument("--quick", action="store_true", help="lower all rank caps")
-    sub.add_argument("--rank-cap", type=int, default=None,
-                     help="clamp every rank ceiling to at most this value")
 
     return parser
 
@@ -123,6 +123,8 @@ def run(args) -> int:
     elif cmd == "symbol":
         p = _charge_params(args)
         mc = _multipartition(args, require_partitions=False)
+        if args.symbol_shift > MAX_MP_RANK:
+            raise ValueError(f"--shift {args.symbol_shift} is above the limit {MAX_MP_RANK}")
         out.write(render.render_symbol(p, mc, args.symbol_shift))
     elif cmd == "a-seq":
         p = _charge_params(args)
@@ -147,8 +149,6 @@ def run(args) -> int:
         out.write(render.render_typeb(args.n, args.e, args.action, args.format))
     elif cmd == "verify":
         caps = RankCaps.quick() if args.quick else RankCaps()
-        if args.rank_cap is not None:
-            caps = caps.clamped(args.rank_cap)
         if not run_all(caps, report=lambda line: out.write(line + "\n")):
             return 1
     return 0

@@ -18,7 +18,9 @@ highest-weight vertex, and raising lowers the rank inside the component,
 so a multipartition is a vertex exactly when one greedy raising path
 reaches empty.  The bijection between the two vertex sets is the crystal
 isomorphism: one vertex is mapped by replaying its raising residues as
-lowerings in the other order, a whole rank along the two crystal graphs.
+lowerings in the other order, a whole rank along the diagonal crystal
+graph's own edges, each one replayed as a component-major lowering of the
+image of its source.
 """
 
 from dataclasses import dataclass
@@ -194,22 +196,22 @@ def flotw_multipartitions(p: ChargeParams, n: int):
 def crystal_bijection(p: ChargeParams, n: int):
     """{diagonal-order vertex: component-major vertex} at rank n.
 
-    Walks the two crystal graphs rank by rank: the image of the target of
-    a diagonal i-edge is the target of the component-major i-edge leaving
-    the image of its source.
+    Walks the diagonal crystal graph rank by rank: the image of the target
+    of a diagonal i-edge is the component-major i-lowering of the image of
+    its source.
     """
-    return _graph_bijection(crystal_graph(p, n, "flotw"), crystal_graph(p, n, "am"))
+    return _graph_bijection(crystal_graph(p, n, "flotw"), p)
 
 
-def _graph_bijection(gf: CrystalGraph, ga: CrystalGraph):
-    """crystal_bijection at the top rank of a diagonal and a component-major graph."""
+def _graph_bijection(gf: CrystalGraph, p: ChargeParams):
+    """crystal_bijection at the top rank of a diagonal-order crystal graph."""
     empty = gf.levels[0][0]
     image = {empty: empty}
-    for flotw_edges, am_edges in zip(gf.edges, ga.edges):
-        lower_am = {(src, i): dst for src, i, _, dst in am_edges}
+    for flotw_edges in gf.edges:
         level = {}
         for src, i, _, dst in flotw_edges:
-            target = lower_am.get((image[src], i))
+            addable, _ = _reduced_signature(image[src], i, "am", p)
+            target = add_node(image[src], addable[0]) if addable else None
             if target is None or level.setdefault(dst, target) != target:
                 raise RuntimeError(f"crystals disagree at {dst}")
         image = level

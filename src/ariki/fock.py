@@ -25,8 +25,8 @@ from itertools import combinations
 from .charge import (ChargeParams, ORDERS, below_key, i_nodes, is_above, is_below,
                      residue)
 from .laurent import LaurentPoly, gauss_factorial
-from .partitions import (add_node, addable_nodes, check_multipartition, rank,
-                         remove_node, removable_nodes)
+from .partitions import (add_node, addable_nodes, check_multipartition,
+                         format_multipartition, rank, remove_node, removable_nodes)
 
 
 class FockVector:
@@ -117,10 +117,6 @@ class FockVector:
         """Divide every coefficient exactly by poly; raises if any fails."""
         return FockVector({mp: c.exact_div(poly) for mp, c in self.terms.items()})
 
-    def bar_coefficients(self):
-        """Apply the bar involution to every coefficient."""
-        return FockVector({mp: c.bar() for mp, c in self.terms.items()})
-
     def at_one(self):
         """Specialize q = 1: map multipartition -> integer."""
         return {mp: c.at_one() for mp, c in self.terms.items()}
@@ -133,7 +129,6 @@ class FockVector:
     def __str__(self):
         if not self.terms:
             return "0"
-        from .partitions import format_multipartition
         return " + ".join(f"({self.terms[mp]})*[{format_multipartition(mp)}]"
                           for mp in self.support())
 

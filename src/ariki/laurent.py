@@ -206,7 +206,6 @@ class LaurentPoly:
 
 ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
-Q = LaurentPoly.q_power(1)
 
 
 def gauss_number(j: int) -> LaurentPoly:

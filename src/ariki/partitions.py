@@ -8,6 +8,7 @@ plain immutable tuples, so they hash, sort and compare with no extra
 machinery; the canonical order on multipartitions is tuple order.
 """
 
+from itertools import combinations, product
 from typing import NamedTuple
 
 
@@ -51,11 +52,6 @@ def check_multicomposition(mc):
 def rank(mc) -> int:
     """Total number of cells of a multipartition or multicomposition."""
     return sum(sum(comp) for comp in mc)
-
-
-def height(comp) -> int:
-    """Number of parts of a single component."""
-    return len(comp)
 
 
 def part(comp, j: int) -> int:
@@ -195,21 +191,11 @@ def enumerate_multipartitions(d: int, n: int):
     if n < 0:
         raise ValueError("n must be nonnegative")
     levels = [partitions_of(k) for k in range(n + 1)]
-
-    def split(remaining, slots):
-        if slots == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining + 1):
-            for rest in split(remaining - first, slots - 1):
-                yield (first,) + rest
-
     out = []
-    for sizes in split(n, d):
-        stack = [()]
-        for size in sizes:
-            stack = [mp + (p,) for mp in stack for p in levels[size]]
-        out.extend(stack)
+    # stars and bars: d - 1 bars among n + d - 1 slots split n into d sizes
+    for bars in combinations(range(n + d - 1), d - 1):
+        sizes = [b - a - 1 for a, b in zip((-1, *bars), (*bars, n + d - 1))]
+        out.extend(product(*(levels[s] for s in sizes)))
     out.sort()
     return out
 

@@ -86,12 +86,8 @@ def render_bijection(p: ChargeParams, mp, inverse: bool = False) -> str:
 
 
 def render_canonical(p: ChargeParams, n: int) -> str:
-    lines = []
-    for el in canonical_basis(p, n):
-        terms = el.vector.terms
-        body = " + ".join(f"({terms[mp]})*[{format_multipartition(mp)}]"
-                          for mp in sorted(terms))
-        lines.append(f"{format_multipartition(el.label)}: {body}")
+    lines = [f"{format_multipartition(el.label)}: {el.vector}"
+             for el in canonical_basis(p, n)]
     return "\n".join(lines) + "\n"
 
 

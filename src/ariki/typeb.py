@@ -3,17 +3,20 @@
 For odd e the decomposition matrix factors through two type-A computations:
 an entry is the product of the component-wise type-A decomposition numbers
 when the component sizes match, and zero otherwise; the basic set consists
-of the bipartitions with both components e-regular.  For even e the algebra
+of the bipartitions with both components e-regular.  Every factor, of
+every rank 0..n, is read at q = 1 off the ranks of one type-A canonical
+basis recursion over one diagonal-crystal walk to rank n.  For even e the algebra
 is the d = 2 case at charges (1, e/2), so everything delegates to the
 general machinery.  The closed-form a-value below specializes the symbol
 formula to these charges and is independent of the cutoff r.
 """
 
-from .canonical import DecompositionMatrix, decomposition_matrix
+from .canonical import DecompositionMatrix, _bases_by_rank, decomposition_matrix
 from .charge import ChargeParams
-from .crystal import flotw_multipartitions
+from .crystal import crystal_graph, flotw_multipartitions
 from .partitions import (check_multipartition, is_e_regular, part,
                          partitions_of)
+from .symbols import a_value
 
 
 def even_charge_params(e: int) -> ChargeParams:
@@ -77,12 +80,17 @@ def decomposition_matrix_b(n: int, e: int) -> DecompositionMatrix:
         return decomposition_matrix(even_charge_params(e), n)
 
     pa = type_a_params(e)
+    levels = crystal_graph(pa, n, "flotw").levels
+    top = {mp: a_value(mp, pa) for mp in levels[n]}
     # per rank and row partition of a type-A factor: its nonzero (column, entry)
     nonzero = []
-    for l in range(n + 1):
-        factor = decomposition_matrix(pa, l)
-        nonzero.append({mu: [(lam, x) for (lam,), x in zip(factor.columns, line) if x]
-                        for (mu,), line in zip(factor.rows, factor.entries)})
+    for basis in _bases_by_rank(pa, levels, top):
+        pairs = {}
+        for (lam,), vec in basis.items():
+            for (mu,), x in vec.at_one().items():
+                if x:
+                    pairs.setdefault(mu, []).append((lam, x))
+        nonzero.append(pairs)
 
     avals = {bp: a_value_typeb(bp) for bp in bipartitions_of(n)}
     rows = sorted(avals, key=lambda bp: (avals[bp], bp))
@@ -95,8 +103,8 @@ def decomposition_matrix_b(n: int, e: int) -> DecompositionMatrix:
     for mu0, mu1 in rows:
         a = sum(mu0)
         line = zeros.copy()
-        for lam0, x in nonzero[a][mu0]:
-            for lam1, y in nonzero[n - a][mu1]:
+        for lam0, x in nonzero[a].get(mu0, ()):
+            for lam1, y in nonzero[n - a].get(mu1, ()):
                 line[column_of[lam0, lam1]] = x * y
         entries.append(tuple(line))
     return DecompositionMatrix(

@@ -50,11 +50,6 @@ class RankCaps:
         return cls(counting=4, d1_regular=5, a_oracle=3, invariance=3,
                    divided=3, minimality=4, canonical=4, typeb=3)
 
-    def clamped(self, cap: int):
-        from dataclasses import fields, replace
-        return replace(self, **{f.name: min(getattr(self, f.name), cap)
-                                for f in fields(self)})
-
 
 def check_symbol_example(caps):
     """Three-component symbol with fractional weights matches the printed table."""

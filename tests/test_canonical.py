@@ -4,11 +4,11 @@ import dataclasses
 
 import pytest
 
-from ariki.canonical import (_bar_symmetric_completion, canonical_basis,
-                             compute_A, decomposition_matrix,
+from ariki.canonical import (_bar_symmetric_completion, _bases_by_rank, _elements,
+                             canonical_basis, compute_A, decomposition_matrix,
                              simple_module_a_values)
 from ariki.charge import ChargeParams, diagram_residues, is_semisimple
-from ariki.crystal import flotw_multipartitions
+from ariki.crystal import crystal_graph, flotw_multipartitions
 from ariki.fock import FockVector
 from ariki.laurent import LaurentPoly
 from ariki.partitions import enumerate_multipartitions
@@ -103,6 +103,44 @@ def test_rank_recursion_matches_compute_A_replay(tie_reverse):
         for n in range(cap + 1):
             got = canonical_basis(p, n, _tie_reverse=tie_reverse)
             assert got == replayed_basis(p, n, tie_reverse), (p, n)
+
+
+def test_every_yielded_rank_is_that_rank_canonical_basis():
+    # one walk to rank 5 yields ranks 0..5; each must be the basis a walk
+    # stopping at that rank builds
+    top = 5
+    for p in GRID:
+        levels = crystal_graph(p, top, "flotw").levels
+        avals = {mp: a_value(mp, p) for level in levels for mp in level}
+        ranks = list(_bases_by_rank(p, levels, avals))
+        assert len(ranks) == top + 1
+        for r, basis in enumerate(ranks):
+            assert _elements(basis, avals) == canonical_basis(p, r), (p, r)
+
+
+def test_one_crystal_walk_per_matrix(monkeypatch):
+    # the diagonal walk labels the columns, gives their Kleshchev duals and
+    # builds the basis; odd-e type B reads every factor off one type-A walk
+    import ariki.canonical as canonical
+    import ariki.typeb as typeb
+    calls = []
+
+    def counted(real):
+        def counting(p, n, order):
+            calls.append(order)
+            return real(p, n, order)
+        return counting
+
+    for module in (canonical, typeb):
+        monkeypatch.setattr(module, "crystal_graph", counted(module.crystal_graph))
+    for p, n in ((P24, 5), (ChargeParams(3, 3, (0, 1, 2)), 4), (D1E2, 6)):
+        calls.clear()
+        decomposition_matrix(p, n)
+        assert calls == ["flotw"], (p, n)
+    for n, e in ((6, 3), (5, 5), (0, 3)):
+        calls.clear()
+        decomposition_matrix_b(n, e)
+        assert calls == ["flotw"], (n, e)
 
 
 def test_peel_rest_must_be_a_finished_label(monkeypatch):

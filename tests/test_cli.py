@@ -40,6 +40,9 @@ def test_a_value_output(capsys):
 def test_enumerate(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--d", "2", "--n", "0")
     assert code == 0 and out == "-,-\n"
+    # many components: the enumeration must not recurse once per component
+    code, out, _ = run_cli(capsys, "enumerate", "--d", "1100", "--n", "0")
+    assert code == 0 and out == ",".join(["-"] * 1100) + "\n"
     code, out, _ = run_cli(capsys, "enumerate", "--d", "2", "--n", "2",
                            "--format", "json")
     assert code == 0
@@ -158,6 +161,10 @@ def test_fuzz_single_vertex_commands(capsys):
             code, out, err = run_cli(capsys, *cmd, "--d", "1", "--e", "3",
                                      "--charges", "0", f"--mp={mp}")
             assert code == 2 and out == "" and "above the limit" in err, cmd
+    # the symbol's extra height is capped the same way
+    code, out, err = run_cli(capsys, "symbol", "--d", "1", "--e", "3", "--charges", "0",
+                             "--mp=1", f"--shift={MAX_MP_RANK + 1}")
+    assert code == 2 and out == "" and "above the limit" in err
 
 
 def test_fuzz_rank_commands(capsys):
@@ -266,6 +273,8 @@ def test_invalid_parameters_exit_2(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "enumerate", "--d=--", "--n", "2")
     assert code == 2 and "invalid value" in err  # argparse parses "--" to []
+    code, _, err = run_cli(capsys, "verify", "--rank-cap", "3")
+    assert code == 2 and "unrecognized arguments" in err
 
 
 def test_verify_quick(capsys):
