@@ -12,11 +12,10 @@ multipartition through a chain of diagonal-crystal vertices.
 
 from dataclasses import dataclass
 
-from .charge import ChargeParams, residue
-from .crystal import is_flotw
-from .partitions import (Node, add_node, border_nodes, check_multipartition,
-                         check_multicomposition, empty_multipartition, part,
-                         rank, removable_nodes)
+from .charge import ChargeParams
+from .crystal import _check_components, _is_flotw
+from .partitions import (Node, add_node, check_multipartition, check_multicomposition,
+                         empty_multipartition, part, rank)
 
 
 @dataclass(frozen=True)
@@ -34,43 +33,58 @@ def peel_step(mp, p: ChargeParams, force_k=None) -> PeelStep:
     Several residues may qualify; the smallest is taken unless force_k names
     another qualifying one (used to compare tie-broken sequences).
     """
-    mp = check_multipartition(mp)
+    mp = _check_components(mp, p)
     if rank(mp) == 0:
         raise ValueError("cannot peel the empty multipartition")
-    border = border_nodes(mp)
-    lmax = max(comp[0] for comp in mp if comp)
-    top_border_residues = {residue(g, p) for g in border if g.col == lmax}
-    candidates = sorted({residue(g, p) for g in removable_nodes(mp)
-                         if g.col == lmax
-                         and (residue(g, p) - 1) % p.e not in top_border_residues})
+    return _peel(mp, p, force_k)
+
+
+def _peel(mp, p: ChargeParams, force_k=None) -> PeelStep:
+    """peel_step on a nonempty multipartition already validated with p.d components.
+
+    One pass over the row ends records, per residue, the longest part whose
+    border node has it, and the removable row ends with their residues.
+    """
+    e, v = p.e, p.v
+    longest = {}     # residue -> longest part with a border node of that residue
+    removable = []   # (residue, row, length, comp) of every removable row end
+    for c, comp in enumerate(mp):
+        vc, height = v[c], len(comp)
+        for a, length in enumerate(comp, start=1):
+            r = (length - a + vc) % e
+            if longest.get(r, 0) < length:
+                longest[r] = length
+            if a == height or comp[a] < length:
+                removable.append((r, a, length, c))
+    lmax = max(longest.values())
+    candidates = sorted({r for r, _, length, _ in removable
+                         if length == lmax and longest.get((r - 1) % e) != lmax})
     if not candidates:
         raise ValueError(f"no admissible residue on {mp}; not a diagonal-crystal vertex")
     if force_k is not None and force_k not in candidates:
         raise ValueError(f"residue {force_k} does not qualify on {mp}")
     k = candidates[0] if force_k is None else force_k
-    threshold = max((g.col for g in border if residue(g, p) == (k - 1) % p.e),
-                    default=0)
-    removed = tuple(g for g in removable_nodes(mp)
-                    if residue(g, p) == k and g.col > threshold)
-    rest = list(list(comp) for comp in mp)
-    for g in removed:
-        rest[g.comp][g.row - 1] -= 1
-    rest = tuple(tuple(x for x in comp if x > 0) for comp in rest)
-    rest = check_multipartition(rest)
-    return PeelStep(k=k, candidates=tuple(candidates), removed=removed, rest=rest)
+    threshold = longest.get((k - 1) % e, 0)
+    removed = tuple(Node(a, length, c) for r, a, length, c in removable
+                    if r == k and length > threshold)
+    rest = list(mp)
+    for a, length, c in removed:
+        comp = rest[c]
+        rest[c] = comp[:a - 1] + ((length - 1,) if length > 1 else ()) + comp[a:]
+    return PeelStep(k=k, candidates=tuple(candidates), removed=removed, rest=tuple(rest))
 
 
 def a_sequence_blocks(mp, p: ChargeParams):
     """Block form [(residue, count), ...] from first-added to last-added."""
-    mp = check_multipartition(mp)
-    if not is_flotw(mp, p):
+    mp = _check_components(mp, p)
+    if not _is_flotw(mp, p):
         raise ValueError(f"{mp} does not satisfy the membership conditions")
     blocks = []
-    cur = mp
-    while rank(cur) > 0:
-        step = peel_step(cur, p)
+    cur, remaining = mp, rank(mp)
+    while remaining:
+        step = _peel(cur, p)
         blocks.append((step.k, len(step.removed)))
-        cur = step.rest
+        cur, remaining = step.rest, remaining - len(step.removed)
     blocks.reverse()
     return blocks
 

@@ -36,13 +36,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .aseq import a_sequence_blocks, peel_step
+from .aseq import _peel, a_sequence_blocks
 from .charge import ChargeParams
 from .crystal import _graph_bijection, crystal_graph
 from .fock import FockVector, f_divided
 from .laurent import LaurentPoly
 from .partitions import empty_multipartition, enumerate_multipartitions
-from .symbols import a_value
+from .symbols import _a_value
 
 
 def _leading_one(mp, vec: FockVector) -> FockVector:
@@ -135,7 +135,7 @@ def _bases_by_rank(p: ChargeParams, levels, avals, tie_reverse=False):
     peels, refs = {}, {}
     for level in levels[1:]:
         for mp in level:
-            step = peel_step(mp, p)
+            step = _peel(mp, p)  # the walk's labels are valid vertices
             peels[mp] = (step.k, len(step.removed), step.rest)
             refs[step.rest] = refs.get(step.rest, 0) + 1
     empty = levels[0][0]
@@ -155,7 +155,7 @@ def _bases_by_rank(p: ChargeParams, levels, avals, tie_reverse=False):
     top = len(levels) - 1
     for r in range(1, top + 1):
         level = levels[r]
-        level_avals = avals if r == top else {mp: a_value(mp, p) for mp in level}
+        level_avals = avals if r == top else {mp: _a_value(mp, p) for mp in level}
         basis = _straighten(level, level_avals, lift, tie_reverse)
         finished.update((mp, vec) for mp, vec in basis.items() if refs.get(mp))
         yield basis
@@ -185,7 +185,7 @@ def canonical_basis(p: ChargeParams, n: int, _tie_reverse=False):
     tests.
     """
     levels = crystal_graph(p, n, "flotw").levels
-    avals = {mp: a_value(mp, p) for mp in levels[n]}
+    avals = {mp: _a_value(mp, p) for mp in levels[n]}
     return _elements(_top_basis(p, levels, avals, _tie_reverse), avals)
 
 
@@ -231,7 +231,7 @@ def decomposition_matrix(p: ChargeParams, n: int) -> DecompositionMatrix:
     levels = flotw.levels
     del flotw
     rows = enumerate_multipartitions(p.d, n)
-    avals = {mp: a_value(mp, p) for mp in rows}
+    avals = {mp: _a_value(mp, p) for mp in rows}
     basis = _elements(_top_basis(p, levels, avals), avals)
     rows = sorted(rows, key=lambda m: (avals[m], m))
     columns = tuple(el.label for el in basis)

@@ -25,58 +25,68 @@ image of its source.
 
 from dataclasses import dataclass
 
-from .charge import ChargeParams, ORDERS, below_key, i_nodes, residue
-from .partitions import (add_node, addable_nodes, check_multipartition,
-                         empty_multipartition, enumerate_multipartitions, part,
-                         rank, remove_node, removable_nodes)
-
-ADDABLE = "A"
-REMOVABLE = "R"
-
-
-def signature(mp, i, order: str, p: ChargeParams):
-    """Addable/removable i-nodes with kinds, lowest node of the order first.
-
-    The nodes come from one charge.i_nodes pass over the rows.
-    """
-    if order not in ORDERS:
-        raise ValueError(f"order must be one of {ORDERS}")
-    addable, removable = i_nodes(mp, i, p)
-    items = [(g, ADDABLE) for g in addable] + [(g, REMOVABLE) for g in removable]
-    key = below_key(order, p)
-    items.sort(key=lambda item: key(item[0]))
-    return items
+from .charge import ChargeParams, ORDERS
+from .partitions import (Node, add_node, check_multipartition, empty_multipartition,
+                         enumerate_multipartitions, part, rank, remove_node)
 
 
 def _reduced_signature(mp, i, order, p):
-    """Surviving addable and removable nodes after pair cancellation.
+    """Surviving addable and removable i-nodes after pair cancellation.
 
-    Scanning upward, each addable node cancels against the next surviving
-    removable node above it.
+    One pass over the rows emits the i-nodes in component-major order: the
+    end of row a has residue (length - a + v_c) mod e and the node after it
+    the next residue, so a row gives at most one i-node (e >= 2), and a
+    component's new-row node comes after its rows.  The diagonal order
+    sorts them once by (-content, comp).  Scanning upward, each addable
+    node cancels against the next surviving removable node above it; both
+    lists come out lowest node first.  mp is not validated.
     """
-    surviving_removable = []
-    stack = []
-    for g, kind in signature(mp, i, order, p):
-        if kind == ADDABLE:
-            stack.append(g)
-        elif stack:
-            stack.pop()
+    e, v = p.e, p.v
+    before = (i - 1) % e
+    items = []  # (-content, comp, addable?, node)
+    for c, comp in enumerate(mp):
+        vc, height = v[c], len(comp)
+        for a, length in enumerate(comp, start=1):
+            r = (length - a + vc) % e
+            if r == i:
+                if a == height or comp[a] < length:  # row a+1 is shorter
+                    items.append((a - length - vc, c, False, Node(a, length, c)))
+            elif r == before and (a == 1 or comp[a - 2] > length):  # row a-1 longer
+                items.append((a - length - 1 - vc, c, True, Node(a, length + 1, c)))
+        if (vc - height) % e == i:
+            items.append((height - vc, c, True, Node(height + 1, 1, c)))
+    if order == "flotw":
+        items.sort()  # (-content, comp) is unique among the i-nodes
+    addable, removable = [], []
+    for _, _, is_addable, g in items:
+        if is_addable:
+            addable.append(g)
+        elif addable:
+            addable.pop()
         else:
-            surviving_removable.append(g)
-    return stack, surviving_removable
+            removable.append(g)
+    return addable, removable
+
+
+def _check_signature_input(mp, order, p):
+    """Validated multipartition with at most p.d components, for a known order."""
+    if order not in ORDERS:
+        raise ValueError(f"order must be one of {ORDERS}")
+    mp = check_multipartition(mp)
+    if len(mp) > p.d:
+        raise ValueError(f"component index {p.d} out of range for d={p.d}")
+    return mp
 
 
 def good_addable_node(mp, i, order: str, p: ChargeParams):
     """Position added by the crystal lowering operator, or None."""
-    mp = check_multipartition(mp)
-    addable, _ = _reduced_signature(mp, i, order, p)
+    addable, _ = _reduced_signature(_check_signature_input(mp, order, p), i, order, p)
     return addable[0] if addable else None
 
 
 def good_removable_node(mp, i, order: str, p: ChargeParams):
     """Node removed by the crystal raising operator, or None."""
-    mp = check_multipartition(mp)
-    _, removable = _reduced_signature(mp, i, order, p)
+    _, removable = _reduced_signature(_check_signature_input(mp, order, p), i, order, p)
     return removable[-1] if removable else None
 
 
@@ -94,21 +104,39 @@ def _check_components(mp, p):
     return mp
 
 
-def _residues(nodes, p):
-    """Sorted distinct residues of some nodes: the only i worth a signature.
+# An i-signature without addable (removable) i-nodes has no surviving
+# addable (removable) node, so trying only the residues of a vertex's
+# addable (removable) nodes, in ascending order, finds the same smallest i
+# as trying all e of them.
 
-    An i-signature without addable (removable) i-nodes has no surviving
-    addable (removable) node, so trying these residues in ascending order
-    finds the same smallest i as trying all e of them.
-    """
-    return sorted({residue(g, p) for g in nodes})
+def _addable_residues(mp, p):
+    """Sorted distinct residues of the addable nodes, from one pass over the rows."""
+    e, v = p.e, p.v
+    out = {(v[c] - len(comp)) % e for c, comp in enumerate(mp)}
+    out.update((length + 1 - a + v[c]) % e
+               for c, comp in enumerate(mp)
+               for a, length in enumerate(comp, start=1)
+               if a == 1 or comp[a - 2] > length)
+    return sorted(out)
+
+
+def _removable_residues(mp, p):
+    """Sorted distinct residues of the removable nodes, from one pass over the rows."""
+    e, v = p.e, p.v
+    return sorted({(length - a + v[c]) % e
+                   for c, comp in enumerate(mp)
+                   for a, length in enumerate(comp, start=1)
+                   if a == len(comp) or comp[a] < length})
 
 
 def _raising_path(mp, order, p):
-    """Residues removed by greedy raising down to empty, or None if stuck."""
+    """Residues removed by greedy raising down to empty, or None if stuck.
+
+    Each step removes one node, so the rank is counted down, not recomputed.
+    """
     path = []
-    while rank(mp) > 0:
-        for i in _residues(removable_nodes(mp), p):
+    for _ in range(rank(mp)):
+        for i in _removable_residues(mp, p):
             _, removable = _reduced_signature(mp, i, order, p)
             if removable:
                 path.append(i)
@@ -126,7 +154,11 @@ def is_kleshchev(mp, p: ChargeParams) -> bool:
 
 def is_flotw(mp, p: ChargeParams) -> bool:
     """Explicit two-condition membership test for the diagonal-order crystal."""
-    mp = _check_components(mp, p)
+    return _is_flotw(_check_components(mp, p), p)
+
+
+def _is_flotw(mp, p):
+    """is_flotw on a multipartition already validated with p.d components."""
     d, e, v = p.d, p.e, p.v
     hmax = max((len(comp) for comp in mp), default=0)
     for i in range(1, hmax + 1):
@@ -163,18 +195,20 @@ def crystal_graph(p: ChargeParams, n: int, order: str) -> CrystalGraph:
     """Breadth-first crystal from the empty multipartition up to rank n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if order not in ORDERS:
+        raise ValueError(f"order must be one of {ORDERS}")
     levels = [[empty_multipartition(p.d)]]
     edges = []
     for r in range(n):
-        targets = set()
+        targets = {}  # every edge into a vertex holds the level's one tuple
         level_edges = []
         for mp in levels[r]:
-            for i in _residues(addable_nodes(mp), p):
+            for i in _addable_residues(mp, p):
                 addable, _ = _reduced_signature(mp, i, order, p)
                 if addable:
                     nxt = add_node(mp, addable[0])
+                    nxt = targets.setdefault(nxt, nxt)
                     level_edges.append((mp, i, addable[0], nxt))
-                    targets.add(nxt)
         level_edges.sort()
         levels.append(sorted(targets))
         edges.append(tuple(level_edges))
@@ -190,7 +224,7 @@ def kleshchev_multipartitions(p: ChargeParams, n: int):
 
 def flotw_multipartitions(p: ChargeParams, n: int):
     """All diagonal-order crystal vertices of rank n (direct test), sorted."""
-    return [mp for mp in enumerate_multipartitions(p.d, n) if is_flotw(mp, p)]
+    return [mp for mp in enumerate_multipartitions(p.d, n) if _is_flotw(mp, p)]
 
 
 def crystal_bijection(p: ChargeParams, n: int):

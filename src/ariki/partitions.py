@@ -201,16 +201,22 @@ def enumerate_multipartitions(d: int, n: int):
 
 
 def count_multipartitions(d: int, n: int) -> int:
-    """Number of d-partitions of rank n via the partition-count convolution."""
-    counts = [len(partitions_of(k)) for k in range(n + 1)]
+    """Number of d-partitions of rank n, counted without enumerating them.
 
-    def conv(slots, remaining):
-        if slots == 1:
-            return counts[remaining]
-        return sum(counts[k] * conv(slots - 1, remaining - k)
-                   for k in range(remaining + 1))
-
-    return conv(d, n)
+    A d-partition is a multiset of parts in d colours, so the count is the
+    coefficient of x^n in prod_{c < d} prod_{k >= 1} 1/(1 - x^k): one table
+    of counts by rank, updated in place once per (colour, part size).
+    """
+    if d < 1:
+        raise ValueError("d must be positive")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    ways = [1] + [0] * n
+    for _ in range(d):
+        for size in range(1, n + 1):
+            for k in range(size, n + 1):
+                ways[k] += ways[k - size]
+    return ways[n]
 
 
 def format_multipartition(mp) -> str:

@@ -79,41 +79,50 @@ def shifted_symbol(sym: Symbol, m) -> ShiftedSymbol:
     return ShiftedSymbol(rows=rows, height=sym.height)
 
 
-def _pair_interaction(rows, scaled_m, d):
-    """Sum of min(d*alpha + sm_i, d*beta + sm_j) over cross pairs of entries.
+def _scaled_entries(mc, h, d, scaled_m):
+    """Entries d*B^(i)_j + sm_i of the height-h symbol, row by row."""
+    out = []
+    for comp, sm in zip(mc, scaled_m):
+        base = d * h + sm
+        out.extend(d * (x - j) + base for j, x in enumerate(comp, start=1))
+        out.extend(range(d * (h - len(comp) - 1) + sm, sm - 1, -d))
+    return out
 
-    Rows i < j take all entry pairs; within a row, each unordered pair of
-    positions counts once.
+
+def _weighted_min_sum(xs):
+    """Sum of min(x, y) over unordered pairs of xs: sorted, x_(k) counts N-1-k times."""
+    xs = sorted(xs)
+    return sum(x * c for x, c in zip(xs, range(len(xs) - 1, -1, -1)))
+
+
+def _scaled_stat(mc, h, p: ChargeParams) -> int:
+    """d times the symbol statistic that orders compositions (see prec).
+
+    mc is a multicomposition read at symbol height h (at least its longest
+    component).  The statistic is the pair sum, over all unordered pairs of
+    scaled symbol entries d*beta + sm_row, of their minimum, less the hook
+    sum of min(d*k + sm_i, sm_j) over rows i, entries alpha of row i,
+    1 <= k <= alpha and all j.  Both are closed forms: the pair sum reads
+    the sorted entries once, and for fixed i, j the first
+    K = floor((sm_j - sm_i)/d) values of k take the left side of the min.
     """
-    total = 0
-    dd = len(rows)
-    for i in range(dd):
-        row = rows[i]
-        for j1 in range(len(row)):
-            for j2 in range(j1 + 1, len(row)):
-                total += min(d * row[j1], d * row[j2]) + scaled_m[i]
-        for j in range(i + 1, dd):
-            for alpha in row:
-                for beta in rows[j]:
-                    total += min(d * alpha + scaled_m[i], d * beta + scaled_m[j])
+    d, sm = p.d, p.scaled_m
+    entries = _scaled_entries(mc, h, d, sm)
+    total = _weighted_min_sum(entries)
+    for i, sm_i in enumerate(sm):
+        alphas = [(x - sm_i) // d for x in entries[i * h:(i + 1) * h]]
+        alpha_sum = sum(alphas)
+        if not alpha_sum:  # every alpha is 0: no k at all
+            continue
+        for sm_j in sm:
+            cut = (sm_j - sm_i) // d
+            if cut <= 0:  # every k takes sm_j
+                total -= alpha_sum * sm_j
+                continue
+            for alpha in alphas:
+                k = alpha if alpha < cut else cut
+                total -= d * k * (k + 1) // 2 + sm_i * k + (alpha - k) * sm_j
     return total
-
-
-def _hook_interaction(rows, scaled_m, d):
-    """Sum of min(d*k + sm_i, sm_j) over rows i, entries alpha, 1 <= k <= alpha, all j."""
-    total = 0
-    for i, row in enumerate(rows):
-        for alpha in row:
-            for k in range(1, alpha + 1):
-                for sm_j in scaled_m:
-                    total += min(d * k + scaled_m[i], sm_j)
-    return total
-
-
-def _scaled_stat(sym: Symbol, p: ChargeParams) -> int:
-    """d times the symbol statistic that orders compositions (see prec)."""
-    return (_pair_interaction(sym.rows, p.scaled_m, p.d)
-            - _hook_interaction(sym.rows, p.scaled_m, p.d))
 
 
 def a_value(mp, p: ChargeParams, shift: int = 0) -> Fraction:
@@ -124,14 +133,29 @@ def a_value(mp, p: ChargeParams, shift: int = 0) -> Fraction:
     mp = check_multipartition(mp)
     if len(mp) != p.d:
         raise ValueError(f"expected {p.d} components, got {len(mp)}")
-    sym = ordinary_symbol(mp, shift)
-    n = sym.source_rank
-    sm = p.scaled_m
-    scaled = n * sum(sm) - p.d * sym.tau + p.d * sym.total - p.d * n
-    scaled -= sym.height * sum(min(sm[i], sm[j])
-                               for i in range(p.d) for j in range(i + 1, p.d))
-    scaled += _scaled_stat(sym, p)
-    return Fraction(scaled, p.d)
+    if shift < 0:
+        raise ValueError("shift must be nonnegative")
+    return _a_value(mp, p, shift)
+
+
+def _a_value(mp, p: ChargeParams, shift: int = 0) -> Fraction:
+    """a_value of a multipartition already validated with p.d components.
+
+    Reads the symbol statistics in closed form from the parts: at height h
+    the entries total n + d*h(h-1)/2, and tau sums C(d*t+1, 2) for
+    t = 1..h-1.
+    """
+    d, sm = p.d, p.scaled_m
+    n = rank(mp)
+    h = max(len(comp) for comp in mp) + shift
+    t1 = (h - 1) * h // 2
+    t2 = (h - 1) * h * (2 * h - 1) // 6
+    tau = (d * d * t2 + d * t1) // 2
+    # n*sum(sm) - d*tau + d*(total - n) - h*sum_{i<j} min(sm_i, sm_j) + stat
+    scaled = n * sum(sm) - d * tau + d * d * t1
+    scaled -= h * _weighted_min_sum(sm)
+    scaled += _scaled_stat(mp, h, p)
+    return Fraction(scaled, d)
 
 
 def schur_valuation(mp, p: ChargeParams) -> int:
@@ -201,11 +225,7 @@ def prec(mu, nu, p: ChargeParams) -> bool:
         raise ValueError("prec compares multicompositions of equal rank")
     h = max(max((len(c) for c in mu), default=0),
             max((len(c) for c in nu), default=0))
-    sym_mu = ordinary_symbol(mu, h - max((len(c) for c in mu), default=0))
-    sym_nu = ordinary_symbol(nu, h - max((len(c) for c in nu), default=0))
-    if sym_mu.height != sym_nu.height:
-        raise ValueError("symbol heights disagree after normalization")
-    return _scaled_stat(sym_mu, p) < _scaled_stat(sym_nu, p)
+    return _scaled_stat(mu, h, p) < _scaled_stat(nu, h, p)
 
 
 def format_rational(x) -> str:

@@ -16,7 +16,7 @@ from .charge import ChargeParams
 from .crystal import crystal_graph, flotw_multipartitions
 from .partitions import (check_multipartition, is_e_regular, part,
                          partitions_of)
-from .symbols import a_value
+from .symbols import _a_value, _weighted_min_sum
 
 
 def even_charge_params(e: int) -> ChargeParams:
@@ -39,8 +39,11 @@ def a_value_typeb(bp, r: int = None) -> int:
     total = -(r * (r - 1) * (2 * r + 5)) // 6
     total += sum((i - 1) * (part(bp[0], i) + part(bp[1], i) + 1)
                  for i in range(1, r + 1))
-    total += sum(min(part(bp[0], i) + 1 + r - i, part(bp[1], j) + r - j)
-                 for i in range(1, r + 1) for j in range(1, r + 1))
+    # sum of min(x_i, y_j) over all i, j: the pairs of the merged list less
+    # the pairs inside each list
+    xs = [part(bp[0], i) + 1 + r - i for i in range(1, r + 1)]
+    ys = [part(bp[1], j) + r - j for j in range(1, r + 1)]
+    total += _weighted_min_sum(xs + ys) - _weighted_min_sum(xs) - _weighted_min_sum(ys)
     return total
 
 
@@ -81,7 +84,7 @@ def decomposition_matrix_b(n: int, e: int) -> DecompositionMatrix:
 
     pa = type_a_params(e)
     levels = crystal_graph(pa, n, "flotw").levels
-    top = {mp: a_value(mp, pa) for mp in levels[n]}
+    top = {mp: _a_value(mp, pa) for mp in levels[n]}
     # per rank and row partition of a type-A factor: its nonzero (column, entry)
     nonzero = []
     for basis in _bases_by_rank(pa, levels, top):

@@ -145,8 +145,8 @@ def test_one_crystal_walk_per_matrix(monkeypatch):
 
 def test_peel_rest_must_be_a_finished_label(monkeypatch):
     import ariki.canonical as canonical
-    real = canonical.peel_step
-    monkeypatch.setattr(canonical, "peel_step",
+    real = canonical._peel
+    monkeypatch.setattr(canonical, "_peel",
                         lambda mp, p: dataclasses.replace(real(mp, p), rest=mp))
     with pytest.raises(RuntimeError, match="not a finished label"):
         canonical_basis(P24, 2)

@@ -4,13 +4,17 @@ from collections import Counter
 
 import pytest
 
-from ariki.charge import ChargeParams
-from ariki.crystal import (bijection_j, bijection_j_inverse, crystal_bijection,
+from ariki.aseq import a_sequence, peel_step
+from ariki.charge import ChargeParams, below_key
+from ariki.crystal import (_reduced_signature, bijection_j, bijection_j_inverse, crystal_bijection,
                            crystal_graph, crystal_lower, flotw_multipartitions,
                            good_addable_node, good_removable_node, is_flotw,
                            is_kleshchev, kleshchev_multipartitions)
+from ariki.fock import addable_i_nodes, removable_i_nodes
 from ariki.partitions import (Node, add_node, enumerate_multipartitions,
                               is_e_regular, remove_node)
+from ariki.symbols import a_value
+from ariki.verification import GRID as VERIFY_GRID
 
 P24 = ChargeParams(2, 4, (0, 1))
 GRID = (P24, ChargeParams(2, 2, (0, 1)), ChargeParams(3, 3, (0, 1, 2)),
@@ -196,3 +200,66 @@ def test_kleshchev_differs_from_flotw_in_general():
         if set(kleshchev_multipartitions(P24, n)) != set(flotw_multipartitions(P24, n)):
             found = True
     assert found
+
+
+def _reduced_signature_oracle(mp, i, order, p):
+    """The generic addable/removable filters, sorted lowest first and cancelled by hand."""
+    key = below_key(order, p)
+    items = sorted([(g, True) for g in addable_i_nodes(mp, i, p)]
+                   + [(g, False) for g in removable_i_nodes(mp, i, p)],
+                   key=lambda item: key(item[0]))
+    if len({key(g) for g, _ in items}) != len(items):
+        raise RuntimeError(f"two {i}-nodes of {mp} tie in the {order} order")
+    addable, removable = [], []
+    for g, is_addable in items:
+        if is_addable:
+            addable.append(g)
+        elif addable:
+            addable.pop()  # the nearest uncancelled addable node below g
+        else:
+            removable.append(g)
+    return addable, removable
+
+
+def test_reduced_signature_matches_generic_filters():
+    for p in VERIFY_GRID:
+        for n in range(7):
+            for mp in enumerate_multipartitions(p.d, n):
+                for order in ("am", "flotw"):
+                    for i in range(p.e):
+                        assert _reduced_signature(mp, i, order, p) == \
+                            _reduced_signature_oracle(mp, i, order, p), (mp, i, order)
+
+
+def test_validation_stays_at_the_boundary(monkeypatch):
+    # each public single-vertex entry point validates its input once; the
+    # kernels under it (signatures, raising, peeling) never re-validate
+    import ariki
+    import ariki.partitions as partitions
+    calls = []
+    real = partitions.check_multipartition
+
+    def counted(mp):
+        calls.append(mp)
+        return real(mp)
+
+    for module in vars(ariki).values():
+        if getattr(module, "check_multipartition", None) is real:
+            monkeypatch.setattr(module, "check_multipartition", counted)
+    p = ChargeParams(3, 4, (0, 1, 3))
+    diagonal = flotw_multipartitions(p, 10)[300]
+    kleshchev = kleshchev_multipartitions(p, 10)[300]
+    for fn, mp in ((a_value, diagonal), (a_sequence, diagonal),
+                   (bijection_j_inverse, diagonal), (bijection_j, kleshchev)):
+        calls.clear()
+        fn(mp, p)
+        assert len(calls) <= 1, (fn.__name__, len(calls))
+
+
+def test_boundary_rejects_bad_input():
+    for fn in (a_value, a_sequence, bijection_j, bijection_j_inverse, peel_step):
+        with pytest.raises(ValueError, match="not a partition"):
+            fn(((1, 2), ()), P24)
+        for mp in (((2,),), ((2,), (), ())):
+            with pytest.raises(ValueError, match="expected 2 components"):
+                fn(mp, P24)

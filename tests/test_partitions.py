@@ -130,6 +130,13 @@ def test_enumeration_count_against_generating_function():
                 assert len(enumerate_multipartitions(d, n)) == expect
 
 
+def test_count_multipartitions_many_components():
+    # one table, not one recursion level per component
+    assert count_multipartitions(1100, 0) == 1
+    assert count_multipartitions(1100, 1) == 1100
+    assert count_multipartitions(1100, 2) == 1100 * 2 + 1100 * 1099 // 2
+
+
 def test_enumeration_sorted_and_unique():
     mps = enumerate_multipartitions(3, 5)
     assert mps == sorted(mps)

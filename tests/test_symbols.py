@@ -7,8 +7,8 @@ import pytest
 
 from ariki.charge import ChargeParams
 from ariki.partitions import enumerate_multipartitions
-from ariki.symbols import (a_value, format_rational, ordinary_symbol, prec,
-                           schur_valuation, shifted_symbol)
+from ariki.symbols import (_scaled_stat, a_value, format_rational, ordinary_symbol,
+                           prec, schur_valuation, shifted_symbol)
 
 P24 = ChargeParams(2, 4, (0, 1))
 GRID = (P24, ChargeParams(2, 2, (0, 1)), ChargeParams(3, 3, (0, 1, 2)),
@@ -130,6 +130,108 @@ def test_node_block_addition_orders_statistic():
                     nu = _add_to_row(mc, i2, j2, l)
                     if mu != nu:
                         assert prec(nu, mu, p), (mc, (i1, j1), (i2, j2), l)
+
+
+def _pair_interaction_oracle(rows, scaled_m, d):
+    """Sum of min(d*alpha + sm_i, d*beta + sm_j) over unordered entry pairs, pair by pair."""
+    total = 0
+    for i, row in enumerate(rows):
+        for j1 in range(len(row)):
+            for j2 in range(j1 + 1, len(row)):
+                total += min(d * row[j1], d * row[j2]) + scaled_m[i]
+        for j in range(i + 1, len(rows)):
+            for alpha in row:
+                for beta in rows[j]:
+                    total += min(d * alpha + scaled_m[i], d * beta + scaled_m[j])
+    return total
+
+
+def _hook_interaction_oracle(rows, scaled_m, d):
+    """Sum of min(d*k + sm_i, sm_j) over rows i, entries alpha, 1 <= k <= alpha, all j."""
+    total = 0
+    for i, row in enumerate(rows):
+        for alpha in row:
+            for k in range(1, alpha + 1):
+                for sm_j in scaled_m:
+                    total += min(d * k + scaled_m[i], sm_j)
+    return total
+
+
+def _stat_oracle(mc, shift, p):
+    """(height, d times the statistic) of mc's symbol at this shift, pair by pair."""
+    sym = ordinary_symbol(mc, shift)
+    return sym.height, (_pair_interaction_oracle(sym.rows, p.scaled_m, p.d)
+                        - _hook_interaction_oracle(sym.rows, p.scaled_m, p.d))
+
+
+def _random_multicomposition(rng, d, n):
+    """A d-composition of rank n, cells dropped one at a time into random rows."""
+    comps = [[] for _ in range(d)]
+    for _ in range(n):
+        comp = comps[rng.randrange(d)]
+        row = rng.randint(0, len(comp))
+        if row == len(comp):
+            comp.append(1)
+        else:
+            comp[row] += 1
+    return tuple(tuple(comp) for comp in comps)
+
+
+ORACLE_PARAMS = GRID + (ChargeParams(1, 5, (0,), 0), ChargeParams(3, 4, (0, 1, 3)),
+                        ChargeParams(4, 3, (0, 0, 1, 2)), ChargeParams(2, 5, (0, 2), 3))
+
+
+def test_scaled_stat_matches_pairwise_oracle():
+    # the closed forms against the pair-by-pair sums, on random
+    # multicompositions (unsorted rows, repeated entries) at several shifts
+    rng = random.Random(11)
+    for p in ORACLE_PARAMS:
+        for _ in range(150):
+            mc = tuple(tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 4)))
+                       for _ in range(p.d))
+            shift = rng.randint(0, 3)
+            h, expect = _stat_oracle(mc, shift, p)
+            assert _scaled_stat(mc, h, p) == expect, (p, mc, shift)
+
+
+def test_prec_matches_pairwise_oracle():
+    rng = random.Random(12)
+    for p in ORACLE_PARAMS:
+        for _ in range(100):
+            n = rng.randint(0, 8)
+            mu, nu = (_random_multicomposition(rng, p.d, n) for _ in range(2))
+            h = max(len(c) for c in mu + nu)
+            stat_mu = _stat_oracle(mu, h - max(len(c) for c in mu), p)[1]
+            stat_nu = _stat_oracle(nu, h - max(len(c) for c in nu), p)[1]
+            assert prec(mu, nu, p) == (stat_mu < stat_nu), (p, mu, nu)
+
+
+def test_a_value_matches_symbol_formula():
+    # the closed-form height statistics against the Symbol's own tau and
+    # total, at ranks beyond the valuation oracle's reach and random shifts
+    rng = random.Random(13)
+    for p in ORACLE_PARAMS:
+        sm = p.scaled_m
+        for _ in range(60):
+            mc = _random_multicomposition(rng, p.d, rng.randint(0, 30))
+            mp = tuple(tuple(sorted(comp, reverse=True)) for comp in mc)
+            shift = rng.randint(0, 4)
+            sym = ordinary_symbol(mp, shift)
+            n = sym.source_rank
+            scaled = n * sum(sm) - p.d * sym.tau + p.d * sym.total - p.d * n
+            scaled -= sym.height * sum(min(sm[i], sm[j])
+                                       for i in range(p.d) for j in range(i + 1, p.d))
+            scaled += _stat_oracle(mp, shift, p)[1]
+            assert a_value(mp, p, shift) == Fraction(scaled, p.d), (p, mp, shift)
+
+
+def test_a_value_rejects_bad_input():
+    with pytest.raises(ValueError):
+        a_value(((1, 2), ()), P24)
+    with pytest.raises(ValueError, match="expected 2 components"):
+        a_value(((1,),), P24)
+    with pytest.raises(ValueError, match="shift"):
+        a_value(((1,), ()), P24, -1)
 
 
 def test_format_rational():

@@ -1,5 +1,6 @@
 """Type B specializations: closed-form a-values and both matrix regimes."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,16 @@ def test_a_value_typeb_matches_symbol_formula():
                 values = {a_value_typeb(bp, r) for r in (hmax, hmax + 1, hmax + 2)}
                 assert len(values) == 1
                 assert a_value(bp, p) == Fraction(values.pop())
+
+
+def test_a_value_typeb_matches_symbol_formula_at_larger_ranks():
+    rng = random.Random(5)
+    p = even_charge_params(4)
+    for _ in range(200):
+        bp = tuple(tuple(sorted((rng.randint(1, 6) for _ in range(rng.randint(0, 6))),
+                                reverse=True)) for _ in range(2))
+        r = max(len(bp[0]), len(bp[1])) + rng.randint(0, 3)
+        assert a_value(bp, p) == Fraction(a_value_typeb(bp, r)), (bp, r)
 
 
 def test_basic_set_examples():
