@@ -13,8 +13,9 @@ multipartition through a chain of diagonal-crystal vertices.
 from dataclasses import dataclass
 
 from .charge import ChargeParams
-from .crystal import _check_components, _is_flotw
-from .partitions import (Node, add_node, check_multipartition, check_multicomposition,
+from .crystal import _is_flotw
+from .fock import addable_i_nodes
+from .partitions import (Node, add_node, check_components, check_multicomposition,
                          empty_multipartition, part, rank)
 
 
@@ -33,7 +34,7 @@ def peel_step(mp, p: ChargeParams, force_k=None) -> PeelStep:
     Several residues may qualify; the smallest is taken unless force_k names
     another qualifying one (used to compare tie-broken sequences).
     """
-    mp = _check_components(mp, p)
+    mp = check_components(mp, p.d)
     if rank(mp) == 0:
         raise ValueError("cannot peel the empty multipartition")
     return _peel(mp, p, force_k)
@@ -76,7 +77,11 @@ def _peel(mp, p: ChargeParams, force_k=None) -> PeelStep:
 
 def a_sequence_blocks(mp, p: ChargeParams):
     """Block form [(residue, count), ...] from first-added to last-added."""
-    mp = _check_components(mp, p)
+    return _blocks(check_components(mp, p.d), p)
+
+
+def _blocks(mp, p: ChargeParams):
+    """a_sequence_blocks on a multipartition already validated with p.d components."""
     if not _is_flotw(mp, p):
         raise ValueError(f"{mp} does not satisfy the membership conditions")
     blocks = []
@@ -137,8 +142,8 @@ class AGraph:
 
 def a_graph(mp, p: ChargeParams) -> AGraph:
     """Replay the residue sequence from empty through optimal additions."""
-    mp = check_multipartition(mp)
-    seq = a_sequence(mp, p)
+    mp = check_components(mp, p.d)
+    seq = tuple(k for k, count in _blocks(mp, p) for _ in range(count))
     cur = empty_multipartition(p.d)
     steps = []
     for k in seq:
@@ -163,7 +168,6 @@ def residue_path_terminals(seq, p: ChargeParams, compositions: bool = False):
             if compositions:
                 spots = composition_addable_positions(mc, k, p)
             else:
-                from .fock import addable_i_nodes
                 spots = addable_i_nodes(mc, k, p)
             for g in spots:
                 nxt.add(add_node(mc, g))

@@ -9,6 +9,9 @@ scaled_m[j] = d*m^(j); rationals only ever appear in display.
 Two strict total orders on same-residue nodes drive everything downstream:
 the component-major order (below = smaller (comp, row)) and the
 diagonal order (below = larger b - a + v_c, ties to the smaller component).
+i_signature lists a multipartition's addable and removable i-nodes lowest
+first in either order, from one pass over its rows; the crystal operators
+and the divided powers both read it.
 """
 
 from dataclasses import dataclass, field
@@ -75,30 +78,41 @@ def residue(node: Node, p: ChargeParams) -> int:
     return (b - a + p.v[c]) % p.e
 
 
-def i_nodes(mp, i, p: ChargeParams):
-    """(addable, removable) i-nodes of a multipartition, from one pass over its rows.
+def check_order(order):
+    """Reject anything but the two node orders; entry points call this once."""
+    if order not in ORDERS:
+        raise ValueError(f"order must be one of {ORDERS}")
 
-    Each list is in the order of addable_nodes/removable_nodes filtered by
-    residue.  The end of row a has residue r = (length - a + v_c) mod e;
-    the node after it has residue r + 1, so a row contributes at most one
-    of the two kinds (e >= 2).
+
+def i_signature(mp, i, order, p: ChargeParams):
+    """The addable and removable i-nodes of mp, lowest first in the order.
+
+    One pass over the rows yields tuples (-content, comp, addable?, node),
+    where content is b - a + v_c.  The end of row a has residue
+    (length - a + v_c) mod e and the node after it the next residue, so a
+    row gives at most one i-node (e >= 2), and a component's new-row node
+    comes after its rows: the pass emits the component-major order as it
+    goes.  The diagonal order sorts the tuples once; (-content, comp) is
+    unique among the i-nodes.  The order is not validated here.
     """
     if len(mp) > p.d:
         raise ValueError(f"component index {p.d} out of range for d={p.d}")
     e, before = p.e, (i - 1) % p.e
-    addable, removable = [], []
+    items = []
     for c, comp in enumerate(mp):
         vc, height = p.v[c], len(comp)
         for a, length in enumerate(comp, start=1):
             r = (length - a + vc) % e
             if r == i:
                 if a == height or comp[a] < length:  # row a+1 is shorter
-                    removable.append(Node(a, length, c))
+                    items.append((a - length - vc, c, False, Node(a, length, c)))
             elif r == before and (a == 1 or comp[a - 2] > length):  # row a-1 longer
-                addable.append(Node(a, length + 1, c))
+                items.append((a - length - 1 - vc, c, True, Node(a, length + 1, c)))
         if (vc - height) % e == i:
-            addable.append(Node(height + 1, 1, c))
-    return addable, removable
+            items.append((height - vc, c, True, Node(height + 1, 1, c)))
+    if order == "flotw":
+        items.sort()
+    return items
 
 
 def am_below(g: Node, g2: Node) -> bool:
@@ -109,32 +123,25 @@ def am_below(g: Node, g2: Node) -> bool:
 def flotw_above(g: Node, g2: Node, p: ChargeParams) -> bool:
     """Diagonal order: g lies above g2 iff its charged content is smaller,
     with ties going to the larger component index."""
-    ca = g.col - g.row + p.v[g.comp]
-    cb = g2.col - g2.row + p.v[g2.comp]
-    return ca < cb or (ca == cb and g.comp > g2.comp)
-
-
-def flotw_below(g: Node, g2: Node, p: ChargeParams) -> bool:
-    """Inverse of flotw_above on distinct comparable nodes."""
-    return flotw_above(g2, g, p)
+    key = below_key("flotw", p)
+    return key(g2) < key(g)
 
 
 def below_key(order: str, p: ChargeParams):
-    """Sort key placing the lowest node of the given order first."""
+    """Sort key placing the lowest node of the given order first.
+
+    The diagonal key (-content, comp) is the one i_signature sorts by.
+    """
+    check_order(order)
     if order == "am":
         return lambda g: (g.comp, g.row)
-    if order == "flotw":
-        return lambda g: (-(g.col - g.row + p.v[g.comp]), g.comp)
-    raise ValueError(f"unknown order {order!r}")
+    return lambda g: (-(g.col - g.row + p.v[g.comp]), g.comp)
 
 
 def is_below(g: Node, g2: Node, order: str, p: ChargeParams) -> bool:
     """Strictly below in the selected order."""
-    if order == "am":
-        return am_below(g, g2)
-    if order == "flotw":
-        return flotw_below(g, g2, p)
-    raise ValueError(f"unknown order {order!r}")
+    key = below_key(order, p)
+    return key(g) < key(g2)
 
 
 def is_above(g: Node, g2: Node, order: str, p: ChargeParams) -> bool:

@@ -1,7 +1,8 @@
 """Crystal combinatorics: signatures, good nodes, membership, and the bijection.
 
 The i-signature of a multipartition lists its addable and removable i-nodes
-from the lowest to the highest node of the selected order.  Scanning in
+from the lowest to the highest node of the selected order; it comes from
+charge.i_signature, the one row scan the divided powers read too.  Scanning in
 that direction, an addable node cancels the next uncancelled removable node
 after it; the good addable node is the lowest surviving addable one and the
 good removable node is the highest surviving removable one.  This scanning
@@ -25,40 +26,21 @@ image of its source.
 
 from dataclasses import dataclass
 
-from .charge import ChargeParams, ORDERS
-from .partitions import (Node, add_node, check_multipartition, empty_multipartition,
-                         enumerate_multipartitions, part, rank, remove_node)
+from .charge import ChargeParams, check_order, i_signature
+from .partitions import (add_node, check_components, check_multipartition,
+                         empty_multipartition, enumerate_multipartitions, part, rank,
+                         remove_node)
 
 
 def _reduced_signature(mp, i, order, p):
     """Surviving addable and removable i-nodes after pair cancellation.
 
-    One pass over the rows emits the i-nodes in component-major order: the
-    end of row a has residue (length - a + v_c) mod e and the node after it
-    the next residue, so a row gives at most one i-node (e >= 2), and a
-    component's new-row node comes after its rows.  The diagonal order
-    sorts them once by (-content, comp).  Scanning upward, each addable
-    node cancels against the next surviving removable node above it; both
-    lists come out lowest node first.  mp is not validated.
+    Scanning charge.i_signature upward, each addable node cancels against
+    the next surviving removable node above it; both lists come out lowest
+    node first.  Neither mp nor order is validated.
     """
-    e, v = p.e, p.v
-    before = (i - 1) % e
-    items = []  # (-content, comp, addable?, node)
-    for c, comp in enumerate(mp):
-        vc, height = v[c], len(comp)
-        for a, length in enumerate(comp, start=1):
-            r = (length - a + vc) % e
-            if r == i:
-                if a == height or comp[a] < length:  # row a+1 is shorter
-                    items.append((a - length - vc, c, False, Node(a, length, c)))
-            elif r == before and (a == 1 or comp[a - 2] > length):  # row a-1 longer
-                items.append((a - length - 1 - vc, c, True, Node(a, length + 1, c)))
-        if (vc - height) % e == i:
-            items.append((height - vc, c, True, Node(height + 1, 1, c)))
-    if order == "flotw":
-        items.sort()  # (-content, comp) is unique among the i-nodes
     addable, removable = [], []
-    for _, _, is_addable, g in items:
+    for _, _, is_addable, g in i_signature(mp, i, order, p):
         if is_addable:
             addable.append(g)
         elif addable:
@@ -68,25 +50,17 @@ def _reduced_signature(mp, i, order, p):
     return addable, removable
 
 
-def _check_signature_input(mp, order, p):
-    """Validated multipartition with at most p.d components, for a known order."""
-    if order not in ORDERS:
-        raise ValueError(f"order must be one of {ORDERS}")
-    mp = check_multipartition(mp)
-    if len(mp) > p.d:
-        raise ValueError(f"component index {p.d} out of range for d={p.d}")
-    return mp
-
-
 def good_addable_node(mp, i, order: str, p: ChargeParams):
     """Position added by the crystal lowering operator, or None."""
-    addable, _ = _reduced_signature(_check_signature_input(mp, order, p), i, order, p)
+    check_order(order)
+    addable, _ = _reduced_signature(check_multipartition(mp), i, order, p)
     return addable[0] if addable else None
 
 
 def good_removable_node(mp, i, order: str, p: ChargeParams):
     """Node removed by the crystal raising operator, or None."""
-    _, removable = _reduced_signature(_check_signature_input(mp, order, p), i, order, p)
+    check_order(order)
+    _, removable = _reduced_signature(check_multipartition(mp), i, order, p)
     return removable[-1] if removable else None
 
 
@@ -94,14 +68,6 @@ def crystal_lower(mp, i, order: str, p: ChargeParams):
     """One step down the crystal, or None."""
     g = good_addable_node(mp, i, order, p)
     return add_node(mp, g) if g is not None else None
-
-
-def _check_components(mp, p):
-    """Validated multipartition, which must have exactly p.d components."""
-    mp = check_multipartition(mp)
-    if len(mp) != p.d:
-        raise ValueError(f"expected {p.d} components, got {len(mp)}")
-    return mp
 
 
 # An i-signature without addable (removable) i-nodes has no surviving
@@ -149,12 +115,12 @@ def _raising_path(mp, order, p):
 
 def is_kleshchev(mp, p: ChargeParams) -> bool:
     """Reachable from empty by good-node additions in the component-major order."""
-    return _raising_path(_check_components(mp, p), "am", p) is not None
+    return _raising_path(check_components(mp, p.d), "am", p) is not None
 
 
 def is_flotw(mp, p: ChargeParams) -> bool:
     """Explicit two-condition membership test for the diagonal-order crystal."""
-    return _is_flotw(_check_components(mp, p), p)
+    return _is_flotw(check_components(mp, p.d), p)
 
 
 def _is_flotw(mp, p):
@@ -195,8 +161,7 @@ def crystal_graph(p: ChargeParams, n: int, order: str) -> CrystalGraph:
     """Breadth-first crystal from the empty multipartition up to rank n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if order not in ORDERS:
-        raise ValueError(f"order must be one of {ORDERS}")
+    check_order(order)
     levels = [[empty_multipartition(p.d)]]
     edges = []
     for r in range(n):
@@ -254,7 +219,7 @@ def _graph_bijection(gf: CrystalGraph, p: ChargeParams):
 
 def _transport(mp, p, source, target):
     """Image of a source-order vertex: its raising path replayed in target order."""
-    path = _raising_path(_check_components(mp, p), source, p)
+    path = _raising_path(check_components(mp, p.d), source, p)
     if path is None:
         raise ValueError(f"{mp} is not a vertex of the {source} crystal")
     cur = empty_multipartition(p.d)

@@ -16,13 +16,14 @@ leaves A minus S as the addable i-nodes of the result.  The exponent,
 summed over gamma in S, counts those below gamma minus lam's removable
 i-nodes R below gamma.  With A sorted lowest first and S at indices
 s_0 < ... < s_{j-1}, below A[s_k] lie s_k nodes of A, k of them in S, so
-the exponent is sum_k (s_k - k - #{r in R below A[s_k]}).
+the exponent is sum_k (s_k - k - #{r in R below A[s_k]}).  f_divided
+reads A and R, lowest first, from the one row scan charge.i_signature,
+which the crystal operators read too.
 """
 
-from bisect import bisect_left
 from itertools import combinations
 
-from .charge import (ChargeParams, ORDERS, below_key, i_nodes, is_above, is_below,
+from .charge import (ChargeParams, check_order, i_signature, is_above, is_below,
                      residue)
 from .laurent import LaurentPoly, gauss_factorial
 from .partitions import (add_node, addable_nodes, check_multipartition,
@@ -136,11 +137,6 @@ class FockVector:
         return f"FockVector({self.terms!r})"
 
 
-def _check_order(order):
-    if order not in ORDERS:
-        raise ValueError(f"order must be one of {ORDERS}")
-
-
 def addable_i_nodes(mp, i, p: ChargeParams):
     return [g for g in addable_nodes(mp) if residue(g, p) == i]
 
@@ -165,7 +161,7 @@ def raising_exponent(mu, lam, gamma, i, order, p: ChargeParams) -> int:
 
 def f_action(v: FockVector, i, order: str, p: ChargeParams) -> FockVector:
     """Lowering generator f_i: add one i-node every possible way."""
-    _check_order(order)
+    check_order(order)
     out = {}
     for lam in v.support():
         coef = v.terms[lam]
@@ -179,7 +175,7 @@ def f_action(v: FockVector, i, order: str, p: ChargeParams) -> FockVector:
 
 def e_action(v: FockVector, i, order: str, p: ChargeParams) -> FockVector:
     """Raising generator e_i: remove one i-node every possible way."""
-    _check_order(order)
+    check_order(order)
     out = {}
     for lam in v.support():
         coef = v.terms[lam]
@@ -210,25 +206,28 @@ def f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVect
     i-nodes A sorted lowest first and a subset at indices s_0 < ... < s_{j-1}
     the exponent is sum_k (s_k - k - rem_below[s_k]), where rem_below[s]
     counts lam's removable i-nodes below A[s] (see the module docstring).
-    A and R come from one charge.i_nodes pass over lam's rows; f_action and
-    the oracle keep the generic addable_i_nodes/removable_i_nodes filters.
+    One charge.i_signature scan of lam lists both kinds lowest first, so
+    weight[s] = s - rem_below[s] is s minus the removable nodes seen before
+    A[s]; f_action and the oracle keep the generic addable_i_nodes and
+    removable_i_nodes filters.
     """
-    _check_order(order)
+    check_order(order)
     if j < 0:
         raise ValueError("j must be nonnegative")
     if j == 0:
         return v
-    key = below_key(order, p)
     offset = j * (j - 1) // 2  # the -k terms, the same for every subset
     raw = {}
     for lam, coef in v.terms.items():
-        add, rem = i_nodes(lam, i, p)
+        add, weight, rem_below = [], [], 0
+        for _, _, is_addable, g in i_signature(lam, i, order, p):
+            if is_addable:
+                weight.append(len(add) - rem_below)
+                add.append(g)
+            else:
+                rem_below += 1
         if len(add) < j:
             continue
-        add.sort(key=key)
-        rem_keys = sorted(map(key, rem))
-        # s - rem_below[s]
-        weight = [s - bisect_left(rem_keys, key(g)) for s, g in enumerate(add)]
         terms = coef.coeffs.items()
         for chosen in combinations(range(len(add)), j):
             exp = sum(weight[s] for s in chosen) - offset

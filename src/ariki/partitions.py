@@ -40,6 +40,14 @@ def check_multipartition(mp):
     return mp
 
 
+def check_components(mp, d: int):
+    """Validate a multipartition that must have exactly d components."""
+    mp = check_multipartition(mp)
+    if len(mp) != d:
+        raise ValueError(f"expected {d} components, got {len(mp)}")
+    return mp
+
+
 def check_multicomposition(mc):
     """Validate a multicomposition; returns it normalized to tuples."""
     mc = tuple(tuple(comp) for comp in mc)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb
 
 from .charge import ChargeParams
-from .partitions import check_multicomposition, check_multipartition, part, rank
+from .partitions import check_components, check_multicomposition, part, rank
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,7 @@ def a_value(mp, p: ChargeParams, shift: int = 0) -> Fraction:
 
     Independent of the symbol shift; equals -schur_valuation(mp, p)/d.
     """
-    mp = check_multipartition(mp)
-    if len(mp) != p.d:
-        raise ValueError(f"expected {p.d} components, got {len(mp)}")
+    mp = check_components(mp, p.d)
     if shift < 0:
         raise ValueError("shift must be nonnegative")
     return _a_value(mp, p, shift)
@@ -165,9 +163,7 @@ def schur_valuation(mp, p: ChargeParams) -> int:
     factor has the shape y^A * eta_d^i - y^B * eta_d^j with (A, i) != (B, j),
     so its lowest coefficient never cancels and it contributes min(A, B).
     """
-    mp = check_multipartition(mp)
-    if len(mp) != p.d:
-        raise ValueError(f"expected {p.d} components, got {len(mp)}")
+    mp = check_components(mp, p.d)
     sym = ordinary_symbol(mp, 0)
     d, sm = p.d, p.scaled_m
     rows = sym.rows

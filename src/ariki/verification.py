@@ -21,7 +21,8 @@ from .crystal import flotw_multipartitions, is_kleshchev, kleshchev_multipartiti
 from .fock import FockVector, f_divided, f_power_divided_oracle
 from .laurent import LaurentPoly
 from .partitions import enumerate_multipartitions, is_e_regular
-from .symbols import a_value, ordinary_symbol, schur_valuation, shifted_symbol
+from .render import render_canonical, render_decomp
+from .symbols import a_value, ordinary_symbol, prec, schur_valuation, shifted_symbol
 from .typeb import (a_value_typeb, bipartitions_of, decomposition_matrix_b,
                     even_charge_params, type_a_params)
 
@@ -132,7 +133,6 @@ def check_a_oracle(caps):
 
 def check_invariances(caps):
     """Symbol-shift invariance of a_value; charge-shift invariance of comparisons."""
-    from .symbols import prec
     for p in GRID:
         bumped = ChargeParams(p.d, p.e, p.v, p.s + 1)
         for n in range(caps.invariance + 1):
@@ -324,7 +324,6 @@ def hash_seed_outputs(code):
 
 def check_determinism(caps):
     """Canonical/decomposition output is byte-identical across hash seeds."""
-    from .render import render_canonical, render_decomp
     n = min(4, caps.canonical)
     code = ("import sys\n"
             "from ariki.charge import ChargeParams\n"

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from ariki.charge import (ChargeParams, am_below, below_key, flotw_above,
-                          i_nodes, is_below, is_semisimple, residue)
+                          i_signature, is_below, is_semisimple, residue)
 from ariki.crystal import flotw_multipartitions
-from ariki.partitions import (Node, addable_nodes, diagram_nodes,
-                              enumerate_multipartitions, removable_nodes)
+from ariki.fock import addable_i_nodes, removable_i_nodes
+from ariki.partitions import Node, diagram_nodes, enumerate_multipartitions
 from ariki.verification import GRID
 
 
@@ -32,17 +32,22 @@ def test_residue_constant_on_diagonals():
                 assert residue(Node(a, b, c), p) == residue(Node(a + 1, b + 1, c), p)
 
 
-def test_i_nodes_match_generic_filters():
-    # the one-pass scan equals the residue filters, order included
+def test_i_signature_matches_generic_filters():
+    # the one-pass scan equals the residue filters sorted lowest first
     for p in (*GRID, ChargeParams(3, 4, (0, 1, 3))):
-        for n in range(8):
+        for n in range(7):
             for mp in enumerate_multipartitions(p.d, n):
-                for i in range(p.e):
-                    addable = [g for g in addable_nodes(mp) if residue(g, p) == i]
-                    removable = [g for g in removable_nodes(mp) if residue(g, p) == i]
-                    assert i_nodes(mp, i, p) == (addable, removable), (p, mp, i)
+                for order in ("am", "flotw"):
+                    key = below_key(order, p)
+                    for i in range(p.e):
+                        tagged = ([(g, True) for g in addable_i_nodes(mp, i, p)]
+                                  + [(g, False) for g in removable_i_nodes(mp, i, p)])
+                        tagged.sort(key=lambda item: key(item[0]))
+                        expected = [(g.row - g.col - p.v[g.comp], g.comp, is_addable, g)
+                                    for g, is_addable in tagged]
+                        assert i_signature(mp, i, order, p) == expected, (p, mp, i, order)
     with pytest.raises(ValueError):
-        i_nodes(((1,), (), ()), 0, ChargeParams(2, 4, (0, 1)))
+        i_signature(((1,), (), ()), 0, "am", ChargeParams(2, 4, (0, 1)))
 
 
 def test_am_below_examples():

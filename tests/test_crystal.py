@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from ariki.aseq import a_sequence, peel_step
+from ariki.aseq import a_graph, a_sequence, peel_step
 from ariki.charge import ChargeParams, below_key
 from ariki.crystal import (_reduced_signature, bijection_j, bijection_j_inverse, crystal_bijection,
                            crystal_graph, crystal_lower, flotw_multipartitions,
@@ -249,7 +249,7 @@ def test_validation_stays_at_the_boundary(monkeypatch):
     p = ChargeParams(3, 4, (0, 1, 3))
     diagonal = flotw_multipartitions(p, 10)[300]
     kleshchev = kleshchev_multipartitions(p, 10)[300]
-    for fn, mp in ((a_value, diagonal), (a_sequence, diagonal),
+    for fn, mp in ((a_value, diagonal), (a_sequence, diagonal), (a_graph, diagonal),
                    (bijection_j_inverse, diagonal), (bijection_j, kleshchev)):
         calls.clear()
         fn(mp, p)
@@ -257,7 +257,7 @@ def test_validation_stays_at_the_boundary(monkeypatch):
 
 
 def test_boundary_rejects_bad_input():
-    for fn in (a_value, a_sequence, bijection_j, bijection_j_inverse, peel_step):
+    for fn in (a_value, a_sequence, a_graph, bijection_j, bijection_j_inverse, peel_step):
         with pytest.raises(ValueError, match="not a partition"):
             fn(((1, 2), ()), P24)
         for mp in (((2,),), ((2,), (), ())):

@@ -5,11 +5,12 @@ import random
 import pytest
 
 import ariki
-from ariki.charge import ChargeParams
+from ariki.charge import ChargeParams, below_key, is_below
+from ariki.crystal import crystal_graph, good_addable_node, good_removable_node
 from ariki.fock import (FockVector, e_action, f_action, f_divided,
                         f_power_divided_oracle)
 from ariki.laurent import LaurentPoly, gauss_factorial
-from ariki.partitions import enumerate_multipartitions
+from ariki.partitions import Node, enumerate_multipartitions
 
 P24 = ChargeParams(2, 4, (0, 1))
 GRID = (P24, ChargeParams(2, 2, (0, 1)), ChargeParams(3, 3, (0, 1, 2)),
@@ -172,6 +173,17 @@ def test_vector_json_pairs():
         assert isinstance(mp_json, list) and isinstance(poly_pairs, list)
 
 
-def test_unknown_order_rejected():
-    with pytest.raises(ValueError):
-        f_action(EMPTY2, 0, "sideways", P24)
+@pytest.mark.parametrize("call", [
+    lambda order: f_action(EMPTY2, 0, order, P24),
+    lambda order: e_action(EMPTY2, 0, order, P24),
+    lambda order: f_divided(EMPTY2, 0, 1, order, P24),
+    lambda order: good_addable_node(((), ()), 0, order, P24),
+    lambda order: good_removable_node(((1,), ()), 0, order, P24),
+    lambda order: crystal_graph(P24, 2, order),
+    lambda order: below_key(order, P24),
+    lambda order: is_below(Node(1, 1, 0), Node(1, 1, 1), order, P24),
+], ids=["f_action", "e_action", "f_divided", "good_addable_node",
+        "good_removable_node", "crystal_graph", "below_key", "is_below"])
+def test_unknown_order_rejected(call):
+    with pytest.raises(ValueError, match=r"order must be one of \('am', 'flotw'\)"):
+        call("sideways")
