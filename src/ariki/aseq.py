@@ -116,7 +116,11 @@ def k_opt_add(mc, k, p: ChargeParams):
     Returns (new multicomposition, added node).  On multipartitions the
     maximizer is unique; composition ties go to the smallest (component, row).
     """
-    mc = check_multicomposition(mc)
+    return _k_opt_add(check_multicomposition(mc), k, p)
+
+
+def _k_opt_add(mc, k, p: ChargeParams):
+    """k_opt_add on a multicomposition already validated."""
     best = None
     for g in composition_addable_positions(mc, k, p):
         weight = p.d * (part(mc[g.comp], g.row) - g.row) + p.scaled_m[g.comp]
@@ -147,7 +151,7 @@ def a_graph(mp, p: ChargeParams) -> AGraph:
     cur = empty_multipartition(p.d)
     steps = []
     for k in seq:
-        nxt, node = k_opt_add(cur, k, p)
+        nxt, node = _k_opt_add(cur, k, p)
         steps.append((cur, node, k))
         cur = nxt
     if cur != mp:

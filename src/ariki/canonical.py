@@ -16,6 +16,13 @@ any offending coefficient times that label's basis element; a subtraction
 only touches labels of still larger a-value, so no coefficient already
 passed changes.
 
+The lifts of one rank apply divided powers to overlapping vectors G(lam'),
+so they share one table of divided-power moves (fock.f_divided), keyed by
+(lam', k): within rank r the exponent c = r - |lam'| is fixed by lam'.  The
+table is made before the rank is straightened and dropped after it.  No
+hit is lost by dropping it: a move's target rank is |lam'| + c, so a key
+met again at another rank would need another c and could not be reused.
+
 The recursion yields every rank in turn, so one walk to rank n serves a
 caller that wants all ranks 0..n (odd-e type B) as well as one that wants
 only the top.  Memory: G(mu) of a lower rank is kept only while a label
@@ -39,7 +46,7 @@ from functools import cached_property
 from .aseq import _peel, a_sequence_blocks
 from .charge import ChargeParams
 from .crystal import _graph_bijection, crystal_graph
-from .fock import FockVector, f_divided
+from .fock import FockVector, _f_divided, f_divided
 from .laurent import LaurentPoly
 from .partitions import empty_multipartition, enumerate_multipartitions
 from .symbols import _a_value
@@ -150,13 +157,16 @@ def _bases_by_rank(p: ChargeParams, levels, avals, tie_reverse=False):
         refs[rest] -= 1
         if not refs[rest]:
             del finished[rest]
-        return dict(_leading_one(mp, f_divided(below, k, c, "flotw", p)).terms)
+        lifted = _f_divided(below, k, c, "flotw", p, moves)
+        return dict(_leading_one(mp, lifted).terms)
 
     top = len(levels) - 1
     for r in range(1, top + 1):
         level = levels[r]
         level_avals = avals if r == top else {mp: _a_value(mp, p) for mp in level}
+        moves = {}  # this rank's (lam, k) -> moves of f_k^(r - |lam|)
         basis = _straighten(level, level_avals, lift, tie_reverse)
+        del moves
         finished.update((mp, vec) for mp, vec in basis.items() if refs.get(mp))
         yield basis
         del basis  # only the elements some label above still peels to stay

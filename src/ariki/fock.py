@@ -19,6 +19,14 @@ s_0 < ... < s_{j-1}, below A[s_k] lie s_k nodes of A, k of them in S, so
 the exponent is sum_k (s_k - k - #{r in R below A[s_k]}).  f_divided
 reads A and R, lowest first, from the one row scan charge.i_signature,
 which the crystal operators read too.
+
+f_divided works in two steps.  The moves of lam, the (mu, exponent) pairs
+of f_i^(j) on the basis vector lam, depend on lam, i, j and the order only;
+the accumulation multiplies each input coefficient into its moves.  The
+moves are read from a table keyed by (lam, i), so one table serves one
+order and one target rank |lam| + j, where j is fixed by lam.  Public
+f_divided uses a fresh table per call; the LLT recursion shares one table
+among all the lifts of a rank, whose input vectors overlap.
 """
 
 from itertools import combinations
@@ -199,8 +207,8 @@ def _add_nodes(lam, nodes):
     return tuple(map(tuple, comps))
 
 
-def f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVector:
-    """Divided power f_i^(j): add j distinct i-nodes with the multi-node exponent.
+def _moves(lam, i, j: int, order: str, p: ChargeParams):
+    """The (mu, exponent) pairs of f_i^(j) on the basis vector lam.
 
     Adding i-nodes changes no other addable i-node, so for lam's addable
     i-nodes A sorted lowest first and a subset at indices s_0 < ... < s_{j-1}
@@ -208,30 +216,38 @@ def f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVect
     counts lam's removable i-nodes below A[s] (see the module docstring).
     One charge.i_signature scan of lam lists both kinds lowest first, so
     weight[s] = s - rem_below[s] is s minus the removable nodes seen before
-    A[s]; f_action and the oracle keep the generic addable_i_nodes and
-    removable_i_nodes filters.
+    A[s].
     """
-    check_order(order)
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    if j == 0:
-        return v
+    add, weight, rem_below = [], [], 0
+    for _, _, is_addable, g in i_signature(lam, i, order, p):
+        if is_addable:
+            weight.append(len(add) - rem_below)
+            add.append(g)
+        else:
+            rem_below += 1
     offset = j * (j - 1) // 2  # the -k terms, the same for every subset
+    return [(_add_nodes(lam, [add[s] for s in chosen]),
+             sum(weight[s] for s in chosen) - offset)
+            for chosen in combinations(range(len(add)), j)]
+
+
+def _f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams, table):
+    """f_divided with j > 0 and the order checked, reading lam's moves from table.
+
+    table maps (lam, i) to _moves(lam, i, j, order, p) and is filled on a
+    miss.  Its key leaves out j and order, so one table must serve one
+    order and one target rank |lam| + j only.
+    """
     raw = {}
     for lam, coef in v.terms.items():
-        add, weight, rem_below = [], [], 0
-        for _, _, is_addable, g in i_signature(lam, i, order, p):
-            if is_addable:
-                weight.append(len(add) - rem_below)
-                add.append(g)
-            else:
-                rem_below += 1
-        if len(add) < j:
-            continue
+        moves = table.get((lam, i))
+        if moves is None:
+            moves = table[lam, i] = _moves(lam, i, j, order, p)
         terms = coef.coeffs.items()
-        for chosen in combinations(range(len(add)), j):
-            exp = sum(weight[s] for s in chosen) - offset
-            acc = raw.setdefault(_add_nodes(lam, [add[s] for s in chosen]), {})
+        for mu, exp in moves:
+            acc = raw.get(mu)
+            if acc is None:
+                acc = raw[mu] = {}
             for e, c in terms:
                 acc[e + exp] = acc.get(e + exp, 0) + c
     out = {}
@@ -240,6 +256,26 @@ def f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVect
         if coeffs:
             out[mu] = LaurentPoly._of(coeffs)
     return FockVector._of(out)
+
+
+def f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVector:
+    """Divided power f_i^(j): add j distinct i-nodes with the multi-node exponent.
+
+    Two steps: _moves lists, once per support multipartition lam, the
+    (mu, exponent) pairs of f_i^(j) on lam (one i_signature scan, the
+    subsets and their weights, the new multipartitions); the accumulation
+    multiplies each coefficient of v into its moves.  This call reads the
+    moves from a fresh table; the LLT recursion shares one table among all
+    the divided powers of one target rank (canonical._bases_by_rank).
+    f_action and the oracle keep the generic addable_i_nodes and
+    removable_i_nodes filters.
+    """
+    check_order(order)
+    if j < 0:
+        raise ValueError("j must be nonnegative")
+    if j == 0:
+        return v
+    return _f_divided(v, i, j, order, p, {})
 
 
 def f_power_divided_oracle(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVector:

@@ -1,8 +1,9 @@
 """Named end-to-end checks over exhaustive small-rank enumerations.
 
 Each check returns (ok, detail); the CLI `verify` subcommand runs them all
-and reports one line per property.  Rank caps default to the scales the
-checks are known to pass at desk speed and can be lowered for a quick run.
+and reports one line per property with the check's wall time.  Rank caps
+default to the scales the checks are known to pass at desk speed and can be
+lowered for a quick run.
 The parameter grid used throughout pairs both orders with d = 2 and d = 3
 charge sets, which is what pins every ordering convention in the package.
 """
@@ -10,6 +11,7 @@ charge sets, which is what pins every ordering convention in the package.
 import os
 import subprocess
 import sys
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -358,11 +360,13 @@ ALL_CHECKS = (
 
 
 def run_all(caps: RankCaps = None, report=print):
-    """Run every check; returns True iff all pass."""
+    """Run every check, reporting each with its wall time; True iff all pass."""
     caps = caps or RankCaps()
     ok_all = True
     for name, fn in ALL_CHECKS:
+        started = time.perf_counter()
         ok, detail = fn(caps)
+        elapsed = time.perf_counter() - started
         ok_all &= ok
-        report(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        report(f"{'PASS' if ok else 'FAIL'} {name} ({elapsed:.2f} s): {detail}")
     return ok_all

@@ -11,7 +11,7 @@ from ariki.charge import ChargeParams, diagram_residues, is_semisimple
 from ariki.crystal import crystal_graph, flotw_multipartitions
 from ariki.fock import FockVector
 from ariki.laurent import LaurentPoly
-from ariki.partitions import enumerate_multipartitions
+from ariki.partitions import enumerate_multipartitions, rank
 from ariki.symbols import a_value
 from ariki.typeb import decomposition_matrix_b, even_charge_params
 from ariki.verification import GRID, replayed_basis
@@ -141,6 +141,24 @@ def test_one_crystal_walk_per_matrix(monkeypatch):
         calls.clear()
         decomposition_matrix_b(n, e)
         assert calls == ["flotw"], (n, e)
+
+
+def test_one_move_table_per_rank(monkeypatch):
+    # the lifts of one rank share one table of divided-power moves, so no
+    # (lam, residue) is scanned twice for the same target rank
+    import ariki.fock as fock
+    computed = []
+    real = fock._moves
+
+    def counting(lam, i, j, order, p):
+        computed.append((rank(lam) + j, lam, i))
+        return real(lam, i, j, order, p)
+
+    monkeypatch.setattr(fock, "_moves", counting)
+    for p, n in ((ChargeParams(2, 2, (0, 1)), 9), (P24, 8)):
+        computed.clear()
+        canonical_basis(p, n)
+        assert computed and len(set(computed)) == len(computed), p
 
 
 def test_peel_rest_must_be_a_finished_label(monkeypatch):

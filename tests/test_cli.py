@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -277,12 +278,37 @@ def test_invalid_parameters_exit_2(capsys):
     assert code == 2 and "unrecognized arguments" in err
 
 
+VERIFY_LINE = re.compile(r"PASS [a-z0-9-]+ \(\d+\.\d\d s\): ")
+
+
 def test_verify_quick(capsys):
     code, out, _ = run_cli(capsys, "verify", "--quick")
     assert code == 0
     lines = [line for line in out.splitlines() if line]
     assert len(lines) == 13
-    assert all(line.startswith("PASS") for line in lines)
+    assert all(VERIFY_LINE.match(line) for line in lines), lines
+
+
+def test_fuzz_verify_arguments(capsys, monkeypatch):
+    # unknown flags, stray positionals and values given to --quick exit 2
+    # with a message before any check runs
+    import ariki.cli as cli
+    ran = []
+    monkeypatch.setattr(cli, "run_all", lambda *args, **kwargs: ran.append(args) or True)
+    rng = random.Random(6)
+    bad = ["--quick=1", "--quick=--", "--quick=", "--quick=0", "--slow", "--Quick",
+           "--rank-cap", "-x", "-q", "extra", "1", "quick", "-", "--", "--d=2"]
+    for _ in range(150):
+        tokens = rng.sample(bad, rng.randint(1, 3))
+        for _ in range(rng.randint(0, 2)):
+            tokens.insert(rng.randint(0, len(tokens)), "--quick")
+        argv = ["verify", *tokens]
+        if rng.random() < 0.1:
+            argv = [tokens[0], "verify", *tokens[1:]]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "error" in err, (argv, err)
+        assert "Traceback" not in err
+        assert not ran, argv
 
 
 def test_verify_quick_survives_python_O():
@@ -295,7 +321,7 @@ def test_verify_quick_survives_python_O():
     assert proc.returncode == 0, proc.stderr
     lines = [line for line in proc.stdout.splitlines() if line]
     assert len(lines) == 13
-    assert all(line.startswith("PASS") for line in lines)
+    assert all(VERIFY_LINE.match(line) for line in lines), lines
 
 
 def test_output_byte_identical_across_runs_and_threads():

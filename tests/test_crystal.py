@@ -236,24 +236,30 @@ def test_validation_stays_at_the_boundary(monkeypatch):
     # kernels under it (signatures, raising, peeling) never re-validate
     import ariki
     import ariki.partitions as partitions
-    calls = []
-    real = partitions.check_multipartition
+    calls = {"check_multipartition": [], "check_multicomposition": []}
 
-    def counted(mp):
-        calls.append(mp)
-        return real(mp)
+    def counted(name, real):
+        def counting(mp, *args):
+            calls[name].append(mp)
+            return real(mp, *args)
+        return counting
 
-    for module in vars(ariki).values():
-        if getattr(module, "check_multipartition", None) is real:
-            monkeypatch.setattr(module, "check_multipartition", counted)
+    for name in calls:
+        real = getattr(partitions, name)
+        for module in vars(ariki).values():
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted(name, real))
     p = ChargeParams(3, 4, (0, 1, 3))
     diagonal = flotw_multipartitions(p, 10)[300]
     kleshchev = kleshchev_multipartitions(p, 10)[300]
     for fn, mp in ((a_value, diagonal), (a_sequence, diagonal), (a_graph, diagonal),
                    (bijection_j_inverse, diagonal), (bijection_j, kleshchev)):
-        calls.clear()
+        for seen in calls.values():
+            seen.clear()
         fn(mp, p)
-        assert len(calls) <= 1, (fn.__name__, len(calls))
+        assert len(calls["check_multipartition"]) <= 1, (fn.__name__, calls)
+        # the replay's stages are built from validated input
+        assert not calls["check_multicomposition"], (fn.__name__, calls)
 
 
 def test_boundary_rejects_bad_input():

@@ -7,7 +7,7 @@ import pytest
 import ariki
 from ariki.charge import ChargeParams, below_key, is_below
 from ariki.crystal import crystal_graph, good_addable_node, good_removable_node
-from ariki.fock import (FockVector, e_action, f_action, f_divided,
+from ariki.fock import (FockVector, _f_divided, e_action, f_action, f_divided,
                         f_power_divided_oracle)
 from ariki.laurent import LaurentPoly, gauss_factorial
 from ariki.partitions import Node, enumerate_multipartitions
@@ -96,6 +96,26 @@ def test_divided_power_oracle_multi_term():
                             out = f_divided(vec, i, j, order, p)
                             assert out == f_power_divided_oracle(vec, i, j, order, p)
                             _assert_normalized(out)
+
+
+def test_shared_move_table_matches_fresh_calls():
+    # one table serves every divided power of one order and one target rank,
+    # for every residue: two vectors with overlapping support, applied one
+    # after the other, give what two fresh f_divided calls give
+    rng = random.Random(20261)
+    for p in GRID:
+        mps = enumerate_multipartitions(p.d, 3)
+        shared = rng.sample(mps, 3)
+        vecs = [FockVector({mp: _random_poly(rng) for mp in shared + rng.sample(mps, 2)})
+                for _ in range(2)]
+        for order in ("am", "flotw"):
+            for j in (1, 2, 3):
+                table = {}
+                for i in range(p.e):
+                    for vec in vecs:
+                        out = _f_divided(vec, i, j, order, p, table)
+                        assert out == f_divided(vec, i, j, order, p), (p, order, i, j)
+                assert {key[0] for key in table} >= set(shared)
 
 
 def test_divided_power_cancelling_terms_dropped():
