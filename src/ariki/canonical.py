@@ -36,7 +36,11 @@ way it must give the same basis, which the tests and `verify` check.
 
 Specializing q = 1 gives the decomposition matrix, with rows and columns
 sorted by ascending a-value (ties lexicographic) so its unitriangular
-shape is visually literal.
+shape is visually literal.  Almost every cell is zero (1.3% are nonzero at
+(2,4,(0,1)) n=16), so the matrix stores only its nonzero cells, row by row:
+each column's q = 1 values are written straight into the rows they touch,
+and the column's basis vector is dropped once read.  The dense view is
+derived on demand and is never built on the rendering path.
 """
 
 from bisect import bisect_right
@@ -199,20 +203,50 @@ def canonical_basis(p: ChargeParams, n: int, _tie_reverse=False):
     return _elements(_top_basis(p, levels, avals, _tie_reverse), avals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DecompositionMatrix:
     """Integer decomposition matrix with dual-labeled columns.
 
     Rows and columns are sorted by ascending a-value, ties lexicographic.
     kleshchev_labels[j] is the component-major crystal label matching
     column j, when the column labels come from the diagonal crystal.
+
+    Only the nonzero cells are stored: nonzero[i] holds row i's
+    (column index, entry) pairs by ascending column.  entries, the dense
+    rows x columns view, is derived from them on first use.  The
+    constructor takes either nonzero= or a dense entries=, which it
+    converts once.
     """
     rows: tuple
     columns: tuple
     kleshchev_labels: tuple
-    entries: tuple
+    nonzero: tuple
     row_a_values: tuple
     column_a_values: tuple
+
+    def __init__(self, rows, columns, kleshchev_labels, row_a_values,
+                 column_a_values, nonzero=None, entries=None):
+        if (nonzero is None) == (entries is None):
+            raise TypeError("pass exactly one of nonzero and entries")
+        if entries is not None:
+            nonzero = tuple(tuple((j, x) for j, x in enumerate(row) if x)
+                            for row in entries)
+        for name, value in (("rows", rows), ("columns", columns),
+                            ("kleshchev_labels", kleshchev_labels),
+                            ("nonzero", nonzero), ("row_a_values", row_a_values),
+                            ("column_a_values", column_a_values)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def entries(self):
+        zeros = [0] * len(self.columns)
+        dense = []
+        for pairs in self.nonzero:
+            row = zeros.copy()
+            for j, x in pairs:
+                row[j] = x
+            dense.append(tuple(row))
+        return tuple(dense)
 
     @cached_property
     def _row_index(self):
@@ -223,13 +257,12 @@ class DecompositionMatrix:
         return {mp: j for j, mp in enumerate(self.columns)}
 
     def entry(self, mp_row, mp_col) -> int:
-        return self.entries[self._row_index[mp_row]][self._column_index[mp_col]]
+        pairs = self.nonzero[self._row_index[mp_row]]
+        return dict(pairs).get(self._column_index[mp_col], 0)
 
     def is_identity(self) -> bool:
         return (len(self.rows) == len(self.columns)
-                and all(self.entries[i][j] == (1 if i == j else 0)
-                        for i in range(len(self.rows))
-                        for j in range(len(self.columns))))
+                and all(pairs == ((i, 1),) for i, pairs in enumerate(self.nonzero)))
 
 
 def decomposition_matrix(p: ChargeParams, n: int) -> DecompositionMatrix:
@@ -242,27 +275,22 @@ def decomposition_matrix(p: ChargeParams, n: int) -> DecompositionMatrix:
     del flotw
     rows = enumerate_multipartitions(p.d, n)
     avals = {mp: _a_value(mp, p) for mp in rows}
-    basis = _elements(_top_basis(p, levels, avals), avals)
-    rows = sorted(rows, key=lambda m: (avals[m], m))
-    columns = tuple(el.label for el in basis)
-    specialized = [el.vector.at_one() for el in basis]
-    # each row is a copy of one zero row with its nonzeros written in
+    basis = _top_basis(p, levels, avals)
+    rows.sort(key=lambda m: (avals[m], m))
+    columns = sorted(basis, key=lambda m: (avals[m], m))
+    # each column's q = 1 values go straight into its rows' nonzero pairs,
+    # and its vector is dropped once read
     row_of = {mp: r for r, mp in enumerate(rows)}
-    nonzero_columns = [[] for _ in rows]
-    for j, spec in enumerate(specialized):
-        for mp in spec:
-            nonzero_columns[row_of[mp]].append(j)
-    zeros = [0] * len(columns)
-    entries = []
-    for mp, js in zip(rows, nonzero_columns):
-        row = zeros.copy()
-        for j in js:
-            row[j] = specialized[j][mp]
-        entries.append(tuple(row))
-    kleshchev = tuple(dual[col] for col in columns)
+    nonzero = [[] for _ in rows]
+    for j, col in enumerate(columns):
+        for mp, coeff in basis.pop(col).terms.items():
+            x = coeff.at_one()
+            if x:
+                nonzero[row_of[mp]].append((j, x))
     return DecompositionMatrix(
-        rows=tuple(rows), columns=columns, kleshchev_labels=kleshchev,
-        entries=tuple(entries),
+        rows=tuple(rows), columns=tuple(columns),
+        kleshchev_labels=tuple(dual[col] for col in columns),
+        nonzero=tuple(map(tuple, nonzero)),
         row_a_values=tuple(avals[mp] for mp in rows),
         column_a_values=tuple(avals[mp] for mp in columns))
 
@@ -275,14 +303,19 @@ def simple_module_a_values(p: ChargeParams, n: int, matrix=None):
     """
     if matrix is None:
         matrix = decomposition_matrix(p, n)
+    # the smallest a-value of each column's nonzero rows, in one pass over
+    # the stored nonzeros
+    lowest = [None] * len(matrix.columns)
+    for a, pairs in zip(matrix.row_a_values, matrix.nonzero):
+        for j, _ in pairs:
+            if lowest[j] is None or a < lowest[j]:
+                lowest[j] = a
     out = {}
     for j, col in enumerate(matrix.columns):
-        nonzero = [matrix.row_a_values[i] for i in range(len(matrix.rows))
-                   if matrix.entries[i][j] != 0]
         a_col = matrix.column_a_values[j]
-        if not nonzero or min(nonzero) != a_col:
+        if lowest[j] != a_col:
             raise RuntimeError(
-                f"column {col}: min nonzero row a-value {min(nonzero, default=None)} "
+                f"column {col}: min nonzero row a-value {lowest[j]} "
                 f"differs from column a-value {a_col}")
         out[matrix.kleshchev_labels[j]] = a_col
     return out

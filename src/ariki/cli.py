@@ -6,10 +6,12 @@ come from --d/--e/--charges with an optional --shift override of the
 minimal weight shift.  Exit codes: 0 success, 1 internal assertion failure,
 2 invalid parameters, an --mp above MAX_MP_RANK cells or a symbol --shift
 above MAX_MP_RANK among them.  Output is byte-identical across runs and hash
-seeds.
+seeds.  canonical, decomp and typeb stream their text to stdout once it is
+all computed; a reader that closes the pipe early ends the run with exit 0.
 """
 
 import argparse
+import os
 import sys
 
 from . import render
@@ -141,12 +143,12 @@ def run(args) -> int:
         out.write(render.render_bijection(p, _multipartition(args), args.inverse))
     elif cmd == "canonical":
         p = _charge_params(args)
-        out.write(render.render_canonical(p, args.n))
+        render.write_canonical(out, p, args.n)
     elif cmd == "decomp":
         p = _charge_params(args)
-        out.write(render.render_decomp(p, args.n, args.format))
+        render.write_decomp(out, p, args.n, args.format)
     elif cmd == "typeb":
-        out.write(render.render_typeb(args.n, args.e, args.action, args.format))
+        render.write_typeb(out, args.n, args.e, args.action, args.format)
     elif cmd == "verify":
         caps = RankCaps.quick() if args.quick else RankCaps()
         if not run_all(caps, report=lambda line: out.write(line + "\n")):
@@ -167,7 +169,14 @@ def main(argv=None) -> int:
         print(f"error: invalid value for {listed[0]}", file=sys.stderr)
         return 2
     try:
-        return run(args)
+        code = run(args)
+        sys.stdout.flush()  # a reader that closed early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader took what it wanted (as `ariki decomp ... | head` does);
+        # end quietly, with stdout pointed where the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

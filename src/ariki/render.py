@@ -1,10 +1,19 @@
 """Deterministic text/JSON/DOT renderers shared by the CLI and the test suite.
 
-Every function returns a complete output string; nothing here touches
-stdout.  All iteration happens over canonically sorted structures, so equal
-inputs produce byte-identical output across runs and hash seeds.
+The large outputs (canonical bases and decomposition matrices) have writer
+functions, write_*(out, ...), that compute everything first and then
+stream the text to the file object out; the CLI passes sys.stdout.  Each
+render_* function returns the complete output string, for the large
+outputs by capturing its writer in an io.StringIO.  Nothing here touches
+stdout itself.  All iteration happens over canonically sorted structures,
+so equal inputs produce byte-identical output across runs and hash seeds.
+
+Text is made only for what the output shows: a matrix row is a copy of one
+blank row with its nonzero cells written in, and a canonical basis formats
+each distinct multipartition and each distinct coefficient once.
 """
 
+import io
 import json
 
 from .aseq import a_graph, a_sequence
@@ -85,25 +94,71 @@ def render_bijection(p: ChargeParams, mp, inverse: bool = False) -> str:
     return format_multipartition(image) + "\n"
 
 
+def _capture(write, *args) -> str:
+    """What write(out, *args) writes, as one string."""
+    buf = io.StringIO()
+    write(buf, *args)
+    return buf.getvalue()
+
+
+def write_canonical(out, p: ChargeParams, n: int):
+    basis = canonical_basis(p, n)
+    # one position and one text per distinct multipartition in any support,
+    # and one text per distinct coefficient
+    support = sorted({mp for el in basis for mp in el.vector.terms})
+    position = {mp: i for i, mp in enumerate(support)}
+    name = {mp: format_multipartition(mp) for mp in support}
+    coeff_text = {}
+    for el in basis:
+        terms = el.vector.terms
+        parts = []
+        for mp in sorted(terms, key=position.__getitem__):
+            c = terms[mp]
+            text = coeff_text.get(c)
+            if text is None:
+                text = coeff_text[c] = f"({c})*["
+            parts.append(f"{text}{name[mp]}]")
+        out.write(f"{name[el.label]}: {' + '.join(parts)}\n")
+
+
 def render_canonical(p: ChargeParams, n: int) -> str:
-    lines = [f"{format_multipartition(el.label)}: {el.vector}"
-             for el in canonical_basis(p, n)]
-    return "\n".join(lines) + "\n"
+    return _capture(write_canonical, p, n)
 
 
-def render_matrix(matrix, fmt: str = "text") -> str:
+def _fill(blank, stride, width, pairs, text):
+    """blank with cell j of each (j, x) in pairs, the width characters at
+    j * stride, replaced by text[x]; pairs ascend in j."""
+    pieces, pos = [], 0
+    for j, x in pairs:
+        start = j * stride
+        pieces += (blank[pos:start], text[x])
+        pos = start + width
+    pieces.append(blank[pos:])
+    return "".join(pieces)
+
+
+def write_matrix(out, matrix, fmt: str = "text"):
+    values = {x for pairs in matrix.nonzero for _, x in pairs}
     if fmt == "json":
-        payload = {
+        # json.dumps of the dense payload, byte for byte: its head is dumped
+        # whole and the entries are written row by row
+        head = json.dumps({
             "rows": [multipartition_to_json(mp) for mp in matrix.rows],
             "columns": [multipartition_to_json(mp) for mp in matrix.columns],
             "row_a_values": [format_rational(a) for a in matrix.row_a_values],
             "column_a_values": [format_rational(a) for a in matrix.column_a_values],
-            "entries": [list(row) for row in matrix.entries],
-        }
+        })
+        out.write(head[:-1] + ', "entries": [')
+        blank = ", ".join(["0"] * len(matrix.columns))
+        text = {x: str(x) for x in values}
+        for i, pairs in enumerate(matrix.nonzero):
+            out.write(f"{', ' if i else ''}[{_fill(blank, 3, 1, pairs, text)}]")
+        out.write("]")
         if matrix.kleshchev_labels is not None:
-            payload["kleshchev_columns"] = [multipartition_to_json(mp)
-                                            for mp in matrix.kleshchev_labels]
-        return json.dumps(payload)
+            out.write(', "kleshchev_columns": ' + json.dumps(
+                [multipartition_to_json(mp) for mp in matrix.kleshchev_labels]))
+        out.write("}")
+        return
     lines = ["columns:"]
     for j, col in enumerate(matrix.columns):
         dual = ""
@@ -111,36 +166,48 @@ def render_matrix(matrix, fmt: str = "text") -> str:
             dual = f"  kleshchev {format_multipartition(matrix.kleshchev_labels[j])}"
         lines.append(f"  [{j}] {format_multipartition(col)}"
                      f"  a={format_rational(matrix.column_a_values[j])}{dual}")
+    lines.append("rows:")
+    out.write("\n".join(lines) + "\n")
     labels = [format_multipartition(mp) for mp in matrix.rows]
     label_width = max(map(len, labels), default=1)
-    # the matrix has few distinct values: pad each once, then look cells up
-    values = set()
-    for row in matrix.entries:
-        values.update(row)
-    entry_width = max((len(str(x)) for x in values), default=1)
-    cell = {x: f"{x if x else '.':>{entry_width}}" for x in values}
-    lines.append("rows:")
-    for label, row in zip(labels, matrix.entries):
-        cells = " ".join(map(cell.__getitem__, row))
-        lines.append(f"  {label:<{label_width}}  | {cells}")
-    return "\n".join(lines) + "\n"
+    # "0" is one character wide, so the nonzero values alone fix the width
+    width = max((len(str(x)) for x in values), default=1)
+    cell = {x: f"{x:>{width}}" for x in values}
+    blank = " ".join([f"{'.':>{width}}"] * len(matrix.columns))
+    for label, pairs in zip(labels, matrix.nonzero):
+        out.write(f"  {label:<{label_width}}  | {_fill(blank, width + 1, width, pairs, cell)}\n")
+
+
+def render_matrix(matrix, fmt: str = "text") -> str:
+    return _capture(write_matrix, matrix, fmt)
+
+
+def write_decomp(out, p: ChargeParams, n: int, fmt: str = "text"):
+    write_matrix(out, decomposition_matrix(p, n), fmt)
 
 
 def render_decomp(p: ChargeParams, n: int, fmt: str = "text") -> str:
-    return render_matrix(decomposition_matrix(p, n), fmt)
+    return _capture(write_decomp, p, n, fmt)
 
 
-def render_typeb(n: int, e: int, action: str, fmt: str = "text") -> str:
+def write_typeb(out, n: int, e: int, action: str, fmt: str = "text"):
     if action == "basic-set":
         labels = canonical_basic_set_b(n, e)
         if fmt == "json":
-            return json.dumps([multipartition_to_json(bp) for bp in labels])
-        return "\n".join(format_multipartition(bp) for bp in labels) + "\n"
-    if action == "a-values":
+            out.write(json.dumps([multipartition_to_json(bp) for bp in labels]))
+        else:
+            out.write("\n".join(format_multipartition(bp) for bp in labels) + "\n")
+    elif action == "a-values":
         pairs = [(bp, a_value_typeb(bp)) for bp in bipartitions_of(n)]
         if fmt == "json":
-            return json.dumps([[multipartition_to_json(bp), a] for bp, a in pairs])
-        return "\n".join(f"{format_multipartition(bp)}: {a}" for bp, a in pairs) + "\n"
-    if action == "decomp":
-        return render_matrix(decomposition_matrix_b(n, e), fmt)
-    raise ValueError(f"unknown type B action {action!r}")
+            out.write(json.dumps([[multipartition_to_json(bp), a] for bp, a in pairs]))
+        else:
+            out.write("\n".join(f"{format_multipartition(bp)}: {a}" for bp, a in pairs) + "\n")
+    elif action == "decomp":
+        write_matrix(out, decomposition_matrix_b(n, e), fmt)
+    else:
+        raise ValueError(f"unknown type B action {action!r}")
+
+
+def render_typeb(n: int, e: int, action: str, fmt: str = "text") -> str:
+    return _capture(write_typeb, n, e, action, fmt)

@@ -86,32 +86,30 @@ def decomposition_matrix_b(n: int, e: int) -> DecompositionMatrix:
     levels = crystal_graph(pa, n, "flotw").levels
     top = {mp: _a_value(mp, pa) for mp in levels[n]}
     # per rank and row partition of a type-A factor: its nonzero (column, entry)
-    nonzero = []
+    factors = []
     for basis in _bases_by_rank(pa, levels, top):
         pairs = {}
         for (lam,), vec in basis.items():
             for (mu,), x in vec.at_one().items():
                 if x:
                     pairs.setdefault(mu, []).append((lam, x))
-        nonzero.append(pairs)
+        factors.append(pairs)
 
     avals = {bp: a_value_typeb(bp) for bp in bipartitions_of(n)}
     rows = sorted(avals, key=lambda bp: (avals[bp], bp))
     columns = sorted(canonical_basic_set_b(n, e), key=lambda bp: (avals[bp], bp))
     # an entry is the product of the component-wise type-A entries, so only
-    # products of two nonzeros are written; size mismatches stay zero
+    # products of two nonzeros are stored; size mismatches stay zero
     column_of = {lam: j for j, lam in enumerate(columns)}
-    zeros = [0] * len(columns)
-    entries = []
+    nonzero = []
     for mu0, mu1 in rows:
         a = sum(mu0)
-        line = zeros.copy()
-        for lam0, x in nonzero[a].get(mu0, ()):
-            for lam1, y in nonzero[n - a].get(mu1, ()):
-                line[column_of[lam0, lam1]] = x * y
-        entries.append(tuple(line))
+        nonzero.append(tuple(sorted(
+            (column_of[lam0, lam1], x * y)
+            for lam0, x in factors[a].get(mu0, ())
+            for lam1, y in factors[n - a].get(mu1, ()))))
     return DecompositionMatrix(
         rows=tuple(rows), columns=tuple(columns), kleshchev_labels=None,
-        entries=tuple(entries),
+        nonzero=tuple(nonzero),
         row_a_values=tuple(avals[bp] for bp in rows),
         column_a_values=tuple(avals[bp] for bp in columns))

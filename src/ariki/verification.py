@@ -23,7 +23,7 @@ from .crystal import flotw_multipartitions, is_kleshchev, kleshchev_multipartiti
 from .fock import FockVector, f_divided, f_power_divided_oracle
 from .laurent import LaurentPoly
 from .partitions import enumerate_multipartitions, is_e_regular
-from .render import render_canonical, render_decomp
+from .render import render_canonical, render_decomp, render_typeb
 from .symbols import a_value, ordinary_symbol, prec, schur_valuation, shifted_symbol
 from .typeb import (a_value_typeb, bipartitions_of, decomposition_matrix_b,
                     even_charge_params, type_a_params)
@@ -325,18 +325,22 @@ def hash_seed_outputs(code):
 
 
 def check_determinism(caps):
-    """Canonical/decomposition output is byte-identical across hash seeds."""
+    """Canonical, decomposition (text and JSON) and type B output is
+    byte-identical across hash seeds."""
     n = min(4, caps.canonical)
     code = ("import sys\n"
             "from ariki.charge import ChargeParams\n"
-            "from ariki.render import render_canonical, render_decomp\n"
+            "from ariki.render import render_canonical, render_decomp, render_typeb\n"
             "from ariki.typeb import even_charge_params\n"
             "p = ChargeParams(2, 4, (0, 1))\n"
             f"sys.stdout.write(render_canonical(p, {n}) + render_decomp(p, {n})\n"
-            "                 + render_decomp(even_charge_params(2), 3))\n")
+            f"                 + render_decomp(p, {n}, 'json')\n"
+            "                 + render_decomp(even_charge_params(2), 3)\n"
+            "                 + render_typeb(3, 3, 'decomp'))\n")
     p = ChargeParams(2, 4, (0, 1))
-    here = (render_canonical(p, n) + render_decomp(p, n)
-            + render_decomp(even_charge_params(2), 3)).encode()
+    here = (render_canonical(p, n) + render_decomp(p, n) + render_decomp(p, n, "json")
+            + render_decomp(even_charge_params(2), 3)
+            + render_typeb(3, 3, "decomp")).encode()
     if hash_seed_outputs(code) != [here, here]:
         return False, "outputs differ across hash seeds"
     return True, "PYTHONHASHSEED 0, 1 and this process agree byte for byte"

@@ -4,8 +4,8 @@ import dataclasses
 
 import pytest
 
-from ariki.canonical import (_bar_symmetric_completion, _bases_by_rank, _elements,
-                             canonical_basis, compute_A, decomposition_matrix,
+from ariki.canonical import (DecompositionMatrix, _bar_symmetric_completion,
+                             _bases_by_rank, _elements, canonical_basis, compute_A, decomposition_matrix,
                              simple_module_a_values)
 from ariki.charge import ChargeParams, diagram_residues, is_semisimple
 from ariki.crystal import crystal_graph, flotw_multipartitions
@@ -185,6 +185,39 @@ def test_decomposition_matrix_d1e3():
     assert m.entry(((2, 1),), ((3,),)) == 1
     assert m.entry(((1, 1, 1),), ((2, 1),)) == 1
     assert m.entry(((1, 1, 1),), ((3,),)) == 0
+
+
+def test_matrix_stores_only_nonzeros():
+    # the pipeline's matrices hold one (column, entry) pair per nonzero cell,
+    # by ascending column, and agree with their dense view
+    matrices = [decomposition_matrix(p, n) for p in GRID for n in range(6)]
+    matrices += [decomposition_matrix_b(n, e) for e in (2, 3, 4, 5) for n in range(7)]
+    for m in matrices:
+        dense = m.entries
+        assert len(dense) == len(m.rows) and all(len(row) == len(m.columns) for row in dense)
+        assert (sum(len(pairs) for pairs in m.nonzero)
+                == sum(1 for row in dense for x in row if x))
+        for pairs in m.nonzero:
+            columns = [j for j, _ in pairs]
+            assert all(x for _, x in pairs) and columns == sorted(set(columns))
+        identity = tuple(tuple(int(i == j) for j in range(len(m.columns)))
+                         for i in range(len(m.rows)))
+        assert m.is_identity() == (len(m.rows) == len(m.columns) and dense == identity)
+        fields = {f: getattr(m, f) for f in ("rows", "columns", "kleshchev_labels",
+                                             "row_a_values", "column_a_values")}
+        assert DecompositionMatrix(**fields, entries=dense) == m
+        with pytest.raises(TypeError):
+            DecompositionMatrix(**fields)
+        with pytest.raises(TypeError):
+            DecompositionMatrix(**fields, entries=dense, nonzero=m.nonzero)
+    # square and unitriangular is not enough for the identity
+    labels = (((2,),), ((1, 1),))
+    for dense, identity in ((((1, 0), (0, 1)), True), (((1, 1), (0, 1)), False),
+                            (((1, 0), (1, 1)), False)):
+        m = DecompositionMatrix(rows=labels, columns=labels, kleshchev_labels=labels,
+                                row_a_values=(0, 1), column_a_values=(0, 1),
+                                entries=dense)
+        assert m.is_identity() == identity and m.entries == dense
 
 
 def test_semisimple_matrix_is_identity():

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, schemas, determinism."""
 
+import dataclasses
 import json
 import os
 import random
@@ -9,13 +10,13 @@ import sys
 
 import ariki
 from ariki import crystal
-from ariki.canonical import DecompositionMatrix
+from ariki.canonical import DecompositionMatrix, canonical_basis
 from ariki.cli import MAX_MP_RANK, main
 from ariki.charge import ChargeParams
 from ariki.partitions import format_multipartition
 from ariki.render import (render_canonical, render_crystal, render_decomp,
                           render_matrix, render_typeb)
-from ariki.verification import hash_seed_outputs
+from ariki.verification import GRID, hash_seed_outputs
 
 
 def run_cli(capsys, *argv):
@@ -153,6 +154,8 @@ def test_fuzz_single_vertex_commands(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code in (0, 2), (argv, err)
         assert "Traceback" not in err
+        if code == 2:
+            assert out == "", (argv, out)
         if code == 0 and cmd[0] == "bijection":
             assert len(out.strip().split(",")) == d, (argv, out)
 
@@ -208,6 +211,63 @@ def test_fuzz_rank_commands(capsys):
             assert code == 2, (argv, out)
         if code == 0:
             assert out, argv
+        else:  # the streamed commands print nothing before they fail
+            assert out == "", (argv, out)
+
+
+def test_streamed_commands_match_render_strings(capsys):
+    p = ChargeParams(2, 4, (0, 1))
+    charge = ["--d", "2", "--e", "4", "--charges", "0,1", "--n", "5"]
+    cases = [(["canonical", *charge], render_canonical(p, 5)),
+             (["decomp", *charge], render_decomp(p, 5)),
+             (["decomp", *charge, "--format", "text"], render_decomp(p, 5, "text")),
+             (["decomp", *charge, "--format", "json"], render_decomp(p, 5, "json"))]
+    for e in (3, 4):
+        for fmt in ("text", "json"):
+            cases.append((["typeb", "decomp", "--n", "5", "--e", str(e), f"--format={fmt}"],
+                          render_typeb(5, e, "decomp", fmt)))
+    for argv, expected in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and out == expected, argv
+
+
+def test_streamed_commands_write_nothing_on_internal_error(capsys, monkeypatch):
+    # a fault inside the computation surfaces before the first byte
+    import ariki.canonical as canonical
+    real = canonical._peel
+    monkeypatch.setattr(canonical, "_peel",
+                        lambda mp, p: dataclasses.replace(real(mp, p), rest=mp))
+    charge = ["--d", "2", "--e", "4", "--charges", "0,1", "--n", "3"]
+    for argv in (["canonical", *charge], ["decomp", *charge],
+                 ["decomp", *charge, "--format=json"],
+                 ["typeb", "decomp", "--n", "3", "--e", "3"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and "not a finished label" in err, argv
+
+
+def test_reader_closing_early_ends_quietly():
+    # `ariki decomp ... | head`: the 200 kB output outgrows the pipe, so the
+    # writer meets the closed pipe mid-stream and must exit 0 without a trace
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ariki.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ariki.cli", "decomp", "--d", "2", "--e", "4",
+         "--charges", "0,1", "--n", "10"],
+        env=dict(os.environ, PYTHONPATH=path), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    assert proc.stdout.read(9) == b"columns:\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0 and err == b"", err
+
+
+def test_render_canonical_matches_per_element_formatting():
+    # reference: each element through FockVector.__str__, every term formatted anew
+    for p in GRID:
+        for n in range(7):
+            lines = [f"{format_multipartition(el.label)}: {el.vector}"
+                     for el in canonical_basis(p, n)]
+            assert render_canonical(p, n) == "\n".join(lines) + "\n", (p, n)
 
 
 def _per_cell_rows(matrix):

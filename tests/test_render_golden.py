@@ -1,0 +1,40 @@
+"""Byte identity of the large renderers, pinned by SHA-256 digests.
+
+render_digests.json holds the digest of every output below.  Outputs are
+byte-stable across versions, so a digest changes only with a deliberate,
+documented change of output, and the file is regenerated with it.
+"""
+
+import hashlib
+import json
+import os
+
+from ariki.charge import ChargeParams
+from ariki.render import render_canonical, render_decomp, render_typeb
+from ariki.verification import GRID
+
+DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "render_digests.json")
+
+
+def _cases():
+    """(name, thunk) of every pinned output."""
+    points = [(p, n) for p in GRID for n in range(7)]
+    points.append((ChargeParams(2, 2, (0, 1)), 9))
+    for p, n in points:
+        key = f"{p.d},{p.e},{','.join(map(str, p.v))},n={n}"
+        yield f"canonical {key}", lambda p=p, n=n: render_canonical(p, n)
+        yield f"decomp text {key}", lambda p=p, n=n: render_decomp(p, n)
+        yield f"decomp json {key}", lambda p=p, n=n: render_decomp(p, n, "json")
+    for e in (3, 4):
+        for n in range(8):
+            for fmt in ("text", "json"):
+                yield (f"typeb decomp {fmt} e={e},n={n}",
+                       lambda n=n, e=e, fmt=fmt: render_typeb(n, e, "decomp", fmt))
+
+
+def test_render_outputs_match_golden_digests():
+    with open(DIGESTS) as fh:
+        golden = json.load(fh)
+    got = {name: hashlib.sha256(thunk().encode()).hexdigest() for name, thunk in _cases()}
+    assert set(got) == set(golden)
+    assert [name for name in got if got[name] != golden[name]] == []
