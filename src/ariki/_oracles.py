@@ -1,0 +1,257 @@
+"""Independent references that `verify` and the tests compare the pipeline against.
+
+Nothing in the pipeline imports this module, and none of its references
+reads the kernels it checks: the row scan charge.i_signature, the crystal's
+pair cancellation, or the divided-power move table.  Instead:
+
+- the node orders have one encoding here, below_key, and the i-nodes come
+  from the generic addable and removable filters;
+- f_action adds one node at a time, so (f_i)^j / [j]! checks the
+  divided powers;
+- compute_A replays a label's whole residue sequence from the empty
+  vector, and replayed_basis straightens those replays against the LLT
+  rank recursion;
+- schur_valuation walks the Schur element factor by factor against the
+  closed-form a-value, and prec compares the symbol statistic directly;
+- residue_path_terminals realizes a residue sequence every possible way.
+"""
+
+from .aseq import a_sequence_blocks, composition_addable_positions
+from .canonical import _elements, _leading_one, _straighten
+from .charge import ChargeParams, check_order, residue
+from .crystal import flotw_multipartitions
+from .fock import FockVector, f_divided
+from .laurent import LaurentPoly
+from .partitions import (add_node, addable_nodes, check_components,
+                         check_multicomposition, check_multipartition,
+                         diagram_nodes, empty_multipartition, part, rank,
+                         removable_nodes)
+from .symbols import _scaled_stat, a_value, ordinary_symbol
+
+
+def below_key(order: str, p: ChargeParams):
+    """Sort key placing the lowest node of the given order first.
+
+    Component-major: smaller (comp, row) is lower.  Diagonal: larger
+    charged content b - a + v_c is lower, and at equal content the smaller
+    component is lower.
+    """
+    check_order(order)
+    if order == "am":
+        return lambda g: (g.comp, g.row)
+    return lambda g: (-(g.col - g.row + p.v[g.comp]), g.comp)
+
+
+def addable_i_nodes(mp, i, p: ChargeParams):
+    return [g for g in addable_nodes(mp) if residue(g, p) == i]
+
+
+def removable_i_nodes(mp, i, p: ChargeParams):
+    return [g for g in removable_nodes(mp) if residue(g, p) == i]
+
+
+def diagram_residues(mc, p: ChargeParams):
+    """Map residue -> number of nodes of the diagram with that residue."""
+    counts = {i: 0 for i in range(p.e)}
+    for node in diagram_nodes(mc):
+        counts[residue(node, p)] += 1
+    return counts
+
+
+def gauss_number(j: int) -> LaurentPoly:
+    """Balanced q-integer [j] = q^(j-1) + q^(j-3) + ... + q^(1-j)."""
+    if j < 0:
+        raise ValueError("j must be nonnegative")
+    return LaurentPoly({j - 1 - 2 * t: 1 for t in range(j)})
+
+
+def gauss_factorial(j: int) -> LaurentPoly:
+    """[j]! = [1][2]...[j], with [0]! = 1."""
+    if j < 0:
+        raise ValueError("j must be nonnegative")
+    out = LaurentPoly.one()
+    for t in range(1, j + 1):
+        out = out * gauss_number(t)
+    return out
+
+
+def f_action(v: FockVector, i, order: str, p: ChargeParams) -> FockVector:
+    """Lowering generator f_i: add one i-node every possible way.
+
+    Adding gamma to lam has the exponent: addable i-nodes of lam below
+    gamma minus removable i-nodes of the result below gamma.
+    """
+    key = below_key(order, p)
+    out = {}
+    for lam in v.support():
+        coef = v.terms[lam]
+        addable = addable_i_nodes(lam, i, p)
+        for gamma in addable:
+            mu = add_node(lam, gamma)
+            top = key(gamma)
+            exp = (sum(1 for g in addable if key(g) < top)
+                   - sum(1 for g in removable_i_nodes(mu, i, p) if key(g) < top))
+            out[mu] = out.get(mu, LaurentPoly.zero()) + coef * LaurentPoly.q_power(exp)
+    return FockVector(out)
+
+
+def f_power_divided_oracle(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVector:
+    """(f_i)^j / [j]!, with the division required to be exact."""
+    out = v
+    for _ in range(j):
+        out = f_action(out, i, order, p)
+    return out.exact_div(gauss_factorial(j))
+
+
+def compute_A(mp, p: ChargeParams) -> FockVector:
+    """Divided powers of the residue sequence applied to the empty vector."""
+    vec = FockVector.unit(empty_multipartition(p.d))
+    for i, count in a_sequence_blocks(mp, p):
+        vec = f_divided(vec, i, count, "flotw", p)
+    return _leading_one(mp, vec)
+
+
+def replayed_basis(p, n, tie_reverse=False):
+    """canonical_basis straightened from compute_A instead of the rank recursion.
+
+    Each label's vector replays its whole residue sequence from the empty
+    vector, and the labels come from the direct membership test, so neither
+    the finished lower-rank elements nor the crystal walk is used.
+    """
+    labels = flotw_multipartitions(p, n)
+    avals = {mp: a_value(mp, p) for mp in labels}
+    basis = _straighten(labels, avals, lambda mp: dict(compute_A(mp, p).terms),
+                        tie_reverse)
+    return _elements(basis, avals)
+
+
+def schur_valuation(mp, p: ChargeParams) -> int:
+    """y-adic valuation of the Schur element, walked factor by factor.
+
+    Parameters are u_j = y^(d*m^(j)) * eta_d^j and v = y^d.  Every binomial
+    factor has the shape y^A * eta_d^i - y^B * eta_d^j with (A, i) != (B, j),
+    so its lowest coefficient never cancels and it contributes min(A, B).
+    """
+    mp = check_components(mp, p.d)
+    sym = ordinary_symbol(mp, 0)
+    d, sm = p.d, p.scaled_m
+    rows = sym.rows
+    n = sym.source_rank
+
+    # prefactor ((v-1) prod u_i)^(-n) * v^(tau - |B| + n); v - 1 has valuation 0
+    val = d * (sym.tau - sym.total + n) - n * sum(sm)
+
+    # nu: product over i < j of (u_i - u_j)^h, then the theta product
+    for i in range(d):
+        for j in range(i + 1, d):
+            exp_a, exp_b = sm[i], sm[j]
+            if (exp_a, i) == (exp_b, j):
+                raise RuntimeError(f"vanishing nu factor at components {i}, {j}")
+            val += sym.height * min(exp_a, exp_b)
+    for i in range(d):
+        for j in range(d):
+            for alpha in rows[i]:
+                for k in range(1, alpha + 1):
+                    exp_a, exp_b = d * k + sm[i], sm[j]
+                    if (exp_a, i) == (exp_b, j):
+                        raise RuntimeError(f"vanishing theta factor at components {i}, {j}")
+                    val += min(exp_a, exp_b)
+
+    # delta: one factor per admissible pair of symbol entries, divided out
+    for i in range(d):
+        row = rows[i]
+        for j1 in range(len(row)):
+            for j2 in range(j1 + 1, len(row)):
+                alpha, beta = row[j1], row[j2]
+                exp_a, exp_b = d * alpha + sm[i], d * beta + sm[i]
+                if exp_a == exp_b:
+                    raise RuntimeError("equal entries in a partition symbol row")
+                val -= min(exp_a, exp_b)
+        for j in range(i + 1, d):
+            for alpha in row:
+                for beta in rows[j]:
+                    exp_a, exp_b = d * alpha + sm[i], d * beta + sm[j]
+                    if (exp_a, i) == (exp_b, j):
+                        raise RuntimeError(f"vanishing delta factor at components {i}, {j}")
+                    val -= min(exp_a, exp_b)
+    return val
+
+
+def prec(mu, nu, p: ChargeParams) -> bool:
+    """Strict symbol-statistic comparison of equal-rank d-compositions.
+
+    For d-partitions this is equivalent to a_value(mu) < a_value(nu).
+    """
+    mu = check_multicomposition(mu)
+    nu = check_multicomposition(nu)
+    if len(mu) != p.d or len(nu) != p.d:
+        raise ValueError(f"expected {p.d} components")
+    if rank(mu) != rank(nu):
+        raise ValueError("prec compares multicompositions of equal rank")
+    h = max(max((len(c) for c in mu), default=0),
+            max((len(c) for c in nu), default=0))
+    return _scaled_stat(mu, h, p) < _scaled_stat(nu, h, p)
+
+
+def residue_path_terminals(seq, p: ChargeParams, compositions: bool = False):
+    """All endpoints of single-node addition chains realizing a residue sequence.
+
+    With compositions=False the chain passes through multipartitions only;
+    otherwise any multicomposition stage is allowed.
+    """
+    frontier = {empty_multipartition(p.d)}
+    for k in seq:
+        nxt = set()
+        for mc in frontier:
+            if compositions:
+                spots = composition_addable_positions(mc, k, p)
+            else:
+                spots = addable_i_nodes(mc, k, p)
+            for g in spots:
+                nxt.add(add_node(mc, g))
+        frontier = nxt
+    return frontier
+
+
+def dominates(mu, lam) -> bool:
+    """Dominance order on d-partitions of equal rank: mu >= lam."""
+    if len(mu) != len(lam):
+        raise ValueError("multipartitions have different numbers of components")
+    if rank(mu) != rank(lam):
+        raise ValueError("multipartitions have different ranks")
+    acc_mu = acc_lam = 0
+    for j in range(len(mu)):
+        h = max(len(mu[j]), len(lam[j]))
+        run_mu, run_lam = acc_mu, acc_lam
+        for i in range(1, h + 1):
+            run_mu += part(mu[j], i)
+            run_lam += part(lam[j], i)
+            if run_mu < run_lam:
+                return False
+        acc_mu, acc_lam = run_mu, run_lam
+    return True
+
+
+def count_multipartitions(d: int, n: int) -> int:
+    """Number of d-partitions of rank n, counted without enumerating them.
+
+    A d-partition is a multiset of parts in d colours, so the count is the
+    coefficient of x^n in prod_{c < d} prod_{k >= 1} 1/(1 - x^k): one table
+    of counts by rank, updated in place once per (colour, part size).
+    """
+    if d < 1:
+        raise ValueError("d must be positive")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    ways = [1] + [0] * n
+    for _ in range(d):
+        for size in range(1, n + 1):
+            for k in range(size, n + 1):
+                ways[k] += ways[k - size]
+    return ways[n]
+
+
+def multipartition_from_json(data, require_partitions: bool = True):
+    """Inverse of partitions.multipartition_to_json."""
+    mp = tuple(tuple(comp) for comp in data)
+    return check_multipartition(mp) if require_partitions else check_multicomposition(mp)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .charge import ChargeParams
 from .crystal import _is_flotw
-from .fock import addable_i_nodes
 from .partitions import (Node, add_node, check_components, check_multicomposition,
                          empty_multipartition, part, rank)
 
@@ -157,23 +156,3 @@ def a_graph(mp, p: ChargeParams) -> AGraph:
     if cur != mp:
         raise RuntimeError(f"optimal replay of {seq} ended at {cur}, not {mp}")
     return AGraph(steps=tuple(steps), final=cur)
-
-
-def residue_path_terminals(seq, p: ChargeParams, compositions: bool = False):
-    """All endpoints of single-node addition chains realizing a residue sequence.
-
-    With compositions=False the chain passes through multipartitions only;
-    otherwise any multicomposition stage is allowed.
-    """
-    frontier = {empty_multipartition(p.d)}
-    for k in seq:
-        nxt = set()
-        for mc in frontier:
-            if compositions:
-                spots = composition_addable_positions(mc, k, p)
-            else:
-                spots = addable_i_nodes(mc, k, p)
-            for g in spots:
-                nxt.add(add_node(mc, g))
-        frontier = nxt
-    return frontier

@@ -30,9 +30,10 @@ still to be built peels to mu (the peel steps are counted first), and a
 caller that drops each yielded rank at once holds no rank's element list
 while the next rank is straightened.
 
-compute_A, the paper's A-vector, replays a label's whole residue sequence
-from the empty vector.  It is not on the basis path; straightened the same
-way it must give the same basis, which the tests and `verify` check.
+The oracle ariki._oracles.compute_A, the paper's A-vector, replays a
+label's whole residue sequence from the empty vector.  It is not on the
+basis path; straightened the same way it must give the same basis, which
+the tests and `verify` check.
 
 Specializing q = 1 gives the decomposition matrix, with rows and columns
 sorted by ascending a-value (ties lexicographic) so its unitriangular
@@ -47,12 +48,12 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .aseq import _peel, a_sequence_blocks
+from .aseq import _peel
 from .charge import ChargeParams
 from .crystal import _graph_bijection, crystal_graph
-from .fock import FockVector, _f_divided, f_divided
+from .fock import FockVector, _f_divided
 from .laurent import LaurentPoly
-from .partitions import empty_multipartition, enumerate_multipartitions
+from .partitions import enumerate_multipartitions
 from .symbols import _a_value
 
 
@@ -62,15 +63,6 @@ def _leading_one(mp, vec: FockVector) -> FockVector:
     if lead != LaurentPoly.one():
         raise RuntimeError(f"leading coefficient of A({mp}) is {lead}, not 1")
     return vec
-
-
-def compute_A(mp, p: ChargeParams) -> FockVector:
-    """Divided powers of the residue sequence applied to the empty vector."""
-    blocks = a_sequence_blocks(mp, p)
-    vec = FockVector.unit(empty_multipartition(p.d))
-    for i, count in blocks:
-        vec = f_divided(vec, i, count, "flotw", p)
-    return _leading_one(mp, vec)
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,14 @@ the component-major order (below = smaller (comp, row)) and the
 diagonal order (below = larger b - a + v_c, ties to the smaller component).
 i_signature lists a multipartition's addable and removable i-nodes lowest
 first in either order, from one pass over its rows; the crystal operators
-and the divided powers both read it.
+and the divided powers both read it.  The oracles' one encoding of the two
+orders is ariki._oracles.below_key.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .partitions import Node, diagram_nodes
+from .partitions import Node
 
 ORDERS = ("am", "flotw")
 
@@ -115,40 +116,6 @@ def i_signature(mp, i, order, p: ChargeParams):
     return items
 
 
-def am_below(g: Node, g2: Node) -> bool:
-    """Component-major order: g lies below g2 iff (c, a) < (c', a')."""
-    return (g.comp, g.row) < (g2.comp, g2.row)
-
-
-def flotw_above(g: Node, g2: Node, p: ChargeParams) -> bool:
-    """Diagonal order: g lies above g2 iff its charged content is smaller,
-    with ties going to the larger component index."""
-    key = below_key("flotw", p)
-    return key(g2) < key(g)
-
-
-def below_key(order: str, p: ChargeParams):
-    """Sort key placing the lowest node of the given order first.
-
-    The diagonal key (-content, comp) is the one i_signature sorts by.
-    """
-    check_order(order)
-    if order == "am":
-        return lambda g: (g.comp, g.row)
-    return lambda g: (-(g.col - g.row + p.v[g.comp]), g.comp)
-
-
-def is_below(g: Node, g2: Node, order: str, p: ChargeParams) -> bool:
-    """Strictly below in the selected order."""
-    key = below_key(order, p)
-    return key(g) < key(g2)
-
-
-def is_above(g: Node, g2: Node, order: str, p: ChargeParams) -> bool:
-    """Strictly above in the selected order."""
-    return is_below(g2, g, order, p)
-
-
 def is_semisimple(p: ChargeParams, n: int) -> bool:
     """Semisimplicity of the algebra on n strands at these parameters.
 
@@ -166,11 +133,3 @@ def is_semisimple(p: ChargeParams, n: int) -> bool:
                 if (k + p.v[i] - p.v[j]) % p.e == 0:
                     return False
     return True
-
-
-def diagram_residues(mc, p: ChargeParams):
-    """Map residue -> number of nodes of the diagram with that residue."""
-    counts = {i: 0 for i in range(p.e)}
-    for node in diagram_nodes(mc):
-        counts[residue(node, p)] += 1
-    return counts

@@ -64,12 +64,6 @@ def good_removable_node(mp, i, order: str, p: ChargeParams):
     return removable[-1] if removable else None
 
 
-def crystal_lower(mp, i, order: str, p: ChargeParams):
-    """One step down the crystal, or None."""
-    g = good_addable_node(mp, i, order, p)
-    return add_node(mp, g) if g is not None else None
-
-
 # An i-signature without addable (removable) i-nodes has no surviving
 # addable (removable) node, so trying only the residues of a vertex's
 # addable (removable) nodes, in ascending order, finds the same smallest i

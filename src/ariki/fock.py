@@ -1,13 +1,14 @@
-"""Fock-space vectors and the two q-deformed actions on multipartitions.
+"""Fock-space vectors and the divided powers of the lowering generators.
 
 A vector is a finitely supported map from multipartitions to Laurent
-polynomials.  The raising/lowering generators act by adding/removing nodes
-of a fixed residue; the q-exponent on each term balances addable against
-removable nodes of that residue on one side of the moved node, the side
-being measured in either the component-major order ("am") or the diagonal
-order ("flotw").  Divided powers add several equal-residue nodes at once
-with the closed-form multi-node exponent; dividing the j-fold ordinary
-action by [j]! must reproduce them exactly, which the tests exploit.
+polynomials.  The lowering generator f_i adds a node of residue i; the
+q-exponent on each term balances addable against removable i-nodes on one
+side of the new node, the side being measured in either the
+component-major order ("am") or the diagonal order ("flotw").  The divided
+power f_i^(j) adds j distinct i-nodes at once with the closed-form
+multi-node exponent; the oracle ariki._oracles.f_power_divided_oracle
+divides the j-fold one-node action by [j]!, which must reproduce it
+exactly.
 
 The multi-node exponent has a closed form.  Adding a node of residue i
 changes the addable or removable status only of that node and of cells of
@@ -31,11 +32,9 @@ among all the lifts of a rank, whose input vectors overlap.
 
 from itertools import combinations
 
-from .charge import (ChargeParams, check_order, i_signature, is_above, is_below,
-                     residue)
-from .laurent import LaurentPoly, gauss_factorial
-from .partitions import (add_node, addable_nodes, check_multipartition,
-                         format_multipartition, rank, remove_node, removable_nodes)
+from .charge import ChargeParams, check_order, i_signature
+from .laurent import LaurentPoly
+from .partitions import check_multipartition, format_multipartition, rank
 
 
 class FockVector:
@@ -145,56 +144,6 @@ class FockVector:
         return f"FockVector({self.terms!r})"
 
 
-def addable_i_nodes(mp, i, p: ChargeParams):
-    return [g for g in addable_nodes(mp) if residue(g, p) == i]
-
-
-def removable_i_nodes(mp, i, p: ChargeParams):
-    return [g for g in removable_nodes(mp) if residue(g, p) == i]
-
-
-def lowering_exponent(lam, mu, gamma, i, order, p: ChargeParams) -> int:
-    """addable i-nodes of lam below gamma minus removable i-nodes of mu below gamma."""
-    add = sum(1 for g in addable_i_nodes(lam, i, p) if is_below(g, gamma, order, p))
-    rem = sum(1 for g in removable_i_nodes(mu, i, p) if is_below(g, gamma, order, p))
-    return add - rem
-
-
-def raising_exponent(mu, lam, gamma, i, order, p: ChargeParams) -> int:
-    """addable i-nodes of mu above gamma minus removable i-nodes of lam above gamma."""
-    add = sum(1 for g in addable_i_nodes(mu, i, p) if is_above(g, gamma, order, p))
-    rem = sum(1 for g in removable_i_nodes(lam, i, p) if is_above(g, gamma, order, p))
-    return add - rem
-
-
-def f_action(v: FockVector, i, order: str, p: ChargeParams) -> FockVector:
-    """Lowering generator f_i: add one i-node every possible way."""
-    check_order(order)
-    out = {}
-    for lam in v.support():
-        coef = v.terms[lam]
-        for gamma in addable_i_nodes(lam, i, p):
-            mu = add_node(lam, gamma)
-            exp = lowering_exponent(lam, mu, gamma, i, order, p)
-            prev = out.get(mu, LaurentPoly.zero())
-            out[mu] = prev + coef * LaurentPoly.q_power(exp)
-    return FockVector(out)
-
-
-def e_action(v: FockVector, i, order: str, p: ChargeParams) -> FockVector:
-    """Raising generator e_i: remove one i-node every possible way."""
-    check_order(order)
-    out = {}
-    for lam in v.support():
-        coef = v.terms[lam]
-        for gamma in removable_i_nodes(lam, i, p):
-            mu = remove_node(lam, gamma)
-            exp = -raising_exponent(mu, lam, gamma, i, order, p)
-            prev = out.get(mu, LaurentPoly.zero())
-            out[mu] = prev + coef * LaurentPoly.q_power(exp)
-    return FockVector(out)
-
-
 def _add_nodes(lam, nodes):
     """lam with the given addable nodes (distinct rows per component) added."""
     comps = [list(comp) for comp in lam]
@@ -267,8 +216,6 @@ def f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVect
     multiplies each coefficient of v into its moves.  This call reads the
     moves from a fresh table; the LLT recursion shares one table among all
     the divided powers of one target rank (canonical._bases_by_rank).
-    f_action and the oracle keep the generic addable_i_nodes and
-    removable_i_nodes filters.
     """
     check_order(order)
     if j < 0:
@@ -276,11 +223,3 @@ def f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVect
     if j == 0:
         return v
     return _f_divided(v, i, j, order, p, {})
-
-
-def f_power_divided_oracle(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVector:
-    """(f_i)^j / [j]!, with the division required to be exact."""
-    out = v
-    for _ in range(j):
-        out = f_action(out, i, order, p)
-    return out.exact_div(gauss_factorial(j))

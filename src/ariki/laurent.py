@@ -2,9 +2,7 @@
 
 Polynomials are stored as {exponent: coefficient} with no zero entries;
 coefficients are Python ints, so nothing overflows.  The bar involution
-sends q to q^(-1).  Balanced q-integers, factorials and binomials live here
-as well; binomials are computed by exact division, which doubles as a
-consistency check.
+sends q to q^(-1).
 """
 
 
@@ -206,27 +204,3 @@ class LaurentPoly:
 
 ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
-
-
-def gauss_number(j: int) -> LaurentPoly:
-    """Balanced q-integer [j] = q^(j-1) + q^(j-3) + ... + q^(1-j)."""
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    return LaurentPoly({j - 1 - 2 * t: 1 for t in range(j)})
-
-
-def gauss_factorial(j: int) -> LaurentPoly:
-    """[j]! = [1][2]...[j], with [0]! = 1."""
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    out = ONE
-    for t in range(1, j + 1):
-        out = out * gauss_number(t)
-    return out
-
-
-def gauss_binomial(l: int, j: int) -> LaurentPoly:
-    """Balanced q-binomial [l choose j], computed by exact division."""
-    if not 0 <= j <= l:
-        raise ValueError("need 0 <= j <= l")
-    return gauss_factorial(l).exact_div(gauss_factorial(j) * gauss_factorial(l - j))

@@ -72,26 +72,12 @@ def empty_multipartition(d: int):
     return ((),) * d
 
 
-def conjugate(p):
-    """Transpose of the Young diagram of a partition."""
-    if not p:
-        return ()
-    return tuple(sum(1 for x in p if x >= j) for j in range(1, p[0] + 1))
-
-
 def diagram_nodes(mc):
     """All nodes (a, b, c) of a multicomposition, row-major per component."""
     return [Node(a, b, c)
             for c, comp in enumerate(mc)
             for a, length in enumerate(comp, start=1)
             for b in range(1, length + 1)]
-
-
-def border_nodes(mc):
-    """The rightmost node of every nonempty row."""
-    return [Node(a, length, c)
-            for c, comp in enumerate(mc)
-            for a, length in enumerate(comp, start=1)]
 
 
 def removable_nodes(mp):
@@ -145,25 +131,6 @@ def remove_node(mp, node: Node):
     return mp[:c] + (new,) + mp[c + 1:]
 
 
-def dominates(mu, lam) -> bool:
-    """Dominance order on d-partitions of equal rank: mu >= lam."""
-    if len(mu) != len(lam):
-        raise ValueError("multipartitions have different numbers of components")
-    if rank(mu) != rank(lam):
-        raise ValueError("multipartitions have different ranks")
-    acc_mu = acc_lam = 0
-    for j in range(len(mu)):
-        h = max(len(mu[j]), len(lam[j]))
-        run_mu, run_lam = acc_mu, acc_lam
-        for i in range(1, h + 1):
-            run_mu += part(mu[j], i)
-            run_lam += part(lam[j], i)
-            if run_mu < run_lam:
-                return False
-        acc_mu, acc_lam = run_mu, run_lam
-    return True
-
-
 def is_e_regular(p, e: int) -> bool:
     """True iff no part value of the partition repeats e or more times."""
     if e < 2:
@@ -208,25 +175,6 @@ def enumerate_multipartitions(d: int, n: int):
     return out
 
 
-def count_multipartitions(d: int, n: int) -> int:
-    """Number of d-partitions of rank n, counted without enumerating them.
-
-    A d-partition is a multiset of parts in d colours, so the count is the
-    coefficient of x^n in prod_{c < d} prod_{k >= 1} 1/(1 - x^k): one table
-    of counts by rank, updated in place once per (colour, part size).
-    """
-    if d < 1:
-        raise ValueError("d must be positive")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    ways = [1] + [0] * n
-    for _ in range(d):
-        for size in range(1, n + 1):
-            for k in range(size, n + 1):
-                ways[k] += ways[k - size]
-    return ways[n]
-
-
 def format_multipartition(mp) -> str:
     """Text form: parts joined by dots, components by commas, '-' when empty."""
     return ",".join(".".join(str(x) for x in comp) if comp else "-"
@@ -253,9 +201,3 @@ def parse_multipartition(text: str, require_partitions: bool = True):
 def multipartition_to_json(mp):
     """JSON form: array of d arrays of parts."""
     return [list(comp) for comp in mp]
-
-
-def multipartition_from_json(data, require_partitions: bool = True):
-    """Inverse of multipartition_to_json."""
-    mp = tuple(tuple(comp) for comp in data)
-    return check_multipartition(mp) if require_partitions else check_multicomposition(mp)

@@ -40,6 +40,8 @@ def render_a_value(p: ChargeParams, mp) -> str:
 
 
 def render_symbol(p: ChargeParams, mc, shift: int = 0) -> str:
+    if len(mc) != p.d:
+        raise ValueError(f"expected {p.d} components, got {len(mc)}")
     sym = ordinary_symbol(mc, shift)
     shifted = shifted_symbol(sym, p.m)
     lines = [f"height {sym.height}"]
@@ -191,6 +193,8 @@ def render_decomp(p: ChargeParams, n: int, fmt: str = "text") -> str:
 
 
 def write_typeb(out, n: int, e: int, action: str, fmt: str = "text"):
+    if e < 2:
+        raise ValueError("e must be at least 2")
     if action == "basic-set":
         labels = canonical_basic_set_b(n, e)
         if fmt == "json":

@@ -1,12 +1,13 @@
-"""Symbols, the a-function, and the Schur-element valuation oracle.
+"""Symbols and the a-function.
 
 The ordinary symbol of a d-composition at height h is the table
 B^(i)_j = lambda^(i)_j - j + h (j = 1..h, missing parts read as 0); the
 shifted variant adds the weight m^(i) to every entry of row i.  The a-value
 of a d-partition is a rational with denominator d, computed here from the
-symbol entries with every summation index an integer; the same quantity is
-recovered independently in schur_valuation as the y-adic valuation of the
-Schur element, walking the explicit product of binomial factors.
+symbol entries with every summation index an integer; the oracle
+ariki._oracles.schur_valuation recovers the same quantity independently as
+the y-adic valuation of the Schur element, walking the explicit product of
+binomial factors.
 
 All charged arithmetic uses entries scaled by d (see charge.scaled_m);
 exact rationals appear only in shifted symbols and returned a-values.
@@ -37,18 +38,9 @@ class Symbol:
         return sum(sum(row) for row in self.rows)
 
     @property
-    def sigma(self):
-        """Exponent of the sign attached to the symbol."""
-        return comb(self.d, 2) * comb(self.height, 2) + self.source_rank * (self.d - 1)
-
-    @property
     def tau(self):
         """Power-of-v prefactor exponent: sum of C(d*t+1, 2) for t = 1..h-1."""
         return sum(comb(self.d * t + 1, 2) for t in range(1, self.height))
-
-    @property
-    def sign(self):
-        return -1 if self.sigma % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -96,7 +88,7 @@ def _weighted_min_sum(xs):
 
 
 def _scaled_stat(mc, h, p: ChargeParams) -> int:
-    """d times the symbol statistic that orders compositions (see prec).
+    """d times the symbol statistic that orders compositions (see _oracles.prec).
 
     mc is a multicomposition read at symbol height h (at least its longest
     component).  The statistic is the pair sum, over all unordered pairs of
@@ -128,7 +120,7 @@ def _scaled_stat(mc, h, p: ChargeParams) -> int:
 def a_value(mp, p: ChargeParams, shift: int = 0) -> Fraction:
     """a-value of a d-partition: exact rational with denominator d.
 
-    Independent of the symbol shift; equals -schur_valuation(mp, p)/d.
+    Independent of the symbol shift; equals -_oracles.schur_valuation(mp, p)/d.
     """
     mp = check_components(mp, p.d)
     if shift < 0:
@@ -154,74 +146,6 @@ def _a_value(mp, p: ChargeParams, shift: int = 0) -> Fraction:
     scaled -= h * _weighted_min_sum(sm)
     scaled += _scaled_stat(mp, h, p)
     return Fraction(scaled, d)
-
-
-def schur_valuation(mp, p: ChargeParams) -> int:
-    """y-adic valuation of the Schur element, walked factor by factor.
-
-    Parameters are u_j = y^(d*m^(j)) * eta_d^j and v = y^d.  Every binomial
-    factor has the shape y^A * eta_d^i - y^B * eta_d^j with (A, i) != (B, j),
-    so its lowest coefficient never cancels and it contributes min(A, B).
-    """
-    mp = check_components(mp, p.d)
-    sym = ordinary_symbol(mp, 0)
-    d, sm = p.d, p.scaled_m
-    rows = sym.rows
-    n = sym.source_rank
-
-    # prefactor ((v-1) prod u_i)^(-n) * v^(tau - |B| + n); v - 1 has valuation 0
-    val = d * (sym.tau - sym.total + n) - n * sum(sm)
-
-    # nu: product over i < j of (u_i - u_j)^h, then the theta product
-    for i in range(d):
-        for j in range(i + 1, d):
-            exp_a, exp_b = sm[i], sm[j]
-            if (exp_a, i) == (exp_b, j):
-                raise RuntimeError(f"vanishing nu factor at components {i}, {j}")
-            val += sym.height * min(exp_a, exp_b)
-    for i in range(d):
-        for j in range(d):
-            for alpha in rows[i]:
-                for k in range(1, alpha + 1):
-                    exp_a, exp_b = d * k + sm[i], sm[j]
-                    if (exp_a, i) == (exp_b, j):
-                        raise RuntimeError(f"vanishing theta factor at components {i}, {j}")
-                    val += min(exp_a, exp_b)
-
-    # delta: one factor per admissible pair of symbol entries, divided out
-    for i in range(d):
-        row = rows[i]
-        for j1 in range(len(row)):
-            for j2 in range(j1 + 1, len(row)):
-                alpha, beta = row[j1], row[j2]
-                exp_a, exp_b = d * alpha + sm[i], d * beta + sm[i]
-                if exp_a == exp_b:
-                    raise RuntimeError("equal entries in a partition symbol row")
-                val -= min(exp_a, exp_b)
-        for j in range(i + 1, d):
-            for alpha in row:
-                for beta in rows[j]:
-                    exp_a, exp_b = d * alpha + sm[i], d * beta + sm[j]
-                    if (exp_a, i) == (exp_b, j):
-                        raise RuntimeError(f"vanishing delta factor at components {i}, {j}")
-                    val -= min(exp_a, exp_b)
-    return val
-
-
-def prec(mu, nu, p: ChargeParams) -> bool:
-    """Strict symbol-statistic comparison of equal-rank d-compositions.
-
-    For d-partitions this is equivalent to a_value(mu) < a_value(nu).
-    """
-    mu = check_multicomposition(mu)
-    nu = check_multicomposition(nu)
-    if len(mu) != p.d or len(nu) != p.d:
-        raise ValueError(f"expected {p.d} components")
-    if rank(mu) != rank(nu):
-        raise ValueError("prec compares multicompositions of equal rank")
-    h = max(max((len(c) for c in mu), default=0),
-            max((len(c) for c in nu), default=0))
-    return _scaled_stat(mu, h, p) < _scaled_stat(nu, h, p)
 
 
 def format_rational(x) -> str:

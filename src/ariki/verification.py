@@ -15,16 +15,17 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .aseq import a_graph, a_sequence, residue_path_terminals
-from .canonical import (_elements, _straighten, canonical_basis, compute_A,
-                        decomposition_matrix, simple_module_a_values)
+from ._oracles import (f_power_divided_oracle, prec, replayed_basis,
+                       residue_path_terminals, schur_valuation)
+from .aseq import a_graph, a_sequence
+from .canonical import canonical_basis, decomposition_matrix, simple_module_a_values
 from .charge import ChargeParams, is_semisimple
 from .crystal import flotw_multipartitions, is_kleshchev, kleshchev_multipartitions
-from .fock import FockVector, f_divided, f_power_divided_oracle
+from .fock import FockVector, f_divided
 from .laurent import LaurentPoly
 from .partitions import enumerate_multipartitions, is_e_regular
 from .render import render_canonical, render_decomp, render_typeb
-from .symbols import a_value, ordinary_symbol, prec, schur_valuation, shifted_symbol
+from .symbols import a_value, ordinary_symbol, shifted_symbol
 from .typeb import (a_value_typeb, bipartitions_of, decomposition_matrix_b,
                     even_charge_params, type_a_params)
 
@@ -186,20 +187,6 @@ def check_minimality(caps):
                         return False, f"{mu} not above {lam}"
                 checked += len(terminals)
     return True, f"{checked} terminal multipartitions compared"
-
-
-def replayed_basis(p, n, tie_reverse=False):
-    """canonical_basis straightened from compute_A instead of the rank recursion.
-
-    Each label's vector replays its whole residue sequence from the empty
-    vector, and the labels come from the direct membership test, so neither
-    the finished lower-rank elements nor the crystal walk is used.
-    """
-    labels = flotw_multipartitions(p, n)
-    avals = {mp: a_value(mp, p) for mp in labels}
-    basis = _straighten(labels, avals, lambda mp: dict(compute_A(mp, p).terms),
-                        tie_reverse)
-    return _elements(basis, avals)
 
 
 def check_canonical_structure(caps):

@@ -7,17 +7,18 @@ rational equality, never approximate.
 
 from fractions import Fraction
 
-from ariki.aseq import a_graph, a_sequence, residue_path_terminals
+from ariki._oracles import (f_power_divided_oracle, prec, residue_path_terminals,
+                            schur_valuation)
+from ariki.aseq import a_graph, a_sequence
 from ariki.canonical import (canonical_basis, decomposition_matrix,
                              simple_module_a_values)
 from ariki.charge import ChargeParams, is_semisimple
 from ariki.crystal import flotw_multipartitions, kleshchev_multipartitions
-from ariki.fock import FockVector, f_divided, f_power_divided_oracle
+from ariki.fock import FockVector, f_divided
 from ariki.laurent import LaurentPoly
 from ariki.partitions import enumerate_multipartitions, is_e_regular
 from ariki.render import render_canonical, render_decomp, render_typeb
-from ariki.symbols import (a_value, ordinary_symbol, prec, schur_valuation,
-                           shifted_symbol)
+from ariki.symbols import a_value, ordinary_symbol, shifted_symbol
 from ariki.typeb import (a_value_typeb, bipartitions_of, decomposition_matrix_b,
                          even_charge_params, type_a_params)
 from ariki.verification import hash_seed_outputs

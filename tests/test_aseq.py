@@ -2,12 +2,12 @@
 
 import pytest
 
-from ariki.aseq import (a_graph, a_sequence, a_sequence_blocks, k_opt_add,
-                        peel_step, residue_path_terminals)
+from ariki._oracles import prec, residue_path_terminals
+from ariki.aseq import a_graph, a_sequence, a_sequence_blocks, k_opt_add, peel_step
 from ariki.charge import ChargeParams
 from ariki.crystal import flotw_multipartitions, is_flotw
 from ariki.partitions import Node, part, removable_nodes
-from ariki.symbols import a_value, prec
+from ariki.symbols import a_value
 
 P24 = ChargeParams(2, 4, (0, 1))
 GRID = (P24, ChargeParams(2, 2, (0, 1)), ChargeParams(3, 3, (0, 1, 2)),

@@ -4,17 +4,18 @@ import dataclasses
 
 import pytest
 
+from ariki._oracles import compute_A, diagram_residues, replayed_basis
 from ariki.canonical import (DecompositionMatrix, _bar_symmetric_completion,
-                             _bases_by_rank, _elements, canonical_basis, compute_A, decomposition_matrix,
+                             _bases_by_rank, _elements, canonical_basis, decomposition_matrix,
                              simple_module_a_values)
-from ariki.charge import ChargeParams, diagram_residues, is_semisimple
+from ariki.charge import ChargeParams, is_semisimple
 from ariki.crystal import crystal_graph, flotw_multipartitions
 from ariki.fock import FockVector
 from ariki.laurent import LaurentPoly
 from ariki.partitions import enumerate_multipartitions, rank
 from ariki.symbols import a_value
 from ariki.typeb import decomposition_matrix_b, even_charge_params
-from ariki.verification import GRID, replayed_basis
+from ariki.verification import GRID
 
 P24 = ChargeParams(2, 4, (0, 1))
 D1E2 = ChargeParams(1, 2, (0,), 0)

@@ -4,10 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from ariki.charge import (ChargeParams, am_below, below_key, flotw_above,
-                          i_signature, is_below, is_semisimple, residue)
+from ariki._oracles import addable_i_nodes, below_key, removable_i_nodes
+from ariki.charge import ChargeParams, i_signature, is_semisimple, residue
 from ariki.crystal import flotw_multipartitions
-from ariki.fock import addable_i_nodes, removable_i_nodes
 from ariki.partitions import Node, diagram_nodes, enumerate_multipartitions
 from ariki.verification import GRID
 
@@ -51,33 +50,37 @@ def test_i_signature_matches_generic_filters():
 
 
 def test_am_below_examples():
-    assert am_below(Node(1, 1, 0), Node(1, 1, 1))
-    assert am_below(Node(1, 2, 0), Node(2, 1, 0))
-    assert not am_below(Node(2, 1, 1), Node(1, 5, 1))
+    # component-major: the smaller (component, row) is lower
+    key = below_key("am", ChargeParams(2, 4, (0, 1)))
+    assert key(Node(1, 1, 0)) < key(Node(1, 1, 1))
+    assert key(Node(1, 2, 0)) < key(Node(2, 1, 0))
+    assert not key(Node(2, 1, 1)) < key(Node(1, 5, 1))
 
 
 def test_flotw_above_examples():
-    p = ChargeParams(2, 4, (0, 1))
-    assert flotw_above(Node(1, 1, 0), Node(1, 1, 1), p)
+    # diagonal: the smaller charged content b - a + v_c is higher, and at
+    # equal content the larger component is higher
+    key = below_key("flotw", ChargeParams(2, 4, (0, 1)))
+    assert key(Node(1, 1, 1)) < key(Node(1, 1, 0))
     g = Node(2, 3, 1)
-    assert not flotw_above(g, g, p)
-    p0 = ChargeParams(2, 4, (0, 0))
-    assert flotw_above(Node(1, 1, 1), Node(1, 1, 0), p0)
+    assert not key(g) < key(g)
+    key0 = below_key("flotw", ChargeParams(2, 4, (0, 0)))
+    assert key0(Node(1, 1, 0)) < key0(Node(1, 1, 1))
 
 
 def test_orders_are_strict_and_total_on_distinct_keys():
+    # the keys tell apart exactly the nodes of distinct (component, row),
+    # resp. distinct (charged content, component)
     p = ChargeParams(2, 3, (0, 1))
     nodes = [Node(a, b, c) for a in (1, 2, 3) for b in (1, 2, 3) for c in (0, 1)]
-    for g in nodes:
-        for h in nodes:
-            for order in ("am", "flotw"):
-                if is_below(g, h, order, p):
-                    assert not is_below(h, g, order, p)
-            if (g.comp, g.row) != (h.comp, h.row):
-                assert am_below(g, h) != am_below(h, g)
-            key = lambda x: (x.col - x.row + p.v[x.comp], x.comp)
-            if key(g) != key(h):
-                assert flotw_above(g, h, p) != flotw_above(h, g, p)
+    for order, fields in (("am", lambda x: (x.comp, x.row)),
+                          ("flotw", lambda x: (x.col - x.row + p.v[x.comp], x.comp))):
+        key = below_key(order, p)
+        for g in nodes:
+            for h in nodes:
+                below, above = key(g) < key(h), key(h) < key(g)
+                assert not (below and above)
+                assert (below or above) == (fields(g) != fields(h)), (order, g, h)
 
 
 def test_is_semisimple_examples():
@@ -141,6 +144,7 @@ def test_flotw_order_matches_scaled_diagonals_on_vertices(d, e, v):
     # on same-residue nodes of a diagonal-crystal vertex, the scaled-weight
     # diagonal comparison agrees with the order relation
     p = ChargeParams(d, e, v)
+    key = below_key("flotw", p)
     for n in range(6):
         for mp in flotw_multipartitions(p, n):
             nodes = diagram_nodes(mp)
@@ -151,13 +155,14 @@ def test_flotw_order_matches_scaled_diagonals_on_vertices(d, e, v):
                     lhs = d * (g.col - g.row) + p.scaled_m[g.comp]
                     rhs = d * (h.col - h.row) + p.scaled_m[h.comp]
                     if lhs > rhs:
-                        assert flotw_above(h, g, p)
-                        assert not flotw_above(g, h, p)
+                        assert key(g) < key(h)
 
 
 def test_below_key_sorts_lowest_first():
+    # contents 1, 1 and -1: the tie at 1 puts the smaller component lower
     p = ChargeParams(2, 4, (0, 1))
     nodes = [Node(1, 1, 1), Node(1, 2, 0), Node(2, 1, 0)]
-    ordered = sorted(nodes, key=below_key("flotw", p))
-    for i in range(len(ordered) - 1):
-        assert not flotw_above(ordered[i], ordered[i + 1], p)
+    assert sorted(nodes, key=below_key("flotw", p)) == [
+        Node(1, 2, 0), Node(1, 1, 1), Node(2, 1, 0)]
+    assert sorted(nodes, key=below_key("am", p)) == [
+        Node(1, 2, 0), Node(2, 1, 0), Node(1, 1, 1)]

@@ -174,22 +174,31 @@ def test_fuzz_single_vertex_commands(capsys):
 def test_fuzz_rank_commands(capsys):
     # enumerate, crystal, canonical, decomp and typeb at small ranks and on
     # malformed values: exit 0 or 2 with no traceback, and 2 for negative n
+    # or an e below 2
     rng = random.Random(5)
     junk = ["", "-", "--", "x", "1.5", "1e3", " 2 ", "-0", "+1", "0x3"]
 
     def value(good):
         return str(good) if rng.random() < 0.9 else rng.choice(junk)
 
+    def parsed(text):
+        """The int argparse reads from text, or None."""
+        try:
+            return int(text)
+        except (TypeError, ValueError):
+            return None
+
     for _ in range(250):
         cmd = rng.choice(("enumerate", "crystal", "canonical", "decomp", "typeb"))
         n = rng.choice((-2, -1, 0, 1, 2, 3, 4))
         d = rng.choice((1, 2, 2, 3)) if rng.random() < 0.9 else rng.choice((0, -1))
         e = rng.choice((2, 3, 4, 5)) if rng.random() < 0.9 else rng.choice((0, 1, -3))
-        n_text = value(n)
+        n_text, e_text = value(n), None
         argv = [cmd, f"--n={n_text}"]
         if cmd == "typeb":
             argv[1:1] = [rng.choice(("basic-set", "a-values", "decomp", "bogus"))]
-            argv.append(f"--e={value(e)}")
+            e_text = value(e)
+            argv.append(f"--e={e_text}")
         elif cmd == "enumerate":
             argv.append(f"--d={value(d)}")
         else:
@@ -197,7 +206,9 @@ def test_fuzz_rank_commands(capsys):
                                                for _ in range(max(d, 1)))))
             if rng.random() < 0.1:
                 charges = rng.choice(junk + ["0,5", "1,0", "0,0,0,0"])
-            argv += [f"--d={value(d)}", f"--e={value(e)}", f"--charges={charges}"]
+            d_text = value(d)
+            e_text = value(e)
+            argv += [f"--d={d_text}", f"--e={e_text}", f"--charges={charges}"]
             if rng.random() < 0.2:
                 argv.append(f"--shift={rng.choice((-1, 0, 1, 3))}")
         if cmd == "crystal":
@@ -209,10 +220,18 @@ def test_fuzz_rank_commands(capsys):
         assert "Traceback" not in err
         if n_text == str(n) and n < 0:
             assert code == 2, (argv, out)
+        if parsed(e_text) is not None and parsed(e_text) < 2:
+            assert code == 2, (argv, out)
         if code == 0:
             assert out, argv
         else:  # the streamed commands print nothing before they fail
             assert out == "", (argv, out)
+
+    # every type B action rejects e < 2 before it picks its work
+    for action in ("basic-set", "a-values", "decomp"):
+        for e in ("0", "1", "-4"):
+            code, out, err = run_cli(capsys, "typeb", action, "--n", "3", f"--e={e}")
+            assert code == 2 and out == "" and "e must be at least 2" in err, (action, e)
 
 
 def test_streamed_commands_match_render_strings(capsys):
@@ -332,6 +351,9 @@ def test_invalid_parameters_exit_2(capsys):
     code, _, err = run_cli(capsys, "a-seq", "--d", "2", "--e", "4",
                            "--charges", "0,1", "--mp", "bogus")
     assert code == 2
+    code, out, err = run_cli(capsys, "symbol", "--d", "2", "--e", "4",
+                             "--charges", "0,1", "--mp", "1")
+    assert code == 2 and out == "" and "expected 2 components, got 1" in err
     code, _, err = run_cli(capsys, "enumerate", "--d=--", "--n", "2")
     assert code == 2 and "invalid value" in err  # argparse parses "--" to []
     code, _, err = run_cli(capsys, "verify", "--rank-cap", "3")
@@ -404,6 +426,7 @@ def test_json_round_trip_multipartitions(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--d", "3", "--n", "3",
                            "--format", "json")
     data = json.loads(out)
-    from ariki.partitions import multipartition_from_json, enumerate_multipartitions
+    from ariki._oracles import multipartition_from_json
+    from ariki.partitions import enumerate_multipartitions
     assert [multipartition_from_json(mp) for mp in data] == \
         enumerate_multipartitions(3, 3)

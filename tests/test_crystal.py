@@ -4,13 +4,13 @@ from collections import Counter
 
 import pytest
 
+from ariki._oracles import addable_i_nodes, below_key, removable_i_nodes
 from ariki.aseq import a_graph, a_sequence, peel_step
-from ariki.charge import ChargeParams, below_key
+from ariki.charge import ChargeParams
 from ariki.crystal import (_reduced_signature, bijection_j, bijection_j_inverse, crystal_bijection,
-                           crystal_graph, crystal_lower, flotw_multipartitions,
+                           crystal_graph, flotw_multipartitions,
                            good_addable_node, good_removable_node, is_flotw,
                            is_kleshchev, kleshchev_multipartitions)
-from ariki.fock import addable_i_nodes, removable_i_nodes
 from ariki.partitions import (Node, add_node, enumerate_multipartitions,
                               is_e_regular, remove_node)
 from ariki.symbols import a_value
@@ -117,9 +117,7 @@ def test_multi_parent_vertices_exist():
     # at d = 1 the vertex (4,2,1) for e = 2 has two parents
     g = crystal_graph(P24, 3, "flotw")
     parents = [(src, i) for (src, i, _, t) in g.edges[2] if t == ((1,), (2,))]
-    assert len(parents) == 2
-    assert crystal_lower(((), (2,)), 0, "flotw", P24) == ((1,), (2,))
-    assert crystal_lower(((1,), (1,)), 2, "flotw", P24) == ((1,), (2,))
+    assert parents == [(((), (2,)), 0), (((1,), (1,)), 2)]
     g = crystal_graph(D1E2, 7, "am")
     counts = Counter(t for (_, _, _, t) in g.edges[6])
     assert counts[((4, 2, 1),)] == 2

@@ -1,16 +1,16 @@
-"""Fock vectors, the two node-adding actions, and divided powers."""
+"""Fock vectors and divided powers, against the one-node action f_i."""
 
 import random
 
 import pytest
 
 import ariki
-from ariki.charge import ChargeParams, below_key, is_below
+from ariki._oracles import below_key, f_action, f_power_divided_oracle, gauss_factorial
+from ariki.charge import ChargeParams
 from ariki.crystal import crystal_graph, good_addable_node, good_removable_node
-from ariki.fock import (FockVector, _f_divided, e_action, f_action, f_divided,
-                        f_power_divided_oracle)
-from ariki.laurent import LaurentPoly, gauss_factorial
-from ariki.partitions import Node, enumerate_multipartitions
+from ariki.fock import FockVector, _f_divided, f_divided
+from ariki.laurent import LaurentPoly
+from ariki.partitions import enumerate_multipartitions
 
 P24 = ChargeParams(2, 4, (0, 1))
 GRID = (P24, ChargeParams(2, 2, (0, 1)), ChargeParams(3, 3, (0, 1, 2)),
@@ -26,16 +26,6 @@ def test_f_action_on_empty():
     assert f_action(FockVector.zero(), 2, "flotw", P24).is_zero()
 
 
-def test_e_action_examples():
-    assert e_action(EMPTY2, 0, "flotw", P24).is_zero()
-    assert e_action(FockVector.unit(((1,), ())), 0, "flotw", P24) == EMPTY2
-    for i in range(4):
-        lowered = f_action(EMPTY2, i, "flotw", P24)
-        if not lowered.is_zero():
-            raised = e_action(lowered, i, "flotw", P24)
-            assert ((), ()) in raised.support()
-
-
 def test_action_coefficients_are_monomials():
     for p in GRID:
         for n in range(4):
@@ -43,10 +33,9 @@ def test_action_coefficients_are_monomials():
                 vec = FockVector.unit(mp)
                 for order in ("am", "flotw"):
                     for i in range(p.e):
-                        for out in (f_action(vec, i, order, p),
-                                    e_action(vec, i, order, p)):
-                            for nu in out.support():
-                                assert out.coefficient(nu).is_monomial()
+                        out = f_action(vec, i, order, p)
+                        for nu in out.support():
+                            assert out.coefficient(nu).is_monomial()
 
 
 def test_f_divided_trivial_cases():
@@ -195,15 +184,13 @@ def test_vector_json_pairs():
 
 @pytest.mark.parametrize("call", [
     lambda order: f_action(EMPTY2, 0, order, P24),
-    lambda order: e_action(EMPTY2, 0, order, P24),
     lambda order: f_divided(EMPTY2, 0, 1, order, P24),
     lambda order: good_addable_node(((), ()), 0, order, P24),
     lambda order: good_removable_node(((1,), ()), 0, order, P24),
     lambda order: crystal_graph(P24, 2, order),
     lambda order: below_key(order, P24),
-    lambda order: is_below(Node(1, 1, 0), Node(1, 1, 1), order, P24),
-], ids=["f_action", "e_action", "f_divided", "good_addable_node",
-        "good_removable_node", "crystal_graph", "below_key", "is_below"])
+], ids=["f_action", "f_divided", "good_addable_node",
+        "good_removable_node", "crystal_graph", "below_key"])
 def test_unknown_order_rejected(call):
     with pytest.raises(ValueError, match=r"order must be one of \('am', 'flotw'\)"):
         call("sideways")

@@ -1,17 +1,23 @@
-"""Laurent polynomial arithmetic and balanced q-analogues."""
+"""Laurent polynomial arithmetic and the balanced q-analogues of the oracles."""
 
+import math
 import random
 
 import pytest
 
-from ariki.laurent import (LaurentPoly, ONE, ZERO, gauss_binomial,
-                           gauss_factorial, gauss_number)
+from ariki._oracles import gauss_factorial, gauss_number
+from ariki.laurent import LaurentPoly, ONE, ZERO
+
+
+def _gauss_binomial(l, j):
+    """Balanced q-binomial [l choose j], by exact division of q-factorials."""
+    return gauss_factorial(l).exact_div(gauss_factorial(j) * gauss_factorial(l - j))
 
 
 def test_gauss_examples():
     assert gauss_number(2) == LaurentPoly({1: 1, -1: 1})
     assert gauss_factorial(1) == ONE
-    assert gauss_binomial(3, 1) == LaurentPoly({2: 1, 0: 1, -2: 1})
+    assert _gauss_binomial(3, 1) == LaurentPoly({2: 1, 0: 1, -2: 1})
     assert gauss_number(0) == ZERO
     assert gauss_factorial(0) == ONE
 
@@ -20,17 +26,17 @@ def test_gauss_errors():
     with pytest.raises(ValueError):
         gauss_number(-1)
     with pytest.raises(ValueError):
-        gauss_binomial(2, 3)
+        gauss_factorial(-1)
 
 
 def test_gauss_binomial_symmetry_and_bar_invariance():
+    # [l]! is divisible by [j]! [l-j]!, and the quotient is bar-invariant
     for l in range(7):
         for j in range(l + 1):
-            b = gauss_binomial(l, j)
-            assert b == gauss_binomial(l, l - j)
+            b = _gauss_binomial(l, j)
+            assert b == _gauss_binomial(l, l - j)
             assert b == b.bar()
             # value at q=1 is the ordinary binomial
-            import math
             assert b.at_one() == math.comb(l, j)
 
 

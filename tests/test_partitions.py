@@ -4,11 +4,10 @@ import json
 
 import pytest
 
-from ariki.partitions import (Node, add_node, addable_nodes, border_nodes,
-                              check_multipartition, conjugate, count_multipartitions,
-                              dominates, enumerate_multipartitions,
-                              format_multipartition, is_e_regular,
-                              multipartition_from_json, multipartition_to_json,
+from ariki._oracles import count_multipartitions, dominates, multipartition_from_json
+from ariki.partitions import (Node, add_node, addable_nodes, check_multipartition,
+                              enumerate_multipartitions, format_multipartition,
+                              is_e_regular, multipartition_to_json,
                               parse_multipartition, partitions_of, rank,
                               remove_node, removable_nodes)
 
@@ -19,30 +18,11 @@ def test_rank_examples():
     assert rank(((2, 2), (2, 2, 1))) == 9
 
 
-def test_border_nodes_examples():
-    assert set(border_nodes(((4, 2, 3), (3, 5)))) == {
-        Node(1, 4, 0), Node(2, 2, 0), Node(3, 3, 0), Node(1, 3, 1), Node(2, 5, 1)}
-    assert border_nodes(((), ())) == []
-    assert border_nodes(((1,), ())) == [Node(1, 1, 0)]
-
-
 def test_removable_addable_examples():
     assert set(removable_nodes(((2, 2), (2, 2, 1)))) == {
         Node(2, 2, 0), Node(2, 2, 1), Node(3, 1, 1)}
     assert set(addable_nodes(((), ()))) == {Node(1, 1, 0), Node(1, 1, 1)}
     assert removable_nodes(((), ())) == []
-
-
-def test_conjugate_examples():
-    assert conjugate((4, 2)) == (2, 2, 1, 1)
-    assert conjugate(()) == ()
-    assert conjugate((1, 1, 1)) == (3,)
-
-
-def test_conjugate_involution():
-    for n in range(13):
-        for p in partitions_of(n):
-            assert conjugate(conjugate(p)) == p
 
 
 def test_remove_then_add_round_trip():
