@@ -111,7 +111,7 @@ def compute_A(mp, p: ChargeParams) -> FockVector:
     return _leading_one(mp, vec)
 
 
-def replayed_basis(p, n, tie_reverse=False):
+def replayed_basis(p, n):
     """canonical_basis straightened from compute_A instead of the rank recursion.
 
     Each label's vector replays its whole residue sequence from the empty
@@ -120,8 +120,7 @@ def replayed_basis(p, n, tie_reverse=False):
     """
     labels = flotw_multipartitions(p, n)
     avals = {mp: a_value(mp, p) for mp in labels}
-    basis = _straighten(labels, avals, lambda mp: dict(compute_A(mp, p).terms),
-                        tie_reverse)
+    basis = _straighten(labels, avals, lambda mp: dict(compute_A(mp, p).terms))
     return _elements(basis, avals)
 
 

@@ -27,19 +27,19 @@ class PeelStep:
     rest: tuple
 
 
-def peel_step(mp, p: ChargeParams, force_k=None) -> PeelStep:
+def peel_step(mp, p: ChargeParams) -> PeelStep:
     """Strip one block of equal-residue removable nodes from a nonempty vertex.
 
-    Several residues may qualify; the smallest is taken unless force_k names
-    another qualifying one (used to compare tie-broken sequences).
+    Several residues may qualify; the smallest is taken, and all of them are
+    listed in candidates.
     """
     mp = check_components(mp, p.d)
     if rank(mp) == 0:
         raise ValueError("cannot peel the empty multipartition")
-    return _peel(mp, p, force_k)
+    return _peel(mp, p)
 
 
-def _peel(mp, p: ChargeParams, force_k=None) -> PeelStep:
+def _peel(mp, p: ChargeParams) -> PeelStep:
     """peel_step on a nonempty multipartition already validated with p.d components.
 
     One pass over the row ends records, per residue, the longest part whose
@@ -61,9 +61,7 @@ def _peel(mp, p: ChargeParams, force_k=None) -> PeelStep:
                          if length == lmax and longest.get((r - 1) % e) != lmax})
     if not candidates:
         raise ValueError(f"no admissible residue on {mp}; not a diagonal-crystal vertex")
-    if force_k is not None and force_k not in candidates:
-        raise ValueError(f"residue {force_k} does not qualify on {mp}")
-    k = candidates[0] if force_k is None else force_k
+    k = candidates[0]
     threshold = longest.get((k - 1) % e, 0)
     removed = tuple(Node(a, length, c) for r, a, length, c in removable
                     if r == k and length > threshold)

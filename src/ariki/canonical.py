@@ -82,20 +82,18 @@ def _bar_symmetric_completion(c: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(data)
 
 
-def _straighten(labels, avals, start, tie_reverse=False):
+def _straighten(labels, avals, start):
     """{label: straightened vector} of one rank, from start(label).
 
     start(mp) returns a fresh term dict of a bar-invariant vector with
     leading term mp; it is called once per label, in decreasing (a-value,
-    tie) order.  avals holds at least the labels' a-values.  Equal-a labels
-    never interact, so the tie-break (lexicographic, reversed by
-    tie_reverse) cannot change the result.  Every non-leading coefficient
-    (crystal label or not) must end in q*Z[q]; anything else is an error.
+    label) order.  avals holds at least the labels' a-values.  A label's
+    vector reads only the elements of strictly larger a-value, so equal-a
+    labels never interact and the tie order cannot change the result.
+    Every non-leading coefficient (crystal label or not) must end in
+    q*Z[q]; anything else is an error.
     """
-    def tie_key(m):
-        return tuple(tuple(-x for x in comp) for comp in m) if tie_reverse else m
-
-    ascending = sorted(labels, key=lambda m: (avals[m], tie_key(m)))
+    ascending = sorted(labels, key=lambda m: (avals[m], m))
     ascending_a = [avals[m] for m in ascending]
     basis = {}
     for mp in reversed(ascending):
@@ -127,7 +125,7 @@ def _straighten(labels, avals, start, tie_reverse=False):
     return basis
 
 
-def _bases_by_rank(p: ChargeParams, levels, avals, tie_reverse=False):
+def _bases_by_rank(p: ChargeParams, levels, avals):
     """Yield {label: straightened vector} for each level of a diagonal walk.
 
     levels[r] lists the diagonal-crystal vertices of rank r, and avals
@@ -161,16 +159,16 @@ def _bases_by_rank(p: ChargeParams, levels, avals, tie_reverse=False):
         level = levels[r]
         level_avals = avals if r == top else {mp: _a_value(mp, p) for mp in level}
         moves = {}  # this rank's (lam, k) -> moves of f_k^(r - |lam|)
-        basis = _straighten(level, level_avals, lift, tie_reverse)
+        basis = _straighten(level, level_avals, lift)
         del moves
         finished.update((mp, vec) for mp, vec in basis.items() if refs.get(mp))
         yield basis
         del basis  # only the elements some label above still peels to stay
 
 
-def _top_basis(p: ChargeParams, levels, avals, tie_reverse=False):
+def _top_basis(p: ChargeParams, levels, avals):
     """The top level's {label: straightened vector}; lower ranks are dropped."""
-    ranks = _bases_by_rank(p, levels, avals, tie_reverse)
+    ranks = _bases_by_rank(p, levels, avals)
     for _ in range(len(levels) - 1):
         next(ranks)
     return next(ranks)
@@ -182,17 +180,15 @@ def _elements(basis, avals):
     return [CanonicalBasisElement(label=mp, vector=basis[mp]) for mp in order]
 
 
-def canonical_basis(p: ChargeParams, n: int, _tie_reverse=False):
+def canonical_basis(p: ChargeParams, n: int):
     """All canonical basis elements at rank n, sorted by (a-value, label).
 
     The labels are the rank-n vertices of the diagonal crystal; the basis of
     every lower rank is built on the way (see the module docstring).
-    _tie_reverse reverses the lexicographic tie-break at every rank, for
-    tests.
     """
     levels = crystal_graph(p, n, "flotw").levels
     avals = {mp: _a_value(mp, p) for mp in levels[n]}
-    return _elements(_top_basis(p, levels, avals, _tie_reverse), avals)
+    return _elements(_top_basis(p, levels, avals), avals)
 
 
 @dataclass(frozen=True, init=False)

@@ -66,10 +66,6 @@ class ChargeParams:
     def to_dict(self):
         return {"d": self.d, "e": self.e, "v": list(self.v), "s": self.s}
 
-    @classmethod
-    def from_dict(cls, data):
-        return cls(d=data["d"], e=data["e"], v=tuple(data["v"]), s=data.get("s"))
-
 
 def residue(node: Node, p: ChargeParams) -> int:
     """Residue (b - a + v_c) mod e of a node."""

@@ -115,12 +115,6 @@ class FockVector:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, poly):
-        """Multiply every coefficient by a Laurent polynomial (or int)."""
-        if isinstance(poly, int):
-            poly = LaurentPoly({0: poly})
-        return FockVector({mp: c * poly for mp, c in self.terms.items()})
-
     def exact_div(self, poly: LaurentPoly):
         """Divide every coefficient exactly by poly; raises if any fails."""
         return FockVector({mp: c.exact_div(poly) for mp, c in self.terms.items()})
@@ -128,11 +122,6 @@ class FockVector:
     def at_one(self):
         """Specialize q = 1: map multipartition -> integer."""
         return {mp: c.at_one() for mp, c in self.terms.items()}
-
-    def to_pairs(self):
-        """JSON form: [multipartition, laurent-pairs] sorted canonically."""
-        return [[[list(comp) for comp in mp], self.terms[mp].to_pairs()]
-                for mp in self.support()]
 
     def __str__(self):
         if not self.terms:

@@ -63,9 +63,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no degree")
         return max(self.coeffs)
 
-    def is_monomial(self) -> bool:
-        return len(self.coeffs) == 1
-
     def in_q_zq(self) -> bool:
         """True iff the polynomial lies in q*Z[q] (zero counts)."""
         return all(e >= 1 for e in self.coeffs)
@@ -171,14 +168,6 @@ class LaurentPoly:
             raise ArithmeticError("division is not exact")
         return result
 
-    def to_pairs(self):
-        """JSON form: exponent/coefficient pairs sorted by exponent."""
-        return [[e, self.coeffs[e]] for e in sorted(self.coeffs)]
-
-    @classmethod
-    def from_pairs(cls, pairs):
-        return cls({int(e): int(c) for e, c in pairs})
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -200,7 +189,3 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self.coeffs!r})"
-
-
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()

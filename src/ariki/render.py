@@ -23,8 +23,7 @@ from .crystal import bijection_j, bijection_j_inverse, crystal_graph
 from .partitions import (enumerate_multipartitions, format_multipartition,
                          multipartition_to_json)
 from .symbols import a_value, format_rational, ordinary_symbol, shifted_symbol
-from .typeb import (a_value_typeb, bipartitions_of, canonical_basic_set_b,
-                    decomposition_matrix_b)
+from .typeb import a_value_typeb, canonical_basic_set_b, decomposition_matrix_b
 
 
 def render_enumerate(d: int, n: int, fmt: str = "text") -> str:
@@ -202,7 +201,7 @@ def write_typeb(out, n: int, e: int, action: str, fmt: str = "text"):
         else:
             out.write("\n".join(format_multipartition(bp) for bp in labels) + "\n")
     elif action == "a-values":
-        pairs = [(bp, a_value_typeb(bp)) for bp in bipartitions_of(n)]
+        pairs = [(bp, a_value_typeb(bp)) for bp in enumerate_multipartitions(2, n)]
         if fmt == "json":
             out.write(json.dumps([[multipartition_to_json(bp), a] for bp, a in pairs]))
         else:

@@ -14,8 +14,8 @@ formula to these charges and is independent of the cutoff r.
 from .canonical import DecompositionMatrix, _bases_by_rank, decomposition_matrix
 from .charge import ChargeParams
 from .crystal import crystal_graph, flotw_multipartitions
-from .partitions import (check_multipartition, is_e_regular, part,
-                         partitions_of)
+from .partitions import (check_multipartition, enumerate_multipartitions,
+                         is_e_regular, part)
 from .symbols import _a_value, _weighted_min_sum
 
 
@@ -47,24 +47,12 @@ def a_value_typeb(bp, r: int = None) -> int:
     return total
 
 
-def bipartitions_of(n: int):
-    """All bipartitions of rank n, in canonical order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out = [(p0, p1)
-           for a in range(n + 1)
-           for p0 in partitions_of(a)
-           for p1 in partitions_of(n - a)]
-    out.sort()
-    return out
-
-
 def canonical_basic_set_b(n: int, e: int):
     """Labels of the canonical basic set, sorted canonically."""
     if e < 2:
         raise ValueError("e must be at least 2")
     if e % 2:
-        return [bp for bp in bipartitions_of(n)
+        return [bp for bp in enumerate_multipartitions(2, n)
                 if is_e_regular(bp[0], e) and is_e_regular(bp[1], e)]
     return flotw_multipartitions(even_charge_params(e), n)
 
@@ -95,7 +83,7 @@ def decomposition_matrix_b(n: int, e: int) -> DecompositionMatrix:
                     pairs.setdefault(mu, []).append((lam, x))
         factors.append(pairs)
 
-    avals = {bp: a_value_typeb(bp) for bp in bipartitions_of(n)}
+    avals = {bp: a_value_typeb(bp) for bp in enumerate_multipartitions(2, n)}
     rows = sorted(avals, key=lambda bp: (avals[bp], bp))
     columns = sorted(canonical_basic_set_b(n, e), key=lambda bp: (avals[bp], bp))
     # an entry is the product of the component-wise type-A entries, so only

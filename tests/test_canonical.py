@@ -85,25 +85,14 @@ def test_canonical_basis_structure():
                     assert avals[nu] > avals[el.label]
 
 
-def test_canonical_basis_stable_under_tie_break():
-    # equal-a labels never interact, so a reversed tie-break must be bit-identical
-    for n in range(5):
-        default = canonical_basis(P24, n)
-        reversed_ties = canonical_basis(P24, n, _tie_reverse=True)
-        assert [(el.label, el.vector) for el in default] == \
-            [(el.label, el.vector) for el in reversed_ties]
-
-
-@pytest.mark.parametrize("tie_reverse", (False, True))
-def test_rank_recursion_matches_compute_A_replay(tie_reverse):
+def test_rank_recursion_matches_compute_A_replay():
     # f_k^(c) G(peel rest), straightened, against compute_A straightened:
     # the paper's A-vectors replayed from the empty vector are the oracle
     cases = [(p, 5 if p.d == 3 else 6) for p in GRID]
     cases += [(ChargeParams(1, e, (0,), 0), 9) for e in (2, 3)]
     for p, cap in cases:
         for n in range(cap + 1):
-            got = canonical_basis(p, n, _tie_reverse=tie_reverse)
-            assert got == replayed_basis(p, n, tie_reverse), (p, n)
+            assert canonical_basis(p, n) == replayed_basis(p, n), (p, n)
 
 
 def test_every_yielded_rank_is_that_rank_canonical_basis():

@@ -133,10 +133,9 @@ def test_validation_errors():
         ChargeParams(2, 4, (0, 1), 0)  # shift leaves a negative weight
 
 
-def test_json_dict_round_trip():
+def test_to_dict():
     p = ChargeParams(2, 4, (0, 1), 1)
     assert p.to_dict() == {"d": 2, "e": 4, "v": [0, 1], "s": 1}
-    assert ChargeParams.from_dict(p.to_dict()) == p
 
 
 @pytest.mark.parametrize("d,e,v", [(2, 4, (0, 1)), (3, 3, (0, 1, 2))])

@@ -35,7 +35,7 @@ def test_action_coefficients_are_monomials():
                     for i in range(p.e):
                         out = f_action(vec, i, order, p)
                         for nu in out.support():
-                            assert out.coefficient(nu).is_monomial()
+                            assert len(out.coefficient(nu).coeffs) == 1
 
 
 def test_f_divided_trivial_cases():
@@ -139,7 +139,7 @@ def test_distant_residues_commute():
 
 
 def test_vector_arithmetic_and_division():
-    a = FockVector.unit(((2,), ())).scale(gauss_factorial(2))
+    a = FockVector({((2,), ()): gauss_factorial(2)})
     b = a.exact_div(gauss_factorial(2))
     assert b == FockVector.unit(((2,), ()))
     with pytest.raises(ArithmeticError):
@@ -172,14 +172,6 @@ def test_float_coefficient_rejected():
 def test_unchecked_constructors_are_private():
     assert not any(name.startswith("_of") for name in dir(ariki))
     assert not hasattr(ariki, "_of")
-
-
-def test_vector_json_pairs():
-    vec = f_action(f_action(EMPTY2, 1, "flotw", P24), 1, "flotw", P24)
-    pairs = vec.to_pairs()
-    assert pairs == sorted(pairs)
-    for mp_json, poly_pairs in pairs:
-        assert isinstance(mp_json, list) and isinstance(poly_pairs, list)
 
 
 @pytest.mark.parametrize("call", [

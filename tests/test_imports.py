@@ -1,5 +1,6 @@
-"""Import contracts: the oracles stay apart from the pipeline, and the
-benchmark harness finds every name it imports."""
+"""Import contracts: the oracles stay apart from the pipeline, the pipeline
+takes no test-only parameters, and the benchmark harness finds every name it
+imports."""
 
 import ast
 import importlib
@@ -12,6 +13,9 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 # the kernels the oracles check; a reference that reads one is no longer
 # independent of it
 CHECKED_KERNELS = {"i_signature", "_reduced_signature", "_moves", "_f_divided"}
+
+# the modules that are not on the pipeline: the oracles, the checks and the CLI
+NOT_PIPELINE = ("_oracles.py", "verification.py", "cli.py")
 
 
 def _imports(path):
@@ -41,6 +45,21 @@ def test_oracle_imports_point_one_way():
     # and no oracle reads the kernels it checks
     names = {name for _, name in _imports(os.path.join(PACKAGE, "_oracles.py"))}
     assert not names & CHECKED_KERNELS
+
+
+def test_pipeline_has_no_private_parameters():
+    # a parameter named _x is a knob for tests; the pipeline takes none
+    found = []
+    for filename in sorted(os.listdir(PACKAGE)):
+        if not filename.endswith(".py") or filename in NOT_PIPELINE:
+            continue
+        path = os.path.join(PACKAGE, filename)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        # ast.arg nodes are exactly the parameters of functions and lambdas
+        found += [(filename, node.lineno, node.arg) for node in ast.walk(tree)
+                  if isinstance(node, ast.arg) and node.arg.startswith("_")]
+    assert not found
 
 
 def test_perfbench_imports_resolve():

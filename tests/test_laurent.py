@@ -6,7 +6,7 @@ import random
 import pytest
 
 from ariki._oracles import gauss_factorial, gauss_number
-from ariki.laurent import LaurentPoly, ONE, ZERO
+from ariki.laurent import LaurentPoly
 
 
 def _gauss_binomial(l, j):
@@ -16,10 +16,10 @@ def _gauss_binomial(l, j):
 
 def test_gauss_examples():
     assert gauss_number(2) == LaurentPoly({1: 1, -1: 1})
-    assert gauss_factorial(1) == ONE
+    assert gauss_factorial(1) == LaurentPoly.one()
     assert _gauss_binomial(3, 1) == LaurentPoly({2: 1, 0: 1, -2: 1})
-    assert gauss_number(0) == ZERO
-    assert gauss_factorial(0) == ONE
+    assert gauss_number(0) == LaurentPoly.zero()
+    assert gauss_factorial(0) == LaurentPoly.one()
 
 
 def test_gauss_errors():
@@ -52,7 +52,7 @@ def test_ring_axioms_spot():
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
         assert a + b == b + a
-        assert a - a == ZERO
+        assert a - a == LaurentPoly.zero()
 
 
 def test_bar_is_an_involution():
@@ -68,11 +68,11 @@ def test_exact_division():
     num = gauss_number(3) * gauss_number(2)
     assert num.exact_div(gauss_number(2)) == gauss_number(3)
     with pytest.raises(ArithmeticError):
-        (gauss_number(2) + ONE).exact_div(LaurentPoly({0: 2}))
+        (gauss_number(2) + LaurentPoly.one()).exact_div(LaurentPoly({0: 2}))
     with pytest.raises(ArithmeticError):
-        ONE.exact_div(gauss_number(2))
+        LaurentPoly.one().exact_div(gauss_number(2))
     with pytest.raises(ZeroDivisionError):
-        ONE.exact_div(ZERO)
+        LaurentPoly.one().exact_div(LaurentPoly.zero())
 
 
 def test_exact_division_random_products():
@@ -87,19 +87,17 @@ def test_exact_division_random_products():
 def test_in_q_zq():
     assert LaurentPoly({1: 2, 3: 1}).in_q_zq()
     assert not LaurentPoly({0: 1, 2: 1}).in_q_zq()
-    assert ZERO.in_q_zq()
+    assert LaurentPoly.zero().in_q_zq()
 
 
-def test_pairs_round_trip_and_str():
+def test_str():
     poly = LaurentPoly({2: 1, 0: -3, -1: 2})
-    assert poly.to_pairs() == [[-1, 2], [0, -3], [2, 1]]
-    assert LaurentPoly.from_pairs(poly.to_pairs()) == poly
     assert str(poly) == "q^2 - 3 + 2q^-1"
-    assert str(ZERO) == "0"
-    assert str(ONE) == "1"
+    assert str(LaurentPoly.zero()) == "0"
+    assert str(LaurentPoly.one()) == "1"
     assert str(LaurentPoly({1: 1})) == "q"
 
 
 def test_immutability():
     with pytest.raises(AttributeError):
-        ONE.coeffs = {}
+        LaurentPoly.one().coeffs = {}

@@ -8,10 +8,10 @@ import pytest
 from ariki.canonical import decomposition_matrix
 from ariki.charge import ChargeParams, is_semisimple
 from ariki.crystal import crystal_graph
+from ariki.partitions import enumerate_multipartitions
 from ariki.symbols import a_value
-from ariki.typeb import (a_value_typeb, bipartitions_of, canonical_basic_set_b,
-                         decomposition_matrix_b, even_charge_params,
-                         type_a_params)
+from ariki.typeb import (a_value_typeb, canonical_basic_set_b, decomposition_matrix_b,
+                         even_charge_params, type_a_params)
 
 
 def test_a_value_typeb_examples():
@@ -31,7 +31,7 @@ def test_a_value_typeb_matches_symbol_formula():
         p = even_charge_params(e)
         assert p.m == (Fraction(1), Fraction(0))
         for n in range(6):
-            for bp in bipartitions_of(n):
+            for bp in enumerate_multipartitions(2, n):
                 hmax = max(len(bp[0]), len(bp[1]))
                 values = {a_value_typeb(bp, r) for r in (hmax, hmax + 1, hmax + 2)}
                 assert len(values) == 1
@@ -77,7 +77,7 @@ def _check_entry_formula(n, e, factors, row_sizes):
     # the reference is the per-entry formula: a product of type-A entries
     # where the component sizes match, zero elsewhere
     m = decomposition_matrix_b(n, e)
-    assert m.rows == tuple(sorted(bipartitions_of(n),
+    assert m.rows == tuple(sorted(enumerate_multipartitions(2, n),
                                   key=lambda bp: (a_value_typeb(bp), bp)))
     for i, mu in enumerate(m.rows):
         if sum(mu[0]) not in row_sizes:
@@ -106,7 +106,7 @@ def test_odd_matrix_block_tensor_structure():
 
 def test_negative_rank_rejected():
     for e in (2, 3, 4, 5):
-        for call in (bipartitions_of, lambda n: canonical_basic_set_b(n, e),
+        for call in (lambda n: canonical_basic_set_b(n, e),
                      lambda n: decomposition_matrix_b(n, e)):
             with pytest.raises(ValueError, match="nonnegative"):
                 call(-1)
