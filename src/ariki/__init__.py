@@ -2,13 +2,14 @@
 
 # perfbench/workloads.py imports compute_A from the package for its replay
 from ._oracles import compute_A
-from .aseq import AGraph, a_graph, a_sequence, a_sequence_blocks, k_opt_add
+from .aseq import AGraph, a_graph, a_sequence, a_sequence_blocks, k_opt_add, peel_step
 from .canonical import (CanonicalBasisElement, DecompositionMatrix, canonical_basis,
                         decomposition_matrix, simple_module_a_values)
 from .charge import ChargeParams, is_semisimple, residue
-from .crystal import (CrystalGraph, bijection_j, bijection_j_inverse, crystal_graph,
-                      flotw_multipartitions, good_addable_node, good_removable_node,
-                      is_flotw, is_kleshchev, kleshchev_multipartitions)
+from .crystal import (CrystalGraph, bijection_j, bijection_j_inverse, crystal_bijection,
+                      crystal_graph, flotw_multipartitions, good_addable_node,
+                      good_removable_node, is_flotw, is_kleshchev,
+                      kleshchev_multipartitions)
 from .fock import FockVector, f_divided
 from .laurent import LaurentPoly
 from .partitions import (Node, addable_nodes, enumerate_multipartitions,

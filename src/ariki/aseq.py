@@ -10,7 +10,7 @@ at the position with the largest shifted diagonal, rebuilds the original
 multipartition through a chain of diagonal-crystal vertices.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .charge import ChargeParams
 from .crystal import _is_flotw
@@ -18,8 +18,7 @@ from .partitions import (Node, add_node, check_components, check_multicompositio
                          empty_multipartition, part, rank)
 
 
-@dataclass(frozen=True)
-class PeelStep:
+class PeelStep(NamedTuple):
     """One peeling step: chosen residue, qualifying ties, removed nodes, rest."""
     k: int
     candidates: tuple
@@ -130,8 +129,7 @@ def _k_opt_add(mc, k, p: ChargeParams):
     return add_node(mc, g), g
 
 
-@dataclass(frozen=True)
-class AGraph:
+class AGraph(NamedTuple):
     """Optimal-addition chain: steps (stage-before, node, residue) and final stage."""
     steps: tuple
     final: tuple

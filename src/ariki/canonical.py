@@ -45,8 +45,8 @@ derived on demand and is never built on the rendering path.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .aseq import _peel
 from .charge import ChargeParams
@@ -65,8 +65,7 @@ def _leading_one(mp, vec: FockVector) -> FockVector:
     return vec
 
 
-@dataclass(frozen=True)
-class CanonicalBasisElement:
+class CanonicalBasisElement(NamedTuple):
     """One straightened basis vector with its crystal label."""
     label: tuple
     vector: FockVector
@@ -191,7 +190,6 @@ def canonical_basis(p: ChargeParams, n: int):
     return _elements(_top_basis(p, levels, avals), avals)
 
 
-@dataclass(frozen=True, init=False)
 class DecompositionMatrix:
     """Integer decomposition matrix with dual-labeled columns.
 
@@ -203,14 +201,9 @@ class DecompositionMatrix:
     (column index, entry) pairs by ascending column.  entries, the dense
     rows x columns view, is derived from them on first use.  The
     constructor takes either nonzero= or a dense entries=, which it
-    converts once.
+    converts once.  Equality and hashing read the stored fields.  There are
+    no __slots__: the cached properties live in the instance dict.
     """
-    rows: tuple
-    columns: tuple
-    kleshchev_labels: tuple
-    nonzero: tuple
-    row_a_values: tuple
-    column_a_values: tuple
 
     def __init__(self, rows, columns, kleshchev_labels, row_a_values,
                  column_a_values, nonzero=None, entries=None):
@@ -224,6 +217,21 @@ class DecompositionMatrix:
                             ("nonzero", nonzero), ("row_a_values", row_a_values),
                             ("column_a_values", column_a_values)):
             object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DecompositionMatrix is immutable")
+
+    def _key(self):
+        return (self.rows, self.columns, self.kleshchev_labels, self.nonzero,
+                self.row_a_values, self.column_a_values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @cached_property
     def entries(self):

@@ -15,7 +15,6 @@ and the divided powers both read it.  The oracles' one encoding of the two
 orders is ariki._oracles.below_key.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .partitions import Node
@@ -23,40 +22,56 @@ from .partitions import Node
 ORDERS = ("am", "flotw")
 
 
-@dataclass(frozen=True)
 class ChargeParams:
-    """Immutable (d, e, charges, shift) bundle with the derived scaled weights."""
-    d: int
-    e: int
-    v: tuple
-    s: int = None  # minimal shift making all weights nonnegative, if omitted
-    scaled_m: tuple = field(init=False, compare=False, repr=False)
+    """Immutable (d, e, charges, shift) bundle with the derived scaled weights.
 
-    def __post_init__(self):
-        v = tuple(self.v)
-        object.__setattr__(self, "v", v)
-        if self.d < 1:
+    The shift s defaults to the minimal one making all weights nonnegative.
+    Equality and hashing read (d, e, v, s); scaled_m follows from them.
+    """
+
+    __slots__ = ("d", "e", "v", "s", "scaled_m")
+
+    def __init__(self, d, e, v, s=None):
+        v = tuple(v)
+        if d < 1:
             raise ValueError("d must be positive")
-        if self.e < 2:
+        if e < 2:
             raise ValueError("e must be at least 2")
-        if len(v) != self.d:
-            raise ValueError(f"expected {self.d} charges, got {len(v)}")
+        if len(v) != d:
+            raise ValueError(f"expected {d} charges, got {len(v)}")
         if not all(isinstance(x, int) for x in v):
             raise ValueError("charges must be integers")
-        if not all(0 <= v[j] <= v[j + 1] for j in range(self.d - 1)) or not (
-                0 <= v[0] and v[-1] < self.e):
+        if not all(0 <= v[j] <= v[j + 1] for j in range(d - 1)) or not (
+                0 <= v[0] and v[-1] < e):
             raise ValueError("charges must satisfy 0 <= v_0 <= ... <= v_{d-1} < e")
-        if self.s is None:
-            need = max((j * self.e - self.d * v[j] + self.d * self.e - 1)
-                       // (self.d * self.e) for j in range(self.d))
-            object.__setattr__(self, "s", max(0, need))
-        elif self.s < 0:
+        if s is None:
+            need = max((j * e - d * v[j] + d * e - 1) // (d * e) for j in range(d))
+            s = max(0, need)
+        elif s < 0:
             raise ValueError("shift s must be nonnegative")
-        scaled = tuple(self.d * v[j] - j * self.e + self.s * self.d * self.e
-                       for j in range(self.d))
+        scaled = tuple(d * v[j] - j * e + s * d * e for j in range(d))
         if any(x < 0 for x in scaled):
-            raise ValueError(f"shift s={self.s} leaves a negative weight")
-        object.__setattr__(self, "scaled_m", scaled)
+            raise ValueError(f"shift s={s} leaves a negative weight")
+        for name, value in (("d", d), ("e", e), ("v", v), ("s", s), ("scaled_m", scaled)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ChargeParams is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.d, self.e, self.v, self.s) == (other.d, other.e, other.v, other.s)
+
+    def __hash__(self):
+        return hash((self.d, self.e, self.v, self.s))
+
+    def __repr__(self):
+        return f"ChargeParams(d={self.d!r}, e={self.e!r}, v={self.v!r}, s={self.s!r})"
+
+    def __reduce__(self):
+        # pickle and copy would restore the slots through __setattr__
+        return ChargeParams, (self.d, self.e, self.v, self.s)
 
     @property
     def m(self):

@@ -17,10 +17,9 @@ import sys
 from . import render
 from .charge import ChargeParams
 from .partitions import parse_multipartition, rank
-from .verification import RankCaps, run_all
 
 # Largest --mp rank accepted.  A single column is the slowest shape (the
-# tallest symbol); 500 cells at d = 3 take about 0.14 s including start-up.
+# tallest symbol); 500 cells at d = 3 take about 0.12 s including start-up.
 # It also caps symbol --shift, whose symbol table grows linearly with it.
 MAX_MP_RANK = 500
 
@@ -150,6 +149,8 @@ def run(args) -> int:
     elif cmd == "typeb":
         render.write_typeb(out, args.n, args.e, args.action, args.format)
     elif cmd == "verify":
+        # only verify loads the check suite (and subprocess, which it runs)
+        from .verification import RankCaps, run_all
         caps = RankCaps.quick() if args.quick else RankCaps()
         if not run_all(caps, report=lambda line: out.write(line + "\n")):
             return 1

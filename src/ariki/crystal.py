@@ -24,7 +24,7 @@ graph's own edges, each one replayed as a component-major lowering of the
 image of its source.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .charge import ChargeParams, check_order, i_signature
 from .partitions import (add_node, check_components, check_multipartition,
@@ -137,8 +137,7 @@ def _is_flotw(mp, p):
     return True
 
 
-@dataclass(frozen=True)
-class CrystalGraph:
+class CrystalGraph(NamedTuple):
     """Ranked crystal: vertex lists per rank and labeled edges between ranks.
 
     edges[r] holds (source, residue, node, target) with source of rank r.

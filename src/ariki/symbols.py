@@ -13,16 +13,15 @@ All charged arithmetic uses entries scaled by d (see charge.scaled_m);
 exact rationals appear only in shifted symbols and returned a-values.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .charge import ChargeParams
 from .partitions import check_components, check_multicomposition, part, rank
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(NamedTuple):
     """Ordinary symbol: d rows of beta-numbers at a common height."""
     rows: tuple
     height: int
@@ -43,8 +42,7 @@ class Symbol:
         return sum(comb(self.d * t + 1, 2) for t in range(1, self.height))
 
 
-@dataclass(frozen=True)
-class ShiftedSymbol:
+class ShiftedSymbol(NamedTuple):
     """Symbol with m^(i) added to row i; entries are exact rationals."""
     rows: tuple
     height: int

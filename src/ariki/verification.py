@@ -14,8 +14,8 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ._oracles import (f_power_divided_oracle, prec, replayed_basis,
                        residue_path_terminals, schur_valuation)
@@ -39,8 +39,7 @@ GRID = (
 )
 
 
-@dataclass
-class RankCaps:
+class RankCaps(NamedTuple):
     """Rank ceilings for the expensive enumerations."""
     counting: int = 6
     d1_regular: int = 8

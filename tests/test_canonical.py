@@ -1,10 +1,9 @@
 """Straightened basis vectors, decomposition matrices, and their shape."""
 
-import dataclasses
-
 import pytest
 
 from ariki._oracles import compute_A, diagram_residues, replayed_basis
+from ariki.aseq import peel_step
 from ariki.canonical import (DecompositionMatrix, _bar_symmetric_completion,
                              _bases_by_rank, _elements, canonical_basis, decomposition_matrix,
                              simple_module_a_values)
@@ -155,9 +154,24 @@ def test_peel_rest_must_be_a_finished_label(monkeypatch):
     import ariki.canonical as canonical
     real = canonical._peel
     monkeypatch.setattr(canonical, "_peel",
-                        lambda mp, p: dataclasses.replace(real(mp, p), rest=mp))
+                        lambda mp, p: real(mp, p)._replace(rest=mp))
     with pytest.raises(RuntimeError, match="not a finished label"):
         canonical_basis(P24, 2)
+
+
+def test_records_are_immutable_values():
+    m = decomposition_matrix(P24, 3)
+    fields = {f: getattr(m, f) for f in ("rows", "columns", "kleshchev_labels",
+                                         "row_a_values", "column_a_values")}
+    dense = DecompositionMatrix(**fields, entries=m.entries)
+    sparse = DecompositionMatrix(**fields, nonzero=m.nonzero)
+    assert dense == sparse == m and hash(dense) == hash(sparse)
+    step = peel_step(((2,), (1,)), P24)
+    graph = crystal_graph(P24, 2, "flotw")
+    for record, name in ((m, "rows"), (m, "entries"), (m, "other"), (step, "rest"),
+                         (step, "other"), (graph, "levels"), (graph, "other")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 def test_decomposition_matrix_d1e2():

@@ -1,5 +1,6 @@
 """Charge bookkeeping, node orders, and the semisimplicity criterion."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,20 @@ def test_validation_errors():
 def test_to_dict():
     p = ChargeParams(2, 4, (0, 1), 1)
     assert p.to_dict() == {"d": 2, "e": 4, "v": [0, 1], "s": 1}
+
+
+def test_params_are_immutable_values():
+    p = ChargeParams(d=2, e=4, v=(0, 1))
+    q = ChargeParams(2, 4, (0, 1))
+    assert p == q and hash(p) == hash(q)
+    assert p == ChargeParams(2, 4, [0, 1], 1)  # the minimal shift, given explicitly
+    assert p != ChargeParams(2, 4, (0, 1), 2)
+    assert repr(p) == "ChargeParams(d=2, e=4, v=(0, 1), s=1)"
+    for name in ("d", "v", "s", "scaled_m", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 0)
+    assert p == q and p.scaled_m == (8, 6)
+    assert pickle.loads(pickle.dumps(p)) == p
 
 
 @pytest.mark.parametrize("d,e,v", [(2, 4, (0, 1)), (3, 3, (0, 1, 2))])

@@ -1,6 +1,5 @@
 """Command-line behavior: outputs, exit codes, schemas, determinism."""
 
-import dataclasses
 import json
 import os
 import random
@@ -255,7 +254,7 @@ def test_streamed_commands_write_nothing_on_internal_error(capsys, monkeypatch):
     import ariki.canonical as canonical
     real = canonical._peel
     monkeypatch.setattr(canonical, "_peel",
-                        lambda mp, p: dataclasses.replace(real(mp, p), rest=mp))
+                        lambda mp, p: real(mp, p)._replace(rest=mp))
     charge = ["--d", "2", "--e", "4", "--charges", "0,1", "--n", "3"]
     for argv in (["canonical", *charge], ["decomp", *charge],
                  ["decomp", *charge, "--format=json"],
@@ -374,9 +373,10 @@ def test_verify_quick(capsys):
 def test_fuzz_verify_arguments(capsys, monkeypatch):
     # unknown flags, stray positionals and values given to --quick exit 2
     # with a message before any check runs
-    import ariki.cli as cli
+    import ariki.verification as verification
     ran = []
-    monkeypatch.setattr(cli, "run_all", lambda *args, **kwargs: ran.append(args) or True)
+    monkeypatch.setattr(verification, "run_all",
+                        lambda *args, **kwargs: ran.append(args) or True)
     rng = random.Random(6)
     bad = ["--quick=1", "--quick=--", "--quick=", "--quick=0", "--slow", "--Quick",
            "--rank-cap", "-x", "-q", "extra", "1", "quick", "-", "--", "--d=2"]

@@ -1,10 +1,13 @@
 """Import contracts: the oracles stay apart from the pipeline, the pipeline
-takes no test-only parameters, and the benchmark harness finds every name it
-imports."""
+takes no test-only parameters, importing the package and its CLI stays cheap,
+and the benchmark harness and the README find every name they import."""
 
 import ast
 import importlib
+import json
 import os
+import subprocess
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "ariki")
@@ -16,6 +19,10 @@ CHECKED_KERNELS = {"i_signature", "_reduced_signature", "_moves", "_f_divided"}
 
 # the modules that are not on the pipeline: the oracles, the checks and the CLI
 NOT_PIPELINE = ("_oracles.py", "verification.py", "cli.py")
+
+# standard modules whose import costs more than a one-vertex query: the
+# package and its CLI load none of them (only `verify` loads subprocess)
+COLD_PATH_EXCLUDED = {"dataclasses", "inspect", "subprocess"}
 
 
 def _imports(path):
@@ -74,3 +81,21 @@ def test_perfbench_imports_resolve():
             assert name is None or hasattr(imported, name), (filename, module, name)
             checked += 1
     assert checked
+    # the README names these without a module path
+    from ariki import aseq, crystal, crystal_bijection, peel_step
+    assert crystal_bijection is crystal.crystal_bijection and peel_step is aseq.peel_step
+
+
+def test_cold_import_loads_no_heavy_modules():
+    # a fresh interpreter, as for one CLI query; site may preload modules,
+    # so only the ones the import adds count
+    script = ("import json, sys; before = set(sys.modules); "
+              "import ariki, ariki.render, ariki.cli; "
+              "print(json.dumps(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-s", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(json.loads(proc.stdout))
+    assert "ariki.cli" in added
+    assert not added & COLD_PATH_EXCLUDED, sorted(added & COLD_PATH_EXCLUDED)
