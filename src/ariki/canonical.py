@@ -35,6 +35,12 @@ label's whole residue sequence from the empty vector.  It is not on the
 basis path; straightened the same way it must give the same basis, which
 the tests and `verify` check.
 
+Every a-value table, sort key and bisection here holds the integer d*a
+(symbols._scaled_a_value), which orders labels exactly as the a-value
+does; comparing ints is much cheaper than comparing Fractions.  Fractions
+are made only for the a-values a DecompositionMatrix reports, one per
+distinct value.
+
 Specializing q = 1 gives the decomposition matrix, with rows and columns
 sorted by ascending a-value (ties lexicographic) so its unitriangular
 shape is visually literal.  Almost every cell is zero (1.3% are nonzero at
@@ -45,6 +51,7 @@ derived on demand and is never built on the rendering path.
 """
 
 from bisect import bisect_right
+from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
@@ -54,7 +61,7 @@ from .crystal import _graph_bijection, crystal_graph
 from .fock import FockVector, _f_divided
 from .laurent import LaurentPoly
 from .partitions import enumerate_multipartitions
-from .symbols import _a_value
+from .symbols import _scaled_a_value
 
 
 def _leading_one(mp, vec: FockVector) -> FockVector:
@@ -86,9 +93,12 @@ def _straighten(labels, avals, start):
 
     start(mp) returns a fresh term dict of a bar-invariant vector with
     leading term mp; it is called once per label, in decreasing (a-value,
-    label) order.  avals holds at least the labels' a-values.  A label's
-    vector reads only the elements of strictly larger a-value, so equal-a
-    labels never interact and the tie order cannot change the result.
+    label) order.  avals maps at least the labels to values ordered like
+    their a-values: the pipeline passes the integers d*a
+    (symbols._scaled_a_value), the oracles the Fraction a-values.  A
+    label's vector reads only the elements of strictly larger a-value, so
+    equal-a labels never interact and the tie order cannot change the
+    result.
     Every non-leading coefficient (crystal label or not) must end in
     q*Z[q]; anything else is an error.
     """
@@ -128,9 +138,11 @@ def _bases_by_rank(p: ChargeParams, levels, avals):
     """Yield {label: straightened vector} for each level of a diagonal walk.
 
     levels[r] lists the diagonal-crystal vertices of rank r, and avals
-    holds at least the top level's a-values.  Ranks come out from 0 to the
-    top, each label starting from f_k^(c) of its peel rest's element.  A
-    caller that wants only the top rank should drop each rank as it comes.
+    maps at least the top level's labels to values ordered like their
+    a-values, as in _straighten; the lower ranks are keyed on d*a.  Ranks
+    come out from 0 to the top, each label starting from f_k^(c) of its
+    peel rest's element.  A caller that wants only the top rank should
+    drop each rank as it comes.
     """
     peels, refs = {}, {}
     for level in levels[1:]:
@@ -156,7 +168,7 @@ def _bases_by_rank(p: ChargeParams, levels, avals):
     top = len(levels) - 1
     for r in range(1, top + 1):
         level = levels[r]
-        level_avals = avals if r == top else {mp: _a_value(mp, p) for mp in level}
+        level_avals = avals if r == top else {mp: _scaled_a_value(mp, p) for mp in level}
         moves = {}  # this rank's (lam, k) -> moves of f_k^(r - |lam|)
         basis = _straighten(level, level_avals, lift)
         del moves
@@ -186,7 +198,7 @@ def canonical_basis(p: ChargeParams, n: int):
     every lower rank is built on the way (see the module docstring).
     """
     levels = crystal_graph(p, n, "flotw").levels
-    avals = {mp: _a_value(mp, p) for mp in levels[n]}
+    avals = {mp: _scaled_a_value(mp, p) for mp in levels[n]}
     return _elements(_top_basis(p, levels, avals), avals)
 
 
@@ -270,7 +282,7 @@ def decomposition_matrix(p: ChargeParams, n: int) -> DecompositionMatrix:
     levels = flotw.levels
     del flotw
     rows = enumerate_multipartitions(p.d, n)
-    avals = {mp: _a_value(mp, p) for mp in rows}
+    avals = {mp: _scaled_a_value(mp, p) for mp in rows}  # d*a
     basis = _top_basis(p, levels, avals)
     rows.sort(key=lambda m: (avals[m], m))
     columns = sorted(basis, key=lambda m: (avals[m], m))
@@ -283,12 +295,13 @@ def decomposition_matrix(p: ChargeParams, n: int) -> DecompositionMatrix:
             x = coeff.at_one()
             if x:
                 nonzero[row_of[mp]].append((j, x))
+    a_of = {x: Fraction(x, p.d) for x in set(avals.values())}
     return DecompositionMatrix(
         rows=tuple(rows), columns=tuple(columns),
         kleshchev_labels=tuple(dual[col] for col in columns),
         nonzero=tuple(map(tuple, nonzero)),
-        row_a_values=tuple(avals[mp] for mp in rows),
-        column_a_values=tuple(avals[mp] for mp in columns))
+        row_a_values=tuple(a_of[avals[mp]] for mp in rows),
+        column_a_values=tuple(a_of[avals[mp]] for mp in columns))
 
 
 def simple_module_a_values(p: ChargeParams, n: int, matrix=None):

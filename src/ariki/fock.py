@@ -28,6 +28,12 @@ moves are read from a table keyed by (lam, i), so one table serves one
 order and one target rank |lam| + j, where j is fixed by lam.  Public
 f_divided uses a fresh table per call; the LLT recursion shares one table
 among all the lifts of a rank, whose input vectors overlap.
+
+The accumulation loops over the monomials of lam's coefficient outside the
+loop over lam's moves; most coefficients on the basis path are monomials.
+A target mu met for the first time gets the one-entry dict
+{exponent: coefficient}, later hits add into it, and zero entries are
+filtered out only from the targets where some sum cancelled.
 """
 
 from itertools import combinations
@@ -68,6 +74,10 @@ class FockVector:
 
     def __setattr__(self, name, value):
         raise AttributeError("FockVector is immutable")
+
+    def __reduce__(self):
+        # pickle and copy would restore the slot through __setattr__
+        return FockVector, (self.terms,)
 
     @classmethod
     def unit(cls, mp):
@@ -134,15 +144,19 @@ class FockVector:
 
 
 def _add_nodes(lam, nodes):
-    """lam with the given addable nodes (distinct rows per component) added."""
-    comps = [list(comp) for comp in lam]
+    """lam with the given addable nodes (distinct rows per component) added.
+
+    Only the touched components are rebuilt, each by tuple slices; a node
+    past the last row starts a new row of length 1.
+    """
+    comps = list(lam)
     for a, _, c in nodes:
         comp = comps[c]
         if a > len(comp):
-            comp.append(1)
+            comps[c] = comp + (1,)
         else:
-            comp[a - 1] += 1
-    return tuple(map(tuple, comps))
+            comps[c] = comp[:a - 1] + (comp[a - 1] + 1,) + comp[a:]
+    return tuple(comps)
 
 
 def _moves(lam, i, j: int, order: str, p: ChargeParams):
@@ -174,25 +188,31 @@ def _f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams, table):
 
     table maps (lam, i) to _moves(lam, i, j, order, p) and is filled on a
     miss.  Its key leaves out j and order, so one table must serve one
-    order and one target rank |lam| + j only.
+    order and one target rank |lam| + j only.  Each monomial c0*q^e0 of
+    lam's coefficient is added into every move's target, the monomials in
+    the outer loop; a target's dict drops its zeros only when a sum
+    cancelled (0 is among its values).
     """
     raw = {}
     for lam, coef in v.terms.items():
         moves = table.get((lam, i))
         if moves is None:
             moves = table[lam, i] = _moves(lam, i, j, order, p)
-        terms = coef.coeffs.items()
-        for mu, exp in moves:
-            acc = raw.get(mu)
-            if acc is None:
-                acc = raw[mu] = {}
-            for e, c in terms:
-                acc[e + exp] = acc.get(e + exp, 0) + c
+        for e0, c0 in coef.coeffs.items():
+            for mu, exp in moves:
+                acc = raw.get(mu)
+                if acc is None:
+                    raw[mu] = {e0 + exp: c0}
+                else:
+                    e = e0 + exp
+                    acc[e] = acc.get(e, 0) + c0
     out = {}
     for mu, acc in raw.items():
-        coeffs = {e: c for e, c in acc.items() if c}
-        if coeffs:
-            out[mu] = LaurentPoly._of(coeffs)
+        if 0 in acc.values():  # some sum cancelled
+            acc = {e: c for e, c in acc.items() if c}
+            if not acc:
+                continue
+        out[mu] = LaurentPoly._of(acc)
     return FockVector._of(out)
 
 

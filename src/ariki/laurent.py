@@ -35,6 +35,10 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
+    def __reduce__(self):
+        # pickle and copy would restore the slot through __setattr__
+        return LaurentPoly, (self.coeffs,)
+
     @classmethod
     def zero(cls):
         return cls()
@@ -65,7 +69,7 @@ class LaurentPoly:
 
     def in_q_zq(self) -> bool:
         """True iff the polynomial lies in q*Z[q] (zero counts)."""
-        return all(e >= 1 for e in self.coeffs)
+        return not self.coeffs or min(self.coeffs) >= 1
 
     def bar(self):
         """Image under q -> q^(-1)."""

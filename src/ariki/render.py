@@ -23,7 +23,7 @@ from .crystal import bijection_j, bijection_j_inverse, crystal_graph
 from .partitions import (enumerate_multipartitions, format_multipartition,
                          multipartition_to_json)
 from .symbols import a_value, format_rational, ordinary_symbol, shifted_symbol
-from .typeb import a_value_typeb, canonical_basic_set_b, decomposition_matrix_b
+from .typeb import _a_value_typeb, canonical_basic_set_b, decomposition_matrix_b
 
 
 def render_enumerate(d: int, n: int, fmt: str = "text") -> str:
@@ -105,7 +105,9 @@ def _capture(write, *args) -> str:
 def write_canonical(out, p: ChargeParams, n: int):
     basis = canonical_basis(p, n)
     # one position and one text per distinct multipartition in any support,
-    # and one text per distinct coefficient
+    # and one text per distinct coefficient, keyed by its stored items: a
+    # tuple hashes much faster than the polynomial's frozenset, and an equal
+    # coefficient stored in another order only formats the same text again
     support = sorted({mp for el in basis for mp in el.vector.terms})
     position = {mp: i for i, mp in enumerate(support)}
     name = {mp: format_multipartition(mp) for mp in support}
@@ -115,9 +117,10 @@ def write_canonical(out, p: ChargeParams, n: int):
         parts = []
         for mp in sorted(terms, key=position.__getitem__):
             c = terms[mp]
-            text = coeff_text.get(c)
+            key = tuple(c.coeffs.items())
+            text = coeff_text.get(key)
             if text is None:
-                text = coeff_text[c] = f"({c})*["
+                text = coeff_text[key] = f"({c})*["
             parts.append(f"{text}{name[mp]}]")
         out.write(f"{name[el.label]}: {' + '.join(parts)}\n")
 
@@ -201,7 +204,7 @@ def write_typeb(out, n: int, e: int, action: str, fmt: str = "text"):
         else:
             out.write("\n".join(format_multipartition(bp) for bp in labels) + "\n")
     elif action == "a-values":
-        pairs = [(bp, a_value_typeb(bp)) for bp in enumerate_multipartitions(2, n)]
+        pairs = [(bp, _a_value_typeb(bp)) for bp in enumerate_multipartitions(2, n)]
         if fmt == "json":
             out.write(json.dumps([[multipartition_to_json(bp), a] for bp, a in pairs]))
         else:

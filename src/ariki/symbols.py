@@ -10,7 +10,11 @@ the y-adic valuation of the Schur element, walking the explicit product of
 binomial factors.
 
 All charged arithmetic uses entries scaled by d (see charge.scaled_m);
-exact rationals appear only in shifted symbols and returned a-values.
+exact rationals appear only in shifted symbols and returned a-values.  The
+kernel _scaled_a_value returns the integer d*a, which orders
+multipartitions exactly as the a-value does; the canonical-basis and type B
+pipelines key on it and build a Fraction only for the public a_value and
+the a-values a DecompositionMatrix reports.
 """
 
 from fractions import Fraction
@@ -123,15 +127,18 @@ def a_value(mp, p: ChargeParams, shift: int = 0) -> Fraction:
     mp = check_components(mp, p.d)
     if shift < 0:
         raise ValueError("shift must be nonnegative")
-    return _a_value(mp, p, shift)
+    return Fraction(_scaled_a_value(mp, p, shift), p.d)
 
 
-def _a_value(mp, p: ChargeParams, shift: int = 0) -> Fraction:
-    """a_value of a multipartition already validated with p.d components.
+def _scaled_a_value(mp, p: ChargeParams, shift: int = 0) -> int:
+    """d times the a_value of a multipartition already validated with p.d
+    components, an int.
 
-    Reads the symbol statistics in closed form from the parts: at height h
-    the entries total n + d*h(h-1)/2, and tau sums C(d*t+1, 2) for
-    t = 1..h-1.
+    d*a orders the multipartitions as a does, so the basis pipeline keys
+    its tables, sorts and bisections on it and makes a Fraction only for
+    what it returns.  The symbol statistics are read in closed form from
+    the parts: at height h the entries total n + d*h(h-1)/2, and tau sums
+    C(d*t+1, 2) for t = 1..h-1.
     """
     d, sm = p.d, p.scaled_m
     n = rank(mp)
@@ -142,8 +149,7 @@ def _a_value(mp, p: ChargeParams, shift: int = 0) -> Fraction:
     # n*sum(sm) - d*tau + d*(total - n) - h*sum_{i<j} min(sm_i, sm_j) + stat
     scaled = n * sum(sm) - d * tau + d * d * t1
     scaled -= h * _weighted_min_sum(sm)
-    scaled += _scaled_stat(mp, h, p)
-    return Fraction(scaled, d)
+    return scaled + _scaled_stat(mp, h, p)
 
 
 def format_rational(x) -> str:

@@ -14,9 +14,8 @@ formula to these charges and is independent of the cutoff r.
 from .canonical import DecompositionMatrix, _bases_by_rank, decomposition_matrix
 from .charge import ChargeParams
 from .crystal import crystal_graph, flotw_multipartitions
-from .partitions import (check_multipartition, enumerate_multipartitions,
-                         is_e_regular, part)
-from .symbols import _a_value, _weighted_min_sum
+from .partitions import check_multipartition, enumerate_multipartitions, is_e_regular
+from .symbols import _scaled_a_value, _weighted_min_sum
 
 
 def even_charge_params(e: int) -> ChargeParams:
@@ -36,13 +35,22 @@ def a_value_typeb(bp, r: int = None) -> int:
         r = hmax
     if r < hmax:
         raise ValueError(f"cutoff r={r} is below the maximal height {hmax}")
+    return _a_value_typeb(bp, r)
+
+
+def _a_value_typeb(bp, r: int = None) -> int:
+    """a_value_typeb of a valid bipartition, unchecked; r defaults to its
+    largest height and must not be below it."""
+    if r is None:
+        r = max(len(bp[0]), len(bp[1]))
+    # both components padded with zeros to r parts; index k is row k + 1
+    xs, ys = bp[0] + (0,) * (r - len(bp[0])), bp[1] + (0,) * (r - len(bp[1]))
     total = -(r * (r - 1) * (2 * r + 5)) // 6
-    total += sum((i - 1) * (part(bp[0], i) + part(bp[1], i) + 1)
-                 for i in range(1, r + 1))
-    # sum of min(x_i, y_j) over all i, j: the pairs of the merged list less
-    # the pairs inside each list
-    xs = [part(bp[0], i) + 1 + r - i for i in range(1, r + 1)]
-    ys = [part(bp[1], j) + r - j for j in range(1, r + 1)]
+    total += sum(k * (x + y + 1) for k, (x, y) in enumerate(zip(xs, ys)))
+    # sum of min(x_i, y_j) over all i, j of the shifted parts: the pairs of
+    # the merged list less the pairs inside each list
+    xs = [x + r - k for k, x in enumerate(xs)]
+    ys = [y + r - 1 - k for k, y in enumerate(ys)]
     total += _weighted_min_sum(xs + ys) - _weighted_min_sum(xs) - _weighted_min_sum(ys)
     return total
 
@@ -72,7 +80,7 @@ def decomposition_matrix_b(n: int, e: int) -> DecompositionMatrix:
 
     pa = type_a_params(e)
     levels = crystal_graph(pa, n, "flotw").levels
-    top = {mp: _a_value(mp, pa) for mp in levels[n]}
+    top = {mp: _scaled_a_value(mp, pa) for mp in levels[n]}
     # per rank and row partition of a type-A factor: its nonzero (column, entry)
     factors = []
     for basis in _bases_by_rank(pa, levels, top):
@@ -83,7 +91,7 @@ def decomposition_matrix_b(n: int, e: int) -> DecompositionMatrix:
                     pairs.setdefault(mu, []).append((lam, x))
         factors.append(pairs)
 
-    avals = {bp: a_value_typeb(bp) for bp in enumerate_multipartitions(2, n)}
+    avals = {bp: _a_value_typeb(bp) for bp in enumerate_multipartitions(2, n)}
     rows = sorted(avals, key=lambda bp: (avals[bp], bp))
     columns = sorted(canonical_basic_set_b(n, e), key=lambda bp: (avals[bp], bp))
     # an entry is the product of the component-wise type-A entries, so only

@@ -1,5 +1,7 @@
 """Straightened basis vectors, decomposition matrices, and their shape."""
 
+from fractions import Fraction
+
 import pytest
 
 from ariki._oracles import compute_A, diagram_residues, replayed_basis
@@ -261,6 +263,17 @@ def test_crystal_rows_only_reference_smaller_a_columns():
             for j, col in enumerate(m.columns):
                 if m.entries[i][j] and col != row:
                     assert m.column_a_values[j] < m.row_a_values[i]
+
+
+def test_matrix_a_values_are_fractions():
+    # the pipeline sorts on the integers d*a; the matrix reports a itself
+    for p in GRID:
+        matrix = decomposition_matrix(p, 5)
+        for labels, values in ((matrix.rows, matrix.row_a_values),
+                               (matrix.columns, matrix.column_a_values)):
+            assert len(labels) == len(values)
+            for mp, a in zip(labels, values):
+                assert type(a) is Fraction and a == a_value(mp, p), (p, mp, a)
 
 
 def test_simple_module_a_values():

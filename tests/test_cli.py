@@ -268,15 +268,15 @@ def test_reader_closing_early_ends_quietly():
     # writer meets the closed pipe mid-stream and must exit 0 without a trace
     src = os.path.dirname(os.path.dirname(os.path.abspath(ariki.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "ariki.cli", "decomp", "--d", "2", "--e", "4",
-         "--charges", "0,1", "--n", "10"],
-        env=dict(os.environ, PYTHONPATH=path), stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE)
-    assert proc.stdout.read(9) == b"columns:\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 0 and err == b"", err
+    with subprocess.Popen(
+            [sys.executable, "-m", "ariki.cli", "decomp", "--d", "2", "--e", "4",
+             "--charges", "0,1", "--n", "10"],
+            env=dict(os.environ, PYTHONPATH=path), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(9) == b"columns:\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0 and err == b"", err
 
 
 def test_render_canonical_matches_per_element_formatting():

@@ -13,7 +13,9 @@ from ariki.crystal import (_reduced_signature, bijection_j, bijection_j_inverse,
                            is_kleshchev, kleshchev_multipartitions)
 from ariki.partitions import (Node, add_node, enumerate_multipartitions,
                               is_e_regular, remove_node)
+from ariki.render import render_typeb
 from ariki.symbols import a_value
+from ariki.typeb import decomposition_matrix_b
 from ariki.verification import GRID as VERIFY_GRID
 
 P24 = ChargeParams(2, 4, (0, 1))
@@ -257,6 +259,15 @@ def test_validation_stays_at_the_boundary(monkeypatch):
         fn(mp, p)
         assert len(calls["check_multipartition"]) <= 1, (fn.__name__, calls)
         # the replay's stages are built from validated input
+        assert not calls["check_multicomposition"], (fn.__name__, calls)
+    # the type B matrix and a-value table read all 185 bipartitions of 8;
+    # they enumerate them, so none is checked again
+    for fn, args in ((decomposition_matrix_b, (8, 3)),
+                     (render_typeb, (8, 3, "a-values"))):
+        for seen in calls.values():
+            seen.clear()
+        fn(*args)
+        assert len(calls["check_multipartition"]) <= 1, (fn.__name__, calls)
         assert not calls["check_multicomposition"], (fn.__name__, calls)
 
 

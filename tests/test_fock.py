@@ -1,16 +1,20 @@
 """Fock vectors and divided powers, against the one-node action f_i."""
 
+import copy
+import pickle
 import random
+from functools import reduce
+from itertools import combinations
 
 import pytest
 
 import ariki
 from ariki._oracles import below_key, f_action, f_power_divided_oracle, gauss_factorial
-from ariki.charge import ChargeParams
+from ariki.charge import ChargeParams, i_signature
 from ariki.crystal import crystal_graph, good_addable_node, good_removable_node
-from ariki.fock import FockVector, _f_divided, f_divided
+from ariki.fock import FockVector, _add_nodes, _f_divided, f_divided
 from ariki.laurent import LaurentPoly
-from ariki.partitions import enumerate_multipartitions
+from ariki.partitions import add_node, enumerate_multipartitions
 
 P24 = ChargeParams(2, 4, (0, 1))
 GRID = (P24, ChargeParams(2, 2, (0, 1)), ChargeParams(3, 3, (0, 1, 2)),
@@ -36,6 +40,41 @@ def test_action_coefficients_are_monomials():
                         out = f_action(vec, i, order, p)
                         for nu in out.support():
                             assert len(out.coefficient(nu).coeffs) == 1
+
+
+def test_add_nodes_matches_one_node_at_a_time():
+    # every subset of the addable i-nodes, listed in either direction, gives
+    # what add_node gives one node at a time
+    grew_both = False
+    for p in GRID:
+        for n in range(6):
+            for lam in enumerate_multipartitions(p.d, n):
+                for order in ("am", "flotw"):
+                    for i in range(p.e):
+                        add = [g for *_, is_addable, g in i_signature(lam, i, order, p)
+                               if is_addable]
+                        for j in range(1, len(add) + 1):
+                            for chosen in combinations(add, j):
+                                mu = reduce(add_node, chosen, lam)
+                                assert _add_nodes(lam, chosen) == mu, (lam, chosen)
+                                assert _add_nodes(lam, chosen[::-1]) == mu, (lam, chosen)
+                                new_row = {c for a, _, c in chosen if a > len(lam[c])}
+                                longer = {c for a, _, c in chosen if a <= len(lam[c])}
+                                grew_both |= bool(new_row & longer)
+    # some component gained a new row and a longer row at once
+    assert grew_both
+
+
+def test_vectors_and_polynomials_pickle_and_copy():
+    poly = LaurentPoly({-2: 3, 0: 1, 5: -4})
+    vec = FockVector({((2,), (1,)): poly, ((1, 1), (1,)): LaurentPoly.one()})
+    for value in (poly, LaurentPoly.zero(), vec, FockVector.zero()):
+        for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value),
+                      copy.deepcopy(value)):
+            assert type(clone) is type(value) and clone == value
+            assert hash(clone) == hash(value)
+    with pytest.raises(AttributeError):
+        copy.copy(vec).terms = {}
 
 
 def test_f_divided_trivial_cases():
