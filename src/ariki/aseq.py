@@ -35,7 +35,8 @@ def peel_step(mp, p: ChargeParams) -> PeelStep:
     mp = check_components(mp, p.d)
     if rank(mp) == 0:
         raise ValueError("cannot peel the empty multipartition")
-    return _peel(mp, p)
+    step = _peel(mp, p)
+    return step._replace(removed=tuple(Node(*g) for g in step.removed))
 
 
 def _peel(mp, p: ChargeParams) -> PeelStep:
@@ -43,6 +44,8 @@ def _peel(mp, p: ChargeParams) -> PeelStep:
 
     One pass over the row ends records, per residue, the longest part whose
     border node has it, and the removable row ends with their residues.
+    The removed nodes are plain (row, col, comp) tuples; peel_step makes
+    them Nodes.
     """
     e, v = p.e, p.v
     longest = {}     # residue -> longest part with a border node of that residue
@@ -62,7 +65,7 @@ def _peel(mp, p: ChargeParams) -> PeelStep:
         raise ValueError(f"no admissible residue on {mp}; not a diagonal-crystal vertex")
     k = candidates[0]
     threshold = longest.get((k - 1) % e, 0)
-    removed = tuple(Node(a, length, c) for r, a, length, c in removable
+    removed = tuple((a, length, c) for r, a, length, c in removable
                     if r == k and length > threshold)
     rest = list(mp)
     for a, length, c in removed:

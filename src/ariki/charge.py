@@ -11,8 +11,10 @@ the component-major order (below = smaller (comp, row)) and the
 diagonal order (below = larger b - a + v_c, ties to the smaller component).
 i_signature lists a multipartition's addable and removable i-nodes lowest
 first in either order, from one pass over its rows; the crystal operators
-and the divided powers both read it.  The oracles' one encoding of the two
-orders is ariki._oracles.below_key.
+and the divided powers both read it.  Its nodes are plain (row, col, comp)
+tuples; the public functions that return a node build the partitions.Node
+record from one.  The oracles' one encoding of the two orders is
+ariki._oracles.below_key.
 """
 
 from fractions import Fraction
@@ -100,7 +102,8 @@ def i_signature(mp, i, order, p: ChargeParams):
     """The addable and removable i-nodes of mp, lowest first in the order.
 
     One pass over the rows yields tuples (-content, comp, addable?, node),
-    where content is b - a + v_c.  The end of row a has residue
+    where content is b - a + v_c and node is a plain (row, col, comp)
+    tuple, not a partitions.Node.  The end of row a has residue
     (length - a + v_c) mod e and the node after it the next residue, so a
     row gives at most one i-node (e >= 2), and a component's new-row node
     comes after its rows: the pass emits the component-major order as it
@@ -117,11 +120,11 @@ def i_signature(mp, i, order, p: ChargeParams):
             r = (length - a + vc) % e
             if r == i:
                 if a == height or comp[a] < length:  # row a+1 is shorter
-                    items.append((a - length - vc, c, False, Node(a, length, c)))
+                    items.append((a - length - vc, c, False, (a, length, c)))
             elif r == before and (a == 1 or comp[a - 2] > length):  # row a-1 longer
-                items.append((a - length - 1 - vc, c, True, Node(a, length + 1, c)))
+                items.append((a - length - 1 - vc, c, True, (a, length + 1, c)))
         if (vc - height) % e == i:
-            items.append((height - vc, c, True, Node(height + 1, 1, c)))
+            items.append((height - vc, c, True, (height + 1, 1, c)))
     if order == "flotw":
         items.sort()
     return items

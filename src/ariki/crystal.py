@@ -2,15 +2,17 @@
 
 The i-signature of a multipartition lists its addable and removable i-nodes
 from the lowest to the highest node of the selected order; it comes from
-charge.i_signature, the one row scan the divided powers read too.  Scanning in
-that direction, an addable node cancels the next uncancelled removable node
-after it; the good addable node is the lowest surviving addable one and the
-good removable node is the highest surviving removable one.  This scanning
-convention is pinned by three observable requirements checked in the test
-suite: for d = 1 both crystals regenerate exactly the e-regular partitions,
-the diagonal-order crystal regenerates the explicit two-condition
-membership test at every rank, and the two membership sets are equinumerous
-rank by rank.
+charge.i_signature, the one row scan the divided powers read too.  Scanning
+in that direction, an addable node cancels the next uncancelled removable
+node after it; the good addable node is the lowest surviving addable one and
+the good removable node is the highest surviving removable one.  This
+scanning convention is pinned by three observable requirements checked in
+the test suite: for d = 1 both crystals regenerate exactly the e-regular
+partitions, the diagonal-order crystal regenerates the explicit
+two-condition membership test at every rank, and the two membership sets are
+equinumerous rank by rank.  The signature's nodes are plain (row, col,
+comp) tuples; a partitions.Node is built only where a public function
+returns one (the good nodes and crystal_graph's edges).
 
 Component-major-order crystal vertices are called Kleshchev multipartitions
 and diagonal-order vertices satisfy the explicit conditions below
@@ -27,9 +29,8 @@ image of its source.
 from typing import NamedTuple
 
 from .charge import ChargeParams, check_order, i_signature
-from .partitions import (add_node, check_components, check_multipartition,
-                         empty_multipartition, enumerate_multipartitions, part, rank,
-                         remove_node)
+from .partitions import (Node, add_node, check_components, empty_multipartition,
+                         enumerate_multipartitions, part, rank, remove_node)
 
 
 def _reduced_signature(mp, i, order, p):
@@ -51,17 +52,17 @@ def _reduced_signature(mp, i, order, p):
 
 
 def good_addable_node(mp, i, order: str, p: ChargeParams):
-    """Position added by the crystal lowering operator, or None."""
+    """Position added by the crystal lowering operator, as a Node, or None."""
     check_order(order)
-    addable, _ = _reduced_signature(check_multipartition(mp), i, order, p)
-    return addable[0] if addable else None
+    addable, _ = _reduced_signature(check_components(mp, p.d), i, order, p)
+    return Node(*addable[0]) if addable else None
 
 
 def good_removable_node(mp, i, order: str, p: ChargeParams):
-    """Node removed by the crystal raising operator, or None."""
+    """Node removed by the crystal raising operator, as a Node, or None."""
     check_order(order)
-    _, removable = _reduced_signature(check_multipartition(mp), i, order, p)
-    return removable[-1] if removable else None
+    _, removable = _reduced_signature(check_components(mp, p.d), i, order, p)
+    return Node(*removable[-1]) if removable else None
 
 
 # An i-signature without addable (removable) i-nodes has no surviving
@@ -140,7 +141,8 @@ def _is_flotw(mp, p):
 class CrystalGraph(NamedTuple):
     """Ranked crystal: vertex lists per rank and labeled edges between ranks.
 
-    edges[r] holds (source, residue, node, target) with source of rank r.
+    edges[r] holds (source, residue, node, target) with source of rank r
+    and node a partitions.Node.
     """
     order: str
     levels: tuple
@@ -166,7 +168,7 @@ def crystal_graph(p: ChargeParams, n: int, order: str) -> CrystalGraph:
                 if addable:
                     nxt = add_node(mp, addable[0])
                     nxt = targets.setdefault(nxt, nxt)
-                    level_edges.append((mp, i, addable[0], nxt))
+                    level_edges.append((mp, i, Node(*addable[0]), nxt))
         level_edges.sort()
         levels.append(sorted(targets))
         edges.append(tuple(level_edges))

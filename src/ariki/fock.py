@@ -19,7 +19,8 @@ i-nodes R below gamma.  With A sorted lowest first and S at indices
 s_0 < ... < s_{j-1}, below A[s_k] lie s_k nodes of A, k of them in S, so
 the exponent is sum_k (s_k - k - #{r in R below A[s_k]}).  f_divided
 reads A and R, lowest first, from the one row scan charge.i_signature,
-which the crystal operators read too.
+which the crystal operators read too; its nodes are plain (row, col, comp)
+tuples.
 
 f_divided works in two steps.  The moves of lam, the (mu, exponent) pairs
 of f_i^(j) on the basis vector lam, depend on lam, i, j and the order only;
@@ -40,7 +41,8 @@ from itertools import combinations
 
 from .charge import ChargeParams, check_order, i_signature
 from .laurent import LaurentPoly
-from .partitions import check_multipartition, format_multipartition, rank
+from .partitions import (check_components, check_multipartition, format_multipartition,
+                         rank)
 
 
 class FockVector:
@@ -143,22 +145,6 @@ class FockVector:
         return f"FockVector({self.terms!r})"
 
 
-def _add_nodes(lam, nodes):
-    """lam with the given addable nodes (distinct rows per component) added.
-
-    Only the touched components are rebuilt, each by tuple slices; a node
-    past the last row starts a new row of length 1.
-    """
-    comps = list(lam)
-    for a, _, c in nodes:
-        comp = comps[c]
-        if a > len(comp):
-            comps[c] = comp + (1,)
-        else:
-            comps[c] = comp[:a - 1] + (comp[a - 1] + 1,) + comp[a:]
-    return tuple(comps)
-
-
 def _moves(lam, i, j: int, order: str, p: ChargeParams):
     """The (mu, exponent) pairs of f_i^(j) on the basis vector lam.
 
@@ -168,19 +154,29 @@ def _moves(lam, i, j: int, order: str, p: ChargeParams):
     counts lam's removable i-nodes below A[s] (see the module docstring).
     One charge.i_signature scan of lam lists both kinds lowest first, so
     weight[s] = s - rem_below[s] is s minus the removable nodes seen before
-    A[s].
+    A[s].  Each subset of (node, weight) pairs is walked once: the touched
+    components are rebuilt by tuple slices (a node past the last row starts
+    a new row of length 1) while the weights are summed.
     """
-    add, weight, rem_below = [], [], 0
+    pairs, rem_below = [], 0
     for _, _, is_addable, g in i_signature(lam, i, order, p):
         if is_addable:
-            weight.append(len(add) - rem_below)
-            add.append(g)
+            pairs.append((g, len(pairs) - rem_below))
         else:
             rem_below += 1
     offset = j * (j - 1) // 2  # the -k terms, the same for every subset
-    return [(_add_nodes(lam, [add[s] for s in chosen]),
-             sum(weight[s] for s in chosen) - offset)
-            for chosen in combinations(range(len(add)), j)]
+    out = []
+    for chosen in combinations(pairs, j):
+        comps, exp = list(lam), -offset
+        for (a, _, c), weight in chosen:
+            comp = comps[c]
+            if a > len(comp):
+                comps[c] = comp + (1,)
+            else:
+                comps[c] = comp[:a - 1] + (comp[a - 1] + 1,) + comp[a:]
+            exp += weight
+        out.append((tuple(comps), exp))
+    return out
 
 
 def _f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams, table):
@@ -225,10 +221,14 @@ def f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVect
     multiplies each coefficient of v into its moves.  This call reads the
     moves from a fresh table; the LLT recursion shares one table among all
     the divided powers of one target rank (canonical._bases_by_rank).
+    Every multipartition of v's support must have p.d components; the
+    check is made here, once per call, and _f_divided makes none.
     """
     check_order(order)
     if j < 0:
         raise ValueError("j must be nonnegative")
+    for lam in v.terms:
+        check_components(lam, p.d)
     if j == 0:
         return v
     return _f_divided(v, i, j, order, p, {})

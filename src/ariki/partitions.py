@@ -13,7 +13,13 @@ from typing import NamedTuple
 
 
 class Node(NamedTuple):
-    """A cell (row a, column b, component c) of a multipartition diagram."""
+    """A cell (row a, column b, component c) of a multipartition diagram.
+
+    This is the public record: functions that return a node return a Node.
+    The hot row scans (charge.i_signature, fock._moves, aseq._peel) carry
+    plain (row, col, comp) tuples, which compare and hash equal to it, and
+    a Node is built from one only at the API.
+    """
     row: int
     col: int
     comp: int
@@ -21,9 +27,12 @@ class Node(NamedTuple):
 
 def is_partition(parts) -> bool:
     """True iff parts is a weakly decreasing sequence of positive integers."""
-    parts = tuple(parts)
-    return all(isinstance(x, int) and x >= 1 for x in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
+    prev = None
+    for x in parts:
+        if not isinstance(x, int) or x < 1 or (prev is not None and x > prev):
+            return False
+        prev = x
+    return True
 
 
 def is_composition(parts) -> bool:

@@ -1,9 +1,12 @@
 """Good nodes, crystal membership, graph generation, and the bijection."""
 
+import ast
+import inspect
 from collections import Counter
 
 import pytest
 
+from ariki import aseq, charge, fock
 from ariki._oracles import addable_i_nodes, below_key, removable_i_nodes
 from ariki.aseq import a_graph, a_sequence, peel_step
 from ariki.charge import ChargeParams
@@ -11,6 +14,7 @@ from ariki.crystal import (_reduced_signature, bijection_j, bijection_j_inverse,
                            crystal_graph, flotw_multipartitions,
                            good_addable_node, good_removable_node, is_flotw,
                            is_kleshchev, kleshchev_multipartitions)
+from ariki.fock import FockVector, f_divided
 from ariki.partitions import (Node, add_node, enumerate_multipartitions,
                               is_e_regular, remove_node)
 from ariki.render import render_typeb
@@ -159,10 +163,45 @@ def test_crystal_bijection_matches_single_vertex_replay():
 
 
 def test_wrong_component_count_rejected():
-    for mp in (((2,),), ((2,), (), ())):
-        for fn in (is_kleshchev, is_flotw, bijection_j, bijection_j_inverse):
+    calls = (is_kleshchev, is_flotw, bijection_j, bijection_j_inverse,
+             lambda mp, p: good_addable_node(mp, 0, "am", p),
+             lambda mp, p: good_removable_node(mp, 0, "am", p),
+             lambda mp, p: f_divided(FockVector.unit(mp), 1, 1, "am", p))
+    for mp in (((1,),), ((2,),), ((2,), (), ())):
+        for fn in calls:
             with pytest.raises(ValueError, match="expected 2 components"):
                 fn(mp, P24)
+
+
+def test_public_functions_return_node_records():
+    # Node == tuple holds, so only the type shows a bare tuple escaping
+    for p in GRID:
+        for order in ("am", "flotw"):
+            graph = crystal_graph(p, 4, order)
+            for level_edges in graph.edges:
+                assert all(type(g) is Node for _, _, g, _ in level_edges)
+            for r in range(4):
+                for mp in graph.vertices(r):
+                    for i in range(p.e):
+                        for g in (good_addable_node(mp, i, order, p),
+                                  good_removable_node(mp, i, order, p)):
+                            assert g is None or type(g) is Node
+        for mp in crystal_graph(p, 4, "flotw").vertices(4):
+            assert all(type(g) is Node for g in peel_step(mp, p).removed)
+            assert all(type(g) is Node for _, g, _ in a_graph(mp, p).steps)
+
+
+def test_hot_scans_build_no_node_records():
+    # the row scans carry plain (row, col, comp) tuples
+    scans = {charge: ["i_signature"], fock: ["_moves"], aseq: ["_peel"]}
+    for module, names in scans.items():
+        tree = ast.parse(inspect.getsource(module))
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name in names:
+                names.remove(fn.name)
+                assert not any(getattr(node, "id", getattr(node, "attr", None)) == "Node"
+                               for node in ast.walk(fn)), fn.name
+        assert names == [], f"{module.__name__} lost {names}"
 
 
 def test_bijection_rejects_non_members():

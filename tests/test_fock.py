@@ -12,7 +12,7 @@ import ariki
 from ariki._oracles import below_key, f_action, f_power_divided_oracle, gauss_factorial
 from ariki.charge import ChargeParams, i_signature
 from ariki.crystal import crystal_graph, good_addable_node, good_removable_node
-from ariki.fock import FockVector, _add_nodes, _f_divided, f_divided
+from ariki.fock import FockVector, _f_divided, _moves, f_divided
 from ariki.laurent import LaurentPoly
 from ariki.partitions import add_node, enumerate_multipartitions
 
@@ -43,8 +43,8 @@ def test_action_coefficients_are_monomials():
 
 
 def test_add_nodes_matches_one_node_at_a_time():
-    # every subset of the addable i-nodes, listed in either direction, gives
-    # what add_node gives one node at a time
+    # the targets of _moves, one per subset of the addable i-nodes in the
+    # scan's order, are what add_node gives one node at a time
     grew_both = False
     for p in GRID:
         for n in range(6):
@@ -54,10 +54,11 @@ def test_add_nodes_matches_one_node_at_a_time():
                         add = [g for *_, is_addable, g in i_signature(lam, i, order, p)
                                if is_addable]
                         for j in range(1, len(add) + 1):
-                            for chosen in combinations(add, j):
-                                mu = reduce(add_node, chosen, lam)
-                                assert _add_nodes(lam, chosen) == mu, (lam, chosen)
-                                assert _add_nodes(lam, chosen[::-1]) == mu, (lam, chosen)
+                            targets = [mu for mu, _ in _moves(lam, i, j, order, p)]
+                            subsets = list(combinations(add, j))
+                            assert targets == [reduce(add_node, chosen, lam)
+                                               for chosen in subsets], (lam, i, j)
+                            for chosen in subsets:
                                 new_row = {c for a, _, c in chosen if a > len(lam[c])}
                                 longer = {c for a, _, c in chosen if a <= len(lam[c])}
                                 grew_both |= bool(new_row & longer)

@@ -1,6 +1,8 @@
 """Shape combinatorics: examples plus exhaustive small-rank properties."""
 
 import json
+import random
+from collections import Counter
 
 import pytest
 
@@ -141,8 +143,46 @@ def test_json_form_round_trip():
     assert multipartition_from_json(json.loads(blob)) == mp
 
 
+def _reference_check(mp):
+    """The documented rule: the tuple form, or the message of the first bad component."""
+    mp = tuple(tuple(comp) for comp in mp)
+    for comp in mp:
+        if not (all(isinstance(x, int) and x >= 1 for x in comp)
+                and list(comp) == sorted(comp, reverse=True)):
+            return f"component {comp} is not a partition"
+    return mp
+
+
 def test_check_multipartition_rejects_bad_shapes():
     with pytest.raises(ValueError):
         check_multipartition(((1, 2),))
     with pytest.raises(ValueError):
         check_multipartition(((0,),))
+    fixed = [((0,),), ((2, -1),), ((-3,),), ((1, 2),), ((3, 1, 2),), ((1.0,),),
+             ((2, 1.0),), (("a",),), ((2, "a"),), ((True,),), ((2, True),),
+             ((True, 2),), ((False,),), ([2, 1], [1]), [[3, 3], []], ((), ()),
+             ((),), ()]
+    rng = random.Random(16)
+    values = (0, -1, -2, 1, 2, 3, 5, 1.0, 2.5, "a", True, False, None)
+    drawn = []
+    for _ in range(400):
+        comps = []
+        for _ in range(rng.randint(1, 3)):
+            comp = sorted((rng.choice(values[3:7]) for _ in range(rng.randint(0, 4))),
+                          reverse=rng.random() < 0.8)
+            if comp and rng.random() < 0.2:
+                comp[rng.randrange(len(comp))] = rng.choice(values)
+            comps.append(comp if rng.random() < 0.5 else tuple(comp))
+        drawn.append(tuple(comps))
+    outcomes = Counter()
+    for mp in fixed + drawn:
+        want = _reference_check(mp)
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as info:
+                check_multipartition(mp)
+            assert str(info.value) == want, mp
+        else:
+            got = check_multipartition(mp)
+            assert got == want and all(type(comp) is tuple for comp in got), mp
+        outcomes[isinstance(want, str)] += 1
+    assert outcomes[True] > 100 and outcomes[False] > 100, outcomes
