@@ -22,6 +22,11 @@ so they share one table of divided-power moves (fock.f_divided), keyed by
 table is made before the rank is straightened and dropped after it.  No
 hit is lost by dropping it: a move's target rank is |lam'| + c, so a key
 met again at another rank would need another c and could not be reused.
+Beside it a second table of the same lifetime gives every multipartition
+the moves reach one tuple, and the straightening shares each distinct
+coefficient value of the rank as one object, so a finished rank holds one
+tuple per distinct multipartition and one polynomial per distinct
+coefficient rather than one of each per term.
 
 The recursion yields every rank in turn, so one walk to rank n serves a
 caller that wants all ranks 0..n (odd-e type B) as well as one that wants
@@ -101,10 +106,20 @@ def _straighten(labels, avals, start):
     result.
     Every non-leading coefficient (crystal label or not) must end in
     q*Z[q]; anything else is an error.
+
+    A finished vector's coefficients are checked, then each is replaced by
+    the first equal one this call finished, so the returned rank holds one
+    LaurentPoly per distinct value (a few hundred for tens of thousands of
+    terms).  The table, shared, lives for this call only: keyed by a
+    coefficient's items tuple, and on a miss by their frozenset, so an
+    equal value stored in another order finds the same object.  Sharing is
+    safe because a LaurentPoly is immutable and the subtractions only ever
+    build new ones.
     """
     ascending = sorted(labels, key=lambda m: (avals[m], m))
     ascending_a = [avals[m] for m in ascending]
     basis = {}
+    shared = {}  # this call's coefficients: items tuple or frozenset -> the one object
     for mp in reversed(ascending):
         terms = start(mp)
         for nu in ascending[bisect_right(ascending_a, avals[mp]):]:
@@ -130,6 +145,11 @@ def _straighten(labels, avals, start):
                 raise RuntimeError(
                     f"coefficient of {nu} in the element labeled {mp} "
                     f"is {c}, not in q*Z[q]")
+            key = tuple(c.coeffs.items())
+            one = shared.get(key)
+            if one is None:  # a new value, or one stored in another order
+                one = shared[key] = shared.setdefault(frozenset(key), c)
+            terms[nu] = one
         basis[mp] = FockVector._of(terms)
     return basis
 
@@ -143,6 +163,13 @@ def _bases_by_rank(p: ChargeParams, levels, avals):
     come out from 0 to the top, each label starting from f_k^(c) of its
     peel rest's element.  A caller that wants only the top rank should
     drop each rank as it comes.
+
+    Each rank has two tables of its own, made before its straightening and
+    deleted after it: moves, (lam, k) -> the moves of f_k^(r - |lam|) (see
+    fock._f_divided), and targets, each multipartition those moves reach ->
+    its one tuple, so every support of the rank holds one tuple per
+    multipartition.  They stay two tables, so that moves holds (lam, k)
+    keys only.
     """
     peels, refs = {}, {}
     for level in levels[1:]:
@@ -162,7 +189,7 @@ def _bases_by_rank(p: ChargeParams, levels, avals):
         refs[rest] -= 1
         if not refs[rest]:
             del finished[rest]
-        lifted = _f_divided(below, k, c, "flotw", p, moves)
+        lifted = _f_divided(below, k, c, "flotw", p, moves, targets)
         return dict(_leading_one(mp, lifted).terms)
 
     top = len(levels) - 1
@@ -170,8 +197,9 @@ def _bases_by_rank(p: ChargeParams, levels, avals):
         level = levels[r]
         level_avals = avals if r == top else {mp: _scaled_a_value(mp, p) for mp in level}
         moves = {}  # this rank's (lam, k) -> moves of f_k^(r - |lam|)
+        targets = {}  # this rank's multipartition -> the one tuple its moves hold
         basis = _straighten(level, level_avals, lift)
-        del moves
+        del moves, targets
         finished.update((mp, vec) for mp, vec in basis.items() if refs.get(mp))
         yield basis
         del basis  # only the elements some label above still peels to stay

@@ -20,10 +20,10 @@ and diagonal-order vertices satisfy the explicit conditions below
 highest-weight vertex, and raising lowers the rank inside the component,
 so a multipartition is a vertex exactly when one greedy raising path
 reaches empty.  The bijection between the two vertex sets is the crystal
-isomorphism: one vertex is mapped by replaying its raising residues as
-lowerings in the other order, a whole rank along the diagonal crystal
-graph's own edges, each one replayed as a component-major lowering of the
-image of its source.
+isomorphism: one vertex is mapped by replaying its raising steps, whole
+i-strings, as lowerings in the other order, a whole rank along the
+diagonal crystal graph's own edges, each one replayed as a
+component-major lowering of the image of its source.
 """
 
 from typing import NamedTuple
@@ -91,17 +91,25 @@ def _removable_residues(mp, p):
 
 
 def _raising_path(mp, order, p):
-    """Residues removed by greedy raising down to empty, or None if stuck.
+    """Greedy raising down to empty as (residue, k) steps, or None if stuck.
 
-    Each step removes one node, so the rank is counted down, not recomputed.
+    Each step takes the smallest residue i with a surviving removable
+    i-node and removes all k of them at once, which is e_i^k: removing an
+    i-node changes no other i-node, so the removed node turns addable and
+    cancels nothing, and the next good removable node is the next surviving
+    one down.  Any maximal raising path ends at its component's one
+    highest-weight vertex, so this path reaches empty exactly when the
+    one-node path does.  The rank is counted down, not recomputed.
     """
-    path = []
-    for _ in range(rank(mp)):
+    path, left = [], rank(mp)
+    while left:
         for i in _removable_residues(mp, p):
             _, removable = _reduced_signature(mp, i, order, p)
             if removable:
-                path.append(i)
-                mp = remove_node(mp, removable[-1])
+                path.append((i, len(removable)))
+                for node in removable:
+                    mp = remove_node(mp, node)
+                left -= len(removable)
                 break
         else:
             return None
@@ -213,16 +221,22 @@ def _graph_bijection(gf: CrystalGraph, p: ChargeParams):
 
 
 def _transport(mp, p, source, target):
-    """Image of a source-order vertex: its raising path replayed in target order."""
+    """Image of a source-order vertex: its raising path replayed in target order.
+
+    A step (i, k) is replayed as f_i^k, which adds the k lowest surviving
+    addable i-nodes of one scan.  A crystal isomorphism maps every raising
+    path of a vertex to the same image.
+    """
     path = _raising_path(check_components(mp, p.d), source, p)
     if path is None:
         raise ValueError(f"{mp} is not a vertex of the {source} crystal")
     cur = empty_multipartition(p.d)
-    for i in reversed(path):
+    for i, k in reversed(path):
         addable, _ = _reduced_signature(cur, i, target, p)
-        if not addable:
+        if len(addable) < k:
             raise RuntimeError("residue path cannot be replayed; crystals disagree")
-        cur = add_node(cur, addable[0])
+        for node in addable[:k]:
+            cur = add_node(cur, node)
     return cur
 
 

@@ -26,9 +26,12 @@ f_divided works in two steps.  The moves of lam, the (mu, exponent) pairs
 of f_i^(j) on the basis vector lam, depend on lam, i, j and the order only;
 the accumulation multiplies each input coefficient into its moves.  The
 moves are read from a table keyed by (lam, i), so one table serves one
-order and one target rank |lam| + j, where j is fixed by lam.  Public
-f_divided uses a fresh table per call; the LLT recursion shares one table
-among all the lifts of a rank, whose input vectors overlap.
+order and one target rank |lam| + j, where j is fixed by lam.  A second
+table, targets, gives each multipartition the moves build its first tuple,
+so the moves of one table share one tuple per target.  Public f_divided
+uses fresh tables per call; the LLT recursion shares one pair among all
+the lifts of a rank, whose input vectors overlap, and drops it with the
+rank.
 
 The accumulation loops over the monomials of lam's coefficient outside the
 loop over lam's moves; most coefficients on the basis path are monomials.
@@ -145,7 +148,7 @@ class FockVector:
         return f"FockVector({self.terms!r})"
 
 
-def _moves(lam, i, j: int, order: str, p: ChargeParams):
+def _moves(lam, i, j: int, order: str, p: ChargeParams, targets):
     """The (mu, exponent) pairs of f_i^(j) on the basis vector lam.
 
     Adding i-nodes changes no other addable i-node, so for lam's addable
@@ -156,7 +159,9 @@ def _moves(lam, i, j: int, order: str, p: ChargeParams):
     weight[s] = s - rem_below[s] is s minus the removable nodes seen before
     A[s].  Each subset of (node, weight) pairs is walked once: the touched
     components are rebuilt by tuple slices (a node past the last row starts
-    a new row of length 1) while the weights are summed.
+    a new row of length 1) while the weights are summed.  targets maps
+    each multipartition built so far to its first tuple, and each mu is
+    that tuple: the moves of several lam that reach one mu share it.
     """
     pairs, rem_below = [], 0
     for _, _, is_addable, g in i_signature(lam, i, order, p):
@@ -175,25 +180,32 @@ def _moves(lam, i, j: int, order: str, p: ChargeParams):
             else:
                 comps[c] = comp[:a - 1] + (comp[a - 1] + 1,) + comp[a:]
             exp += weight
-        out.append((tuple(comps), exp))
+        mu = tuple(comps)
+        out.append((targets.setdefault(mu, mu), exp))
     return out
 
 
-def _f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams, table):
+def _f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams, table,
+               targets=None):
     """f_divided with j > 0 and the order checked, reading lam's moves from table.
 
-    table maps (lam, i) to _moves(lam, i, j, order, p) and is filled on a
-    miss.  Its key leaves out j and order, so one table must serve one
-    order and one target rank |lam| + j only.  Each monomial c0*q^e0 of
+    table maps (lam, i) to _moves(lam, i, j, order, p, targets) and is
+    filled on a miss.  Its key leaves out j and order, so one table must
+    serve one order and one target rank |lam| + j only.  targets, the
+    interning table of the moves' multipartitions, lives as long as table
+    (None: this call only); it is a table of its own, so that table holds
+    (lam, i) keys only.  Each monomial c0*q^e0 of
     lam's coefficient is added into every move's target, the monomials in
     the outer loop; a target's dict drops its zeros only when a sum
     cancelled (0 is among its values).
     """
+    if targets is None:
+        targets = {}
     raw = {}
     for lam, coef in v.terms.items():
         moves = table.get((lam, i))
         if moves is None:
-            moves = table[lam, i] = _moves(lam, i, j, order, p)
+            moves = table[lam, i] = _moves(lam, i, j, order, p, targets)
         for e0, c0 in coef.coeffs.items():
             for mu, exp in moves:
                 acc = raw.get(mu)

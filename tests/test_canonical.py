@@ -141,15 +141,70 @@ def test_one_move_table_per_rank(monkeypatch):
     computed = []
     real = fock._moves
 
-    def counting(lam, i, j, order, p):
+    def counting(lam, i, j, order, p, targets):
         computed.append((rank(lam) + j, lam, i))
-        return real(lam, i, j, order, p)
+        return real(lam, i, j, order, p, targets)
 
     monkeypatch.setattr(fock, "_moves", counting)
     for p, n in ((ChargeParams(2, 2, (0, 1)), 9), (P24, 8)):
         computed.clear()
         canonical_basis(p, n)
         assert computed and len(set(computed)) == len(computed), p
+
+
+# GRID where straightening acts, and the canonical_e2 point at a smaller rank
+SHARING_CASES = [(p, 7 if p.d == 3 else 8) for p in GRID] + [(ChargeParams(2, 2, (0, 1)), 10)]
+
+
+def _ranks(p, n):
+    """Every rank's {label: vector} of one walk to rank n."""
+    levels = crystal_graph(p, n, "flotw").levels
+    return _bases_by_rank(p, levels, {mp: a_value(mp, p) for mp in levels[n]})
+
+
+def test_one_coefficient_object_per_value_in_a_rank():
+    # _straighten replaces each finished coefficient by the first equal one
+    # of its call, so a rank holds one object per distinct value
+    for p, n in SHARING_CASES:
+        for r, basis in enumerate(_ranks(p, n)):
+            coeffs = [c for vec in basis.values() for c in vec.terms.values()]
+            assert len({id(c) for c in coeffs}) == len(set(coeffs)), (p, r)
+
+
+def test_one_target_tuple_per_multipartition_in_a_rank(monkeypatch):
+    # the moves of one rank hold one tuple per distinct target, and so do
+    # the supports of that rank's basis vectors, which are built from them
+    import ariki.fock as fock
+    real = fock._moves
+    made = {}  # target rank -> every move target returned for it
+
+    def recording(lam, i, j, *rest):
+        out = real(lam, i, j, *rest)
+        made.setdefault(rank(lam) + j, []).extend(mu for mu, _ in out)
+        return out
+
+    monkeypatch.setattr(fock, "_moves", recording)
+    for p, n in SHARING_CASES:
+        made.clear()
+        for r, basis in enumerate(_ranks(p, n)):
+            support = [mu for vec in basis.values() for mu in vec.terms]
+            assert len({id(mu) for mu in support}) == len(set(support)), (p, r)
+        assert sorted(made) == list(range(1, n + 1)), p
+        for r, targets in made.items():
+            assert len({id(mu) for mu in targets}) == len(set(targets)), (p, r)
+
+
+def test_no_sharing_table_outlives_a_call():
+    # each call shares its coefficients within itself, but two calls alive
+    # at once share no coefficient object: no table is kept between calls
+    for p, n in SHARING_CASES:
+        first, second = canonical_basis(p, n), canonical_basis(p, n)
+        ids = []
+        for basis in (first, second):
+            coeffs = [c for el in basis for c in el.vector.terms.values()]
+            assert len({id(c) for c in coeffs}) == len(set(coeffs)), (p, n)
+            ids.append({id(c) for c in coeffs})
+        assert first == second and ids[0].isdisjoint(ids[1]), (p, n)
 
 
 def test_peel_rest_must_be_a_finished_label(monkeypatch):

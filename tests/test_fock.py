@@ -54,7 +54,7 @@ def test_add_nodes_matches_one_node_at_a_time():
                         add = [g for *_, is_addable, g in i_signature(lam, i, order, p)
                                if is_addable]
                         for j in range(1, len(add) + 1):
-                            targets = [mu for mu, _ in _moves(lam, i, j, order, p)]
+                            targets = [mu for mu, _ in _moves(lam, i, j, order, p, {})]
                             subsets = list(combinations(add, j))
                             assert targets == [reduce(add_node, chosen, lam)
                                                for chosen in subsets], (lam, i, j)
