@@ -250,7 +250,6 @@ def count_multipartitions(d: int, n: int) -> int:
     return ways[n]
 
 
-def multipartition_from_json(data, require_partitions: bool = True):
+def multipartition_from_json(data):
     """Inverse of partitions.multipartition_to_json."""
-    mp = tuple(tuple(comp) for comp in data)
-    return check_multipartition(mp) if require_partitions else check_multicomposition(mp)
+    return check_multipartition(tuple(tuple(comp) for comp in data))

@@ -332,14 +332,13 @@ def decomposition_matrix(p: ChargeParams, n: int) -> DecompositionMatrix:
         column_a_values=tuple(a_of[avals[mp]] for mp in columns))
 
 
-def simple_module_a_values(p: ChargeParams, n: int, matrix=None):
+def simple_module_a_values(p: ChargeParams, n: int):
     """a-value of each simple module, keyed by component-major crystal label.
 
     Checks the defining identity: the a-value attached to a column equals
     the minimum a-value over its nonzero rows.
     """
-    if matrix is None:
-        matrix = decomposition_matrix(p, n)
+    matrix = decomposition_matrix(p, n)
     # the smallest a-value of each column's nonzero rows, in one pass over
     # the stored nonzeros
     lowest = [None] * len(matrix.columns)

@@ -110,26 +110,6 @@ class FockVector:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other):
-        # each side has one rank, so one term of each decides
-        if self.terms and other.terms and (
-                rank(next(iter(self.terms))) != rank(next(iter(other.terms)))):
-            raise ValueError("mixed ranks in a Fock vector")
-        data = dict(self.terms)
-        for mp, poly in other.terms.items():
-            new = data.get(mp, LaurentPoly.zero()) + poly
-            if new.is_zero():
-                data.pop(mp, None)
-            else:
-                data[mp] = new
-        return FockVector._of(data)
-
-    def __neg__(self):
-        return FockVector._of({mp: -poly for mp, poly in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def exact_div(self, poly: LaurentPoly):
         """Divide every coefficient exactly by poly; raises if any fails."""
         return FockVector({mp: c.exact_div(poly) for mp, c in self.terms.items()})
@@ -185,22 +165,18 @@ def _moves(lam, i, j: int, order: str, p: ChargeParams, targets):
     return out
 
 
-def _f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams, table,
-               targets=None):
+def _f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams, table, targets):
     """f_divided with j > 0 and the order checked, reading lam's moves from table.
 
     table maps (lam, i) to _moves(lam, i, j, order, p, targets) and is
     filled on a miss.  Its key leaves out j and order, so one table must
     serve one order and one target rank |lam| + j only.  targets, the
-    interning table of the moves' multipartitions, lives as long as table
-    (None: this call only); it is a table of its own, so that table holds
-    (lam, i) keys only.  Each monomial c0*q^e0 of
-    lam's coefficient is added into every move's target, the monomials in
-    the outer loop; a target's dict drops its zeros only when a sum
-    cancelled (0 is among its values).
+    interning table of the moves' multipartitions, lives as long as table;
+    it is a table of its own, so that table holds (lam, i) keys only.  Each
+    monomial c0*q^e0 of lam's coefficient is added into every move's
+    target, the monomials in the outer loop; a target's dict drops its
+    zeros only when a sum cancelled (0 is among its values).
     """
-    if targets is None:
-        targets = {}
     raw = {}
     for lam, coef in v.terms.items():
         moves = table.get((lam, i))
@@ -243,4 +219,4 @@ def f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVect
         check_components(lam, p.d)
     if j == 0:
         return v
-    return _f_divided(v, i, j, order, p, {})
+    return _f_divided(v, i, j, order, p, {}, {})

@@ -48,8 +48,8 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def q_power(cls, e: int, coeff: int = 1):
-        return cls({e: coeff})
+    def q_power(cls, e: int):
+        return cls({e: 1})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -87,8 +87,6 @@ class LaurentPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -97,8 +95,6 @@ class LaurentPoly:
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
         data = dict(self.coeffs)
         for e, c in other.coeffs.items():
             new = data.get(e, 0) + c
@@ -108,24 +104,13 @@ class LaurentPoly:
                 data.pop(e, None)
         return LaurentPoly._of(data)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return LaurentPoly._of({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly({0: other})
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            if not other:
-                return LaurentPoly._of({})
-            return LaurentPoly._of({e: c * other for e, c in self.coeffs.items()})
         data = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -136,8 +121,6 @@ class LaurentPoly:
                 else:
                     data.pop(e, None)
         return LaurentPoly._of(data)
-
-    __rmul__ = __mul__
 
     def exact_div(self, other):
         """Exact quotient self / other over Z[q, q^(-1)]; raises if inexact."""

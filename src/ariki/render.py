@@ -182,8 +182,8 @@ def write_matrix(out, matrix, fmt: str = "text"):
         out.write(f"  {label:<{label_width}}  | {_fill(blank, width + 1, width, pairs, cell)}\n")
 
 
-def render_matrix(matrix, fmt: str = "text") -> str:
-    return _capture(write_matrix, matrix, fmt)
+def render_matrix(matrix) -> str:
+    return _capture(write_matrix, matrix)
 
 
 def write_decomp(out, p: ChargeParams, n: int, fmt: str = "text"):

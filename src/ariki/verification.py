@@ -5,7 +5,9 @@ and reports one line per property with the check's wall time.  Rank caps
 default to the scales the checks are known to pass at desk speed and can be
 lowered for a quick run.  These checks are the one definition of the
 acceptance criteria: tier-1 (tests/test_acceptance.py) runs every entry of
-ALL_CHECKS at the default caps.
+ALL_CHECKS at the default caps, and the unit tests hold no copy of a check.
+tests/test_verification.py shows, for every check but the two printed
+examples, that it fails when a function it reads is broken.
 The parameter grid used throughout pairs both orders with d = 2 and d = 3
 charge sets, which is what pins every ordering convention in the package.
 """
@@ -22,11 +24,13 @@ from ._oracles import (f_power_divided_oracle, prec, replayed_basis,
 from .aseq import a_graph, a_sequence, composition_addable_positions, k_opt_add
 from .canonical import canonical_basis, decomposition_matrix, simple_module_a_values
 from .charge import ChargeParams, is_semisimple
-from .crystal import flotw_multipartitions, is_kleshchev, kleshchev_multipartitions
+from .crystal import (crystal_graph, flotw_multipartitions, is_kleshchev,
+                      kleshchev_multipartitions)
 from .fock import FockVector, f_divided
 from .laurent import LaurentPoly
 from .partitions import enumerate_multipartitions, is_e_regular
-from .render import render_canonical, render_decomp, render_typeb
+from .render import (render_a_seq, render_a_value, render_bijection, render_canonical,
+                     render_crystal, render_decomp, render_typeb)
 from .symbols import a_value, ordinary_symbol, shifted_symbol
 from .typeb import (a_value_typeb, decomposition_matrix_b, even_charge_params,
                     type_a_params)
@@ -110,9 +114,14 @@ def check_counting_identity(caps):
 
 
 def check_d1_oracle(caps):
-    """For d = 1 both vertex sets equal the e-regular partitions."""
+    """For d = 1 both vertex sets equal the e-regular partitions.
+
+    The diagonal set is read both from the direct membership test and from
+    the levels of one diagonal walk.
+    """
     for e in (2, 3):
         p = ChargeParams(1, e, (0,), 0)
+        walk = crystal_graph(p, caps.d1_regular, "flotw")
         for n in range(caps.d1_regular + 1):
             regular = [mp for mp in enumerate_multipartitions(1, n)
                        if is_e_regular(mp[0], e)]
@@ -120,6 +129,8 @@ def check_d1_oracle(caps):
                 return False, f"e={e} rank {n}: component-major set differs"
             if flotw_multipartitions(p, n) != regular:
                 return False, f"e={e} rank {n}: diagonal set differs"
+            if list(walk.vertices(n)) != regular:
+                return False, f"e={e} rank {n}: diagonal walk differs"
     return True, f"e in (2, 3), ranks <= {caps.d1_regular}"
 
 
@@ -237,21 +248,27 @@ def check_small_known_matrix(caps):
     matrix = decomposition_matrix(p, 2)
     if matrix.rows != (((2,),), ((1, 1),)):
         return False, f"rows {matrix.rows}"
+    if matrix.columns != (((2,),),) or matrix.kleshchev_labels != (((2,),),):
+        return False, f"columns {matrix.columns}, duals {matrix.kleshchev_labels}"
     if matrix.entries != ((1,), (1,)):
         return False, f"entries {matrix.entries}"
     return True, "(2) -> (2) + q (1,1); entries (1, 1) at q=1"
 
 
 def check_semisimple_identity(caps):
-    """Semisimple parameters give the identity decomposition matrix."""
+    """Semisimple parameters give the identity decomposition matrix, rows
+    and columns in one order, and a basis of unit vectors."""
     cases = [(ChargeParams(1, 5, (0,), 0), 2), (ChargeParams(1, 7, (0,), 0), 3),
              (ChargeParams(2, 5, (0, 2)), 2), (ChargeParams(3, 7, (0, 2, 4)), 2),
              (ChargeParams(2, 4, (0, 1)), 0)]
     for p, n in cases:
         if not is_semisimple(p, n):
             return False, f"{p.to_dict()} n={n} not semisimple"
-        if not decomposition_matrix(p, n).is_identity():
+        matrix = decomposition_matrix(p, n)
+        if not matrix.is_identity() or matrix.rows != matrix.columns:
             return False, f"{p.to_dict()} n={n} not identity"
+        if any(el.vector != FockVector.unit(el.label) for el in canonical_basis(p, n)):
+            return False, f"{p.to_dict()} n={n}: a basis element is not a unit vector"
     return True, f"{len(cases)} semisimple cases are identity matrices"
 
 
@@ -259,6 +276,8 @@ def check_typeb(caps):
     """Closed-form a-values match the symbol formula; odd-e block tensor rule."""
     for e in (2, 4):
         p = even_charge_params(e)
+        if p.m != (1, 0):
+            return False, f"e={e}: shift {p.m}, not (1, 0)"
         for n in range(caps.typeb + 1):
             for bp in enumerate_multipartitions(2, n):
                 hmax = max(len(bp[0]), len(bp[1]))
@@ -320,15 +339,25 @@ def hash_seed_outputs(code):
 def _determinism_outputs(n):
     """The outputs that check_determinism compares, joined."""
     p = ChargeParams(2, 4, (0, 1))
-    return (render_canonical(p, n) + render_decomp(p, n) + render_decomp(p, n, "json")
-            + render_decomp(ChargeParams(2, 2, (0, 1)), max(0, n - 1))
-            + render_decomp(even_charge_params(2), 3)
-            + render_typeb(3, 3, "decomp") + render_typeb(2, 2, "decomp"))
+    parts = [render_canonical(p, n), render_decomp(p, n), render_decomp(p, n, "json"),
+             render_crystal(p, 4, "flotw"),
+             render_decomp(ChargeParams(2, 2, (0, 1)), max(0, n - 1)),
+             render_decomp(even_charge_params(2), 3),
+             render_typeb(3, 3, "decomp"), render_typeb(2, 2, "decomp")]
+    # every single-vertex query on both vertex sets below rank n
+    p = ChargeParams(3, 4, (0, 1, 3))
+    for r in range(n):
+        for mp in kleshchev_multipartitions(p, r):
+            parts += [render_bijection(p, mp), render_a_value(p, mp)]
+        for mp in flotw_multipartitions(p, r):
+            parts += [render_bijection(p, mp, inverse=True), render_a_seq(p, mp),
+                      render_a_value(p, mp)]
+    return "".join(parts)
 
 
 def check_determinism(caps):
-    """Canonical, decomposition (text and JSON) and type B output is
-    byte-identical across hash seeds."""
+    """Canonical, decomposition (text and JSON), crystal, type B and
+    single-vertex output is byte-identical across hash seeds."""
     n = caps.canonical
     code = ("import sys\n"
             "from ariki.verification import _determinism_outputs\n"

@@ -7,7 +7,6 @@ from ariki.aseq import a_graph, a_sequence, a_sequence_blocks, k_opt_add, peel_s
 from ariki.charge import ChargeParams
 from ariki.crystal import flotw_multipartitions, is_flotw
 from ariki.partitions import Node, part, removable_nodes
-from ariki.symbols import a_value
 
 P24 = ChargeParams(2, 4, (0, 1))
 GRID = (P24, ChargeParams(2, 2, (0, 1)), ChargeParams(3, 3, (0, 1, 2)),
@@ -84,19 +83,6 @@ def test_a_graph_reconstruction_and_closure():
                 assert graph.final == lam
                 for stage in graph.stages:
                     assert is_flotw(stage, p)
-
-
-def test_minimality_over_partition_realizations():
-    for p in (P24, ChargeParams(2, 2, (0, 1))):
-        for n in range(6):
-            for lam in flotw_multipartitions(p, n):
-                seq = a_sequence(lam, p)
-                terminals = residue_path_terminals(seq, p)
-                assert lam in terminals
-                a_lam = a_value(lam, p)
-                for mu in terminals:
-                    if mu != lam:
-                        assert a_value(mu, p) > a_lam
 
 
 def test_minimality_over_composition_realizations():

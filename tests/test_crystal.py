@@ -15,8 +15,7 @@ from ariki.crystal import (_reduced_signature, bijection_j, bijection_j_inverse,
                            good_addable_node, good_removable_node, is_flotw,
                            is_kleshchev, kleshchev_multipartitions)
 from ariki.fock import FockVector, f_divided
-from ariki.partitions import (Node, add_node, enumerate_multipartitions,
-                              is_e_regular, remove_node)
+from ariki.partitions import Node, add_node, enumerate_multipartitions, remove_node
 from ariki.render import render_typeb
 from ariki.symbols import a_value
 from ariki.typeb import decomposition_matrix_b
@@ -75,19 +74,6 @@ def test_crystal_graph_rank_zero():
     assert g.edges == ()
 
 
-def test_d1_crystal_is_e_regular_set():
-    for e in (2, 3):
-        p = ChargeParams(1, e, (0,), 0)
-        for order in ("am", "flotw"):
-            g = crystal_graph(p, 8, order)
-            for n in range(9):
-                regular = [mp for mp in enumerate_multipartitions(1, n)
-                           if is_e_regular(mp[0], e)]
-                assert list(g.vertices(n)) == regular
-    g = crystal_graph(ChargeParams(1, 2, (0,), 0), 3, "am")
-    assert set(g.vertices(3)) == {((2, 1),), ((3,),)}
-
-
 def test_crystal_regenerates_membership_sets():
     # brute-force reachability on the right: the multipartitions whose greedy
     # raising path reaches empty are exactly the vertices of the walk
@@ -99,13 +85,6 @@ def test_crystal_regenerates_membership_sets():
             assert list(gf.vertices(n)) == flotw_multipartitions(p, n)
             assert list(ga.vertices(n)) == [mp for mp in enumerate_multipartitions(p.d, n)
                                             if is_kleshchev(mp, p)]
-
-
-def test_counting_identity():
-    for p in GRID:
-        for n in range(6):
-            assert len(kleshchev_multipartitions(p, n)) == \
-                len(flotw_multipartitions(p, n))
 
 
 def test_crystal_connectivity():

@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 
 import ariki
+from ariki.canonical import DecompositionMatrix
 from ariki._oracles import below_key, f_action, f_power_divided_oracle, gauss_factorial
 from ariki.charge import ChargeParams, i_signature
 from ariki.crystal import crystal_graph, good_addable_node, good_removable_node
@@ -78,6 +79,24 @@ def test_vectors_and_polynomials_pickle_and_copy():
         copy.copy(vec).terms = {}
 
 
+def test_equal_values_hash_equal():
+    # the same values stored in dicts filled in opposite orders
+    items = [(-2, 3), (0, 1), (5, -4)]
+    polys = [LaurentPoly(dict(items)), LaurentPoly(dict(reversed(items)))]
+    terms = [(((2,), (1,)), polys[0]), (((1, 1), (1,)), LaurentPoly.one())]
+    vecs = [FockVector(dict(terms)), FockVector(dict(reversed(terms)))]
+    labels = (((2,),), ((1, 1),))
+    fields = dict(rows=labels, columns=labels[:1], kleshchev_labels=labels[:1],
+                  row_a_values=(0, 1), column_a_values=(0,))
+    matrices = [DecompositionMatrix(**fields, entries=((1,), (1,))),
+                DecompositionMatrix(**fields, nonzero=(((0, 1),), ((0, 1),)))]
+    for a, b in (polys, vecs, matrices):
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+    # a polynomial is not an int, so it need not hash like one
+    assert LaurentPoly.one() != 1 and 1 != LaurentPoly.one()
+
+
 def test_f_divided_trivial_cases():
     vec = FockVector.unit(((1,), (1,)))
     assert f_divided(vec, 0, 0, "flotw", P24) == vec
@@ -85,18 +104,6 @@ def test_f_divided_trivial_cases():
         assert f_divided(vec, i, 1, "flotw", P24) == f_action(vec, i, "flotw", P24)
     with pytest.raises(ValueError):
         f_divided(vec, 0, -1, "flotw", P24)
-
-
-def test_divided_power_oracle_small():
-    for p in GRID:
-        for n in range(4):
-            for mp in enumerate_multipartitions(p.d, n):
-                vec = FockVector.unit(mp)
-                for order in ("am", "flotw"):
-                    for i in range(p.e):
-                        for j in range(4):
-                            assert f_divided(vec, i, j, order, p) == \
-                                f_power_divided_oracle(vec, i, j, order, p)
 
 
 def _random_poly(rng):
@@ -139,10 +146,10 @@ def test_shared_move_table_matches_fresh_calls():
                 for _ in range(2)]
         for order in ("am", "flotw"):
             for j in (1, 2, 3):
-                table = {}
+                table, targets = {}, {}
                 for i in range(p.e):
                     for vec in vecs:
-                        out = _f_divided(vec, i, j, order, p, table)
+                        out = _f_divided(vec, i, j, order, p, table, targets)
                         assert out == f_divided(vec, i, j, order, p), (p, order, i, j)
                 assert {key[0] for key in table} >= set(shared)
 
@@ -184,22 +191,11 @@ def test_vector_arithmetic_and_division():
     assert b == FockVector.unit(((2,), ()))
     with pytest.raises(ArithmeticError):
         FockVector.unit(((2,), ())).exact_div(gauss_factorial(2))
-    assert (a - a).is_zero()
 
 
 def test_mixed_rank_rejected():
     with pytest.raises(ValueError):
         FockVector({((1,), ()): LaurentPoly.one(), ((), ()): LaurentPoly.one()})
-
-
-def test_arithmetic_rejects_mixed_ranks():
-    a = FockVector.unit(((1,), ()))
-    b = FockVector.unit(((1,), (1,)))
-    with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(ValueError):
-        a - b
-    assert (a + FockVector.zero()) == a and (FockVector.zero() - a) == -a
 
 
 def test_float_coefficient_rejected():

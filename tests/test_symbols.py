@@ -59,22 +59,6 @@ def test_schur_valuation_examples():
     assert schur_valuation(((1, 1),), ChargeParams(1, 5, (0,), 0)) == -1
 
 
-def test_a_value_matches_valuation_oracle():
-    for p in GRID:
-        for n in range(5):
-            for mp in enumerate_multipartitions(p.d, n):
-                assert a_value(mp, p) == Fraction(-schur_valuation(mp, p), p.d)
-
-
-def test_a_value_shift_invariant():
-    for p in GRID[:2]:
-        for n in range(5):
-            for mp in enumerate_multipartitions(p.d, n):
-                base = a_value(mp, p)
-                assert a_value(mp, p, 1) == base
-                assert a_value(mp, p, 2) == base
-
-
 def test_d1_classical_a_function():
     p = ChargeParams(1, 5, (0,), 0)
     for n in range(9):

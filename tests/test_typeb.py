@@ -26,18 +26,6 @@ def test_a_value_typeb_r_too_small():
         a_value_typeb(((2, 1), ()), 1)
 
 
-def test_a_value_typeb_matches_symbol_formula():
-    for e in (2, 4):
-        p = even_charge_params(e)
-        assert p.m == (Fraction(1), Fraction(0))
-        for n in range(6):
-            for bp in enumerate_multipartitions(2, n):
-                hmax = max(len(bp[0]), len(bp[1]))
-                values = {a_value_typeb(bp, r) for r in (hmax, hmax + 1, hmax + 2)}
-                assert len(values) == 1
-                assert a_value(bp, p) == Fraction(values.pop())
-
-
 def test_a_value_typeb_matches_symbol_formula_at_larger_ranks():
     rng = random.Random(5)
     p = even_charge_params(4)
@@ -110,20 +98,6 @@ def test_negative_rank_rejected():
                      lambda n: decomposition_matrix_b(n, e)):
             with pytest.raises(ValueError, match="nonnegative"):
                 call(-1)
-
-
-def test_odd_matrix_identity_blocks_where_semisimple():
-    n, e = 3, 3
-    m = decomposition_matrix_b(n, e)
-    pa = type_a_params(e)
-    for a in range(n + 1):
-        semisimple = is_semisimple(pa, a) and is_semisimple(pa, n - a)
-        rows = [mu for mu in m.rows if sum(mu[0]) == a]
-        cols = [lam for lam in m.columns if sum(lam[0]) == a]
-        identity = (len(rows) == len(cols)
-                    and all(m.entry(mu, lam) == (1 if mu == lam else 0)
-                            for mu in rows for lam in cols))
-        assert identity == semisimple, f"size split ({a}, {n - a})"
 
 
 @pytest.mark.parametrize("n,e", [(3, 3), (4, 3), (3, 2), (4, 2)])

@@ -10,6 +10,14 @@ BREAKS = [
     ("divided-power-oracle", "f_divided", lambda _: lambda vec, *args: vec),
     ("counting-identity", "is_kleshchev", lambda _: lambda mp, p: True),
     ("semisimple-identity", "is_semisimple", lambda _: lambda p, n: False),
+    ("minimality-brute-force", "residue_path_terminals", lambda _: lambda seq, p: set()),
+    ("shift-invariances", "a_value",
+     lambda a_value: lambda mp, p, shift=0: a_value(mp, p, shift) + shift),
+    ("type-b", "a_value_typeb", lambda a_value_typeb: lambda bp, r: a_value_typeb(bp, r) + r),
+    ("d1-e-regular-oracle", "kleshchev_multipartitions", lambda _: lambda p, n: []),
+    ("canonical-structure", "replayed_basis", lambda _: lambda p, n: []),
+    ("small-known-matrix", "canonical_basis", lambda _: lambda p, n: []),
+    ("determinism", "hash_seed_outputs", lambda _: lambda code: [b"0", b"1"]),
 ]
 
 
