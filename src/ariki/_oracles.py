@@ -10,14 +10,15 @@ pair cancellation, or the divided-power move table.  Instead:
   divided powers;
 - compute_A replays a label's whole residue sequence from the empty
   vector, and replayed_basis straightens those replays against the LLT
-  rank recursion;
+  rank recursion, by a scan over every finished label rather than the
+  pipeline's queue of offending coefficients;
 - schur_valuation walks the Schur element factor by factor against the
   closed-form a-value, and prec compares the symbol statistic directly;
 - residue_path_terminals realizes a residue sequence every possible way.
 """
 
 from .aseq import a_sequence_blocks, composition_addable_positions
-from .canonical import _elements, _leading_one, _straighten
+from .canonical import _elements, _leading_one
 from .charge import ChargeParams, check_order, residue
 from .crystal import flotw_multipartitions
 from .fock import FockVector, f_divided
@@ -111,16 +112,53 @@ def compute_A(mp, p: ChargeParams) -> FockVector:
     return _leading_one(mp, vec)
 
 
+def straighten_by_scan(labels, avals, start):
+    """{label: straightened vector} of one rank, by scanning every finished label.
+
+    The reference for canonical._straighten, coded apart from it.  Labels
+    are taken in decreasing (a-value, label) order; start(mp) gives the term
+    dict of mp's bar-invariant vector.  Every label of strictly larger
+    a-value, all finished, is visited in ascending (a-value, label) order,
+    and where the vector's coefficient there has a term of degree <= 0 its
+    bar-symmetric completion times that label's element is subtracted.  The
+    leading coefficient must end as 1 and every other in q*Z[q], both read
+    off the degrees directly.
+    """
+    ascending = sorted(labels, key=lambda m: (avals[m], m))
+    basis = {}
+    for mp in reversed(ascending):
+        terms = dict(start(mp))
+        for nu in ascending:
+            if avals[nu] <= avals[mp] or nu not in terms:
+                continue
+            low = {e: x for e, x in terms[nu].coeffs.items() if e <= 0}
+            if not low:
+                continue
+            gamma = LaurentPoly(low) + LaurentPoly({-e: x for e, x in low.items() if e < 0})
+            for mu, c in basis[nu].terms.items():
+                terms[mu] = terms.get(mu, LaurentPoly()) - gamma * c
+            terms = {mu: c for mu, c in terms.items() if c}
+        vec = FockVector(terms)
+        if vec.coefficient(mp) != LaurentPoly.one():
+            raise RuntimeError(f"straightening destroyed the leading term of {mp}")
+        for nu, c in vec.terms.items():
+            if nu != mp and min(c.coeffs) < 1:
+                raise RuntimeError(f"coefficient of {nu} in {mp}'s element is {c}")
+        basis[mp] = vec
+    return basis
+
+
 def replayed_basis(p, n):
     """canonical_basis straightened from compute_A instead of the rank recursion.
 
     Each label's vector replays its whole residue sequence from the empty
     vector, and the labels come from the direct membership test, so neither
-    the finished lower-rank elements nor the crystal walk is used.
+    the finished lower-rank elements nor the crystal walk is used; the
+    straightening is straighten_by_scan.
     """
     labels = flotw_multipartitions(p, n)
     avals = {mp: a_value(mp, p) for mp in labels}
-    basis = _straighten(labels, avals, lambda mp: dict(compute_A(mp, p).terms))
+    basis = straighten_by_scan(labels, avals, lambda mp: compute_A(mp, p).terms)
     return _elements(basis, avals)
 
 

@@ -10,11 +10,13 @@ element G(lam').  A'(lam) is bar-invariant, its leading coefficient is 1 and
 its other terms all have strictly larger a-value.  Straightening the
 vectors of one rank in decreasing a-value order yields that rank's
 canonical basis: leading coefficient 1, every other coefficient in q*Z[q].
-Each vector is straightened in one pass over the finished labels of larger
-a-value, in ascending order, subtracting the bar-symmetric completion of
-any offending coefficient times that label's basis element; a subtraction
-only touches labels of still larger a-value, so no coefficient already
-passed changes.
+A vector is straightened by its offending coefficients only, those outside
+q*Z[q] at finished labels of larger a-value: one pass over its terms finds
+them, and they are corrected in ascending (a-value, label) order, each by
+subtracting the bar-symmetric completion of the coefficient times that
+label's basis element.  A subtraction only touches labels of still larger
+a-value, so no coefficient already corrected changes; a label it leaves
+offending joins the queue.
 
 The lifts of one rank apply divided powers to overlapping vectors G(lam'),
 so they share one table of divided-power moves (fock.f_divided), keyed by
@@ -22,11 +24,12 @@ so they share one table of divided-power moves (fock.f_divided), keyed by
 table is made before the rank is straightened and dropped after it.  No
 hit is lost by dropping it: a move's target rank is |lam'| + c, so a key
 met again at another rank would need another c and could not be reused.
-Beside it a second table of the same lifetime gives every multipartition
-the moves reach one tuple, and the straightening shares each distinct
-coefficient value of the rank as one object, so a finished rank holds one
-tuple per distinct multipartition and one polynomial per distinct
-coefficient rather than one of each per term.
+Beside it two more tables of the same lifetime give every multipartition
+the moves reach one tuple and every coefficient value one LaurentPoly: the
+divided powers look each coefficient up as they make it, and the
+straightening only the terms its subtractions rebuilt.  So a finished rank
+holds one tuple per distinct multipartition and one polynomial per
+distinct coefficient rather than one of each per term.
 
 The recursion yields every rank in turn, so one walk to rank n serves a
 caller that wants all ranks 0..n (odd-e type B) as well as one that wants
@@ -37,10 +40,11 @@ while the next rank is straightened.
 
 The oracle ariki._oracles.compute_A, the paper's A-vector, replays a
 label's whole residue sequence from the empty vector.  It is not on the
-basis path; straightened the same way it must give the same basis, which
-the tests and `verify` check.
+basis path: ariki._oracles.replayed_basis straightens those replays with
+its own scan over every finished label of larger a-value, and must give
+the same basis, which the tests and `verify` check.
 
-Every a-value table, sort key and bisection here holds the integer d*a
+Every a-value table and sort key here holds the integer d*a
 (symbols._scaled_a_value), which orders labels exactly as the a-value
 does; comparing ints is much cheaper than comparing Fractions.  Fractions
 are made only for the a-values a DecompositionMatrix reports, one per
@@ -55,7 +59,6 @@ and the column's basis vector is dropped once read.  The dense view is
 derived on demand and is never built on the rendering path.
 """
 
-from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -63,7 +66,7 @@ from typing import NamedTuple
 from .aseq import _peel
 from .charge import ChargeParams
 from .crystal import _graph_bijection, crystal_graph
-from .fock import FockVector, _f_divided
+from .fock import FockVector, _f_divided, _shared
 from .laurent import LaurentPoly
 from .partitions import enumerate_multipartitions
 from .symbols import _scaled_a_value
@@ -93,36 +96,54 @@ def _bar_symmetric_completion(c: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(data)
 
 
-def _straighten(labels, avals, start):
+def _straighten(labels, avals, start, values):
     """{label: straightened vector} of one rank, from start(label).
 
     start(mp) returns a fresh term dict of a bar-invariant vector with
     leading term mp; it is called once per label, in decreasing (a-value,
     label) order.  avals maps at least the labels to values ordered like
     their a-values: the pipeline passes the integers d*a
-    (symbols._scaled_a_value), the oracles the Fraction a-values.  A
-    label's vector reads only the elements of strictly larger a-value, so
+    (symbols._scaled_a_value), the tests may pass the Fraction a-values.
+    A label's vector reads only the elements of strictly larger a-value, so
     equal-a labels never interact and the tie order cannot change the
     result.
     Every non-leading coefficient (crystal label or not) must end in
     q*Z[q]; anything else is an error.
 
-    A finished vector's coefficients are checked, then each is replaced by
-    the first equal one this call finished, so the returned rank holds one
-    LaurentPoly per distinct value (a few hundred for tens of thousands of
-    terms).  The table, shared, lives for this call only: keyed by a
-    coefficient's items tuple, and on a miss by their frozenset, so an
-    equal value stored in another order finds the same object.  Sharing is
-    safe because a LaurentPoly is immutable and the subtractions only ever
-    build new ones.
+    One pass over the start vector's terms checks every non-leading
+    coefficient and queues the offending ones, those outside q*Z[q] at a
+    finished label of larger a-value.  The queue is corrected in ascending
+    (a-value, label) order: each correction subtracts the bar-symmetric
+    completion of the coefficient times that label's basis element, and a
+    label the subtraction leaves offending, past the one being corrected,
+    is queued too.  A label's coefficient changes only through labels of
+    smaller key, all corrected before it, so these are the corrections a
+    scan over every finished label of larger a-value makes, in the same
+    order.  At the end only the terms a subtraction touched, or that the
+    pass found outside q*Z[q] but could not correct, are checked again.
+
+    values is the rank's coefficient table of fock._f_divided, which made
+    the start vectors' coefficients one object per value; each term a
+    subtraction rebuilt is replaced by that table's object of its value
+    (fock._shared), so the returned rank holds one LaurentPoly per distinct
+    value.
     """
-    ascending = sorted(labels, key=lambda m: (avals[m], m))
-    ascending_a = [avals[m] for m in ascending]
     basis = {}
-    shared = {}  # this call's coefficients: items tuple or frozenset -> the one object
-    for mp in reversed(ascending):
+    for mp in sorted(labels, key=lambda m: (avals[m], m), reverse=True):
         terms = start(mp)
-        for nu in ascending[bisect_right(ascending_a, avals[mp]):]:
+        a = avals[mp]
+        queue, recheck = [], {}
+        for nu, c in terms.items():
+            if c.in_q_zq():
+                continue
+            if nu in basis and avals[nu] > a:
+                queue.append((avals[nu], nu))
+            elif nu != mp:  # nothing corrects it unless a subtraction does
+                recheck[nu] = None
+        queue.sort(reverse=True)  # pop() takes the smallest key
+        while queue:
+            key = queue.pop()
+            nu = key[1]
             coeff = terms.get(nu)
             if coeff is None or coeff.in_q_zq():
                 continue
@@ -134,22 +155,27 @@ def _straighten(labels, avals, start):
             for mu, c in basis[nu].terms.items():
                 old = terms.get(mu)
                 new = c * minus_gamma if old is None else old + c * minus_gamma
+                recheck[mu] = None
                 if new.is_zero():
                     terms.pop(mu, None)
-                else:
-                    terms[mu] = new
+                    continue
+                terms[mu] = new
+                if mu in basis and not new.in_q_zq():
+                    later = (avals[mu], mu)
+                    if later > key:  # a label queued twice is skipped once corrected
+                        queue.append(later)
+                        queue.sort(reverse=True)
         if terms.get(mp) != LaurentPoly.one():
             raise RuntimeError(f"straightening destroyed the leading term of {mp}")
-        for nu, c in terms.items():
+        for nu in recheck:
+            c = terms.get(nu)
+            if c is None:
+                continue
             if nu != mp and not c.in_q_zq():
                 raise RuntimeError(
                     f"coefficient of {nu} in the element labeled {mp} "
                     f"is {c}, not in q*Z[q]")
-            key = tuple(c.coeffs.items())
-            one = shared.get(key)
-            if one is None:  # a new value, or one stored in another order
-                one = shared[key] = shared.setdefault(frozenset(key), c)
-            terms[nu] = one
+            terms[nu] = _shared(values, c.coeffs)
         basis[mp] = FockVector._of(terms)
     return basis
 
@@ -164,12 +190,13 @@ def _bases_by_rank(p: ChargeParams, levels, avals):
     peel rest's element.  A caller that wants only the top rank should
     drop each rank as it comes.
 
-    Each rank has two tables of its own, made before its straightening and
-    deleted after it: moves, (lam, k) -> the moves of f_k^(r - |lam|) (see
-    fock._f_divided), and targets, each multipartition those moves reach ->
-    its one tuple, so every support of the rank holds one tuple per
-    multipartition.  They stay two tables, so that moves holds (lam, k)
-    keys only.
+    Each rank has three tables of its own, made before its straightening
+    and deleted after it: moves, (lam, k) -> the moves of f_k^(r - |lam|)
+    (see fock._f_divided); targets, each multipartition those moves reach
+    -> its one tuple, so every support of the rank holds one tuple per
+    multipartition; and values, each coefficient value the lifts and the
+    straightening make -> its one LaurentPoly.  They stay separate tables,
+    so that moves holds (lam, k) keys only.
     """
     peels, refs = {}, {}
     for level in levels[1:]:
@@ -189,8 +216,8 @@ def _bases_by_rank(p: ChargeParams, levels, avals):
         refs[rest] -= 1
         if not refs[rest]:
             del finished[rest]
-        lifted = _f_divided(below, k, c, "flotw", p, moves, targets)
-        return dict(_leading_one(mp, lifted).terms)
+        lifted = _f_divided(below, k, c, "flotw", p, moves, targets, values)
+        return _leading_one(mp, lifted).terms  # fresh: nothing else holds lifted
 
     top = len(levels) - 1
     for r in range(1, top + 1):
@@ -198,8 +225,9 @@ def _bases_by_rank(p: ChargeParams, levels, avals):
         level_avals = avals if r == top else {mp: _scaled_a_value(mp, p) for mp in level}
         moves = {}  # this rank's (lam, k) -> moves of f_k^(r - |lam|)
         targets = {}  # this rank's multipartition -> the one tuple its moves hold
-        basis = _straighten(level, level_avals, lift)
-        del moves, targets
+        values = {}  # this rank's coefficient value -> the one LaurentPoly of it
+        basis = _straighten(level, level_avals, lift, values)
+        del moves, targets, values
         finished.update((mp, vec) for mp, vec in basis.items() if refs.get(mp))
         yield basis
         del basis  # only the elements some label above still peels to stay

@@ -28,10 +28,12 @@ the accumulation multiplies each input coefficient into its moves.  The
 moves are read from a table keyed by (lam, i), so one table serves one
 order and one target rank |lam| + j, where j is fixed by lam.  A second
 table, targets, gives each multipartition the moves build its first tuple,
-so the moves of one table share one tuple per target.  Public f_divided
-uses fresh tables per call; the LLT recursion shares one pair among all
-the lifts of a rank, whose input vectors overlap, and drops it with the
-rank.
+so the moves of one table share one tuple per target.  A third, values,
+gives each coefficient value the accumulation builds its first
+LaurentPoly, so equal output coefficients are one object and a LaurentPoly
+is made only for a value new to the table.  Public f_divided uses fresh
+tables per call; the LLT recursion shares one set of three among all the
+lifts of a rank, whose input vectors overlap, and drops it with the rank.
 
 The accumulation loops over the monomials of lam's coefficient outside the
 loop over lam's moves; most coefficients on the basis path are monomials.
@@ -165,7 +167,8 @@ def _moves(lam, i, j: int, order: str, p: ChargeParams, targets):
     return out
 
 
-def _f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams, table, targets):
+def _f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams, table, targets,
+               values):
     """f_divided with j > 0 and the order checked, reading lam's moves from table.
 
     table maps (lam, i) to _moves(lam, i, j, order, p, targets) and is
@@ -176,6 +179,11 @@ def _f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams, table, tar
     monomial c0*q^e0 of lam's coefficient is added into every move's
     target, the monomials in the outer loop; a target's dict drops its
     zeros only when a sum cancelled (0 is among its values).
+
+    values shares the output coefficients through _shared: each maps to
+    the first LaurentPoly made for its value, so a LaurentPoly is made only
+    for a value new to the table.  It may live longer than one call: a
+    LaurentPoly is immutable and never changed in place.
     """
     raw = {}
     for lam, coef in v.terms.items():
@@ -196,8 +204,27 @@ def _f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams, table, tar
             acc = {e: c for e, c in acc.items() if c}
             if not acc:
                 continue
-        out[mu] = LaurentPoly._of(acc)
+        out[mu] = _shared(values, acc)
     return FockVector._of(out)
+
+
+def _shared(values, coeffs):
+    """The one LaurentPoly of the value coeffs in values, made on a miss.
+
+    values is keyed by a value's items tuple in the order met, and by its
+    items sorted: a value stored in another order finds the same object
+    through the sorted key.  Any items tuple determines its value, so the
+    two kinds of key share one table.
+    """
+    key = tuple(coeffs.items())
+    one = values.get(key)
+    if one is None:  # a new value, or one stored in another order
+        ordered = tuple(sorted(key))
+        one = values.get(ordered)
+        if one is None:
+            one = values[ordered] = LaurentPoly._of(coeffs)
+        values[key] = one
+    return one
 
 
 def f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVector:
@@ -207,7 +234,7 @@ def f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVect
     (mu, exponent) pairs of f_i^(j) on lam (one i_signature scan, the
     subsets and their weights, the new multipartitions); the accumulation
     multiplies each coefficient of v into its moves.  This call reads the
-    moves from a fresh table; the LLT recursion shares one table among all
+    moves from fresh tables; the LLT recursion shares its tables among all
     the divided powers of one target rank (canonical._bases_by_rank).
     Every multipartition of v's support must have p.d components; the
     check is made here, once per call, and _f_divided makes none.
@@ -219,4 +246,4 @@ def f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVect
         check_components(lam, p.d)
     if j == 0:
         return v
-    return _f_divided(v, i, j, order, p, {}, {})
+    return _f_divided(v, i, j, order, p, {}, {}, {})

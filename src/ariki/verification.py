@@ -91,7 +91,9 @@ def check_a_sequence_example(caps):
         return False, f"stages {graph.stages}"
     if [(g.row, g.comp) for _, g, _ in graph.steps] != positions:
         return False, "node positions differ"
-    return True, "10-stage chain with positions reproduced"
+    if tuple(k for _, _, k in graph.steps) != (1, 0, 0, 3, 3, 2, 1, 1, 0):
+        return False, "step residues differ"
+    return True, "10-stage chain with positions and residues reproduced"
 
 
 def check_counting_identity(caps):
@@ -207,31 +209,38 @@ def check_minimality(caps):
 
 def check_canonical_structure(caps):
     """Leading 1, q*Z[q] coefficients, strict a-triangularity, min-identity,
-    and equality with the straightened compute_A replays."""
-    cases = [(ChargeParams(2, 4, (0, 1)), caps.canonical),
-             (ChargeParams(2, 2, (0, 1)), max(0, caps.canonical - 1))]
-    for p, cap in cases:
-        for n in range(cap + 1):
-            avals = {mp: a_value(mp, p) for mp in enumerate_multipartitions(p.d, n)}
-            basis = canonical_basis(p, n)
-            if basis != replayed_basis(p, n):
-                return False, f"{p.to_dict()} rank {n}: recursion and replay differ"
-            for el in basis:
-                vec = el.vector
-                if vec.coefficient(el.label) != LaurentPoly.one():
-                    return False, f"leading coefficient at {el.label}"
-                for nu in vec.support():
-                    if nu == el.label:
-                        continue
-                    c = vec.coefficient(nu)
-                    if not c.in_q_zq():
-                        return False, f"{nu} coefficient {c} outside q*Z[q]"
-                    if c.at_one() < 0:
-                        return False, f"negative value at q=1 for {nu}"
-                    if avals[nu] <= avals[el.label]:
-                        return False, f"a({nu}) <= a({el.label})"
-            simple_module_a_values(p, n)
-    return True, "both parameter sets, all ranks, equal to the compute_A replay"
+    and equality with the compute_A replays straightened by a scan.
+
+    The capped ranks straighten almost nothing (at most 2 subtractions), so
+    (2,2,(0,1)) n=9, whose recursion makes 28, is checked at every cap.
+    q*Z[q] is read off the minimum degree, not through LaurentPoly.in_q_zq,
+    which the straightening itself uses.
+    """
+    p24, p22 = ChargeParams(2, 4, (0, 1)), ChargeParams(2, 2, (0, 1))
+    cases = [(p24, n) for n in range(caps.canonical + 1)]
+    cases += [(p22, n) for n in range(max(1, caps.canonical))] + [(p22, 9)]
+    for p, n in cases:
+        avals = {mp: a_value(mp, p) for mp in enumerate_multipartitions(p.d, n)}
+        basis = canonical_basis(p, n)
+        if basis != replayed_basis(p, n):
+            return False, f"{p.to_dict()} rank {n}: recursion and replay differ"
+        for el in basis:
+            vec = el.vector
+            if vec.coefficient(el.label) != LaurentPoly.one():
+                return False, f"leading coefficient at {el.label}"
+            for nu in vec.support():
+                if nu == el.label:
+                    continue
+                c = vec.coefficient(nu)
+                if min(c.coeffs, default=0) < 1:
+                    return False, f"{nu} coefficient {c} outside q*Z[q]"
+                if c.at_one() < 0:
+                    return False, f"negative value at q=1 for {nu}"
+                if avals[nu] <= avals[el.label]:
+                    return False, f"a({nu}) <= a({el.label})"
+        simple_module_a_values(p, n)
+    return True, (f"both parameter sets to rank {caps.canonical} and (2,2,(0,1)) "
+                  "n=9, equal to the compute_A replay")
 
 
 def check_small_known_matrix(caps):

@@ -58,17 +58,6 @@ def test_k_opt_add_composition_tie_break():
     assert out == ((2, 2),)
 
 
-def test_a_graph_known_chain():
-    graph = a_graph(((2, 2), (2, 2, 1)), P24)
-    assert list(graph.stages) == [
-        ((), ()), ((), (1,)), ((1,), (1,)), ((1,), (1, 1)), ((1, 1), (1, 1)),
-        ((1, 1), (1, 1, 1)), ((1, 1), (2, 1, 1)), ((2, 1), (2, 1, 1)),
-        ((2, 1), (2, 2, 1)), ((2, 2), (2, 2, 1))]
-    assert [(g.row, g.comp) for _, g, _ in graph.steps] == [
-        (1, 1), (1, 0), (2, 1), (2, 0), (3, 1), (1, 1), (1, 0), (2, 1), (2, 0)]
-    assert [k for _, _, k in graph.steps] == [1, 0, 0, 3, 3, 2, 1, 1, 0]
-
-
 def test_a_graph_trivial_cases():
     assert a_graph(((), ()), P24).steps == ()
     graph = a_graph(((1,), ()), P24)

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from ariki._oracles import compute_A, diagram_residues, replayed_basis
+from ariki._oracles import compute_A, diagram_residues, replayed_basis, straighten_by_scan
 from ariki.aseq import peel_step
 from ariki.canonical import (DecompositionMatrix, _bar_symmetric_completion,
-                             _bases_by_rank, _elements, canonical_basis, decomposition_matrix,
-                             simple_module_a_values)
+                             _bases_by_rank, _elements, _straighten, canonical_basis,
+                             decomposition_matrix, simple_module_a_values)
 from ariki.charge import ChargeParams
 from ariki.crystal import crystal_graph, flotw_multipartitions
 from ariki.fock import FockVector
@@ -56,6 +56,23 @@ def test_bar_symmetric_completion():
     assert gamma == LaurentPoly({-2: 3, 0: 1, 2: 3})
     assert gamma == gamma.bar()
     assert (c - gamma).in_q_zq()
+
+
+def test_subtraction_that_makes_an_offending_coefficient_queues_it():
+    # a hand-built rank A < B < C by a-value.  A's coefficient at B is
+    # q^-1, at C q^3, which is in q*Z[q], so only B is queued at first.
+    # Correcting B subtracts (q^-1 + q)(B + q C), which leaves q^3 - q^2 - 1
+    # at C: C must be queued then and corrected after B, as a scan would.
+    # No grid point reaches this path.
+    q = LaurentPoly.q_power
+    A, B, C = ((2,), ()), ((1,), (1,)), ((), (2,))
+    starts = {C: {C: q(0)}, B: {B: q(0), C: q(1)},
+              A: {A: q(0), B: q(-1), C: q(3)}}
+    avals = {A: 0, B: 1, C: 2}
+    basis = _straighten(list(starts), avals, lambda mp: dict(starts[mp]), {})
+    assert basis[A] == FockVector({A: 1, B: LaurentPoly({1: -1}),
+                                   C: LaurentPoly({3: 1, 2: -1})})
+    assert basis == straighten_by_scan(list(starts), avals, lambda mp: starts[mp])
 
 
 def test_canonical_basis_small_known():

@@ -361,14 +361,6 @@ def test_invalid_parameters_exit_2(capsys):
 VERIFY_LINE = re.compile(r"PASS [a-z0-9-]+ \(\d+\.\d\d s\): ")
 
 
-def test_verify_quick(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--quick")
-    assert code == 0
-    lines = [line for line in out.splitlines() if line]
-    assert len(lines) == 13
-    assert all(VERIFY_LINE.match(line) for line in lines), lines
-
-
 def test_fuzz_verify_arguments(capsys, monkeypatch):
     # unknown flags, stray positionals and values given to --quick exit 2
     # with a message before any check runs

@@ -146,10 +146,10 @@ def test_shared_move_table_matches_fresh_calls():
                 for _ in range(2)]
         for order in ("am", "flotw"):
             for j in (1, 2, 3):
-                table, targets = {}, {}
+                table, targets, values = {}, {}, {}
                 for i in range(p.e):
                     for vec in vecs:
-                        out = _f_divided(vec, i, j, order, p, table, targets)
+                        out = _f_divided(vec, i, j, order, p, table, targets, values)
                         assert out == f_divided(vec, i, j, order, p), (p, order, i, j)
                 assert {key[0] for key in table} >= set(shared)
 

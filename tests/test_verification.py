@@ -3,6 +3,7 @@
 import pytest
 
 from ariki import verification
+from ariki.laurent import LaurentPoly
 from ariki.verification import ALL_CHECKS, RankCaps
 
 BREAKS = [
@@ -25,4 +26,14 @@ BREAKS = [
 def test_check_fails_on_a_broken_function(monkeypatch, check, name, broken):
     monkeypatch.setattr(verification, name, broken(getattr(verification, name)))
     ok, detail = dict(ALL_CHECKS)[check](RankCaps.quick())
+    assert not ok, detail
+
+
+def test_canonical_structure_fails_when_q_zq_admits_constants(monkeypatch):
+    # the straightening decides what to correct with in_q_zq; one that lets
+    # degree 0 through leaves constant terms, which the check reads off the
+    # degrees itself
+    monkeypatch.setattr(LaurentPoly, "in_q_zq",
+                        lambda self: not self.coeffs or min(self.coeffs) >= 0)
+    ok, detail = dict(ALL_CHECKS)["canonical-structure"](RankCaps.quick())
     assert not ok, detail
