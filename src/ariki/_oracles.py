@@ -269,6 +269,34 @@ def dominates(mu, lam) -> bool:
     return True
 
 
+def regularize(lam, e: int):
+    """James's e-regularization of a partition: each node to the top of its ladder.
+
+    Node (i, j), 0-based row and column, lies on ladder i + (e - 1) j.
+    Each ladder keeps its number of nodes, moved to its smallest rows, and
+    the nodes left form an e-regular partition (James-Kerber 1981, 6.3).
+    """
+    if e < 2:
+        raise ValueError("e must be at least 2")
+    on_ladder = {}
+    for i, length in enumerate(lam):
+        for j in range(length):
+            ladder = i + (e - 1) * j
+            on_ladder[ladder] = on_ladder.get(ladder, 0) + 1
+    moved = set()
+    for ladder, count in on_ladder.items():
+        top = ladder // (e - 1)  # the column of the ladder's node in its smallest row
+        moved.update((ladder - (e - 1) * j, j) for j in range(top, top - count, -1))
+    rows = [0] * len(lam)
+    for i, _ in moved:
+        rows[i] += 1
+    out = tuple(length for length in rows if length)
+    if moved != {(i, j) for i, length in enumerate(out) for j in range(length)} or \
+            any(a < b for a, b in zip(out, out[1:])):
+        raise RuntimeError(f"the {e}-regularization of {lam} is not a partition")
+    return out
+
+
 def count_multipartitions(d: int, n: int) -> int:
     """Number of d-partitions of rank n, counted without enumerating them.
 

@@ -95,15 +95,19 @@ def decomposition_matrix_b(n: int, e: int) -> DecompositionMatrix:
     rows = sorted(avals, key=lambda bp: (avals[bp], bp))
     columns = sorted(canonical_basic_set_b(n, e), key=lambda bp: (avals[bp], bp))
     # an entry is the product of the component-wise type-A entries, so only
-    # products of two nonzeros are stored; size mismatches stay zero
+    # products of two nonzeros are stored; size mismatches stay zero.
+    # Equal cells share one tuple.
     column_of = {lam: j for j, lam in enumerate(columns)}
-    nonzero = []
+    nonzero, cells = [], {}
     for mu0, mu1 in rows:
         a = sum(mu0)
-        nonzero.append(tuple(sorted(
-            (column_of[lam0, lam1], x * y)
-            for lam0, x in factors[a].get(mu0, ())
-            for lam1, y in factors[n - a].get(mu1, ()))))
+        pairs = []
+        for lam0, x in factors[a].get(mu0, ()):
+            for lam1, y in factors[n - a].get(mu1, ()):
+                cell = (column_of[lam0, lam1], x * y)
+                pairs.append(cells.setdefault(cell, cell))
+        pairs.sort()
+        nonzero.append(tuple(pairs))
     return DecompositionMatrix(
         rows=tuple(rows), columns=tuple(columns), kleshchev_labels=None,
         nonzero=tuple(nonzero),

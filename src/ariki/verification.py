@@ -19,8 +19,8 @@ import time
 from fractions import Fraction
 from typing import NamedTuple
 
-from ._oracles import (f_power_divided_oracle, prec, replayed_basis,
-                       residue_path_terminals, schur_valuation)
+from ._oracles import (dominates, f_power_divided_oracle, prec, regularize,
+                       replayed_basis, residue_path_terminals, schur_valuation)
 from .aseq import a_graph, a_sequence, composition_addable_positions, k_opt_add
 from .canonical import canonical_basis, decomposition_matrix, simple_module_a_values
 from .charge import ChargeParams, is_semisimple
@@ -53,11 +53,12 @@ class RankCaps(NamedTuple):
     minimality: int = 5
     canonical: int = 6
     typeb: int = 5
+    regularization: int = 10
 
     @classmethod
     def quick(cls):
         return cls(counting=4, d1_regular=5, a_oracle=3, invariance=3,
-                   divided=3, minimality=4, canonical=4, typeb=3)
+                   divided=3, minimality=4, canonical=4, typeb=3, regularization=7)
 
 
 def check_symbol_example(caps):
@@ -243,6 +244,37 @@ def check_canonical_structure(caps):
                   "n=9, equal to the compute_A replay")
 
 
+def check_regularization(caps):
+    """James's regularization theorem at d = 1 (James-Kerber 1981, 6.3;
+    Mathas 1999 for Hecke algebras at a root of unity): row lam has entry 1
+    at column lam^R, and every other nonzero column strictly dominates lam^R.
+
+    lam^R moves every node to the top of its e-ladder (_oracles.regularize),
+    which reads neither the crystal nor the canonical basis.
+    """
+    rows = others = 0
+    for e in range(2, 6):
+        for n in range(1, caps.regularization + 1):
+            matrix = decomposition_matrix(ChargeParams(1, e, (0,), 0), n)
+            column_of = {mp: j for j, mp in enumerate(matrix.columns)}
+            for (lam,), pairs in zip(matrix.rows, matrix.nonzero):
+                reg = (regularize(lam, e),)
+                j = column_of.get(reg)
+                if j is None:
+                    return False, f"e={e}: {reg}, the regularization of {lam}, is no column"
+                entries = dict(pairs)
+                if entries.get(j) != 1:
+                    return False, f"e={e}: entry {entries.get(j, 0)} at row {lam}, column {reg}"
+                for k in entries:
+                    if k != j and not dominates(matrix.columns[k], reg):
+                        return False, (f"e={e}: column {matrix.columns[k]} of row {lam} "
+                                       f"does not dominate {reg}")
+                rows += 1
+                others += len(entries) - 1
+    return True, (f"{rows} rows and {others} further nonzero entries, e in 2..5, "
+                  f"ranks <= {caps.regularization}")
+
+
 def check_small_known_matrix(caps):
     """d=1, e=2, n=2: single column (2) + q (1,1)."""
     p = ChargeParams(1, 2, (0,), 0)
@@ -348,9 +380,11 @@ def hash_seed_outputs(code):
 def _determinism_outputs(n):
     """The outputs that check_determinism compares, joined."""
     p = ChargeParams(2, 4, (0, 1))
+    p22 = ChargeParams(2, 2, (0, 1))
     parts = [render_canonical(p, n), render_decomp(p, n), render_decomp(p, n, "json"),
-             render_crystal(p, 4, "flotw"),
-             render_decomp(ChargeParams(2, 2, (0, 1)), max(0, n - 1)),
+             render_crystal(p, 4, "flotw"), render_decomp(p22, max(0, n - 1)),
+             # the walk to the top builds labels on demand here from n = 8 on
+             render_canonical(p22, 9),
              render_decomp(even_charge_params(2), 3),
              render_typeb(3, 3, "decomp"), render_typeb(2, 2, "decomp")]
     # every single-vertex query on both vertex sets below rank n
@@ -387,6 +421,7 @@ ALL_CHECKS = (
     ("divided-power-oracle", check_divided_powers),
     ("minimality-brute-force", check_minimality),
     ("canonical-structure", check_canonical_structure),
+    ("regularization", check_regularization),
     ("small-known-matrix", check_small_known_matrix),
     ("semisimple-identity", check_semisimple_identity),
     ("type-b", check_typeb),

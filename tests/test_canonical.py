@@ -7,8 +7,8 @@ import pytest
 from ariki._oracles import compute_A, diagram_residues, replayed_basis, straighten_by_scan
 from ariki.aseq import peel_step
 from ariki.canonical import (DecompositionMatrix, _bar_symmetric_completion,
-                             _bases_by_rank, _elements, _straighten, canonical_basis,
-                             decomposition_matrix, simple_module_a_values)
+                             _bases_by_rank, _elements, _straighten, _top_basis,
+                             canonical_basis, decomposition_matrix, simple_module_a_values)
 from ariki.charge import ChargeParams
 from ariki.crystal import crystal_graph, flotw_multipartitions
 from ariki.fock import FockVector
@@ -99,8 +99,9 @@ def test_rank_recursion_matches_compute_A_replay():
 
 
 def test_every_yielded_rank_is_that_rank_canonical_basis():
-    # one walk to rank 5 yields ranks 0..5; each must be the basis a walk
-    # stopping at that rank builds
+    # one walk to rank 5 that wants every label yields ranks 0..5 whole; each
+    # must be the basis a walk stopping at that rank builds.  A walk that
+    # wants only the top level yields at each rank some of those elements
     top = 5
     for p in GRID:
         levels = crystal_graph(p, top, "flotw").levels
@@ -109,6 +110,67 @@ def test_every_yielded_rank_is_that_rank_canonical_basis():
         assert len(ranks) == top + 1
         for r, basis in enumerate(ranks):
             assert _elements(basis, avals) == canonical_basis(p, r), (p, r)
+        demanded = list(_bases_by_rank(p, levels, avals, levels[top]))
+        assert demanded[top] == ranks[top], p
+        for r, basis in enumerate(demanded):
+            assert basis and all(ranks[r][mp] == vec for mp, vec in basis.items()), (p, r)
+
+
+def _peel_closure(p, levels):
+    """The top level's labels with every rest their peels reach."""
+    closure = set(levels[-1])
+    for level in reversed(levels[1:]):
+        for mp in level:
+            if mp in closure:
+                closure.add(peel_step(mp, p).rest)
+    return closure
+
+
+def test_walk_to_the_top_lifts_the_peel_closure_and_what_corrections_reach(monkeypatch):
+    # canonical_basis lifts each label of the top level's peel closure once,
+    # and the few labels outside it that a correction reaches; at
+    # (2,2,(0,1)) n=10 that is 102 + 4 of the walk's 142 labels
+    import ariki.canonical as canonical
+    p, n = ChargeParams(2, 2, (0, 1)), 10
+    levels = crystal_graph(p, n, "flotw").levels
+    lifted = []
+    real = canonical._leading_one
+    monkeypatch.setattr(canonical, "_leading_one",
+                        lambda mp, vec: (lifted.append(mp), real(mp, vec))[1])
+    canonical_basis(p, n)
+    closure = _peel_closure(p, levels) - set(levels[0])
+    on_demand = set(lifted) - closure
+    assert len(lifted) == len(set(lifted)) and closure <= set(lifted)
+    assert (len(closure), len(on_demand), sum(map(len, levels[1:]))) == (102, 4, 142)
+    assert on_demand <= set().union(*levels[1:])
+
+
+def test_label_built_on_demand_without_its_rest_walks_again(monkeypatch):
+    # wanting one top label at (2,2,(0,1)) n=9: its corrections reach top
+    # labels outside its own peel chain, whose rests no walk built yet, so
+    # the walk starts again with each of them wanted; every element built
+    # must be the full walk's
+    import ariki.canonical as canonical
+    p, n = ChargeParams(2, 2, (0, 1)), 9
+    levels = crystal_graph(p, n, "flotw").levels
+    avals = {mp: a_value(mp, p) for mp in levels[n]}
+    full = _top_basis(p, levels, avals)
+    assert len(full) == len(levels[n])
+    walks = []
+    real = canonical._bases_by_rank
+    monkeypatch.setattr(canonical, "_bases_by_rank",
+                        lambda *args: (walks.append(args[-1]), real(*args))[1])
+    most = 0
+    for label in levels[n]:
+        walks.clear()
+        basis = _top_basis(p, levels, avals, [label])
+        assert label in basis and all(full[mp] == vec for mp, vec in basis.items()), label
+        # each walk wants one label more than the one before
+        assert [len(w) for w in walks] == list(range(1, len(walks) + 1)), label
+        most = max(most, len(walks))
+    # ((9,), ()) takes 8 walks; 9 if an element were dropped while a higher
+    # rank still held an undemanded label peeling to it
+    assert most == 8
 
 
 def test_one_crystal_walk_per_matrix(monkeypatch):
@@ -138,7 +200,8 @@ def test_one_crystal_walk_per_matrix(monkeypatch):
 
 def test_one_move_table_per_rank(monkeypatch):
     # the lifts of one rank share one table of divided-power moves, so no
-    # (lam, residue) is scanned twice for the same target rank
+    # (lam, residue) is scanned twice for the same target rank, whether the
+    # walk wants every label or the top level only
     import ariki.fock as fock
     computed = []
     real = fock._moves
@@ -149,28 +212,33 @@ def test_one_move_table_per_rank(monkeypatch):
 
     monkeypatch.setattr(fock, "_moves", counting)
     for p, n in ((ChargeParams(2, 2, (0, 1)), 9), (P24, 8)):
-        computed.clear()
-        canonical_basis(p, n)
-        assert computed and len(set(computed)) == len(computed), p
+        for wanted in (None, "top"):
+            computed.clear()
+            for _ in _ranks(p, n, wanted):
+                pass
+            assert computed and len(set(computed)) == len(computed), (p, wanted)
 
 
 # GRID where straightening acts, and the canonical_e2 point at a smaller rank
 SHARING_CASES = [(p, 7 if p.d == 3 else 8) for p in GRID] + [(ChargeParams(2, 2, (0, 1)), 10)]
 
 
-def _ranks(p, n):
-    """Every rank's {label: vector} of one walk to rank n."""
+def _ranks(p, n, wanted=None):
+    """Each rank's {label: vector} of one walk to rank n that wants every
+    label (wanted=None) or the top level ("top")."""
     levels = crystal_graph(p, n, "flotw").levels
-    return _bases_by_rank(p, levels, {mp: a_value(mp, p) for mp in levels[n]})
+    return _bases_by_rank(p, levels, {mp: a_value(mp, p) for mp in levels[n]},
+                          levels[n] if wanted == "top" else None)
 
 
 def test_one_coefficient_object_per_value_in_a_rank():
     # _straighten replaces each finished coefficient by the first equal one
     # of its call, so a rank holds one object per distinct value
     for p, n in SHARING_CASES:
-        for r, basis in enumerate(_ranks(p, n)):
-            coeffs = [c for vec in basis.values() for c in vec.terms.values()]
-            assert len({id(c) for c in coeffs}) == len(set(coeffs)), (p, r)
+        for wanted in (None, "top"):
+            for r, basis in enumerate(_ranks(p, n, wanted)):
+                coeffs = [c for vec in basis.values() for c in vec.terms.values()]
+                assert len({id(c) for c in coeffs}) == len(set(coeffs)), (p, r, wanted)
 
 
 def test_one_target_tuple_per_multipartition_in_a_rank(monkeypatch):
@@ -187,13 +255,25 @@ def test_one_target_tuple_per_multipartition_in_a_rank(monkeypatch):
 
     monkeypatch.setattr(fock, "_moves", recording)
     for p, n in SHARING_CASES:
-        made.clear()
-        for r, basis in enumerate(_ranks(p, n)):
-            support = [mu for vec in basis.values() for mu in vec.terms]
-            assert len({id(mu) for mu in support}) == len(set(support)), (p, r)
-        assert sorted(made) == list(range(1, n + 1)), p
-        for r, targets in made.items():
-            assert len({id(mu) for mu in targets}) == len(set(targets)), (p, r)
+        for wanted in (None, "top"):
+            made.clear()
+            for r, basis in enumerate(_ranks(p, n, wanted)):
+                support = [mu for vec in basis.values() for mu in vec.terms]
+                assert len({id(mu) for mu in support}) == len(set(support)), (p, r, wanted)
+            assert sorted(made) == list(range(1, n + 1)), (p, wanted)
+            for r, targets in made.items():
+                assert len({id(mu) for mu in targets}) == len(set(targets)), (p, r, wanted)
+
+
+def test_one_tuple_per_distinct_matrix_cell():
+    # a matrix holds one (column, entry) tuple per distinct pair, not one
+    # per nonzero cell
+    matrices = [decomposition_matrix(P24, 9), decomposition_matrix(ChargeParams(2, 2, (0, 1)), 9),
+                decomposition_matrix_b(9, 3), decomposition_matrix_b(8, 4)]
+    for m in matrices:
+        cells = [cell for pairs in m.nonzero for cell in pairs]
+        assert len(set(cells)) < len(cells), m.columns[-1]
+        assert len({id(cell) for cell in cells}) == len(set(cells)), m.columns[-1]
 
 
 def test_no_sharing_table_outlives_a_call():

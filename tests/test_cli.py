@@ -393,7 +393,7 @@ def test_verify_quick_survives_python_O():
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     lines = [line for line in proc.stdout.splitlines() if line]
-    assert len(lines) == 13
+    assert len(lines) == 14
     assert all(VERIFY_LINE.match(line) for line in lines), lines
 
 
