@@ -24,11 +24,13 @@ type B) closed under peel rests form the demand set, and each rank lifts
 and straightens only its demanded labels, in the same order.  An element
 reads lower ranks only through its peel rest and its own rank only
 through corrections, so a correction that reaches a label outside the
-demand set builds it there and then, from its rest, and the rank keeps it.  At (2,2,(0,1))
-n=13 the walk lifts 234 of its 350 labels, 6 of them on demand.  Should
-an on-demand label's rest itself be unbuilt, the walk starts again with
-that label wanted; no grid point needs this.  Each canonical basis
-element is unique, so the elements do not depend on what was built.
+demand set builds it there and then, and the rank keeps it.  At
+(2,2,(0,1)) n=13 the walk lifts 234 of its 350 labels, 6 of them on
+demand.  Such a label starts from f_k^(c) G(lam') when G(lam') is still
+held, and otherwise from f_k^(c) A(lam') = A(lam), with the A-vector
+A(lam') replayed from the empty vector; no perfbench workload needs the
+replay.  Each canonical basis element is unique, so the elements do not
+depend on what was built or from which start.
 
 The lifts of one rank apply divided powers to overlapping vectors G(lam'),
 so they share one table of divided-power moves (fock.f_divided), keyed by
@@ -46,17 +48,15 @@ distinct coefficient rather than one of each per term.
 The recursion yields every rank in turn, so one walk to rank n serves a
 caller that wants all ranks 0..n (odd-e type B) as well as one that wants
 only the top.  Memory: G(mu) of a lower rank is kept while a demanded
-label still to be lifted peels to mu, and to the end of the highest rank
-holding an undemanded label that peels to mu, which a correction may yet
-build (the peel steps are counted first).  Every top-rank label is
-demanded, so while the top rank is built, where the peak is, nothing is
-held for a label outside the demand set.  A caller that drops each
-yielded rank at once holds no rank's element list while the next rank is
-straightened.
+label still to be lifted peels to mu, and no longer.  A caller that drops
+each yielded rank at once holds no rank's element list while the next
+rank is straightened.
 
 The oracle ariki._oracles.compute_A, the paper's A-vector, replays a
-label's whole residue sequence from the empty vector.  It is not on the
-basis path: ariki._oracles.replayed_basis straightens those replays with
+label's whole residue sequence from the empty vector.  The basis path
+replays one only for an on-demand label whose rest is gone (above), with
+its own three lines, since the pipeline does not import the oracles.
+ariki._oracles.replayed_basis straightens the replays of every label with
 its own scan over every finished label of larger a-value, and must give
 the same basis, which the tests and `verify` check.
 
@@ -79,10 +79,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .aseq import _peel
+from .aseq import _blocks, _peel
 from .charge import ChargeParams
 from .crystal import _graph_bijection, crystal_graph
-from .fock import FockVector, _f_divided, _shared
+from .fock import FockVector, _f_divided, _shared, f_divided
 from .laurent import LaurentPoly
 from .partitions import enumerate_multipartitions
 from .symbols import _scaled_a_value
@@ -230,11 +230,6 @@ class _ScaledAValues(dict):
         return value
 
 
-class _Unbuilt(Exception):
-    """args[0], a label built on demand, peels to an element this walk did
-    not build."""
-
-
 def _bases_by_rank(p: ChargeParams, levels, avals, wanted=None):
     """Yield {label: straightened vector} for each level of a diagonal walk.
 
@@ -249,12 +244,13 @@ def _bases_by_rank(p: ChargeParams, levels, avals, wanted=None):
     every rank by default.  Closed under peel rests it is the demand set D,
     and each rank builds D's labels and those its corrections reach
     (_straighten); so a rank comes out whole only when every label is
-    wanted.  A label built on demand whose peel rest was not built raises
-    _Unbuilt; _top_basis then walks again with that label wanted.
-
-    An element is held while a label of D still to be lifted peels to it,
-    and to the end of the highest rank with a label outside D that peels to
-    it, since such a label may still be built on demand.
+    wanted.  An element is held while a label of D still to be lifted
+    peels to it.  A label built on demand whose peel rest is no longer held
+    starts instead from f_k^(c) of the rest's A-vector, replayed from the
+    empty vector along the rest's residue blocks: the blocks of lam are its
+    rest's followed by (k, c), so that start is A(lam), bar-invariant with
+    leading term lam and a-triangular like f_k^(c) G(rest), and it
+    straightens to the same G(lam).
 
     Each rank has three tables of its own, made before its straightening
     and deleted after it: moves, (lam, k) -> the moves of f_k^(r - |lam|)
@@ -274,18 +270,15 @@ def _bases_by_rank(p: ChargeParams, levels, avals, wanted=None):
     del label_of
     top = len(levels) - 1
     # one pass from the top down closes wanted under peel rests and counts,
-    # per element, the demanded labels peeling to it (refs) and the highest
-    # rank of a label outside D peeling to it (last)
+    # per element, the demanded labels peeling to it
     demand = set(peels if wanted is None else wanted)
-    refs, last = {}, {}
+    refs = {}
     for r in range(top, 0, -1):
         for mp in levels[r]:
-            rest = peels[mp][2]
             if mp in demand:
+                rest = peels[mp][2]
                 demand.add(rest)
                 refs[rest] = refs.get(rest, 0) + 1
-            elif rest not in last:
-                last[rest] = r
     empty = levels[0][0]
     finished = {empty: FockVector.unit(empty)}
     yield dict(finished)
@@ -293,14 +286,16 @@ def _bases_by_rank(p: ChargeParams, levels, avals, wanted=None):
     def lift(mp):
         k, c, rest = peels.pop(mp)
         below = finished.get(rest)
-        if below is None:
-            if mp in demand:
-                raise RuntimeError(f"{mp} peels to {rest}, which is not a finished label")
-            raise _Unbuilt(mp)
         if mp in demand:
+            if below is None:
+                raise RuntimeError(f"{mp} peels to {rest}, which is not a finished label")
             refs[rest] -= 1
-            if not refs[rest] and last.get(rest, 0) < r:
+            if not refs[rest]:
                 del finished[rest]
+        elif below is None:  # built on demand, its rest gone: replay A(rest)
+            below = FockVector.unit(empty)
+            for i, count in _blocks(rest, p):
+                below = f_divided(below, i, count, "flotw", p)
         lifted = _f_divided(below, k, c, "flotw", p, moves, targets, values)
         return _leading_one(mp, lifted).terms  # fresh: nothing else holds lifted
 
@@ -315,31 +310,17 @@ def _bases_by_rank(p: ChargeParams, levels, avals, wanted=None):
         del moves, targets, values
         for mp in level:  # no later rank builds this rank's labels
             peels.pop(mp, None)
-        for mp in [mp for mp in finished if not refs.get(mp) and last.get(mp, 0) <= r]:
-            del finished[mp]  # no label left to build peels to it
-        finished.update((mp, vec) for mp, vec in basis.items()
-                        if refs.get(mp) or mp in last)
+        finished.update((mp, vec) for mp, vec in basis.items() if refs.get(mp))
         yield basis
         del basis  # only the elements some label above still peels to stay
 
 
-def _top_basis(p: ChargeParams, levels, avals, wanted=None):
-    """The top level's {label: straightened vector}; lower ranks are dropped.
-
-    wanted defaults to the top level.  When a label built on demand peels
-    to an element the walk did not build, the walk starts again with that
-    label wanted too; each start wants one more label, so the walks end.
-    """
-    if wanted is None:
-        wanted = levels[-1]
-    while True:
-        ranks = _bases_by_rank(p, levels, avals, wanted)
-        try:
-            for _ in range(len(levels) - 1):
-                next(ranks)
-            return next(ranks)
-        except _Unbuilt as unbuilt:
-            wanted = [*wanted, unbuilt.args[0]]
+def _top_basis(p: ChargeParams, levels, avals):
+    """The top level's {label: straightened vector}; lower ranks are dropped."""
+    ranks = _bases_by_rank(p, levels, avals, levels[-1])
+    for _ in range(len(levels) - 1):
+        next(ranks)
+    return next(ranks)
 
 
 def _elements(basis, avals):

@@ -98,22 +98,30 @@ def check_a_sequence_example(caps):
 
 
 def check_counting_identity(caps):
-    """Both crystal vertex sets are equinumerous at every rank.
+    """Both crystal vertex sets are equinumerous at every rank, and the
+    paper's parametrisation is the diagonal walk's.
 
     The component-major set comes from the crystal walk; it must equal the
-    multipartitions whose raising path reaches empty.
+    multipartitions whose raising path reaches empty.  The FLOTW
+    multipartitions, listed by the direct two-condition test, must be the
+    set of the diagonal walk's vertices, the columns of
+    decomposition_matrix.
     """
     for p in GRID:
+        diagonal = crystal_graph(p, caps.counting, "flotw")
         for n in range(caps.counting + 1):
             walked = kleshchev_multipartitions(p, n)
             raised = [mp for mp in enumerate_multipartitions(p.d, n)
                       if is_kleshchev(mp, p)]
             if raised != walked:
                 return False, f"{p.to_dict()} rank {n}: raising path and walk differ"
-            k, f = len(walked), len(flotw_multipartitions(p, n))
+            flotw = flotw_multipartitions(p, n)
+            k, f = len(walked), len(flotw)
             if k != f:
                 return False, f"{p.to_dict()} rank {n}: {k} vs {f}"
-    return True, f"all ranks <= {caps.counting} on the grid"
+            if set(flotw) != set(diagonal.vertices(n)):
+                return False, f"{p.to_dict()} rank {n}: FLOTW set and diagonal walk differ"
+    return True, f"all ranks <= {caps.counting} on the grid, FLOTW sets equal the walk's"
 
 
 def check_d1_oracle(caps):
@@ -208,40 +216,57 @@ def check_minimality(caps):
     return True, f"{checked} terminal multipartitions compared"
 
 
+def _structure_error(basis, p):
+    """Why basis breaks the canonical-basis shape, or None.
+
+    The shape: leading coefficient 1; every other coefficient of minimum
+    degree >= 1, read off the degrees, not through LaurentPoly.in_q_zq,
+    which the straightening itself uses; nonnegative at q = 1; and at a
+    multipartition of strictly larger a-value.
+    """
+    a = {mp: a_value(mp, p) for mp in {mp for el in basis for mp in el.vector.terms}}
+    for el in basis:
+        vec = el.vector
+        if vec.coefficient(el.label) != LaurentPoly.one():
+            return f"leading coefficient at {el.label}"
+        for nu, c in vec.terms.items():
+            if nu == el.label:
+                continue
+            if min(c.coeffs, default=0) < 1:
+                return f"{nu} coefficient {c} outside q*Z[q]"
+            if c.at_one() < 0:
+                return f"negative value at q=1 for {nu}"
+            if a[nu] <= a[el.label]:
+                return f"a({nu}) <= a({el.label})"
+    return None
+
+
 def check_canonical_structure(caps):
     """Leading 1, q*Z[q] coefficients, strict a-triangularity, min-identity,
     and equality with the compute_A replays straightened by a scan.
 
     The capped ranks straighten almost nothing (at most 2 subtractions), so
     (2,2,(0,1)) n=9, whose recursion makes 28, is checked at every cap.
-    q*Z[q] is read off the minimum degree, not through LaurentPoly.in_q_zq,
-    which the straightening itself uses.
+    (2,2,(0,1)) n=13 is built too, at every cap, and checked for the shape
+    only: its replay would take several times the build.
     """
     p24, p22 = ChargeParams(2, 4, (0, 1)), ChargeParams(2, 2, (0, 1))
     cases = [(p24, n) for n in range(caps.canonical + 1)]
     cases += [(p22, n) for n in range(max(1, caps.canonical))] + [(p22, 9)]
     for p, n in cases:
-        avals = {mp: a_value(mp, p) for mp in enumerate_multipartitions(p.d, n)}
         basis = canonical_basis(p, n)
         if basis != replayed_basis(p, n):
             return False, f"{p.to_dict()} rank {n}: recursion and replay differ"
-        for el in basis:
-            vec = el.vector
-            if vec.coefficient(el.label) != LaurentPoly.one():
-                return False, f"leading coefficient at {el.label}"
-            for nu in vec.support():
-                if nu == el.label:
-                    continue
-                c = vec.coefficient(nu)
-                if min(c.coeffs, default=0) < 1:
-                    return False, f"{nu} coefficient {c} outside q*Z[q]"
-                if c.at_one() < 0:
-                    return False, f"negative value at q=1 for {nu}"
-                if avals[nu] <= avals[el.label]:
-                    return False, f"a({nu}) <= a({el.label})"
+        error = _structure_error(basis, p)
+        if error:
+            return False, f"{p.to_dict()} rank {n}: {error}"
         simple_module_a_values(p, n)
+    error = _structure_error(canonical_basis(p22, 13), p22)
+    if error:
+        return False, f"{p22.to_dict()} rank 13: {error}"
     return True, (f"both parameter sets to rank {caps.canonical} and (2,2,(0,1)) "
-                  "n=9, equal to the compute_A replay")
+                  "n=9, equal to the compute_A replay; (2,2,(0,1)) n=13 leading 1, "
+                  "q*Z[q], a-triangular")
 
 
 def check_regularization(caps):
@@ -430,12 +455,19 @@ ALL_CHECKS = (
 
 
 def run_all(caps: RankCaps = None, report=print):
-    """Run every check, reporting each with its wall time; True iff all pass."""
+    """Run every check, reporting each with its wall time; True iff all pass.
+
+    A check that raises fails, reported with the exception's type and
+    message, and the checks after it still run.
+    """
     caps = caps or RankCaps()
     ok_all = True
     for name, fn in ALL_CHECKS:
         started = time.perf_counter()
-        ok, detail = fn(caps)
+        try:
+            ok, detail = fn(caps)
+        except Exception as exc:  # a failure of this check; the others still run
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - started
         ok_all &= ok
         report(f"{'PASS' if ok else 'FAIL'} {name} ({elapsed:.2f} s): {detail}")

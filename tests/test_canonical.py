@@ -145,32 +145,25 @@ def test_walk_to_the_top_lifts_the_peel_closure_and_what_corrections_reach(monke
     assert on_demand <= set().union(*levels[1:])
 
 
-def test_label_built_on_demand_without_its_rest_walks_again(monkeypatch):
-    # wanting one top label at (2,2,(0,1)) n=9: its corrections reach top
-    # labels outside its own peel chain, whose rests no walk built yet, so
-    # the walk starts again with each of them wanted; every element built
-    # must be the full walk's
+def test_label_built_on_demand_without_its_rest_replays_the_rest(monkeypatch):
+    # wanting one top label at (2,2,(0,1)) n=9: its corrections reach labels
+    # outside its own peel chain, whose rests the walk did not build or no
+    # longer holds, so each starts from its rest's replayed A-vector; every
+    # element built must be the full walk's
     import ariki.canonical as canonical
     p, n = ChargeParams(2, 2, (0, 1)), 9
     levels = crystal_graph(p, n, "flotw").levels
     avals = {mp: a_value(mp, p) for mp in levels[n]}
     full = _top_basis(p, levels, avals)
     assert len(full) == len(levels[n])
-    walks = []
-    real = canonical._bases_by_rank
-    monkeypatch.setattr(canonical, "_bases_by_rank",
-                        lambda *args: (walks.append(args[-1]), real(*args))[1])
-    most = 0
+    replayed = []
+    real = canonical._blocks
+    monkeypatch.setattr(canonical, "_blocks",
+                        lambda mp, p: (replayed.append(mp), real(mp, p))[1])
     for label in levels[n]:
-        walks.clear()
-        basis = _top_basis(p, levels, avals, [label])
+        *_, basis = _bases_by_rank(p, levels, avals, [label])
         assert label in basis and all(full[mp] == vec for mp, vec in basis.items()), label
-        # each walk wants one label more than the one before
-        assert [len(w) for w in walks] == list(range(1, len(walks) + 1)), label
-        most = max(most, len(walks))
-    # ((9,), ()) takes 8 walks; 9 if an element were dropped while a higher
-    # rank still held an undemanded label peeling to it
-    assert most == 8
+    assert len(replayed) == 48
 
 
 def test_one_crystal_walk_per_matrix(monkeypatch):

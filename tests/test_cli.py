@@ -395,6 +395,9 @@ def test_verify_quick_survives_python_O():
     lines = [line for line in proc.stdout.splitlines() if line]
     assert len(lines) == 14
     assert all(VERIFY_LINE.match(line) for line in lines), lines
+    # canonical-structure builds its unreplayed case at every cap, and says so
+    [structure] = [line for line in lines if line.startswith("PASS canonical-structure ")]
+    assert "(2,2,(0,1)) n=13" in structure, structure
 
 
 def test_json_round_trip_multipartitions(capsys):

@@ -2,8 +2,10 @@
 
 import pytest
 
+import ariki.canonical as canonical
 from ariki import verification
 from ariki.charge import ChargeParams
+from ariki.crystal import kleshchev_multipartitions
 from ariki.laurent import LaurentPoly
 from ariki.verification import ALL_CHECKS, RankCaps
 
@@ -16,6 +18,8 @@ BREAKS = [
     ("a-function-oracle", "a_value", lambda a_value: lambda *args: a_value(*args) + 1),
     ("divided-power-oracle", "f_divided", lambda _: lambda vec, *args: vec),
     ("counting-identity", "is_kleshchev", lambda _: lambda mp, p: True),
+    # as many labels as the diagonal walk has at every rank, but not its set
+    ("counting-identity", "flotw_multipartitions", lambda _: kleshchev_multipartitions),
     ("semisimple-identity", "is_semisimple", lambda _: lambda p, n: False),
     ("minimality-brute-force", "residue_path_terminals", lambda _: lambda seq, p: set()),
     ("shift-invariances", "a_value",
@@ -57,3 +61,63 @@ def test_canonical_structure_fails_when_q_zq_admits_constants(monkeypatch):
                         lambda self: not self.coeffs or min(self.coeffs) >= 0)
     ok, detail = dict(ALL_CHECKS)["canonical-structure"](RankCaps.quick())
     assert not ok, detail
+
+
+def _drop_high_degree_values(at_one):
+    # the q = 1 value of a coefficient of minimum degree >= 5 read as 0
+    return lambda c: 0 if c.coeffs and min(c.coeffs) >= 5 else at_one(c)
+
+
+def _unmirrored(completion):
+    # degree -1 is kept but not mirrored to degree 1
+    return lambda c: LaurentPoly({e: x for e, x in completion(c).coeffs.items() if e != 1})
+
+
+def _constant_capped(completion):
+    # the constant term of the completion is at most 1
+    return lambda c: LaurentPoly({e: min(x, 1) if e == 0 else x
+                                  for e, x in completion(c).coeffs.items()})
+
+
+PIPELINE_BREAKS = [
+    # decomposition_matrix reads each entry through at_one; the first entry
+    # lost is at rank 10, above the quick cap
+    ("regularization", LaurentPoly, "at_one", _drop_high_degree_values,
+     "FAIL regularization"),
+    ("canonical-structure", canonical, "_bar_symmetric_completion", _unmirrored,
+     "RuntimeError: correction coefficient is not bar-symmetric"),
+    # passes every capped rank; (2,2,(0,1)) n=13 leaves q^4 + 2q^2 + 1
+    ("canonical-structure", canonical, "_bar_symmetric_completion", _constant_capped,
+     "not in q*Z[q]"),
+]
+
+
+@pytest.mark.parametrize("check,owner,name,broken,message", PIPELINE_BREAKS,
+                         ids=["at_one", "completion-unmirrored", "completion-capped"])
+def test_pipeline_break_gives_a_fail_line(monkeypatch, check, owner, name, broken, message):
+    # a break inside the pipeline fails its check at the caps of `ariki
+    # verify`, whether the check finds it or the pipeline's own guard raises
+    monkeypatch.setattr(owner, name, broken(getattr(owner, name)))
+    monkeypatch.setattr(verification, "ALL_CHECKS", ((check, dict(ALL_CHECKS)[check]),))
+    lines = []
+    assert not verification.run_all(RankCaps(), report=lines.append)
+    [line] = lines
+    assert line.startswith(f"FAIL {check} (") and message in line, line
+
+
+def test_a_check_that_raises_fails_and_the_rest_still_run(monkeypatch, capsys):
+    def raising(caps):
+        raise ValueError("broken on purpose")
+
+    checks = (("first", lambda caps: (True, "one")), ("raising", raising),
+              ("last", lambda caps: (True, "three")))
+    monkeypatch.setattr(verification, "ALL_CHECKS", checks)
+    lines = []
+    assert not verification.run_all(RankCaps.quick(), report=lines.append)
+    assert [line.split(" (")[0] for line in lines] == ["PASS first", "FAIL raising", "PASS last"]
+    assert lines[1].endswith(" s): ValueError: broken on purpose"), lines[1]
+    # the CLI prints the same lines and exits 1, with no internal error
+    from ariki.cli import main
+    assert main(["verify", "--quick"]) == 1
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 3 and "FAIL raising" in out and err == ""
