@@ -14,8 +14,12 @@ pair cancellation, or the divided-power move table.  Instead:
   pipeline's queue of offending coefficients;
 - schur_valuation walks the Schur element factor by factor against the
   closed-form a-value, and prec compares the symbol statistic directly;
-- residue_path_terminals realizes a residue sequence every possible way.
+- residue_path_terminals realizes a residue sequence every possible way;
+- bumped_weights carries the weights one shift above the least, which
+  ChargeParams cannot, so the checks can show that nothing depends on it.
 """
+
+from typing import NamedTuple
 
 from .aseq import a_sequence_blocks, composition_addable_positions
 from .canonical import _elements, _leading_one
@@ -28,6 +32,20 @@ from .partitions import (add_node, addable_nodes, check_components,
                          diagram_nodes, empty_multipartition, part, rank,
                          removable_nodes)
 from .symbols import _scaled_stat, a_value, ordinary_symbol
+
+
+class Weights(NamedTuple):
+    """Raw weights in place of a ChargeParams: all that k_opt_add, prec,
+    a_graph and a_value read of one."""
+    d: int
+    e: int
+    v: tuple
+    scaled_m: tuple
+
+
+def bumped_weights(p: ChargeParams) -> Weights:
+    """p's weights with the shift s raised by one: d*e added to every scaled weight."""
+    return Weights(p.d, p.e, p.v, tuple(x + p.d * p.e for x in p.scaled_m))
 
 
 def below_key(order: str, p: ChargeParams):

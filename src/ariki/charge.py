@@ -1,9 +1,11 @@
 """Charge parameters, residues, the two node orders, and semisimplicity.
 
-A parameter set consists of d, a root-of-unity order e >= 2, weakly
-increasing charges 0 <= v_0 <= ... <= v_{d-1} < e, and a shift s chosen so
-that the weights m^(j) = v_j - j*e/d + s*e are all nonnegative.  The m^(j)
-have denominator d, so all arithmetic is done on the integers
+A parameter set consists of d, a root-of-unity order e >= 2 and weakly
+increasing charges 0 <= v_0 <= ... <= v_{d-1} < e.  The weights are
+m^(j) = v_j - j*e/d + s*e with s the least shift that makes them all
+nonnegative; the a-function, and so everything downstream, depends on the
+weights only up to a common shift, so s is derived, never given.  The
+m^(j) have denominator d, so all arithmetic is done on the integers
 scaled_m[j] = d*m^(j); rationals only ever appear in display.
 
 Two strict total orders on same-residue nodes drive everything downstream:
@@ -25,15 +27,15 @@ ORDERS = ("am", "flotw")
 
 
 class ChargeParams:
-    """Immutable (d, e, charges, shift) bundle with the derived scaled weights.
+    """Immutable (d, e, charges) bundle with the derived scaled weights.
 
-    The shift s defaults to the minimal one making all weights nonnegative.
-    Equality and hashing read (d, e, v, s); scaled_m follows from them.
+    The weights take the minimal shift that makes them all nonnegative.
+    Equality and hashing read (d, e, v); scaled_m follows from them.
     """
 
-    __slots__ = ("d", "e", "v", "s", "scaled_m")
+    __slots__ = ("d", "e", "v", "scaled_m")
 
-    def __init__(self, d, e, v, s=None):
+    def __init__(self, d, e, v):
         v = tuple(v)
         if d < 1:
             raise ValueError("d must be positive")
@@ -46,15 +48,10 @@ class ChargeParams:
         if not all(0 <= v[j] <= v[j + 1] for j in range(d - 1)) or not (
                 0 <= v[0] and v[-1] < e):
             raise ValueError("charges must satisfy 0 <= v_0 <= ... <= v_{d-1} < e")
-        if s is None:
-            need = max((j * e - d * v[j] + d * e - 1) // (d * e) for j in range(d))
-            s = max(0, need)
-        elif s < 0:
-            raise ValueError("shift s must be nonnegative")
+        # s = max_j ceil((j*e - d*v_j) / (d*e)), which is 0 or more (j = 0)
+        s = max((j * e - d * v[j] + d * e - 1) // (d * e) for j in range(d))
         scaled = tuple(d * v[j] - j * e + s * d * e for j in range(d))
-        if any(x < 0 for x in scaled):
-            raise ValueError(f"shift s={s} leaves a negative weight")
-        for name, value in (("d", d), ("e", e), ("v", v), ("s", s), ("scaled_m", scaled)):
+        for name, value in (("d", d), ("e", e), ("v", v), ("scaled_m", scaled)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -63,17 +60,17 @@ class ChargeParams:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.d, self.e, self.v, self.s) == (other.d, other.e, other.v, other.s)
+        return (self.d, self.e, self.v) == (other.d, other.e, other.v)
 
     def __hash__(self):
-        return hash((self.d, self.e, self.v, self.s))
+        return hash((self.d, self.e, self.v))
 
     def __repr__(self):
-        return f"ChargeParams(d={self.d!r}, e={self.e!r}, v={self.v!r}, s={self.s!r})"
+        return f"ChargeParams(d={self.d!r}, e={self.e!r}, v={self.v!r})"
 
     def __reduce__(self):
         # pickle and copy would restore the slots through __setattr__
-        return ChargeParams, (self.d, self.e, self.v, self.s)
+        return ChargeParams, (self.d, self.e, self.v)
 
     @property
     def m(self):
@@ -81,7 +78,7 @@ class ChargeParams:
         return tuple(Fraction(x, self.d) for x in self.scaled_m)
 
     def to_dict(self):
-        return {"d": self.d, "e": self.e, "v": list(self.v), "s": self.s}
+        return {"d": self.d, "e": self.e, "v": list(self.v)}
 
 
 def residue(node: Node, p: ChargeParams) -> int:

@@ -2,12 +2,14 @@
 
 Subcommands mirror the library: enumerate, a-value, symbol, a-seq, a-graph,
 crystal, bijection, canonical, decomp, typeb, verify.  Charge parameters
-come from --d/--e/--charges with an optional --shift override of the
-minimal weight shift.  Exit codes: 0 success, 1 internal assertion failure,
-2 invalid parameters, an --mp above MAX_MP_RANK cells or a symbol --shift
-above MAX_MP_RANK among them.  Output is byte-identical across runs and hash
-seeds.  canonical, decomp and typeb stream their text to stdout once it is
-all computed; a reader that closes the pipe early ends the run with exit 0.
+come from --d/--e/--charges; the weight shift is always the minimal one, as
+no output depends on it.  Exit codes: 0 success, 1 internal assertion
+failure or a failed verify check, 2 invalid parameters or an unknown
+option, an --mp above MAX_MP_RANK cells or a symbol --shift (the extra
+symbol height) above MAX_MP_RANK among them.  Output is byte-identical
+across runs and hash seeds.  canonical, decomp and typeb stream their text
+to stdout once it is all computed; a reader that closes the pipe early ends
+the run with exit 0.
 """
 
 import argparse
@@ -24,14 +26,11 @@ from .partitions import parse_multipartition, rank
 MAX_MP_RANK = 500
 
 
-def _add_charge_args(sub, shift_flag=True):
+def _add_charge_args(sub):
     sub.add_argument("--d", type=int, default=1, help="number of components")
     sub.add_argument("--e", type=int, required=True, help="order of the root of unity")
     sub.add_argument("--charges", default="0",
                      help="comma-separated charges 0 <= v_0 <= ... < e")
-    if shift_flag:
-        sub.add_argument("--shift", type=int, default=None,
-                         help="weight shift s (default: minimal nonnegative)")
 
 
 def _charge_params(args) -> ChargeParams:
@@ -39,7 +38,7 @@ def _charge_params(args) -> ChargeParams:
         v = tuple(int(x) for x in args.charges.split(","))
     except ValueError:
         raise ValueError(f"cannot parse charges {args.charges!r}")
-    return ChargeParams(args.d, args.e, v, getattr(args, "shift", None))
+    return ChargeParams(args.d, args.e, v)
 
 
 def _multipartition(args, require_partitions=True):
@@ -66,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--mp", required=True, help='multipartition, e.g. "2.2,2.2.1"')
 
     sub = subs.add_parser("symbol", help="ordinary and weight-shifted symbol")
-    _add_charge_args(sub, shift_flag=False)
+    _add_charge_args(sub)
     sub.add_argument("--mp", required=True)
     sub.add_argument("--shift", dest="symbol_shift", type=int, default=0,
                      help="extra symbol height (default 0)")
@@ -107,8 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--e", type=int, required=True)
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
-    sub = subs.add_parser("verify", help="run the invariant suite")
-    sub.add_argument("--quick", action="store_true", help="lower all rank caps")
+    subs.add_parser("verify", help="run the invariant suite")
 
     return parser
 
@@ -150,9 +148,8 @@ def run(args) -> int:
         render.write_typeb(out, args.n, args.e, args.action, args.format)
     elif cmd == "verify":
         # only verify loads the check suite (and subprocess, which it runs)
-        from .verification import RankCaps, run_all
-        caps = RankCaps.quick() if args.quick else RankCaps()
-        if not run_all(caps, report=lambda line: out.write(line + "\n")):
+        from .verification import run_all
+        if not run_all(report=lambda line: out.write(line + "\n")):
             return 1
     return 0
 

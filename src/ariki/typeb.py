@@ -22,7 +22,7 @@ def even_charge_params(e: int) -> ChargeParams:
     """Charges (1, e/2) that realize the one-parameter type B algebra."""
     if e % 2:
         raise ValueError("even-e parameters require e even")
-    return ChargeParams(2, e, (1, e // 2), 0)
+    return ChargeParams(2, e, (1, e // 2))
 
 
 def a_value_typeb(bp, r: int = None) -> int:
@@ -66,7 +66,7 @@ def canonical_basic_set_b(n: int, e: int):
 
 
 def type_a_params(e: int) -> ChargeParams:
-    return ChargeParams(1, e, (0,), 0)
+    return ChargeParams(1, e, (0,))
 
 
 def decomposition_matrix_b(n: int, e: int) -> DecompositionMatrix:

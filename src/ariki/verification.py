@@ -1,11 +1,11 @@
 """Named end-to-end checks over exhaustive small-rank enumerations.
 
 Each check returns (ok, detail); the CLI `verify` subcommand runs them all
-and reports one line per property with the check's wall time.  Rank caps
-default to the scales the checks are known to pass at desk speed and can be
-lowered for a quick run.  These checks are the one definition of the
-acceptance criteria: tier-1 (tests/test_acceptance.py) runs every entry of
-ALL_CHECKS at the default caps, and the unit tests hold no copy of a check.
+and reports one line per property with the check's wall time.  Each check
+writes its rank caps where it uses them, at the scales it is known to pass
+at desk speed; there is one setting.  These checks are the one definition
+of the acceptance criteria: tier-1 (tests/test_acceptance.py) runs every
+entry of ALL_CHECKS, and the unit tests hold no copy of a check.
 tests/test_verification.py shows, for every check but the two printed
 examples, that it fails when a function it reads is broken.
 The parameter grid used throughout pairs both orders with d = 2 and d = 3
@@ -17,10 +17,10 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from typing import NamedTuple
 
-from ._oracles import (dominates, f_power_divided_oracle, prec, regularize,
-                       replayed_basis, residue_path_terminals, schur_valuation)
+from ._oracles import (bumped_weights, diagram_residues, dominates,
+                       f_power_divided_oracle, prec, regularize, replayed_basis,
+                       residue_path_terminals, schur_valuation)
 from .aseq import a_graph, a_sequence, composition_addable_positions, k_opt_add
 from .canonical import canonical_basis, decomposition_matrix, simple_module_a_values
 from .charge import ChargeParams, is_semisimple
@@ -43,25 +43,7 @@ GRID = (
 )
 
 
-class RankCaps(NamedTuple):
-    """Rank ceilings for the expensive enumerations."""
-    counting: int = 6
-    d1_regular: int = 8
-    a_oracle: int = 5
-    invariance: int = 4
-    divided: int = 4
-    minimality: int = 5
-    canonical: int = 6
-    typeb: int = 5
-    regularization: int = 10
-
-    @classmethod
-    def quick(cls):
-        return cls(counting=4, d1_regular=5, a_oracle=3, invariance=3,
-                   divided=3, minimality=4, canonical=4, typeb=3, regularization=7)
-
-
-def check_symbol_example(caps):
+def check_symbol_example():
     """Three-component symbol with fractional weights matches the printed table."""
     mp = ((4, 2), (), (5, 2, 1))
     sym = ordinary_symbol(mp, 0)
@@ -76,7 +58,7 @@ def check_symbol_example(caps):
     return True, "B and B[m]' reproduced exactly"
 
 
-def check_a_sequence_example(caps):
+def check_a_sequence_example():
     """Residue sequence and optimal chain of (2.2, 2.2.1) at {4; 0, 1}."""
     p = ChargeParams(2, 4, (0, 1))
     lam = ((2, 2), (2, 2, 1))
@@ -97,7 +79,7 @@ def check_a_sequence_example(caps):
     return True, "10-stage chain with positions and residues reproduced"
 
 
-def check_counting_identity(caps):
+def check_counting_identity():
     """Both crystal vertex sets are equinumerous at every rank, and the
     paper's parametrisation is the diagonal walk's.
 
@@ -107,9 +89,10 @@ def check_counting_identity(caps):
     set of the diagonal walk's vertices, the columns of
     decomposition_matrix.
     """
+    top = 6
     for p in GRID:
-        diagonal = crystal_graph(p, caps.counting, "flotw")
-        for n in range(caps.counting + 1):
+        diagonal = crystal_graph(p, top, "flotw")
+        for n in range(top + 1):
             walked = kleshchev_multipartitions(p, n)
             raised = [mp for mp in enumerate_multipartitions(p.d, n)
                       if is_kleshchev(mp, p)]
@@ -121,19 +104,20 @@ def check_counting_identity(caps):
                 return False, f"{p.to_dict()} rank {n}: {k} vs {f}"
             if set(flotw) != set(diagonal.vertices(n)):
                 return False, f"{p.to_dict()} rank {n}: FLOTW set and diagonal walk differ"
-    return True, f"all ranks <= {caps.counting} on the grid, FLOTW sets equal the walk's"
+    return True, f"all ranks <= {top} on the grid, FLOTW sets equal the walk's"
 
 
-def check_d1_oracle(caps):
+def check_d1_oracle():
     """For d = 1 both vertex sets equal the e-regular partitions.
 
     The diagonal set is read both from the direct membership test and from
     the levels of one diagonal walk.
     """
+    top = 8
     for e in (2, 3):
-        p = ChargeParams(1, e, (0,), 0)
-        walk = crystal_graph(p, caps.d1_regular, "flotw")
-        for n in range(caps.d1_regular + 1):
+        p = ChargeParams(1, e, (0,))
+        walk = crystal_graph(p, top, "flotw")
+        for n in range(top + 1):
             regular = [mp for mp in enumerate_multipartitions(1, n)
                        if is_e_regular(mp[0], e)]
             if kleshchev_multipartitions(p, n) != regular:
@@ -142,14 +126,14 @@ def check_d1_oracle(caps):
                 return False, f"e={e} rank {n}: diagonal set differs"
             if list(walk.vertices(n)) != regular:
                 return False, f"e={e} rank {n}: diagonal walk differs"
-    return True, f"e in (2, 3), ranks <= {caps.d1_regular}"
+    return True, f"e in (2, 3), ranks <= {top}"
 
 
-def check_a_oracle(caps):
+def check_a_oracle():
     """a_value equals -schur_valuation/d on every multipartition of the grid."""
     total = 0
     for p in GRID:
-        for n in range(caps.a_oracle + 1):
+        for n in range(6):
             for mp in enumerate_multipartitions(p.d, n):
                 if a_value(mp, p) != Fraction(-schur_valuation(mp, p), p.d):
                     return False, f"{mp} at {p.to_dict()}"
@@ -157,16 +141,25 @@ def check_a_oracle(caps):
     return True, f"{total} multipartitions checked"
 
 
-def check_invariances(caps):
-    """Symbol-shift invariance of a_value; charge-shift invariance of comparisons."""
+def check_invariances():
+    """Symbol-shift invariance of a_value; weight-shift invariance of a_value
+    and the comparisons.
+
+    The weight half raises the shift s by one (d*e on every scaled weight)
+    through _oracles.bumped_weights.  ChargeParams always takes the least
+    s, which is sound only because nothing depends on it.
+    """
+    top = 4
     for p in GRID:
-        bumped = ChargeParams(p.d, p.e, p.v, p.s + 1)
-        for n in range(caps.invariance + 1):
+        bumped = bumped_weights(p)
+        for n in range(top + 1):
             mps = enumerate_multipartitions(p.d, n)
             for mp in mps:
                 base = a_value(mp, p)
                 if any(a_value(mp, p, k) != base for k in (1, 2)):
                     return False, f"shift dependence at {mp}"
+                if a_value(mp, bumped) != base:
+                    return False, f"a-value changed under s+1 at {mp}"
                 for k in range(p.e):
                     if composition_addable_positions(mp, k, p) and \
                             k_opt_add(mp, k, p) != k_opt_add(mp, k, bumped):
@@ -178,14 +171,14 @@ def check_invariances(caps):
             for mp in flotw_multipartitions(p, n):
                 if a_graph(mp, p).steps != a_graph(mp, bumped).steps:
                     return False, f"optimal chain changed under s+1 at {mp}"
-    return True, f"shift k in (0,1,2) and s -> s+1, ranks <= {caps.invariance}"
+    return True, f"shift k in (0,1,2) and s -> s+1, ranks <= {top}"
 
 
-def check_divided_powers(caps):
+def check_divided_powers():
     """f_i^(j) [j]! = (f_i)^j on all basis vectors, both orders, exactly."""
     total = 0
     for p in GRID:
-        for n in range(caps.divided + 1):
+        for n in range(5):
             for mp in enumerate_multipartitions(p.d, n):
                 vec = FockVector.unit(mp)
                 for order in ("am", "flotw"):
@@ -198,11 +191,11 @@ def check_divided_powers(caps):
     return True, f"{total} cases, division exactness asserted"
 
 
-def check_minimality(caps):
+def check_minimality():
     """Alternative realizations of a residue sequence end strictly higher."""
     checked = 0
     for p in (ChargeParams(2, 4, (0, 1)), ChargeParams(2, 2, (0, 1))):
-        for n in range(caps.minimality + 1):
+        for n in range(6):
             for lam in flotw_multipartitions(p, n):
                 seq = a_sequence(lam, p)
                 terminals = residue_path_terminals(seq, p)
@@ -241,18 +234,19 @@ def _structure_error(basis, p):
     return None
 
 
-def check_canonical_structure(caps):
+def check_canonical_structure():
     """Leading 1, q*Z[q] coefficients, strict a-triangularity, min-identity,
     and equality with the compute_A replays straightened by a scan.
 
-    The capped ranks straighten almost nothing (at most 2 subtractions), so
-    (2,2,(0,1)) n=9, whose recursion makes 28, is checked at every cap.
-    (2,2,(0,1)) n=13 is built too, at every cap, and checked for the shape
-    only: its replay would take several times the build.
+    The ranks up to 6 straighten almost nothing (at most 2 subtractions),
+    so (2,2,(0,1)) n=9, whose recursion makes 28, is checked as well.
+    (2,2,(0,1)) n=13 is built too, and checked for the shape only: its
+    replay would take several times the build.
     """
+    top = 6
     p24, p22 = ChargeParams(2, 4, (0, 1)), ChargeParams(2, 2, (0, 1))
-    cases = [(p24, n) for n in range(caps.canonical + 1)]
-    cases += [(p22, n) for n in range(max(1, caps.canonical))] + [(p22, 9)]
+    cases = [(p24, n) for n in range(top + 1)]
+    cases += [(p22, n) for n in range(top)] + [(p22, 9)]
     for p, n in cases:
         basis = canonical_basis(p, n)
         if basis != replayed_basis(p, n):
@@ -264,12 +258,12 @@ def check_canonical_structure(caps):
     error = _structure_error(canonical_basis(p22, 13), p22)
     if error:
         return False, f"{p22.to_dict()} rank 13: {error}"
-    return True, (f"both parameter sets to rank {caps.canonical} and (2,2,(0,1)) "
+    return True, (f"both parameter sets to rank {top} and (2,2,(0,1)) "
                   "n=9, equal to the compute_A replay; (2,2,(0,1)) n=13 leading 1, "
                   "q*Z[q], a-triangular")
 
 
-def check_regularization(caps):
+def check_regularization():
     """James's regularization theorem at d = 1 (James-Kerber 1981, 6.3;
     Mathas 1999 for Hecke algebras at a root of unity): row lam has entry 1
     at column lam^R, and every other nonzero column strictly dominates lam^R.
@@ -277,10 +271,11 @@ def check_regularization(caps):
     lam^R moves every node to the top of its e-ladder (_oracles.regularize),
     which reads neither the crystal nor the canonical basis.
     """
+    top = 10
     rows = others = 0
     for e in range(2, 6):
-        for n in range(1, caps.regularization + 1):
-            matrix = decomposition_matrix(ChargeParams(1, e, (0,), 0), n)
+        for n in range(1, top + 1):
+            matrix = decomposition_matrix(ChargeParams(1, e, (0,)), n)
             column_of = {mp: j for j, mp in enumerate(matrix.columns)}
             for (lam,), pairs in zip(matrix.rows, matrix.nonzero):
                 reg = (regularize(lam, e),)
@@ -297,12 +292,37 @@ def check_regularization(caps):
                 rows += 1
                 others += len(entries) - 1
     return True, (f"{rows} rows and {others} further nonzero entries, e in 2..5, "
-                  f"ranks <= {caps.regularization}")
+                  f"ranks <= {top}")
 
 
-def check_small_known_matrix(caps):
+def check_blocks():
+    """Block structure: a nonzero decomposition number joins a row and a
+    column of equal residue content.
+
+    f_i preserves residue content, and the blocks of the algebra are its
+    content classes (Lyle-Mathas 2007).  Read on the grid and on even-e
+    type B at e in (2, 4), ranks <= 6, from the stored nonzero cells.
+    """
+    top = 6
+    cases = [(p, n, decomposition_matrix(p, n)) for p in GRID for n in range(top + 1)]
+    cases += [(even_charge_params(e), n, decomposition_matrix_b(n, e))
+              for e in (2, 4) for n in range(top + 1)]
+    checked = 0
+    for p, n, m in cases:
+        column_content = [diagram_residues(lam, p) for lam in m.columns]
+        for mu, pairs in zip(m.rows, m.nonzero):
+            content = diagram_residues(mu, p)
+            for j, _ in pairs:
+                if content != column_content[j]:
+                    return False, (f"{p.to_dict()} rank {n}: row {mu} and column "
+                                   f"{m.columns[j]} differ in residue content")
+            checked += len(pairs)
+    return True, f"{checked} nonzero entries within one block, ranks <= {top}"
+
+
+def check_small_known_matrix():
     """d=1, e=2, n=2: single column (2) + q (1,1)."""
-    p = ChargeParams(1, 2, (0,), 0)
+    p = ChargeParams(1, 2, (0,))
     basis = canonical_basis(p, 2)
     if len(basis) != 1 or basis[0].label != ((2,),):
         return False, "unexpected labels"
@@ -321,10 +341,10 @@ def check_small_known_matrix(caps):
     return True, "(2) -> (2) + q (1,1); entries (1, 1) at q=1"
 
 
-def check_semisimple_identity(caps):
+def check_semisimple_identity():
     """Semisimple parameters give the identity decomposition matrix, rows
     and columns in one order, and a basis of unit vectors."""
-    cases = [(ChargeParams(1, 5, (0,), 0), 2), (ChargeParams(1, 7, (0,), 0), 3),
+    cases = [(ChargeParams(1, 5, (0,)), 2), (ChargeParams(1, 7, (0,)), 3),
              (ChargeParams(2, 5, (0, 2)), 2), (ChargeParams(3, 7, (0, 2, 4)), 2),
              (ChargeParams(2, 4, (0, 1)), 0)]
     for p, n in cases:
@@ -338,13 +358,13 @@ def check_semisimple_identity(caps):
     return True, f"{len(cases)} semisimple cases are identity matrices"
 
 
-def check_typeb(caps):
+def check_typeb():
     """Closed-form a-values match the symbol formula; odd-e block tensor rule."""
     for e in (2, 4):
         p = even_charge_params(e)
         if p.m != (1, 0):
             return False, f"e={e}: shift {p.m}, not (1, 0)"
-        for n in range(caps.typeb + 1):
+        for n in range(6):
             for bp in enumerate_multipartitions(2, n):
                 hmax = max(len(bp[0]), len(bp[1]))
                 vals = {a_value_typeb(bp, r) for r in (hmax, hmax + 1, hmax + 2)}
@@ -423,10 +443,10 @@ def _determinism_outputs(n):
     return "".join(parts)
 
 
-def check_determinism(caps):
+def check_determinism():
     """Canonical, decomposition (text and JSON), crystal, type B and
     single-vertex output is byte-identical across hash seeds."""
-    n = caps.canonical
+    n = 6
     code = ("import sys\n"
             "from ariki.verification import _determinism_outputs\n"
             f"sys.stdout.write(_determinism_outputs({n}))\n")
@@ -447,6 +467,7 @@ ALL_CHECKS = (
     ("minimality-brute-force", check_minimality),
     ("canonical-structure", check_canonical_structure),
     ("regularization", check_regularization),
+    ("blocks", check_blocks),
     ("small-known-matrix", check_small_known_matrix),
     ("semisimple-identity", check_semisimple_identity),
     ("type-b", check_typeb),
@@ -454,18 +475,17 @@ ALL_CHECKS = (
 )
 
 
-def run_all(caps: RankCaps = None, report=print):
+def run_all(report=print):
     """Run every check, reporting each with its wall time; True iff all pass.
 
     A check that raises fails, reported with the exception's type and
     message, and the checks after it still run.
     """
-    caps = caps or RankCaps()
     ok_all = True
     for name, fn in ALL_CHECKS:
         started = time.perf_counter()
         try:
-            ok, detail = fn(caps)
+            ok, detail = fn()
         except Exception as exc:  # a failure of this check; the others still run
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - started

@@ -40,7 +40,7 @@ def test_consecutive_blocks_have_distinct_residues():
 
 
 def test_k_opt_add_examples():
-    p = ChargeParams(2, 4, (0, 1), 1)
+    p = ChargeParams(2, 4, (0, 1))
     out, node = k_opt_add(((), (1,)), 0, p)
     assert out == ((1,), (1,)) and node == Node(1, 1, 0)
     out, node = k_opt_add(((), ()), 0, P24)
@@ -52,7 +52,7 @@ def test_k_opt_add_examples():
 def test_k_opt_add_composition_tie_break():
     # rows 1 and 2 of (1, 2) carry the same shifted diagonal and residue;
     # the tie goes to the smallest (component, row)
-    p = ChargeParams(1, 2, (0,), 0)
+    p = ChargeParams(1, 2, (0,))
     out, node = k_opt_add(((1, 2),), 1, p)
     assert node == Node(1, 2, 0)
     assert out == ((2, 2),)

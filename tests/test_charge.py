@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ariki._oracles import addable_i_nodes, below_key, removable_i_nodes
+from ariki._oracles import addable_i_nodes, below_key, bumped_weights, removable_i_nodes
 from ariki.charge import ChargeParams, i_signature, is_semisimple, residue
 from ariki.crystal import flotw_multipartitions
 from ariki.partitions import Node, diagram_nodes, enumerate_multipartitions
@@ -86,27 +86,29 @@ def test_orders_are_strict_and_total_on_distinct_keys():
 
 def test_is_semisimple_examples():
     assert not is_semisimple(ChargeParams(2, 4, (0, 1)), 2)
-    assert is_semisimple(ChargeParams(1, 5, (0,), 0), 2)
+    assert is_semisimple(ChargeParams(1, 5, (0,)), 2)
     assert is_semisimple(ChargeParams(2, 4, (0, 1)), 0)
 
 
 def test_is_semisimple_needs_large_e():
-    assert not is_semisimple(ChargeParams(1, 3, (0,), 0), 3)
-    assert is_semisimple(ChargeParams(1, 4, (0,), 0), 3)
+    assert not is_semisimple(ChargeParams(1, 3, (0,)), 3)
+    assert is_semisimple(ChargeParams(1, 4, (0,)), 3)
 
 
 def test_default_shift_is_minimal():
-    p = ChargeParams(2, 4, (0, 1))
-    assert p.s == 1 and p.scaled_m == (8, 6)
-    q = ChargeParams(2, 4, (1, 2))
-    assert q.s == 0 and q.scaled_m == (2, 0)
-    r = ChargeParams(3, 3, (0, 1, 2))
-    assert r.s == 0 and r.scaled_m == (0, 0, 0)
+    # the least shift: every scaled weight is nonnegative, and one shift by
+    # e less (d*e off every scaled weight) would make one negative
+    cases = [(ChargeParams(2, 4, (0, 1)), (8, 6)), (ChargeParams(2, 4, (1, 2)), (2, 0)),
+             (ChargeParams(3, 3, (0, 1, 2)), (0, 0, 0))]
+    for p, scaled in cases:
+        assert p.scaled_m == scaled
+        assert min(scaled) - p.d * p.e < 0
 
 
 def test_shift_bump_adds_de_everywhere():
     for p in (ChargeParams(2, 4, (0, 1)), ChargeParams(3, 3, (0, 1, 2))):
-        bumped = ChargeParams(p.d, p.e, p.v, p.s + 1)
+        bumped = bumped_weights(p)
+        assert (bumped.d, bumped.e, bumped.v) == (p.d, p.e, p.v)
         for j in range(p.d):
             assert bumped.scaled_m[j] - p.scaled_m[j] == p.d * p.e
         diffs = {(i, j): p.scaled_m[i] - p.scaled_m[j]
@@ -117,7 +119,7 @@ def test_shift_bump_adds_de_everywhere():
 
 
 def test_m_values_are_exact():
-    p = ChargeParams(2, 4, (0, 1), 1)
+    p = ChargeParams(2, 4, (0, 1))
     assert p.m == (Fraction(4), Fraction(3))
 
 
@@ -130,23 +132,20 @@ def test_validation_errors():
         ChargeParams(2, 1, (0, 0))     # e too small
     with pytest.raises(ValueError):
         ChargeParams(2, 4, (0,))       # wrong charge count
-    with pytest.raises(ValueError):
-        ChargeParams(2, 4, (0, 1), 0)  # shift leaves a negative weight
 
 
 def test_to_dict():
-    p = ChargeParams(2, 4, (0, 1), 1)
-    assert p.to_dict() == {"d": 2, "e": 4, "v": [0, 1], "s": 1}
+    p = ChargeParams(2, 4, (0, 1))
+    assert p.to_dict() == {"d": 2, "e": 4, "v": [0, 1]}
 
 
 def test_params_are_immutable_values():
     p = ChargeParams(d=2, e=4, v=(0, 1))
     q = ChargeParams(2, 4, (0, 1))
     assert p == q and hash(p) == hash(q)
-    assert p == ChargeParams(2, 4, [0, 1], 1)  # the minimal shift, given explicitly
-    assert p != ChargeParams(2, 4, (0, 1), 2)
-    assert repr(p) == "ChargeParams(d=2, e=4, v=(0, 1), s=1)"
-    for name in ("d", "v", "s", "scaled_m", "other"):
+    assert p == ChargeParams(2, 4, [0, 1]) and p != ChargeParams(2, 4, (0, 2))
+    assert repr(p) == "ChargeParams(d=2, e=4, v=(0, 1))"
+    for name in ("d", "v", "scaled_m", "other"):
         with pytest.raises(AttributeError):
             setattr(p, name, 0)
     assert p == q and p.scaled_m == (8, 6)

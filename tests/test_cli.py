@@ -76,13 +76,13 @@ def test_symbol_output(capsys):
 
 def test_crystal_json_and_dot(capsys):
     code, out, _ = run_cli(capsys, "crystal", "--d", "1", "--e", "2",
-                           "--charges", "0", "--shift", "0", "--n", "3",
+                           "--charges", "0", "--n", "3",
                            "--order", "flotw")
     assert code == 0
     payload = json.loads(out)
     assert payload["levels"][3] == [[[2, 1]], [[3]]]
     code, out, _ = run_cli(capsys, "crystal", "--d", "1", "--e", "2",
-                           "--charges", "0", "--shift", "0", "--n", "2", "--dot")
+                           "--charges", "0", "--n", "2", "--dot")
     assert code == 0
     assert out.startswith("digraph crystal {")
     assert '"1" -> "2" [label="1"];' in out
@@ -93,7 +93,7 @@ def test_bijection(capsys):
                            "--charges", "0,1", "--mp", "1.1,-")
     assert code == 0 and out.strip() != ""
     code, out, err = run_cli(capsys, "bijection", "--d", "1", "--e", "2",
-                             "--charges", "0", "--shift", "0", "--mp", "1.1")
+                             "--charges", "0", "--mp", "1.1")
     assert code == 2 and "error" in err
 
 
@@ -121,8 +121,9 @@ def test_bijection_replay_fault_exit_1(capsys, monkeypatch):
 
 
 def test_fuzz_single_vertex_commands(capsys):
-    # malformed text, bad parameters, wrong component counts and
-    # non-vertices must exit 2 with a message, never 1 or a traceback
+    # malformed text, bad parameters, wrong component counts, non-vertices
+    # and a weight --shift (only symbol has --shift, its extra height) must
+    # exit 2 with a message, never 1 or a traceback
     rng = random.Random(4)
     junk = ["", "-", "--", ",", ",,", "x", "1..2", "1.", ".1", "-1", "0", "1.-2",
             "2.3", "1e3", " 1 ", "1,x", "1.0", "3.+1"]
@@ -147,11 +148,14 @@ def test_fuzz_single_vertex_commands(capsys):
         mp = random_mp(d) if rng.random() < 0.8 else rng.choice(junk)
         cmd = rng.choice(commands)
         argv = [*cmd, "--d", str(d), "--e", str(e), f"--charges={charges}", f"--mp={mp}"]
-        if rng.random() < 0.2:
+        shifted = rng.random() < 0.2
+        if shifted:
             argv.append(f"--shift={rng.choice((-1, 0, 1, 3))}")
         code, out, err = run_cli(capsys, *argv)
         assert code in (0, 2), (argv, err)
         assert "Traceback" not in err
+        if shifted and cmd[0] != "symbol":
+            assert code == 2 and "unrecognized arguments: --shift" in err, (argv, err)
         if code == 2:
             assert out == "", (argv, out)
         if code == 0 and cmd[0] == "bijection":
@@ -163,6 +167,12 @@ def test_fuzz_single_vertex_commands(capsys):
             code, out, err = run_cli(capsys, *cmd, "--d", "1", "--e", "3",
                                      "--charges", "0", f"--mp={mp}")
             assert code == 2 and out == "" and "above the limit" in err, cmd
+    # a weight shift is no option of any command; symbol's --shift is its height
+    for cmd in commands:
+        if cmd[0] != "symbol":
+            code, out, err = run_cli(capsys, *cmd, "--d", "1", "--e", "3",
+                                     "--charges", "0", "--mp=1", "--shift=0")
+            assert code == 2 and out == "" and "unrecognized arguments: --shift=0" in err
     # the symbol's extra height is capped the same way
     code, out, err = run_cli(capsys, "symbol", "--d", "1", "--e", "3", "--charges", "0",
                              "--mp=1", f"--shift={MAX_MP_RANK + 1}")
@@ -171,8 +181,8 @@ def test_fuzz_single_vertex_commands(capsys):
 
 def test_fuzz_rank_commands(capsys):
     # enumerate, crystal, canonical, decomp and typeb at small ranks and on
-    # malformed values: exit 0 or 2 with no traceback, and 2 for negative n
-    # or an e below 2
+    # malformed values: exit 0 or 2 with no traceback, and 2 for negative n,
+    # an e below 2 or a weight --shift
     rng = random.Random(5)
     junk = ["", "-", "--", "x", "1.5", "1e3", " 2 ", "-0", "+1", "0x3"]
 
@@ -191,7 +201,7 @@ def test_fuzz_rank_commands(capsys):
         n = rng.choice((-2, -1, 0, 1, 2, 3, 4))
         d = rng.choice((1, 2, 2, 3)) if rng.random() < 0.9 else rng.choice((0, -1))
         e = rng.choice((2, 3, 4, 5)) if rng.random() < 0.9 else rng.choice((0, 1, -3))
-        n_text, e_text = value(n), None
+        n_text, e_text, shifted = value(n), None, False
         argv = [cmd, f"--n={n_text}"]
         if cmd == "typeb":
             argv[1:1] = [rng.choice(("basic-set", "a-values", "decomp", "bogus"))]
@@ -207,7 +217,8 @@ def test_fuzz_rank_commands(capsys):
             d_text = value(d)
             e_text = value(e)
             argv += [f"--d={d_text}", f"--e={e_text}", f"--charges={charges}"]
-            if rng.random() < 0.2:
+            shifted = rng.random() < 0.2
+            if shifted:
                 argv.append(f"--shift={rng.choice((-1, 0, 1, 3))}")
         if cmd == "crystal":
             argv.append(rng.choice(("--order=am", "--order=flotw", "--order=x", "--dot")))
@@ -220,10 +231,18 @@ def test_fuzz_rank_commands(capsys):
             assert code == 2, (argv, out)
         if parsed(e_text) is not None and parsed(e_text) < 2:
             assert code == 2, (argv, out)
+        if shifted:  # unless argparse rejects another argument first
+            assert code == 2, (argv, out)
+            assert "unrecognized arguments: --shift" in err or "argument --" in err, err
         if code == 0:
             assert out, argv
         else:  # the streamed commands print nothing before they fail
             assert out == "", (argv, out)
+
+    # a weight shift is no option of any command
+    for cmd in ("crystal", "canonical", "decomp"):
+        code, out, err = run_cli(capsys, cmd, "--d=1", "--e=3", "--n=2", "--shift=0")
+        assert code == 2 and out == "" and "unrecognized arguments: --shift=0" in err
 
     # every type B action rejects e < 2 before it picks its work
     for action in ("basic-set", "a-values", "decomp"):
@@ -362,19 +381,17 @@ VERIFY_LINE = re.compile(r"PASS [a-z0-9-]+ \(\d+\.\d\d s\): ")
 
 
 def test_fuzz_verify_arguments(capsys, monkeypatch):
-    # unknown flags, stray positionals and values given to --quick exit 2
-    # with a message before any check runs
+    # unknown flags (--quick among them) and stray positionals exit 2 with
+    # a message before any check runs
     import ariki.verification as verification
     ran = []
     monkeypatch.setattr(verification, "run_all",
                         lambda *args, **kwargs: ran.append(args) or True)
     rng = random.Random(6)
-    bad = ["--quick=1", "--quick=--", "--quick=", "--quick=0", "--slow", "--Quick",
-           "--rank-cap", "-x", "-q", "extra", "1", "quick", "-", "--", "--d=2"]
+    bad = ["--quick", "--quick=1", "--quick=--", "--quick=", "--quick=0", "--slow",
+           "--Quick", "--rank-cap", "-x", "-q", "extra", "1", "quick", "-", "--", "--d=2"]
     for _ in range(150):
         tokens = rng.sample(bad, rng.randint(1, 3))
-        for _ in range(rng.randint(0, 2)):
-            tokens.insert(rng.randint(0, len(tokens)), "--quick")
         argv = ["verify", *tokens]
         if rng.random() < 0.1:
             argv = [tokens[0], "verify", *tokens[1:]]
@@ -382,20 +399,23 @@ def test_fuzz_verify_arguments(capsys, monkeypatch):
         assert code == 2 and out == "" and "error" in err, (argv, err)
         assert "Traceback" not in err
         assert not ran, argv
+    code, out, err = run_cli(capsys, "verify", "--quick")
+    assert code == 2 and out == "" and "unrecognized arguments: --quick" in err
+    assert not ran
 
 
-def test_verify_quick_survives_python_O():
+def test_verify_survives_python_O():
     # python -O strips assert statements; every check must still run and pass
     src = os.path.dirname(os.path.dirname(os.path.abspath(ariki.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "ariki.cli", "verify", "--quick"],
+        [sys.executable, "-O", "-m", "ariki.cli", "verify"],
         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     lines = [line for line in proc.stdout.splitlines() if line]
-    assert len(lines) == 14
+    assert len(lines) == 15
     assert all(VERIFY_LINE.match(line) for line in lines), lines
-    # canonical-structure builds its unreplayed case at every cap, and says so
+    # canonical-structure builds its unreplayed case, and says so
     [structure] = [line for line in lines if line.startswith("PASS canonical-structure ")]
     assert "(2,2,(0,1)) n=13" in structure, structure
 

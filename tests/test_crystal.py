@@ -24,7 +24,7 @@ from ariki.verification import GRID as VERIFY_GRID
 P24 = ChargeParams(2, 4, (0, 1))
 GRID = (P24, ChargeParams(2, 2, (0, 1)), ChargeParams(3, 3, (0, 1, 2)),
         ChargeParams(2, 4, (1, 2)))
-D1E2 = ChargeParams(1, 2, (0,), 0)
+D1E2 = ChargeParams(1, 2, (0,))
 
 
 def test_good_addable_examples():
@@ -77,7 +77,7 @@ def test_crystal_graph_rank_zero():
 def test_crystal_regenerates_membership_sets():
     # brute-force reachability on the right: the multipartitions whose greedy
     # raising path reaches empty are exactly the vertices of the walk
-    cases = [(p, 5) for p in GRID] + [(ChargeParams(1, e, (0,), 0), 8) for e in (2, 3)]
+    cases = [(p, 5) for p in GRID] + [(ChargeParams(1, e, (0,)), 8) for e in (2, 3)]
     for p, cap in cases:
         gf = crystal_graph(p, cap, "flotw")
         ga = crystal_graph(p, cap, "am")
@@ -111,7 +111,7 @@ def test_multi_parent_vertices_exist():
 def test_bijection_examples():
     assert bijection_j(((), ()), P24) == ((), ())
     for e in (2, 3):
-        p = ChargeParams(1, e, (0,), 0)
+        p = ChargeParams(1, e, (0,))
         for n in range(7):
             for mp in kleshchev_multipartitions(p, n):
                 assert bijection_j(mp, p) == mp
@@ -203,7 +203,7 @@ def test_signature_count_does_not_grow_with_e(monkeypatch):
 
     monkeypatch.setattr(crystal, "_reduced_signature", counted)
     for e in (5, 10**6):
-        p = ChargeParams(1, e, (0,), 0)
+        p = ChargeParams(1, e, (0,))
         assert is_kleshchev(((2, 1),), p)
         bijection_j_inverse(((2, 1),), p)
         for order in ("am", "flotw"):

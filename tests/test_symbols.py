@@ -7,7 +7,7 @@ import pytest
 
 from ariki.charge import ChargeParams
 from ariki.partitions import enumerate_multipartitions
-from ariki._oracles import prec, schur_valuation
+from ariki._oracles import Weights, prec, schur_valuation
 from ariki.symbols import (_scaled_stat, a_value, format_rational, ordinary_symbol,
                            shifted_symbol)
 
@@ -30,7 +30,7 @@ def test_shifted_symbol_examples():
     assert shifted_symbol(sym, (0, 0, 0)).rows == tuple(
         tuple(Fraction(x) for x in row) for row in sym.rows)
     small = ordinary_symbol(((1,), ()), 0)
-    p = ChargeParams(2, 4, (0, 1), 1)
+    p = ChargeParams(2, 4, (0, 1))
     assert shifted_symbol(small, p.m).rows == ((Fraction(5),), (Fraction(3),))
 
 
@@ -43,7 +43,7 @@ def test_symbol_statistics_pinned():
 
 def test_a_value_examples():
     assert a_value(((), ()), P24) == 0
-    assert a_value(((2, 1),), ChargeParams(1, 5, (0,), 0)) == 1
+    assert a_value(((2, 1),), ChargeParams(1, 5, (0,))) == 1
     # golden value, frozen from the factor-by-factor valuation oracle
     assert a_value(((2, 2), (2, 2, 1)), P24) == 17
     assert schur_valuation(((2, 2), (2, 2, 1)), P24) == -34
@@ -51,11 +51,11 @@ def test_a_value_examples():
 
 def test_schur_valuation_examples():
     assert schur_valuation(((), ()), P24) == 0
-    assert schur_valuation(((1, 1),), ChargeParams(1, 5, (0,), 0)) == -1
+    assert schur_valuation(((1, 1),), ChargeParams(1, 5, (0,))) == -1
 
 
 def test_d1_classical_a_function():
-    p = ChargeParams(1, 5, (0,), 0)
+    p = ChargeParams(1, 5, (0,))
     for n in range(9):
         for mp in enumerate_multipartitions(1, n):
             classical = sum(i * x for i, x in enumerate(mp[0]))
@@ -155,8 +155,10 @@ def _random_multicomposition(rng, d, n):
     return tuple(tuple(comp) for comp in comps)
 
 
-ORACLE_PARAMS = GRID + (ChargeParams(1, 5, (0,), 0), ChargeParams(3, 4, (0, 1, 3)),
-                        ChargeParams(4, 3, (0, 0, 1, 2)), ChargeParams(2, 5, (0, 2), 3))
+# the last entry is (2, 5, (0, 2)) two shifts above its least, s = 3:
+# large weights that no ChargeParams carries
+ORACLE_PARAMS = GRID + (ChargeParams(1, 5, (0,)), ChargeParams(3, 4, (0, 1, 3)),
+                        ChargeParams(4, 3, (0, 0, 1, 2)), Weights(2, 5, (0, 2), (30, 29)))
 
 
 def test_scaled_stat_matches_pairwise_oracle():

@@ -7,7 +7,7 @@ from ariki import verification
 from ariki.charge import ChargeParams
 from ariki.crystal import kleshchev_multipartitions
 from ariki.laurent import LaurentPoly
-from ariki.verification import ALL_CHECKS, RankCaps
+from ariki.verification import ALL_CHECKS
 
 
 def _conjugate(lam):
@@ -24,6 +24,10 @@ BREAKS = [
     ("minimality-brute-force", "residue_path_terminals", lambda _: lambda seq, p: set()),
     ("shift-invariances", "a_value",
      lambda a_value: lambda mp, p, shift=0: a_value(mp, p, shift) + shift),
+    # a comparison that ignores the symbol height but reads the weights
+    # themselves: it flips once the first scaled weight is positive
+    ("shift-invariances", "prec",
+     lambda real: lambda mu, nu, p: real(mu, nu, p) != (p.scaled_m[0] > 0)),
     ("type-b", "a_value_typeb", lambda a_value_typeb: lambda bp, r: a_value_typeb(bp, r) + r),
     ("d1-e-regular-oracle", "kleshchev_multipartitions", lambda _: lambda p, n: []),
     ("canonical-structure", "replayed_basis", lambda _: lambda p, n: []),
@@ -33,10 +37,13 @@ BREAKS = [
     # the conjugate partition and conjugates back; and a comparator that no
     # column satisfies, which shows the dominance comparisons are reached
     ("regularization", "decomposition_matrix",
-     lambda real: lambda p, n: real(ChargeParams(p.d, p.e + 1, p.v, p.s), n)),
+     lambda real: lambda p, n: real(ChargeParams(p.d, p.e + 1, p.v), n)),
     ("regularization", "regularize",
      lambda real: lambda lam, e: _conjugate(real(_conjugate(lam), e))),
     ("regularization", "dominates", lambda _: lambda mu, lam: False),
+    # the matrix of the next e, whose nonzero cells join different contents
+    ("blocks", "decomposition_matrix",
+     lambda real: lambda p, n: real(ChargeParams(p.d, p.e + 1, p.v), n)),
 ]
 
 
@@ -49,7 +56,7 @@ def _break_id(check, name):
                          ids=[_break_id(check, name) for check, name, _ in BREAKS])
 def test_check_fails_on_a_broken_function(monkeypatch, check, name, broken):
     monkeypatch.setattr(verification, name, broken(getattr(verification, name)))
-    ok, detail = dict(ALL_CHECKS)[check](RankCaps.quick())
+    ok, detail = dict(ALL_CHECKS)[check]()
     assert not ok, detail
 
 
@@ -59,7 +66,7 @@ def test_canonical_structure_fails_when_q_zq_admits_constants(monkeypatch):
     # degrees itself
     monkeypatch.setattr(LaurentPoly, "in_q_zq",
                         lambda self: not self.coeffs or min(self.coeffs) >= 0)
-    ok, detail = dict(ALL_CHECKS)["canonical-structure"](RankCaps.quick())
+    ok, detail = dict(ALL_CHECKS)["canonical-structure"]()
     assert not ok, detail
 
 
@@ -81,7 +88,7 @@ def _constant_capped(completion):
 
 PIPELINE_BREAKS = [
     # decomposition_matrix reads each entry through at_one; the first entry
-    # lost is at rank 10, above the quick cap
+    # lost is at rank 10, the check's top rank
     ("regularization", LaurentPoly, "at_one", _drop_high_degree_values,
      "FAIL regularization"),
     ("canonical-structure", canonical, "_bar_symmetric_completion", _unmirrored,
@@ -95,29 +102,29 @@ PIPELINE_BREAKS = [
 @pytest.mark.parametrize("check,owner,name,broken,message", PIPELINE_BREAKS,
                          ids=["at_one", "completion-unmirrored", "completion-capped"])
 def test_pipeline_break_gives_a_fail_line(monkeypatch, check, owner, name, broken, message):
-    # a break inside the pipeline fails its check at the caps of `ariki
-    # verify`, whether the check finds it or the pipeline's own guard raises
+    # a break inside the pipeline fails its check as `ariki verify` runs it,
+    # whether the check finds it or the pipeline's own guard raises
     monkeypatch.setattr(owner, name, broken(getattr(owner, name)))
     monkeypatch.setattr(verification, "ALL_CHECKS", ((check, dict(ALL_CHECKS)[check]),))
     lines = []
-    assert not verification.run_all(RankCaps(), report=lines.append)
+    assert not verification.run_all(report=lines.append)
     [line] = lines
     assert line.startswith(f"FAIL {check} (") and message in line, line
 
 
 def test_a_check_that_raises_fails_and_the_rest_still_run(monkeypatch, capsys):
-    def raising(caps):
+    def raising():
         raise ValueError("broken on purpose")
 
-    checks = (("first", lambda caps: (True, "one")), ("raising", raising),
-              ("last", lambda caps: (True, "three")))
+    checks = (("first", lambda: (True, "one")), ("raising", raising),
+              ("last", lambda: (True, "three")))
     monkeypatch.setattr(verification, "ALL_CHECKS", checks)
     lines = []
-    assert not verification.run_all(RankCaps.quick(), report=lines.append)
+    assert not verification.run_all(report=lines.append)
     assert [line.split(" (")[0] for line in lines] == ["PASS first", "FAIL raising", "PASS last"]
     assert lines[1].endswith(" s): ValueError: broken on purpose"), lines[1]
     # the CLI prints the same lines and exits 1, with no internal error
     from ariki.cli import main
-    assert main(["verify", "--quick"]) == 1
+    assert main(["verify"]) == 1
     out, err = capsys.readouterr()
     assert len(out.splitlines()) == 3 and "FAIL raising" in out and err == ""
