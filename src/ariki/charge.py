@@ -37,6 +37,8 @@ class ChargeParams:
 
     def __init__(self, d, e, v):
         v = tuple(v)
+        if not isinstance(d, int) or not isinstance(e, int):
+            raise ValueError("d and e must be integers")
         if d < 1:
             raise ValueError("d must be positive")
         if e < 2:

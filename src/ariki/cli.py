@@ -3,10 +3,11 @@
 Subcommands mirror the library: enumerate, a-value, symbol, a-seq, a-graph,
 crystal, bijection, canonical, decomp, typeb, verify.  Charge parameters
 come from --d/--e/--charges; the weight shift is always the minimal one, as
-no output depends on it.  Exit codes: 0 success, 1 internal assertion
-failure or a failed verify check, 2 invalid parameters or an unknown
-option, an --mp above MAX_MP_RANK cells or a symbol --shift (the extra
-symbol height) above MAX_MP_RANK among them.  Output is byte-identical
+no output depends on it; typeb a-values takes no --e, as type B a-values
+do not depend on e.  Exit codes: 0 success, 1 internal assertion failure
+or a failed verify check, 2 invalid parameters or an unknown option, an
+--mp above MAX_MP_RANK cells or a symbol --shift (the extra symbol
+height) above MAX_MP_RANK among them.  Output is byte-identical
 across runs and hash seeds.  canonical, decomp and typeb stream their text
 to stdout once it is all computed; a reader that closes the pipe early ends
 the run with exit 0.
@@ -101,10 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
     sub = subs.add_parser("typeb", help="type B basic sets, a-values, matrices")
-    sub.add_argument("action", choices=("basic-set", "a-values", "decomp"))
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--e", type=int, required=True)
-    sub.add_argument("--format", choices=("text", "json"), default="text")
+    actions = sub.add_subparsers(dest="action", required=True)
+    for action in ("basic-set", "a-values", "decomp"):
+        act = actions.add_parser(action)
+        act.add_argument("--n", type=int, required=True)
+        if action != "a-values":  # type B a-values read no e
+            act.add_argument("--e", type=int, required=True)
+        act.add_argument("--format", choices=("text", "json"), default="text")
 
     subs.add_parser("verify", help="run the invariant suite")
 
@@ -145,7 +149,7 @@ def run(args) -> int:
         p = _charge_params(args)
         render.write_decomp(out, p, args.n, args.format)
     elif cmd == "typeb":
-        render.write_typeb(out, args.n, args.e, args.action, args.format)
+        render.write_typeb(out, args.n, getattr(args, "e", None), args.action, args.format)
     elif cmd == "verify":
         # only verify loads the check suite (and subprocess, which it runs)
         from .verification import run_all

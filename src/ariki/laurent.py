@@ -15,10 +15,12 @@ class LaurentPoly:
         data = {}
         if coeffs:
             for e, c in dict(coeffs).items():
+                if not isinstance(e, int):
+                    raise TypeError("exponents must be integers")
                 if not isinstance(c, int):
                     raise TypeError("coefficients must be integers")
                 if c:
-                    data[int(e)] = c
+                    data[e] = c
         object.__setattr__(self, "coeffs", data)
 
     @classmethod

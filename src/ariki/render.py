@@ -195,8 +195,7 @@ def render_decomp(p: ChargeParams, n: int, fmt: str = "text") -> str:
 
 
 def write_typeb(out, n: int, e: int, action: str, fmt: str = "text"):
-    if e < 2:
-        raise ValueError("e must be at least 2")
+    """The type B action at rank n; the a-values read no e."""
     if action == "basic-set":
         labels = canonical_basic_set_b(n, e)
         if fmt == "json":

@@ -4,7 +4,8 @@ The ordinary symbol of a d-composition at height h is the table
 B^(i)_j = lambda^(i)_j - j + h (j = 1..h, missing parts read as 0); the
 shifted variant adds the weight m^(i) to every entry of row i.  The a-value
 of a d-partition is a rational with denominator d, computed here from the
-symbol entries with every summation index an integer; the oracle
+symbol entries with every summation index an integer, at the least
+height, since every greater one gives the same value; the oracle
 ariki._oracles.schur_valuation recovers the same quantity independently as
 the y-adic valuation of the Schur element, walking the explicit product of
 binomial factors.
@@ -119,30 +120,28 @@ def _scaled_stat(mc, h, p: ChargeParams) -> int:
     return total
 
 
-def a_value(mp, p: ChargeParams, shift: int = 0) -> Fraction:
+def a_value(mp, p: ChargeParams) -> Fraction:
     """a-value of a d-partition: exact rational with denominator d.
 
-    Independent of the symbol shift; equals -_oracles.schur_valuation(mp, p)/d.
+    Equals -_oracles.schur_valuation(mp, p)/d.
     """
     mp = check_components(mp, p.d)
-    if shift < 0:
-        raise ValueError("shift must be nonnegative")
-    return Fraction(_scaled_a_value(mp, p, shift), p.d)
+    return Fraction(_scaled_a_value(mp, p), p.d)
 
 
-def _scaled_a_value(mp, p: ChargeParams, shift: int = 0) -> int:
+def _scaled_a_value(mp, p: ChargeParams) -> int:
     """d times the a_value of a multipartition already validated with p.d
     components, an int.
 
     d*a orders the multipartitions as a does, so the basis pipeline keys
     its tables, sorts and bisections on it and makes a Fraction only for
-    what it returns.  The symbol statistics are read in closed form from
-    the parts: at height h the entries total n + d*h(h-1)/2, and tau sums
-    C(d*t+1, 2) for t = 1..h-1.
+    what it returns.  The statistics of the symbol at the least height h
+    are read in closed form from the parts: the entries total
+    n + d*h(h-1)/2, and tau sums C(d*t+1, 2) for t = 1..h-1.
     """
     d, sm = p.d, p.scaled_m
     n = rank(mp)
-    h = max(len(comp) for comp in mp) + shift
+    h = max(len(comp) for comp in mp)
     t1 = (h - 1) * h // 2
     t2 = (h - 1) * h * (2 * h - 1) // 6
     tau = (d * d * t2 + d * t1) // 2

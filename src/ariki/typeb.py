@@ -8,7 +8,9 @@ every rank 0..n, is read at q = 1 off the ranks of one type-A canonical
 basis recursion over one diagonal-crystal walk to rank n.  For even e the algebra
 is the d = 2 case at charges (1, e/2), so everything delegates to the
 general machinery.  The closed-form a-value below specializes the symbol
-formula to these charges and is independent of the cutoff r.
+formula to these charges, padding both components to the taller one's
+height.  Those charges have scaled weights (2, 0) for every even e, so
+the a-values read no e.
 """
 
 from .canonical import DecompositionMatrix, _bases_by_rank, decomposition_matrix
@@ -25,24 +27,17 @@ def even_charge_params(e: int) -> ChargeParams:
     return ChargeParams(2, e, (1, e // 2))
 
 
-def a_value_typeb(bp, r: int = None) -> int:
-    """Closed-form a-value of a bipartition, independent of the cutoff r."""
+def a_value_typeb(bp) -> int:
+    """Closed-form a-value of a bipartition."""
     bp = check_multipartition(bp)
     if len(bp) != 2:
         raise ValueError("expected a bipartition")
-    hmax = max(len(bp[0]), len(bp[1]))
-    if r is None:
-        r = hmax
-    if r < hmax:
-        raise ValueError(f"cutoff r={r} is below the maximal height {hmax}")
-    return _a_value_typeb(bp, r)
+    return _a_value_typeb(bp)
 
 
-def _a_value_typeb(bp, r: int = None) -> int:
-    """a_value_typeb of a valid bipartition, unchecked; r defaults to its
-    largest height and must not be below it."""
-    if r is None:
-        r = max(len(bp[0]), len(bp[1]))
+def _a_value_typeb(bp) -> int:
+    """a_value_typeb of a valid bipartition, unchecked."""
+    r = max(len(bp[0]), len(bp[1]))
     # both components padded with zeros to r parts; index k is row k + 1
     xs, ys = bp[0] + (0,) * (r - len(bp[0])), bp[1] + (0,) * (r - len(bp[1]))
     total = -(r * (r - 1) * (2 * r + 5)) // 6

@@ -142,12 +142,13 @@ def check_a_oracle():
 
 
 def check_invariances():
-    """Symbol-shift invariance of a_value; weight-shift invariance of a_value
-    and the comparisons.
+    """Weight-shift invariance of a_value and the comparisons.
 
-    The weight half raises the shift s by one (d*e on every scaled weight)
+    The check raises the shift s by one (d*e on every scaled weight)
     through _oracles.bumped_weights.  ChargeParams always takes the least
-    s, which is sound only because nothing depends on it.
+    s, which is sound only because nothing depends on it.  That the
+    a-value does not depend on the symbol height is tested against the
+    symbol itself in tests/test_symbols.py.
     """
     top = 4
     for p in GRID:
@@ -155,10 +156,7 @@ def check_invariances():
         for n in range(top + 1):
             mps = enumerate_multipartitions(p.d, n)
             for mp in mps:
-                base = a_value(mp, p)
-                if any(a_value(mp, p, k) != base for k in (1, 2)):
-                    return False, f"shift dependence at {mp}"
-                if a_value(mp, bumped) != base:
+                if a_value(mp, bumped) != a_value(mp, p):
                     return False, f"a-value changed under s+1 at {mp}"
                 for k in range(p.e):
                     if composition_addable_positions(mp, k, p) and \
@@ -171,7 +169,7 @@ def check_invariances():
             for mp in flotw_multipartitions(p, n):
                 if a_graph(mp, p).steps != a_graph(mp, bumped).steps:
                     return False, f"optimal chain changed under s+1 at {mp}"
-    return True, f"shift k in (0,1,2) and s -> s+1, ranks <= {top}"
+    return True, f"s -> s+1, ranks <= {top}"
 
 
 def check_divided_powers():
@@ -359,18 +357,15 @@ def check_semisimple_identity():
 
 
 def check_typeb():
-    """Closed-form a-values match the symbol formula; odd-e block tensor rule."""
+    """Closed-form a-values match the symbol formula at e = 2 and 4, whose
+    weights (1, 0) are those of every even e; odd-e block tensor rule."""
     for e in (2, 4):
         p = even_charge_params(e)
         if p.m != (1, 0):
             return False, f"e={e}: shift {p.m}, not (1, 0)"
         for n in range(6):
             for bp in enumerate_multipartitions(2, n):
-                hmax = max(len(bp[0]), len(bp[1]))
-                vals = {a_value_typeb(bp, r) for r in (hmax, hmax + 1, hmax + 2)}
-                if len(vals) != 1:
-                    return False, f"r-dependence at {bp}, e={e}"
-                if a_value(bp, p) != Fraction(vals.pop()):
+                if a_value(bp, p) != a_value_typeb(bp):
                     return False, f"mismatch at {bp}, e={e}"
     matrix = decomposition_matrix_b(3, 3)
     factors = {l: decomposition_matrix(type_a_params(3), l) for l in range(4)}

@@ -132,6 +132,11 @@ def test_validation_errors():
         ChargeParams(2, 1, (0, 0))     # e too small
     with pytest.raises(ValueError):
         ChargeParams(2, 4, (0,))       # wrong charge count
+    # a float d or e would compare and hash equal to the int and then fail
+    # deep inside a computation
+    for d, e in ((2, 4.0), (2.0, 4), (2, "4"), (None, 4)):
+        with pytest.raises(ValueError, match="d and e must be integers"):
+            ChargeParams(d, e, (0, 1))
 
 
 def test_to_dict():

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 
@@ -204,9 +205,11 @@ def test_fuzz_rank_commands(capsys):
         n_text, e_text, shifted = value(n), None, False
         argv = [cmd, f"--n={n_text}"]
         if cmd == "typeb":
-            argv[1:1] = [rng.choice(("basic-set", "a-values", "decomp", "bogus"))]
-            e_text = value(e)
-            argv.append(f"--e={e_text}")
+            action = rng.choice(("basic-set", "a-values", "decomp", "bogus"))
+            argv[1:1] = [action]
+            if action != "a-values":
+                e_text = value(e)
+                argv.append(f"--e={e_text}")
         elif cmd == "enumerate":
             argv.append(f"--d={value(d)}")
         else:
@@ -244,11 +247,14 @@ def test_fuzz_rank_commands(capsys):
         code, out, err = run_cli(capsys, cmd, "--d=1", "--e=3", "--n=2", "--shift=0")
         assert code == 2 and out == "" and "unrecognized arguments: --shift=0" in err
 
-    # every type B action rejects e < 2 before it picks its work
-    for action in ("basic-set", "a-values", "decomp"):
+    # the type B actions that take an e reject e < 2, and a-values takes none
+    for action in ("basic-set", "decomp"):
         for e in ("0", "1", "-4"):
             code, out, err = run_cli(capsys, "typeb", action, "--n", "3", f"--e={e}")
             assert code == 2 and out == "" and "e must be at least 2" in err, (action, e)
+    for e in ("0", "1", "-4"):
+        code, out, err = run_cli(capsys, "typeb", "a-values", "--n", "3", f"--e={e}")
+        assert code == 2 and out == "" and f"unrecognized arguments: --e={e}" in err, e
 
 
 def test_streamed_commands_match_render_strings(capsys):
@@ -346,13 +352,51 @@ def test_a_graph_text(capsys):
 def test_typeb_actions(capsys):
     code, out, _ = run_cli(capsys, "typeb", "basic-set", "--n", "1", "--e", "3")
     assert code == 0 and out == "-,1\n1,-\n"
-    code, out, _ = run_cli(capsys, "typeb", "a-values", "--n", "1", "--e", "2")
-    assert code == 0 and "-,1: 1" in out and "1,-: 0" in out
+    code, out, _ = run_cli(capsys, "typeb", "a-values", "--n", "1")
+    assert code == 0 and out == "-,1: 1\n1,-: 0\n"
+    code, out, _ = run_cli(capsys, "typeb", "a-values", "--n", "1", "--format", "json")
+    assert code == 0 and json.loads(out) == [[[[], [1]], 1], [[[1], []], 0]]
+    # the a-values read no e, so they take none
+    code, out, err = run_cli(capsys, "typeb", "a-values", "--n", "3", "--e", "3")
+    assert code == 2 and out == "" and "unrecognized arguments: --e 3" in err
+    assert "Traceback" not in err
+    for action in ("basic-set", "decomp"):
+        code, out, err = run_cli(capsys, "typeb", action, "--n", "1")
+        assert code == 2 and out == "" and "required: --e" in err, action
     code, out, _ = run_cli(capsys, "typeb", "decomp", "--n", "2", "--e", "3",
                            "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert "kleshchev_columns" not in payload  # odd e has no dual labels
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def test_readme_commands_run(capsys):
+    # every `ariki ...` line of the README, with and without its optional
+    # [...] parts; verify is left to test_acceptance, which runs every check.
+    # The a-value and a-seq lines carry their literal output as a comment.
+    with open(README) as fh:
+        lines = [line.strip() for line in fh if line.startswith("ariki ")]
+    assert len(lines) == 15
+    literal = {"a-value": "17 = 17.0", "a-seq": "1,0,0,3,3,2,1,1,0"}
+    ran = set()
+    for line in lines:
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)[1:]
+        if argv[0] == "verify":
+            continue
+        short = shlex.split(re.sub(r"\[[^]]*\]", "", command))[1:]
+        full = [arg.strip("[]") for arg in argv]
+        for args in {tuple(short), tuple(full)}:
+            code, out, err = run_cli(capsys, *args)
+            assert code == 0 and out and err == "", (line, err)
+            if argv[0] in literal:
+                assert comment.strip() == literal[argv[0]], line
+                assert out == literal[argv[0]] + "\n", line
+        ran.add(argv[0])
+    assert set(literal) <= ran
 
 
 def test_invalid_parameters_exit_2(capsys):

@@ -203,6 +203,10 @@ def test_float_coefficient_rejected():
         FockVector({((1,), ()): 1.5})
     with pytest.raises(TypeError):
         LaurentPoly({0: 1.5})
+    # exponents too: int() would read 1.5 as 1 and "2" as 2
+    for exponent in (1.5, "2", 2.0):
+        with pytest.raises(TypeError, match="exponents must be integers"):
+            LaurentPoly({exponent: 1})
 
 
 def test_unchecked_constructors_are_private():

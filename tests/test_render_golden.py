@@ -30,6 +30,13 @@ def _cases():
             for fmt in ("text", "json"):
                 yield (f"typeb decomp {fmt} e={e},n={n}",
                        lambda n=n, e=e, fmt=fmt: render_typeb(n, e, "decomp", fmt))
+                yield (f"typeb basic-set {fmt} e={e},n={n}",
+                       lambda n=n, e=e, fmt=fmt: render_typeb(n, e, "basic-set", fmt))
+    # the a-values read no e
+    for n in range(8):
+        for fmt in ("text", "json"):
+            yield (f"typeb a-values {fmt} n={n}",
+                   lambda n=n, fmt=fmt: render_typeb(n, 3, "a-values", fmt))
 
 
 def test_render_outputs_match_golden_digests():

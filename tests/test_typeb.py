@@ -15,25 +15,21 @@ from ariki.typeb import (a_value_typeb, canonical_basic_set_b, decomposition_mat
 
 
 def test_a_value_typeb_examples():
-    assert a_value_typeb(((1,), ()), 1) == 0
-    assert a_value_typeb(((), (1,)), 1) == 1
-    assert a_value_typeb(((), ()), 1) == 0
+    assert a_value_typeb(((1,), ())) == 0
+    assert a_value_typeb(((), (1,))) == 1
     assert a_value_typeb(((), ())) == 0
 
 
-def test_a_value_typeb_r_too_small():
-    with pytest.raises(ValueError):
-        a_value_typeb(((2, 1), ()), 1)
-
-
 def test_a_value_typeb_matches_symbol_formula_at_larger_ranks():
+    # every even e has the scaled weights of e = 4, so the a-values read no e
+    for e in range(2, 21, 2):
+        assert even_charge_params(e).scaled_m == (2, 0), e
     rng = random.Random(5)
     p = even_charge_params(4)
     for _ in range(200):
         bp = tuple(tuple(sorted((rng.randint(1, 6) for _ in range(rng.randint(0, 6))),
                                 reverse=True)) for _ in range(2))
-        r = max(len(bp[0]), len(bp[1])) + rng.randint(0, 3)
-        assert a_value(bp, p) == Fraction(a_value_typeb(bp, r)), (bp, r)
+        assert a_value(bp, p) == Fraction(a_value_typeb(bp)), bp
 
 
 def test_basic_set_examples():

@@ -22,13 +22,14 @@ BREAKS = [
     ("counting-identity", "flotw_multipartitions", lambda _: kleshchev_multipartitions),
     ("semisimple-identity", "is_semisimple", lambda _: lambda p, n: False),
     ("minimality-brute-force", "residue_path_terminals", lambda _: lambda seq, p: set()),
+    # an a-value that reads the shift s itself, which only s -> s+1 moves
     ("shift-invariances", "a_value",
-     lambda a_value: lambda mp, p, shift=0: a_value(mp, p, shift) + shift),
+     lambda a_value: lambda mp, p: a_value(mp, p) + p.scaled_m[0] // (p.d * p.e)),
     # a comparison that ignores the symbol height but reads the weights
     # themselves: it flips once the first scaled weight is positive
     ("shift-invariances", "prec",
      lambda real: lambda mu, nu, p: real(mu, nu, p) != (p.scaled_m[0] > 0)),
-    ("type-b", "a_value_typeb", lambda a_value_typeb: lambda bp, r: a_value_typeb(bp, r) + r),
+    ("type-b", "a_value_typeb", lambda a_value_typeb: lambda bp: a_value_typeb(bp[::-1])),
     ("d1-e-regular-oracle", "kleshchev_multipartitions", lambda _: lambda p, n: []),
     ("canonical-structure", "replayed_basis", lambda _: lambda p, n: []),
     ("small-known-matrix", "canonical_basis", lambda _: lambda p, n: []),
