@@ -61,7 +61,7 @@ its own scan over every finished label of larger a-value, and must give
 the same basis, which the tests and `verify` check.
 
 Every a-value table and sort key here holds the integer d*a
-(symbols._scaled_a_value), which orders labels exactly as the a-value
+(symbols._scaled_a_values), which orders labels exactly as the a-value
 does; comparing ints is much cheaper than comparing Fractions.  Fractions
 are made only for the a-values a DecompositionMatrix reports, one per
 distinct value.
@@ -85,7 +85,7 @@ from .crystal import _graph_bijection, crystal_graph
 from .fock import FockVector, _f_divided, _shared, f_divided
 from .laurent import LaurentPoly
 from .partitions import enumerate_multipartitions
-from .symbols import _scaled_a_value
+from .symbols import _scaled_a_values
 
 
 def _leading_one(mp, vec: FockVector) -> FockVector:
@@ -120,7 +120,7 @@ def _straighten(labels, avals, start, values, others=()):
     fresh term dict of a bar-invariant vector with leading term mp; labels
     are built in decreasing (a-value, label) order.  avals maps the labels
     the straightening reads to values ordered like their a-values: the
-    pipeline passes the integers d*a (symbols._scaled_a_value), the tests
+    pipeline passes the integers d*a (symbols._scaled_a_values), the tests
     may pass the Fraction a-values.
     A label's vector reads only the elements of strictly larger a-value, so
     equal-a labels never interact and the tie order cannot change the
@@ -218,15 +218,16 @@ def _build(mp, others, avals, start, values, basis):
 
 
 class _ScaledAValues(dict):
-    """d*a of the labels of one rank, each computed when first read."""
-    __slots__ = ("p",)
+    """d*a of the labels of one rank, each computed when first read; rows
+    is the symbol-row table of symbols._scaled_a_values they share."""
+    __slots__ = ("p", "rows")
 
-    def __init__(self, p):
+    def __init__(self, p, rows):
         super().__init__()
-        self.p = p
+        self.p, self.rows = p, rows
 
     def __missing__(self, mp):
-        value = self[mp] = _scaled_a_value(mp, self.p)
+        value = self[mp] = _scaled_a_values((mp,), self.p, self.rows)[mp]
         return value
 
 
@@ -236,9 +237,10 @@ def _bases_by_rank(p: ChargeParams, levels, avals, wanted=None):
     levels[r] lists the diagonal-crystal vertices of rank r, and avals
     maps at least the top level's labels to values ordered like their
     a-values, as in _straighten; the lower ranks are keyed on d*a, computed
-    for the labels the straightening reads.  Ranks come out from 0 to the
-    top, each label starting from f_k^(c) of its peel rest's element.  A
-    caller that wants only the top rank should drop each rank as it comes.
+    for the labels the straightening reads, from one symbol-row table for
+    the walk.  Ranks come out from 0 to the top, each label starting from
+    f_k^(c) of its peel rest's element.  A caller that wants only the top
+    rank should drop each rank as it comes.
 
     wanted holds the labels whose elements the caller wants, every label of
     every rank by default.  Closed under peel rests it is the demand set D,
@@ -299,9 +301,10 @@ def _bases_by_rank(p: ChargeParams, levels, avals, wanted=None):
         lifted = _f_divided(below, k, c, "flotw", p, moves, targets, values)
         return _leading_one(mp, lifted).terms  # fresh: nothing else holds lifted
 
+    symbol_rows = {}  # the lower ranks' symbol rows (symbols._scaled_a_values)
     for r in range(1, top + 1):
         level = levels[r]
-        level_avals = avals if r == top else _ScaledAValues(p)
+        level_avals = avals if r == top else _ScaledAValues(p, symbol_rows)
         moves = {}  # this rank's (lam, k) -> moves of f_k^(r - |lam|)
         targets = {}  # this rank's multipartition -> the one tuple its moves hold
         values = {}  # this rank's coefficient value -> the one LaurentPoly of it
@@ -336,7 +339,7 @@ def canonical_basis(p: ChargeParams, n: int):
     every lower rank is built on the way (see the module docstring).
     """
     levels = crystal_graph(p, n, "flotw").levels
-    avals = {mp: _scaled_a_value(mp, p) for mp in levels[n]}
+    avals = _scaled_a_values(levels[n], p)
     return _elements(_top_basis(p, levels, avals), avals)
 
 
@@ -421,7 +424,7 @@ def decomposition_matrix(p: ChargeParams, n: int) -> DecompositionMatrix:
     levels = flotw.levels
     del flotw
     rows = enumerate_multipartitions(p.d, n)
-    avals = {mp: _scaled_a_value(mp, p) for mp in rows}  # d*a
+    avals = _scaled_a_values(rows, p)  # d*a
     basis = _top_basis(p, levels, avals)
     rows.sort(key=lambda m: (avals[m], m))
     columns = sorted(basis, key=lambda m: (avals[m], m))

@@ -186,8 +186,7 @@ def enumerate_multipartitions(d: int, n: int):
 
 def format_multipartition(mp) -> str:
     """Text form: parts joined by dots, components by commas, '-' when empty."""
-    return ",".join(".".join(str(x) for x in comp) if comp else "-"
-                    for comp in mp)
+    return ",".join([".".join(map(str, comp)) if comp else "-" for comp in mp])
 
 
 def parse_multipartition(text: str, require_partitions: bool = True):

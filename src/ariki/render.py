@@ -23,7 +23,7 @@ from .crystal import bijection_j, bijection_j_inverse, crystal_graph
 from .partitions import (enumerate_multipartitions, format_multipartition,
                          multipartition_to_json)
 from .symbols import a_value, format_rational, ordinary_symbol, shifted_symbol
-from .typeb import _a_value_typeb, canonical_basic_set_b, decomposition_matrix_b
+from .typeb import _a_values_typeb, canonical_basic_set_b, decomposition_matrix_b
 
 
 def render_enumerate(d: int, n: int, fmt: str = "text") -> str:
@@ -203,7 +203,7 @@ def write_typeb(out, n: int, e: int, action: str, fmt: str = "text"):
         else:
             out.write("\n".join(format_multipartition(bp) for bp in labels) + "\n")
     elif action == "a-values":
-        pairs = [(bp, _a_value_typeb(bp)) for bp in enumerate_multipartitions(2, n)]
+        pairs = _a_values_typeb(enumerate_multipartitions(2, n)).items()
         if fmt == "json":
             out.write(json.dumps([[multipartition_to_json(bp), a] for bp, a in pairs]))
         else:

@@ -12,14 +12,19 @@ binomial factors.
 
 All charged arithmetic uses entries scaled by d (see charge.scaled_m);
 exact rationals appear only in shifted symbols and returned a-values.  The
-kernel _scaled_a_value returns the integer d*a, which orders
+kernel _scaled_a_values returns a table of the integers d*a, which order
 multipartitions exactly as the a-value does; the canonical-basis and type B
-pipelines key on it and build a Fraction only for the public a_value and
-the a-values a DecompositionMatrix reports.
+pipelines key on them and build a Fraction only for the public a_value and
+the a-values a DecompositionMatrix reports.  A symbol row depends only on
+(component index, partition, height), so the table computes each row's
+scaled entries and hook sum (_scaled_row) once per call and reads every
+multipartition off its rows; the composition statistic _scaled_stat reads
+the same rows.
 """
 
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import NamedTuple
 
 from .charge import ChargeParams
@@ -74,20 +79,37 @@ def shifted_symbol(sym: Symbol, m) -> ShiftedSymbol:
     return ShiftedSymbol(rows=rows, height=sym.height)
 
 
-def _scaled_entries(mc, h, d, scaled_m):
-    """Entries d*B^(i)_j + sm_i of the height-h symbol, row by row."""
-    out = []
-    for comp, sm in zip(mc, scaled_m):
-        base = d * h + sm
-        out.extend(d * (x - j) + base for j, x in enumerate(comp, start=1))
-        out.extend(range(d * (h - len(comp) - 1) + sm, sm - 1, -d))
-    return out
-
-
 def _weighted_min_sum(xs):
     """Sum of min(x, y) over unordered pairs of xs: sorted, x_(k) counts N-1-k times."""
     xs = sorted(xs)
-    return sum(x * c for x, c in zip(xs, range(len(xs) - 1, -1, -1)))
+    return sum(map(mul, xs, range(len(xs) - 1, -1, -1)))
+
+
+def _scaled_row(i, comp, h, p: ChargeParams):
+    """Row i of the height-h symbol of the composition comp, scaled: its
+    entries d*beta + sm_i, and its hook sum.
+
+    The hook sum is that of min(d*k + sm_i, sm_j) over the row's entries
+    beta, 1 <= k <= beta and every row j.  It is closed form: for fixed j
+    the first K = floor((sm_j - sm_i)/d) values of k take the left side of
+    the min, and every k takes sm_j when K <= 0.
+    """
+    d, sm = p.d, p.scaled_m
+    sm_i = sm[i]
+    betas = [x - j for j, x in enumerate(comp, 1 - h)]
+    betas.extend(range(h - len(comp) - 1, -1, -1))
+    beta_sum = sum(betas)
+    hooks = 0
+    if beta_sum:  # otherwise every beta is 0: no k at all
+        for sm_j in sm:
+            cut = (sm_j - sm_i) // d
+            if cut <= 0:
+                hooks += beta_sum * sm_j
+                continue
+            for beta in betas:
+                k = beta if beta < cut else cut
+                hooks += d * k * (k + 1) // 2 + sm_i * k + (beta - k) * sm_j
+    return [d * beta + sm_i for beta in betas], hooks
 
 
 def _scaled_stat(mc, h, p: ChargeParams) -> int:
@@ -95,29 +117,15 @@ def _scaled_stat(mc, h, p: ChargeParams) -> int:
 
     mc is a multicomposition read at symbol height h (at least its longest
     component).  The statistic is the pair sum, over all unordered pairs of
-    scaled symbol entries d*beta + sm_row, of their minimum, less the hook
-    sum of min(d*k + sm_i, sm_j) over rows i, entries alpha of row i,
-    1 <= k <= alpha and all j.  Both are closed forms: the pair sum reads
-    the sorted entries once, and for fixed i, j the first
-    K = floor((sm_j - sm_i)/d) values of k take the left side of the min.
+    scaled symbol entries d*beta + sm_row, of their minimum, less the rows'
+    hook sums (_scaled_row).
     """
-    d, sm = p.d, p.scaled_m
-    entries = _scaled_entries(mc, h, d, sm)
-    total = _weighted_min_sum(entries)
-    for i, sm_i in enumerate(sm):
-        alphas = [(x - sm_i) // d for x in entries[i * h:(i + 1) * h]]
-        alpha_sum = sum(alphas)
-        if not alpha_sum:  # every alpha is 0: no k at all
-            continue
-        for sm_j in sm:
-            cut = (sm_j - sm_i) // d
-            if cut <= 0:  # every k takes sm_j
-                total -= alpha_sum * sm_j
-                continue
-            for alpha in alphas:
-                k = alpha if alpha < cut else cut
-                total -= d * k * (k + 1) // 2 + sm_i * k + (alpha - k) * sm_j
-    return total
+    entries, hooks = [], 0
+    for i, comp in enumerate(mc):
+        row, hook = _scaled_row(i, comp, h, p)
+        entries += row
+        hooks += hook
+    return _weighted_min_sum(entries) - hooks
 
 
 def a_value(mp, p: ChargeParams) -> Fraction:
@@ -131,24 +139,53 @@ def a_value(mp, p: ChargeParams) -> Fraction:
 
 def _scaled_a_value(mp, p: ChargeParams) -> int:
     """d times the a_value of a multipartition already validated with p.d
-    components, an int.
+    components: the table _scaled_a_values on mp alone."""
+    return _scaled_a_values((mp,), p)[mp]
+
+
+def _scaled_a_values(mps, p: ChargeParams, rows=None) -> dict:
+    """{mp: d*a} of multipartitions already validated with p.d components.
 
     d*a orders the multipartitions as a does, so the basis pipeline keys
     its tables, sorts and bisections on it and makes a Fraction only for
-    what it returns.  The statistics of the symbol at the least height h
-    are read in closed form from the parts: the entries total
-    n + d*h(h-1)/2, and tau sums C(d*t+1, 2) for t = 1..h-1.
+    what it returns.  Each symbol is read at the least height h.
+
+    A row of a symbol depends only on (i, comp, h), so the table rows,
+    local to the call unless the caller passes its own dict, maps each of
+    them to its scaled entries and its own term |comp|*sum(sm) less its
+    hook sum (_scaled_row).  A multipartition then sorts the concatenation
+    of its d rows' entries once for the pair sum and adds its rows' terms
+    and a constant of h: the entries total n + d*h(h-1)/2, and tau sums
+    C(d*t+1, 2) for t = 1..h-1, so the closed form is
+    n*sum(sm) - d*tau + d*(total - n) - h*sum_{i<j} min(sm_i, sm_j) + stat.
     """
     d, sm = p.d, p.scaled_m
-    n = rank(mp)
-    h = max(len(comp) for comp in mp)
-    t1 = (h - 1) * h // 2
-    t2 = (h - 1) * h * (2 * h - 1) // 6
-    tau = (d * d * t2 + d * t1) // 2
-    # n*sum(sm) - d*tau + d*(total - n) - h*sum_{i<j} min(sm_i, sm_j) + stat
-    scaled = n * sum(sm) - d * tau + d * d * t1
-    scaled -= h * _weighted_min_sum(sm)
-    return scaled + _scaled_stat(mp, h, p)
+    sm_sum, sm_pairs = sum(sm), _weighted_min_sum(sm)
+    if rows is None:
+        rows = {}
+    heights = {}  # h -> (its constant, the pair-sum weights d*h - 1, ..., 0)
+    out = {}
+    for mp in mps:
+        h = max(map(len, mp))
+        height = heights.get(h)
+        if height is None:
+            t1 = (h - 1) * h // 2
+            t2 = (h - 1) * h * (2 * h - 1) // 6
+            tau = (d * d * t2 + d * t1) // 2
+            height = heights[h] = (d * d * t1 - d * tau - h * sm_pairs,
+                                   range(d * h - 1, -1, -1))
+        total, weights = height
+        entries = []
+        for i, comp in enumerate(mp):
+            row = rows.get((i, comp, h))
+            if row is None:
+                row_entries, hooks = _scaled_row(i, comp, h, p)
+                row = rows[i, comp, h] = (row_entries, sum(comp) * sm_sum - hooks)
+            entries += row[0]
+            total += row[1]
+        entries.sort()
+        out[mp] = total + sum(map(mul, entries, weights))
+    return out
 
 
 def format_rational(x) -> str:

@@ -7,17 +7,16 @@ of the bipartitions with both components e-regular.  Every factor, of
 every rank 0..n, is read at q = 1 off the ranks of one type-A canonical
 basis recursion over one diagonal-crystal walk to rank n.  For even e the algebra
 is the d = 2 case at charges (1, e/2), so everything delegates to the
-general machinery.  The closed-form a-value below specializes the symbol
-formula to these charges, padding both components to the taller one's
-height.  Those charges have scaled weights (2, 0) for every even e, so
-the a-values read no e.
+general machinery.  A type B a-value is the a-value at those charges,
+half the d*a of symbols._scaled_a_values.  Those charges have scaled
+weights (2, 0) for every even e, so the a-values read no e.
 """
 
 from .canonical import DecompositionMatrix, _bases_by_rank, decomposition_matrix
 from .charge import ChargeParams
 from .crystal import crystal_graph, flotw_multipartitions
 from .partitions import check_multipartition, enumerate_multipartitions, is_e_regular
-from .symbols import _scaled_a_value, _weighted_min_sum
+from .symbols import _scaled_a_values
 
 
 def even_charge_params(e: int) -> ChargeParams:
@@ -28,26 +27,22 @@ def even_charge_params(e: int) -> ChargeParams:
 
 
 def a_value_typeb(bp) -> int:
-    """Closed-form a-value of a bipartition."""
+    """a-value of a bipartition."""
     bp = check_multipartition(bp)
     if len(bp) != 2:
         raise ValueError("expected a bipartition")
-    return _a_value_typeb(bp)
+    return _a_values_typeb((bp,))[bp]
 
 
-def _a_value_typeb(bp) -> int:
-    """a_value_typeb of a valid bipartition, unchecked."""
-    r = max(len(bp[0]), len(bp[1]))
-    # both components padded with zeros to r parts; index k is row k + 1
-    xs, ys = bp[0] + (0,) * (r - len(bp[0])), bp[1] + (0,) * (r - len(bp[1]))
-    total = -(r * (r - 1) * (2 * r + 5)) // 6
-    total += sum(k * (x + y + 1) for k, (x, y) in enumerate(zip(xs, ys)))
-    # sum of min(x_i, y_j) over all i, j of the shifted parts: the pairs of
-    # the merged list less the pairs inside each list
-    xs = [x + r - k for k, x in enumerate(xs)]
-    ys = [y + r - 1 - k for k, y in enumerate(ys)]
-    total += _weighted_min_sum(xs + ys) - _weighted_min_sum(xs) - _weighted_min_sum(ys)
-    return total
+def _a_values_typeb(bps) -> dict:
+    """{bp: a_value_typeb(bp)} of valid bipartitions, unchecked."""
+    out = {}
+    for bp, scaled in _scaled_a_values(bps, even_charge_params(2)).items():
+        a, odd = divmod(scaled, 2)
+        if odd:
+            raise RuntimeError(f"2*a of {bp} is odd: {scaled}")
+        out[bp] = a
+    return out
 
 
 def canonical_basic_set_b(n: int, e: int):
@@ -75,7 +70,7 @@ def decomposition_matrix_b(n: int, e: int) -> DecompositionMatrix:
 
     pa = type_a_params(e)
     levels = crystal_graph(pa, n, "flotw").levels
-    top = {mp: _scaled_a_value(mp, pa) for mp in levels[n]}
+    top = _scaled_a_values(levels[n], pa)
     # per rank and row partition of a type-A factor: its nonzero (column, entry)
     factors = []
     for basis in _bases_by_rank(pa, levels, top):
@@ -86,9 +81,10 @@ def decomposition_matrix_b(n: int, e: int) -> DecompositionMatrix:
                     pairs.setdefault(mu, []).append((lam, x))
         factors.append(pairs)
 
-    avals = {bp: _a_value_typeb(bp) for bp in enumerate_multipartitions(2, n)}
+    avals = _a_values_typeb(enumerate_multipartitions(2, n))
     rows = sorted(avals, key=lambda bp: (avals[bp], bp))
-    columns = sorted(canonical_basic_set_b(n, e), key=lambda bp: (avals[bp], bp))
+    # the basic set: the rows whose components are both e-regular
+    columns = [bp for bp in rows if is_e_regular(bp[0], e) and is_e_regular(bp[1], e)]
     # an entry is the product of the component-wise type-A entries, so only
     # products of two nonzeros are stored; size mismatches stay zero.
     # Equal cells share one tuple.

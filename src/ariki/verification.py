@@ -357,7 +357,7 @@ def check_semisimple_identity():
 
 
 def check_typeb():
-    """Closed-form a-values match the symbol formula at e = 2 and 4, whose
+    """Type B a-values equal -schur_valuation/2 at e = 2 and 4, whose
     weights (1, 0) are those of every even e; odd-e block tensor rule."""
     for e in (2, 4):
         p = even_charge_params(e)
@@ -365,7 +365,7 @@ def check_typeb():
             return False, f"e={e}: shift {p.m}, not (1, 0)"
         for n in range(6):
             for bp in enumerate_multipartitions(2, n):
-                if a_value(bp, p) != a_value_typeb(bp):
+                if a_value_typeb(bp) != Fraction(-schur_valuation(bp, p), 2):
                     return False, f"mismatch at {bp}, e={e}"
     matrix = decomposition_matrix_b(3, 3)
     factors = {l: decomposition_matrix(type_a_params(3), l) for l in range(4)}
@@ -394,7 +394,7 @@ def check_typeb():
             for mu in rows_a for lam in cols_a))
         if block_is_identity != semi:
             return False, f"block {a}: identity={block_is_identity}, semisimple={semi}"
-    return True, "a-value agreement, block tensor rule, identity blocks"
+    return True, "a-values against the valuation, block tensor rule, identity blocks"
 
 
 def hash_seed_outputs(code):

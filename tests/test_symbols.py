@@ -8,8 +8,8 @@ import pytest
 from ariki.charge import ChargeParams
 from ariki.partitions import enumerate_multipartitions
 from ariki._oracles import Weights, prec, schur_valuation
-from ariki.symbols import (_scaled_stat, a_value, format_rational, ordinary_symbol,
-                           shifted_symbol)
+from ariki.symbols import (_scaled_a_value, _scaled_a_values, _scaled_stat, a_value,
+                           format_rational, ordinary_symbol, shifted_symbol)
 
 P24 = ChargeParams(2, 4, (0, 1))
 GRID = (P24, ChargeParams(2, 2, (0, 1)), ChargeParams(3, 3, (0, 1, 2)),
@@ -205,6 +205,38 @@ def test_a_value_matches_symbol_formula():
                                        for i in range(p.d) for j in range(i + 1, p.d))
             scaled += _stat_oracle(mp, shift, p)[1]
             assert a_value(mp, p) == Fraction(scaled, p.d), (p, mp, shift)
+
+
+def test_a_value_table_matches_one_at_a_time_and_valuation():
+    # the table over each whole rank, and one row table shared by all ranks,
+    # against the kernel on one multipartition and the valuation oracle
+    for p in GRID:
+        shared = {}
+        for n in range(6):
+            mps = enumerate_multipartitions(p.d, n)
+            table = _scaled_a_values(mps, p)
+            assert list(table) == mps and _scaled_a_values(mps, p, shared) == table
+            for mp in mps:
+                assert table[mp] == _scaled_a_value(mp, p) == -schur_valuation(mp, p), (p, mp)
+
+
+def test_a_value_table_at_large_d_with_most_components_empty():
+    # the rows of empty components repeat across multipartitions and
+    # heights; up to three components are nonempty
+    rng = random.Random(14)
+    for _ in range(8):
+        d, e = rng.randint(2, 50), rng.randint(2, 6)
+        p = ChargeParams(d, e, sorted(rng.randrange(e) for _ in range(d)))
+        mps = []
+        for _ in range(6):
+            comps = [()] * d
+            for i in rng.sample(range(d), rng.randint(0, 3)):
+                comps[i] = tuple(sorted((rng.randint(1, 4) for _ in range(rng.randint(1, 3))),
+                                        reverse=True))
+            mps.append(tuple(comps))
+        table = _scaled_a_values(mps, p)
+        for mp in mps:
+            assert table[mp] == _scaled_a_value(mp, p) == -schur_valuation(mp, p), (p, mp)
 
 
 def test_a_value_rejects_bad_input():

@@ -1,4 +1,4 @@
-"""Type B specializations: closed-form a-values and both matrix regimes."""
+"""Type B specializations: a-values and both matrix regimes."""
 
 import random
 from fractions import Fraction
@@ -20,6 +20,24 @@ def test_a_value_typeb_examples():
     assert a_value_typeb(((), ())) == 0
 
 
+def _closed_form_typeb(bp):
+    """The symbol formula for the a-value of a bipartition at the weights
+    (1, 0), in closed form: both components padded to r parts, and the sum
+    of min over all pairs of shifted parts as the pairs of the merged list
+    less those inside each."""
+    def pair_min_sum(xs):
+        xs = sorted(xs)
+        return sum(x * c for x, c in zip(xs, range(len(xs) - 1, -1, -1)))
+
+    r = max(len(bp[0]), len(bp[1]))
+    xs, ys = bp[0] + (0,) * (r - len(bp[0])), bp[1] + (0,) * (r - len(bp[1]))
+    total = -(r * (r - 1) * (2 * r + 5)) // 6
+    total += sum(k * (x + y + 1) for k, (x, y) in enumerate(zip(xs, ys)))
+    xs = [x + r - k for k, x in enumerate(xs)]
+    ys = [y + r - 1 - k for k, y in enumerate(ys)]
+    return total + pair_min_sum(xs + ys) - pair_min_sum(xs) - pair_min_sum(ys)
+
+
 def test_a_value_typeb_matches_symbol_formula_at_larger_ranks():
     # every even e has the scaled weights of e = 4, so the a-values read no e
     for e in range(2, 21, 2):
@@ -29,6 +47,7 @@ def test_a_value_typeb_matches_symbol_formula_at_larger_ranks():
     for _ in range(200):
         bp = tuple(tuple(sorted((rng.randint(1, 6) for _ in range(rng.randint(0, 6))),
                                 reverse=True)) for _ in range(2))
+        assert a_value_typeb(bp) == _closed_form_typeb(bp), bp
         assert a_value(bp, p) == Fraction(a_value_typeb(bp)), bp
 
 
@@ -63,6 +82,8 @@ def _check_entry_formula(n, e, factors, row_sizes):
     m = decomposition_matrix_b(n, e)
     assert m.rows == tuple(sorted(enumerate_multipartitions(2, n),
                                   key=lambda bp: (a_value_typeb(bp), bp)))
+    assert m.columns == tuple(sorted(canonical_basic_set_b(n, e),
+                                     key=lambda bp: (a_value_typeb(bp), bp)))
     for i, mu in enumerate(m.rows):
         if sum(mu[0]) not in row_sizes:
             continue
