@@ -1,7 +1,5 @@
 """Exact combinatorial representation theory of Ariki-Koike algebras at roots of unity."""
 
-# perfbench/workloads.py imports compute_A from the package for its replay
-from ._oracles import compute_A
 from .aseq import AGraph, a_graph, a_sequence, a_sequence_blocks, k_opt_add, peel_step
 from .canonical import (CanonicalBasisElement, DecompositionMatrix, canonical_basis,
                         decomposition_matrix, simple_module_a_values)
@@ -19,3 +17,13 @@ from .symbols import ShiftedSymbol, Symbol, a_value, ordinary_symbol, shifted_sy
 from .typeb import (a_value_typeb, canonical_basic_set_b, decomposition_matrix_b)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # compute_A is a test oracle, not pipeline: it is served from
+    # ariki._oracles on first access (perfbench/workloads.py imports it from
+    # the package for its replay), so importing the package loads no oracle
+    if name == "compute_A":
+        from ._oracles import compute_A
+        return compute_A
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -64,7 +64,7 @@ Every a-value table and sort key here holds the integer d*a
 (symbols._scaled_a_values), which orders labels exactly as the a-value
 does; comparing ints is much cheaper than comparing Fractions.  Fractions
 are made only for the a-values a DecompositionMatrix reports, one per
-distinct value.
+distinct value, and fractions is imported there, not at import.
 
 Specializing q = 1 gives the decomposition matrix, with rows and columns
 sorted by ascending a-value (ties lexicographic) so its unitriangular
@@ -75,7 +75,6 @@ and the column's basis vector is dropped once read.  The dense view is
 derived on demand and is never built on the rendering path.
 """
 
-from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
@@ -439,6 +438,7 @@ def decomposition_matrix(p: ChargeParams, n: int) -> DecompositionMatrix:
             if x:
                 cell = (j, x)
                 nonzero[row_of[mp]].append(cells.setdefault(cell, cell))
+    from fractions import Fraction
     a_of = {x: Fraction(x, p.d) for x in set(avals.values())}
     return DecompositionMatrix(
         rows=tuple(rows), columns=tuple(columns),

@@ -6,7 +6,8 @@ m^(j) = v_j - j*e/d + s*e with s the least shift that makes them all
 nonnegative; the a-function, and so everything downstream, depends on the
 weights only up to a common shift, so s is derived, never given.  The
 m^(j) have denominator d, so all arithmetic is done on the integers
-scaled_m[j] = d*m^(j); rationals only ever appear in display.
+scaled_m[j] = d*m^(j); rationals only ever appear in display, and the
+property m imports fractions on first use, not at import.
 
 Two strict total orders on same-residue nodes drive everything downstream:
 the component-major order (below = smaller (comp, row)) and the
@@ -18,8 +19,6 @@ tuples; the public functions that return a node build the partitions.Node
 record from one.  The oracles' one encoding of the two orders is
 ariki._oracles.below_key.
 """
-
-from fractions import Fraction
 
 from .partitions import Node
 
@@ -77,6 +76,7 @@ class ChargeParams:
     @property
     def m(self):
         """The weights m^(j) as exact rationals."""
+        from fractions import Fraction
         return tuple(Fraction(x, self.d) for x in self.scaled_m)
 
     def to_dict(self):

@@ -11,31 +11,48 @@ so equal inputs produce byte-identical output across runs and hash seeds.
 Text is made only for what the output shows: a matrix row is a copy of one
 blank row with its nonzero cells written in, and a canonical basis formats
 each distinct multipartition and each distinct coefficient once.
+
+Importing this module loads neither json nor fractions: json is imported
+in _dumps, on the JSON paths only (enumerate, a-graph, crystal, decomp and
+typeb with JSON output, and crystal's default output), and render_a_value
+formats the integer d*a without a Fraction.  render_symbol, and decomp
+and even-e typeb decomp through their matrices' a-values, still build
+Fractions.
 """
 
 import io
-import json
+from math import gcd
 
 from .aseq import a_graph, a_sequence
 from .canonical import decomposition_matrix, canonical_basis
 from .charge import ChargeParams
 from .crystal import bijection_j, bijection_j_inverse, crystal_graph
-from .partitions import (enumerate_multipartitions, format_multipartition,
-                         multipartition_to_json)
-from .symbols import a_value, format_rational, ordinary_symbol, shifted_symbol
+from .partitions import (check_components, enumerate_multipartitions,
+                         format_multipartition, multipartition_to_json)
+from .symbols import (_format_ratio, _scaled_a_value, format_rational, ordinary_symbol,
+                      shifted_symbol)
 from .typeb import _a_values_typeb, canonical_basic_set_b, decomposition_matrix_b
+
+
+def _dumps(obj) -> str:
+    """json.dumps(obj), with json imported on first use."""
+    import json
+    return json.dumps(obj)
 
 
 def render_enumerate(d: int, n: int, fmt: str = "text") -> str:
     mps = enumerate_multipartitions(d, n)
     if fmt == "json":
-        return json.dumps([multipartition_to_json(mp) for mp in mps])
+        return _dumps([multipartition_to_json(mp) for mp in mps])
     return "\n".join(format_multipartition(mp) for mp in mps) + "\n"
 
 
 def render_a_value(p: ChargeParams, mp) -> str:
-    a = a_value(mp, p)
-    return f"{format_rational(a)} = {float(a)}\n"
+    # symbols.a_value as text, read off the integer x = d*a with no Fraction:
+    # x / d is the correctly rounded float of x/d, as float(Fraction(x, d)) is
+    x = _scaled_a_value(check_components(mp, p.d), p)
+    g = gcd(x, p.d)
+    return f"{_format_ratio(x // g, p.d // g)} = {x / p.d}\n"
 
 
 def render_symbol(p: ChargeParams, mc, shift: int = 0) -> str:
@@ -58,7 +75,7 @@ def render_a_seq(p: ChargeParams, mp) -> str:
 def render_a_graph(p: ChargeParams, mp, fmt: str = "text") -> str:
     graph = a_graph(mp, p)
     if fmt == "json":
-        return json.dumps({
+        return _dumps({
             "stages": [multipartition_to_json(s) for s in graph.stages],
             "steps": [{"residue": k, "row": g.row, "col": g.col, "component": g.comp}
                       for _, g, k in graph.steps],
@@ -79,7 +96,7 @@ def render_crystal(p: ChargeParams, n: int, order: str, fmt: str = "json") -> st
                              f'"{format_multipartition(dst)}" [label="{i}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
-    return json.dumps({
+    return _dumps({
         "order": order,
         "levels": [[multipartition_to_json(mp) for mp in level]
                    for level in graph.levels],
@@ -146,7 +163,7 @@ def write_matrix(out, matrix, fmt: str = "text"):
     if fmt == "json":
         # json.dumps of the dense payload, byte for byte: its head is dumped
         # whole and the entries are written row by row
-        head = json.dumps({
+        head = _dumps({
             "rows": [multipartition_to_json(mp) for mp in matrix.rows],
             "columns": [multipartition_to_json(mp) for mp in matrix.columns],
             "row_a_values": [format_rational(a) for a in matrix.row_a_values],
@@ -159,7 +176,7 @@ def write_matrix(out, matrix, fmt: str = "text"):
             out.write(f"{', ' if i else ''}[{_fill(blank, 3, 1, pairs, text)}]")
         out.write("]")
         if matrix.kleshchev_labels is not None:
-            out.write(', "kleshchev_columns": ' + json.dumps(
+            out.write(', "kleshchev_columns": ' + _dumps(
                 [multipartition_to_json(mp) for mp in matrix.kleshchev_labels]))
         out.write("}")
         return
@@ -199,13 +216,13 @@ def write_typeb(out, n: int, e: int, action: str, fmt: str = "text"):
     if action == "basic-set":
         labels = canonical_basic_set_b(n, e)
         if fmt == "json":
-            out.write(json.dumps([multipartition_to_json(bp) for bp in labels]))
+            out.write(_dumps([multipartition_to_json(bp) for bp in labels]))
         else:
             out.write("\n".join(format_multipartition(bp) for bp in labels) + "\n")
     elif action == "a-values":
         pairs = _a_values_typeb(enumerate_multipartitions(2, n)).items()
         if fmt == "json":
-            out.write(json.dumps([[multipartition_to_json(bp), a] for bp, a in pairs]))
+            out.write(_dumps([[multipartition_to_json(bp), a] for bp, a in pairs]))
         else:
             out.write("\n".join(f"{format_multipartition(bp)}: {a}" for bp, a in pairs) + "\n")
     elif action == "decomp":

@@ -20,9 +20,13 @@ the a-values a DecompositionMatrix reports.  A symbol row depends only on
 scaled entries and hook sum (_scaled_row) once per call and reads every
 multipartition off its rows; the composition statistic _scaled_stat reads
 the same rows.
+
+fractions is imported only inside shifted_symbol and a_value, the two
+functions here that return Fractions, so importing the package does not
+load it.  format_rational reads the numerator and denominator that ints
+and Fractions both have, and builds no Fraction.
 """
 
-from fractions import Fraction
 from math import comb
 from operator import mul
 from typing import NamedTuple
@@ -71,6 +75,7 @@ def ordinary_symbol(mc, shift: int = 0) -> Symbol:
 
 def shifted_symbol(sym: Symbol, m) -> ShiftedSymbol:
     """Add the weight m^(i) to every entry of row i."""
+    from fractions import Fraction
     m = tuple(Fraction(x) for x in m)
     if len(m) != sym.d:
         raise ValueError(f"expected {sym.d} weights, got {len(m)}")
@@ -128,11 +133,12 @@ def _scaled_stat(mc, h, p: ChargeParams) -> int:
     return _weighted_min_sum(entries) - hooks
 
 
-def a_value(mp, p: ChargeParams) -> Fraction:
+def a_value(mp, p: ChargeParams):
     """a-value of a d-partition: exact rational with denominator d.
 
     Equals -_oracles.schur_valuation(mp, p)/d.
     """
+    from fractions import Fraction
     mp = check_components(mp, p.d)
     return Fraction(_scaled_a_value(mp, p), p.d)
 
@@ -189,6 +195,11 @@ def _scaled_a_values(mps, p: ChargeParams, rows=None) -> dict:
 
 
 def format_rational(x) -> str:
-    """Render a Fraction as 'p/q', or plain integer when q = 1."""
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    """Render an int or a Fraction as 'p/q', or as the integer p when q = 1."""
+    return _format_ratio(x.numerator, x.denominator)
+
+
+def _format_ratio(num: int, den: int) -> str:
+    """'num/den', or 'num' when den = 1; the pair is already in lowest terms
+    with den positive."""
+    return str(num) if den == 1 else f"{num}/{den}"

@@ -4,10 +4,11 @@ and the benchmark harness and the README find every name they import."""
 
 import ast
 import importlib
-import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "ariki")
@@ -21,8 +22,21 @@ CHECKED_KERNELS = {"i_signature", "_reduced_signature", "_moves", "_f_divided"}
 NOT_PIPELINE = ("_oracles.py", "verification.py", "cli.py")
 
 # standard modules whose import costs more than a one-vertex query: the
-# package and its CLI load none of them (only `verify` loads subprocess)
-COLD_PATH_EXCLUDED = {"dataclasses", "inspect", "subprocess"}
+# package and its CLI load none of them (only `verify` loads subprocess, only
+# the JSON outputs load json, and only the functions that return Fractions
+# load fractions, with decimal and numbers)
+COLD_PATH_EXCLUDED = {"dataclasses", "inspect", "subprocess",
+                      "fractions", "decimal", "numbers", "json"}
+
+# one-vertex commands, and a small text canonical basis, that a cold process
+# answers without any excluded module
+COLD_COMMANDS = (
+    ["a-value", "--d", "3", "--e", "4", "--charges", "0,1,3", "--mp=2.1,1,-"],
+    ["a-seq", "--d", "3", "--e", "4", "--charges", "0,1,3", "--mp=-,1,2"],
+    ["bijection", "--d", "3", "--e", "4", "--charges", "0,1,3", "--mp=2.1,1,-"],
+    ["bijection", "--inverse", "--d", "3", "--e", "4", "--charges", "0,1,3", "--mp=-,1,2"],
+    ["canonical", "--d", "2", "--e", "2", "--charges", "0,1", "--n", "3"],
+)
 
 
 def _imports(path):
@@ -86,16 +100,51 @@ def test_perfbench_imports_resolve():
     assert crystal_bijection is crystal.crystal_bijection and peel_step is aseq.peel_step
 
 
-def test_cold_import_loads_no_heavy_modules():
-    # a fresh interpreter, as for one CLI query; site may preload modules,
-    # so only the ones the import adds count
-    script = ("import json, sys; before = set(sys.modules); "
-              "import ariki, ariki.render, ariki.cli; "
-              "print(json.dumps(sorted(set(sys.modules) - before)))")
+def _fresh(script):
+    """What script prints as one repr'd literal, run in a fresh interpreter,
+    as for one CLI query."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run([sys.executable, "-s", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    added = set(json.loads(proc.stdout))
+    return ast.literal_eval(proc.stdout)
+
+
+def test_compute_A_is_served_on_first_access():
+    # the package root serves the oracle lazily, and only that name
+    import ariki
+    from ariki import _oracles, compute_A
+    assert compute_A is _oracles.compute_A
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(ariki, "no_such_name")
+
+
+def test_cold_import_loads_no_heavy_modules():
+    # site may preload modules, so only the ones the import adds count; the
+    # probe itself imports nothing before its snapshot
+    added = set(_fresh("import sys; before = set(sys.modules); "
+                       "import ariki, ariki.render, ariki.cli; "
+                       "print(repr(sorted(set(sys.modules) - before)))"))
     assert "ariki.cli" in added
+    assert "ariki._oracles" not in added
+    assert not added & COLD_PATH_EXCLUDED, sorted(added & COLD_PATH_EXCLUDED)
+
+
+def test_cold_commands_load_no_heavy_modules():
+    # whole commands, parsing and output included; io is loaded at start-up
+    codes, outputs, added = _fresh(
+        "import io, sys\n"
+        "before = set(sys.modules)\n"
+        "from ariki.cli import main\n"
+        "codes, outputs = [], []\n"
+        f"for argv in {COLD_COMMANDS!r}:\n"
+        "    sys.stdout = io.StringIO()\n"
+        "    codes.append(main(argv))\n"
+        "    outputs.append(sys.stdout.getvalue())\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(repr((codes, outputs, sorted(set(sys.modules) - before))))")
+    assert codes == [0] * len(COLD_COMMANDS)
+    assert all(outputs), outputs
+    added = set(added)
+    assert "ariki._oracles" not in added
     assert not added & COLD_PATH_EXCLUDED, sorted(added & COLD_PATH_EXCLUDED)

@@ -8,6 +8,7 @@ import pytest
 from ariki.charge import ChargeParams
 from ariki.partitions import enumerate_multipartitions
 from ariki._oracles import Weights, prec, schur_valuation
+from ariki.render import render_a_value
 from ariki.symbols import (_scaled_a_value, _scaled_a_values, _scaled_stat, a_value,
                            format_rational, ordinary_symbol, shifted_symbol)
 
@@ -250,3 +251,18 @@ def test_format_rational():
     assert format_rational(Fraction(17)) == "17"
     assert format_rational(Fraction(5, 2)) == "5/2"
     assert format_rational(Fraction(-3, 2)) == "-3/2"
+    # type B matrices report int a-values
+    assert format_rational(3) == "3"
+    assert format_rational(0) == "0"
+
+
+def test_render_a_value_matches_the_fraction_formula():
+    # render_a_value reads the text off the integer d*a; the Fraction a-value
+    # must give the same bytes, also where d*a and d share a factor
+    for p in GRID + (ChargeParams(3, 4, (0, 1, 3)), ChargeParams(4, 2, (0, 0, 1, 1))):
+        for n in range(7):
+            for mp in enumerate_multipartitions(p.d, n):
+                a = a_value(mp, p)
+                assert render_a_value(p, mp) == f"{format_rational(a)} = {float(a)}\n", (p, mp)
+    with pytest.raises(ValueError, match="expected 2 components"):
+        render_a_value(P24, ((1,),))
