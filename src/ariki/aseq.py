@@ -115,7 +115,10 @@ def k_opt_add(mc, k, p: ChargeParams):
     Returns (new multicomposition, added node).  On multipartitions the
     maximizer is unique; composition ties go to the smallest (component, row).
     """
-    return _k_opt_add(check_multicomposition(mc), k, p)
+    mc = check_multicomposition(mc)
+    if len(mc) != p.d:
+        raise ValueError(f"expected {p.d} components, got {len(mc)}")
+    return _k_opt_add(mc, k, p)
 
 
 def _k_opt_add(mc, k, p: ChargeParams):

@@ -60,11 +60,13 @@ ariki._oracles.replayed_basis straightens the replays of every label with
 its own scan over every finished label of larger a-value, and must give
 the same basis, which the tests and `verify` check.
 
-Every a-value table and sort key here holds the integer d*a
-(symbols._scaled_a_values), which orders labels exactly as the a-value
-does; comparing ints is much cheaper than comparing Fractions.  Fractions
-are made only for the a-values a DecompositionMatrix reports, one per
-distinct value, and fractions is imported there, not at import.
+Every a-value and sort key here is the integer d*a, which orders labels
+exactly as the a-value does; comparing ints is much cheaper than comparing
+Fractions.  There is one a-value table per call (symbols._ScaledAValues):
+canonical_basis and decomposition_matrix make it and every rank of the walk
+reads it, so each symbol row is computed once per call.  Fractions are
+made only for the a-values a DecompositionMatrix reports, one per distinct
+value, and fractions is imported there, not at import.
 
 Specializing q = 1 gives the decomposition matrix, with rows and columns
 sorted by ascending a-value (ties lexicographic) so its unitriangular
@@ -84,7 +86,7 @@ from .crystal import _graph_bijection, crystal_graph
 from .fock import FockVector, _f_divided, _shared, f_divided
 from .laurent import LaurentPoly
 from .partitions import enumerate_multipartitions
-from .symbols import _scaled_a_values
+from .symbols import _ScaledAValues
 
 
 def _leading_one(mp, vec: FockVector) -> FockVector:
@@ -119,8 +121,8 @@ def _straighten(labels, avals, start, values, others=()):
     fresh term dict of a bar-invariant vector with leading term mp; labels
     are built in decreasing (a-value, label) order.  avals maps the labels
     the straightening reads to values ordered like their a-values: the
-    pipeline passes the integers d*a (symbols._scaled_a_values), the tests
-    may pass the Fraction a-values.
+    pipeline passes its table of the integers d*a (symbols._ScaledAValues),
+    the tests may pass the Fraction a-values.
     A label's vector reads only the elements of strictly larger a-value, so
     equal-a labels never interact and the tie order cannot change the
     result.  Every non-leading coefficient (crystal label or not) must end
@@ -216,30 +218,15 @@ def _build(mp, others, avals, start, values, basis):
     basis[mp] = FockVector._of(terms)
 
 
-class _ScaledAValues(dict):
-    """d*a of the labels of one rank, each computed when first read; rows
-    is the symbol-row table of symbols._scaled_a_values they share."""
-    __slots__ = ("p", "rows")
-
-    def __init__(self, p, rows):
-        super().__init__()
-        self.p, self.rows = p, rows
-
-    def __missing__(self, mp):
-        value = self[mp] = _scaled_a_values((mp,), self.p, self.rows)[mp]
-        return value
-
-
 def _bases_by_rank(p: ChargeParams, levels, avals, wanted=None):
     """Yield {label: straightened vector} for each level of a diagonal walk.
 
     levels[r] lists the diagonal-crystal vertices of rank r, and avals
-    maps at least the top level's labels to values ordered like their
-    a-values, as in _straighten; the lower ranks are keyed on d*a, computed
-    for the labels the straightening reads, from one symbol-row table for
-    the walk.  Ranks come out from 0 to the top, each label starting from
-    f_k^(c) of its peel rest's element.  A caller that wants only the top
-    rank should drop each rank as it comes.
+    maps every label the straightening of any rank reads to a value
+    ordered like its a-value, as in _straighten: the pipeline passes one
+    lazy table for the whole walk.  Ranks come out from 0 to the top, each
+    label starting from f_k^(c) of its peel rest's element.  A caller that
+    wants only the top rank should drop each rank as it comes.
 
     wanted holds the labels whose elements the caller wants, every label of
     every rank by default.  Closed under peel rests it is the demand set D,
@@ -300,14 +287,12 @@ def _bases_by_rank(p: ChargeParams, levels, avals, wanted=None):
         lifted = _f_divided(below, k, c, "flotw", p, moves, targets, values)
         return _leading_one(mp, lifted).terms  # fresh: nothing else holds lifted
 
-    symbol_rows = {}  # the lower ranks' symbol rows (symbols._scaled_a_values)
     for r in range(1, top + 1):
         level = levels[r]
-        level_avals = avals if r == top else _ScaledAValues(p, symbol_rows)
         moves = {}  # this rank's (lam, k) -> moves of f_k^(r - |lam|)
         targets = {}  # this rank's multipartition -> the one tuple its moves hold
         values = {}  # this rank's coefficient value -> the one LaurentPoly of it
-        basis = _straighten([mp for mp in level if mp in demand], level_avals, lift,
+        basis = _straighten([mp for mp in level if mp in demand], avals, lift,
                             values, {mp for mp in level if mp not in demand})
         del moves, targets, values
         for mp in level:  # no later rank builds this rank's labels
@@ -338,7 +323,7 @@ def canonical_basis(p: ChargeParams, n: int):
     every lower rank is built on the way (see the module docstring).
     """
     levels = crystal_graph(p, n, "flotw").levels
-    avals = _scaled_a_values(levels[n], p)
+    avals = _ScaledAValues(p)
     return _elements(_top_basis(p, levels, avals), avals)
 
 
@@ -423,7 +408,7 @@ def decomposition_matrix(p: ChargeParams, n: int) -> DecompositionMatrix:
     levels = flotw.levels
     del flotw
     rows = enumerate_multipartitions(p.d, n)
-    avals = _scaled_a_values(rows, p)  # d*a
+    avals = _ScaledAValues(p)  # d*a of the rows and of every rank of the walk
     basis = _top_basis(p, levels, avals)
     rows.sort(key=lambda m: (avals[m], m))
     columns = sorted(basis, key=lambda m: (avals[m], m))
@@ -439,7 +424,7 @@ def decomposition_matrix(p: ChargeParams, n: int) -> DecompositionMatrix:
                 cell = (j, x)
                 nonzero[row_of[mp]].append(cells.setdefault(cell, cell))
     from fractions import Fraction
-    a_of = {x: Fraction(x, p.d) for x in set(avals.values())}
+    a_of = {x: Fraction(x, p.d) for x in {avals[mp] for mp in rows}}
     return DecompositionMatrix(
         rows=tuple(rows), columns=tuple(columns),
         kleshchev_labels=tuple(dual[col] for col in columns),

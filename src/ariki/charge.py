@@ -97,6 +97,12 @@ def check_order(order):
         raise ValueError(f"order must be one of {ORDERS}")
 
 
+def check_residue(i, p: ChargeParams):
+    """Reject a residue outside 0..e-1; entry points call this once."""
+    if not isinstance(i, int) or not 0 <= i < p.e:
+        raise ValueError(f"residue must be an integer in 0..{p.e - 1}, got {i!r}")
+
+
 def i_signature(mp, i, order, p: ChargeParams):
     """The addable and removable i-nodes of mp, lowest first in the order.
 
@@ -107,7 +113,7 @@ def i_signature(mp, i, order, p: ChargeParams):
     row gives at most one i-node (e >= 2), and a component's new-row node
     comes after its rows: the pass emits the component-major order as it
     goes.  The diagonal order sorts the tuples once; (-content, comp) is
-    unique among the i-nodes.  The order is not validated here.
+    unique among the i-nodes.  Neither order nor residue is checked here.
     """
     if len(mp) > p.d:
         raise ValueError(f"component index {p.d} out of range for d={p.d}")

@@ -28,7 +28,7 @@ component-major lowering of the image of its source.
 
 from typing import NamedTuple
 
-from .charge import ChargeParams, check_order, i_signature
+from .charge import ChargeParams, check_order, check_residue, i_signature
 from .partitions import (Node, add_node, check_components, empty_multipartition,
                          enumerate_multipartitions, part, rank, remove_node)
 
@@ -54,6 +54,7 @@ def _reduced_signature(mp, i, order, p):
 def good_addable_node(mp, i, order: str, p: ChargeParams):
     """Position added by the crystal lowering operator, as a Node, or None."""
     check_order(order)
+    check_residue(i, p)
     addable, _ = _reduced_signature(check_components(mp, p.d), i, order, p)
     return Node(*addable[0]) if addable else None
 
@@ -61,6 +62,7 @@ def good_addable_node(mp, i, order: str, p: ChargeParams):
 def good_removable_node(mp, i, order: str, p: ChargeParams):
     """Node removed by the crystal raising operator, as a Node, or None."""
     check_order(order)
+    check_residue(i, p)
     _, removable = _reduced_signature(check_components(mp, p.d), i, order, p)
     return Node(*removable[-1]) if removable else None
 

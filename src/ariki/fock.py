@@ -44,7 +44,7 @@ filtered out only from the targets where some sum cancelled.
 
 from itertools import combinations
 
-from .charge import ChargeParams, check_order, i_signature
+from .charge import ChargeParams, check_order, check_residue, i_signature
 from .laurent import LaurentPoly
 from .partitions import (check_components, check_multipartition, format_multipartition,
                          rank)
@@ -236,10 +236,11 @@ def f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVect
     multiplies each coefficient of v into its moves.  This call reads the
     moves from fresh tables; the LLT recursion shares its tables among all
     the divided powers of one target rank (canonical._bases_by_rank).
-    Every multipartition of v's support must have p.d components; the
-    check is made here, once per call, and _f_divided makes none.
+    v's support must have p.d components and i must be in 0..e-1; the
+    checks are made here, once per call, and _f_divided makes none.
     """
     check_order(order)
+    check_residue(i, p)
     if j < 0:
         raise ValueError("j must be nonnegative")
     for lam in v.terms:

@@ -12,14 +12,13 @@ binomial factors.
 
 All charged arithmetic uses entries scaled by d (see charge.scaled_m);
 exact rationals appear only in shifted symbols and returned a-values.  The
-kernel _scaled_a_values returns a table of the integers d*a, which order
-multipartitions exactly as the a-value does; the canonical-basis and type B
-pipelines key on them and build a Fraction only for the public a_value and
-the a-values a DecompositionMatrix reports.  A symbol row depends only on
-(component index, partition, height), so the table computes each row's
-scaled entries and hook sum (_scaled_row) once per call and reads every
-multipartition off its rows; the composition statistic _scaled_stat reads
-the same rows.
+one a-value table, _ScaledAValues, holds the integers d*a, which order
+multipartitions exactly as the a-value does.  Every caller makes one table
+per call and reads all its a-values from it, building a Fraction only for
+the public a_value and the a-values a DecompositionMatrix reports.  A
+symbol row depends only on (component index, partition, height), so the
+table computes each row's scaled entries and hook sum (_scaled_row) once;
+the composition statistic _scaled_stat reads the same rows.
 
 fractions is imported only inside shifted_symbol and a_value, the two
 functions here that return Fractions, so importing the package does not
@@ -140,58 +139,53 @@ def a_value(mp, p: ChargeParams):
     """
     from fractions import Fraction
     mp = check_components(mp, p.d)
-    return Fraction(_scaled_a_value(mp, p), p.d)
+    return Fraction(_ScaledAValues(p)[mp], p.d)
 
 
-def _scaled_a_value(mp, p: ChargeParams) -> int:
-    """d times the a_value of a multipartition already validated with p.d
-    components: the table _scaled_a_values on mp alone."""
-    return _scaled_a_values((mp,), p)[mp]
+class _ScaledAValues(dict):
+    """{mp: d*a} of multipartitions already validated with p.d components,
+    each computed when first read, at the least symbol height h.
 
-
-def _scaled_a_values(mps, p: ChargeParams, rows=None) -> dict:
-    """{mp: d*a} of multipartitions already validated with p.d components.
-
-    d*a orders the multipartitions as a does, so the basis pipeline keys
-    its tables, sorts and bisections on it and makes a Fraction only for
-    what it returns.  Each symbol is read at the least height h.
-
-    A row of a symbol depends only on (i, comp, h), so the table rows,
-    local to the call unless the caller passes its own dict, maps each of
-    them to its scaled entries and its own term |comp|*sum(sm) less its
-    hook sum (_scaled_row).  A multipartition then sorts the concatenation
-    of its d rows' entries once for the pair sum and adds its rows' terms
-    and a constant of h: the entries total n + d*h(h-1)/2, and tau sums
-    C(d*t+1, 2) for t = 1..h-1, so the closed form is
+    A row of a symbol depends only on (i, comp, h), so the table keeps
+    each row it meets, with its scaled entries and its own term
+    |comp|*sum(sm) less its hook sum (_scaled_row).  A multipartition then
+    sorts the concatenation of its d rows' entries once for the pair sum
+    and adds its rows' terms and a constant of h: the entries total
+    n + d*h(h-1)/2, and tau sums C(d*t+1, 2) for t = 1..h-1, so the closed
+    form is
     n*sum(sm) - d*tau + d*(total - n) - h*sum_{i<j} min(sm_i, sm_j) + stat.
     """
-    d, sm = p.d, p.scaled_m
-    sm_sum, sm_pairs = sum(sm), _weighted_min_sum(sm)
-    if rows is None:
-        rows = {}
-    heights = {}  # h -> (its constant, the pair-sum weights d*h - 1, ..., 0)
-    out = {}
-    for mp in mps:
+    __slots__ = ("p", "sm_sum", "rows", "heights")
+
+    def __init__(self, p: ChargeParams):  # dict.__new__ made the empty table
+        self.p, self.sm_sum = p, sum(p.scaled_m)
+        self.rows = {}  # (i, comp, h) -> (its scaled entries, its term)
+        self.heights = {}  # h -> (its constant, the pair-sum weights d*h - 1, ..., 0)
+
+    def __missing__(self, mp):
+        p, rows = self.p, self.rows
         h = max(map(len, mp))
-        height = heights.get(h)
+        height = self.heights.get(h)
         if height is None:
+            d = p.d
             t1 = (h - 1) * h // 2
             t2 = (h - 1) * h * (2 * h - 1) // 6
             tau = (d * d * t2 + d * t1) // 2
-            height = heights[h] = (d * d * t1 - d * tau - h * sm_pairs,
-                                   range(d * h - 1, -1, -1))
+            height = self.heights[h] = (
+                d * d * t1 - d * tau - h * _weighted_min_sum(p.scaled_m),
+                range(d * h - 1, -1, -1))
         total, weights = height
         entries = []
         for i, comp in enumerate(mp):
             row = rows.get((i, comp, h))
             if row is None:
                 row_entries, hooks = _scaled_row(i, comp, h, p)
-                row = rows[i, comp, h] = (row_entries, sum(comp) * sm_sum - hooks)
+                row = rows[i, comp, h] = (row_entries, sum(comp) * self.sm_sum - hooks)
             entries += row[0]
             total += row[1]
         entries.sort()
-        out[mp] = total + sum(map(mul, entries, weights))
-    return out
+        value = self[mp] = total + sum(map(mul, entries, weights))
+        return value
 
 
 def format_rational(x) -> str:

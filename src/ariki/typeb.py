@@ -8,7 +8,8 @@ every rank 0..n, is read at q = 1 off the ranks of one type-A canonical
 basis recursion over one diagonal-crystal walk to rank n.  For even e the algebra
 is the d = 2 case at charges (1, e/2), so everything delegates to the
 general machinery.  A type B a-value is the a-value at those charges,
-half the d*a of symbols._scaled_a_values.  Those charges have scaled
+half the d*a of one symbols._ScaledAValues table per call, as the odd-e
+matrix's type-A walk reads one table too.  Those charges have scaled
 weights (2, 0) for every even e, so the a-values read no e.
 """
 
@@ -16,7 +17,7 @@ from .canonical import DecompositionMatrix, _bases_by_rank, decomposition_matrix
 from .charge import ChargeParams
 from .crystal import crystal_graph, flotw_multipartitions
 from .partitions import check_multipartition, enumerate_multipartitions, is_e_regular
-from .symbols import _scaled_a_values
+from .symbols import _ScaledAValues
 
 
 def even_charge_params(e: int) -> ChargeParams:
@@ -36,11 +37,11 @@ def a_value_typeb(bp) -> int:
 
 def _a_values_typeb(bps) -> dict:
     """{bp: a_value_typeb(bp)} of valid bipartitions, unchecked."""
-    out = {}
-    for bp, scaled in _scaled_a_values(bps, even_charge_params(2)).items():
-        a, odd = divmod(scaled, 2)
+    table, out = _ScaledAValues(even_charge_params(2)), {}
+    for bp in bps:
+        a, odd = divmod(table[bp], 2)
         if odd:
-            raise RuntimeError(f"2*a of {bp} is odd: {scaled}")
+            raise RuntimeError(f"2*a of {bp} is odd: {table[bp]}")
         out[bp] = a
     return out
 
@@ -70,10 +71,9 @@ def decomposition_matrix_b(n: int, e: int) -> DecompositionMatrix:
 
     pa = type_a_params(e)
     levels = crystal_graph(pa, n, "flotw").levels
-    top = _scaled_a_values(levels[n], pa)
     # per rank and row partition of a type-A factor: its nonzero (column, entry)
     factors = []
-    for basis in _bases_by_rank(pa, levels, top):
+    for basis in _bases_by_rank(pa, levels, _ScaledAValues(pa)):
         pairs = {}
         for (lam,), vec in basis.items():
             for (mu,), x in vec.at_one().items():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from ariki._oracles import prec, residue_path_terminals
+from ariki._oracles import bumped_weights, prec, residue_path_terminals
 from ariki.aseq import a_graph, a_sequence, a_sequence_blocks, k_opt_add, peel_step
 from ariki.charge import ChargeParams
 from ariki.crystal import flotw_multipartitions, is_flotw
@@ -47,6 +47,17 @@ def test_k_opt_add_examples():
     assert out == ((1,), ()) and node == Node(1, 1, 0)
     with pytest.raises(ValueError):
         k_opt_add(((), ()), 2, P24)
+
+
+def test_k_opt_add_rejects_wrong_component_count():
+    # too few components would give a wrong answer, too many an IndexError;
+    # a_graph rejects both the same way
+    for mc in (((1,),), ((1,), (), ())):
+        for fn in (lambda mc, p: k_opt_add(mc, 1, p), a_graph):
+            with pytest.raises(ValueError, match=f"expected 2 components, got {len(mc)}"):
+                fn(mc, P24)
+        with pytest.raises(ValueError, match="expected 2 components"):
+            k_opt_add(mc, 1, bumped_weights(P24))
 
 
 def test_k_opt_add_composition_tie_break():

@@ -14,7 +14,7 @@ from ariki.crystal import crystal_graph, flotw_multipartitions
 from ariki.fock import FockVector
 from ariki.laurent import LaurentPoly
 from ariki.partitions import rank
-from ariki.symbols import a_value
+from ariki.symbols import _ScaledAValues, a_value
 from ariki.typeb import decomposition_matrix_b
 from ariki.verification import GRID
 
@@ -153,7 +153,7 @@ def test_label_built_on_demand_without_its_rest_replays_the_rest(monkeypatch):
     import ariki.canonical as canonical
     p, n = ChargeParams(2, 2, (0, 1)), 9
     levels = crystal_graph(p, n, "flotw").levels
-    avals = {mp: a_value(mp, p) for mp in levels[n]}
+    avals = _ScaledAValues(p)  # d*a of every label the walks read
     full = _top_basis(p, levels, avals)
     assert len(full) == len(levels[n])
     replayed = []
@@ -164,6 +164,26 @@ def test_label_built_on_demand_without_its_rest_replays_the_rest(monkeypatch):
         *_, basis = _bases_by_rank(p, levels, avals, [label])
         assert label in basis and all(full[mp] == vec for mp, vec in basis.items()), label
     assert len(replayed) == 48
+
+
+def test_one_symbol_row_computation_per_call(monkeypatch):
+    # each call reads every a-value, of its rows and of every rank of its
+    # walk, from one table, so no symbol row is computed twice
+    import ariki.symbols as symbols
+    rows = []
+    real = symbols._scaled_row
+
+    def counting(i, comp, h, p):
+        rows.append((p, i, comp, h))
+        return real(i, comp, h, p)
+
+    monkeypatch.setattr(symbols, "_scaled_row", counting)
+    for call in (lambda: decomposition_matrix(P24, 8),
+                 lambda: canonical_basis(ChargeParams(2, 2, (0, 1)), 9),
+                 lambda: decomposition_matrix_b(8, 3)):
+        rows.clear()
+        call()
+        assert rows and len(set(rows)) == len(rows), len(rows) - len(set(rows))
 
 
 def test_one_crystal_walk_per_matrix(monkeypatch):
@@ -220,7 +240,7 @@ def _ranks(p, n, wanted=None):
     """Each rank's {label: vector} of one walk to rank n that wants every
     label (wanted=None) or the top level ("top")."""
     levels = crystal_graph(p, n, "flotw").levels
-    return _bases_by_rank(p, levels, {mp: a_value(mp, p) for mp in levels[n]},
+    return _bases_by_rank(p, levels, _ScaledAValues(p),
                           levels[n] if wanted == "top" else None)
 
 

@@ -226,3 +226,18 @@ def test_unchecked_constructors_are_private():
 def test_unknown_order_rejected(call):
     with pytest.raises(ValueError, match=r"order must be one of \('am', 'flotw'\)"):
         call("sideways")
+
+
+@pytest.mark.parametrize("call", [
+    lambda i, p: f_divided(FockVector.unit(((1,),)), i, 1, "flotw", p),
+    lambda i, p: good_addable_node(((1,),), i, "flotw", p),
+    lambda i, p: good_removable_node(((1,),), i, "am", p),
+], ids=["f_divided", "good_addable_node", "good_removable_node"])
+def test_residue_outside_zero_to_e_rejected(call):
+    # i = -1 and i = 3 are congruent to 1 mod e = 2, but the row scan
+    # compares residues in 0..e-1, so it would miss the new-row 1-node
+    p = ChargeParams(1, 2, (0,))
+    for i in (-1, 3, 2, 1.0, None):
+        with pytest.raises(ValueError, match=r"residue must be an integer in 0\.\.1"):
+            call(i, p)
+    assert str(f_divided(FockVector.unit(((1,),)), 1, 1, "flotw", p)) == "(q)*[1.1] + (1)*[2]"

@@ -9,8 +9,8 @@ from ariki.charge import ChargeParams
 from ariki.partitions import enumerate_multipartitions
 from ariki._oracles import Weights, prec, schur_valuation
 from ariki.render import render_a_value
-from ariki.symbols import (_scaled_a_value, _scaled_a_values, _scaled_stat, a_value,
-                           format_rational, ordinary_symbol, shifted_symbol)
+from ariki.symbols import (_ScaledAValues, _scaled_stat, a_value, format_rational,
+                           ordinary_symbol, shifted_symbol)
 
 P24 = ChargeParams(2, 4, (0, 1))
 GRID = (P24, ChargeParams(2, 2, (0, 1)), ChargeParams(3, 3, (0, 1, 2)),
@@ -209,16 +209,15 @@ def test_a_value_matches_symbol_formula():
 
 
 def test_a_value_table_matches_one_at_a_time_and_valuation():
-    # the table over each whole rank, and one row table shared by all ranks,
-    # against the kernel on one multipartition and the valuation oracle
+    # one table read over every rank in turn, against a fresh table on one
+    # multipartition and the valuation oracle; it holds what was read
     for p in GRID:
-        shared = {}
+        table, read = _ScaledAValues(p), []
         for n in range(6):
-            mps = enumerate_multipartitions(p.d, n)
-            table = _scaled_a_values(mps, p)
-            assert list(table) == mps and _scaled_a_values(mps, p, shared) == table
-            for mp in mps:
-                assert table[mp] == _scaled_a_value(mp, p) == -schur_valuation(mp, p), (p, mp)
+            for mp in enumerate_multipartitions(p.d, n):
+                read.append(mp)
+                assert table[mp] == _ScaledAValues(p)[mp] == -schur_valuation(mp, p), (p, mp)
+        assert list(table) == read, p
 
 
 def test_a_value_table_at_large_d_with_most_components_empty():
@@ -235,9 +234,9 @@ def test_a_value_table_at_large_d_with_most_components_empty():
                 comps[i] = tuple(sorted((rng.randint(1, 4) for _ in range(rng.randint(1, 3))),
                                         reverse=True))
             mps.append(tuple(comps))
-        table = _scaled_a_values(mps, p)
+        table = _ScaledAValues(p)
         for mp in mps:
-            assert table[mp] == _scaled_a_value(mp, p) == -schur_valuation(mp, p), (p, mp)
+            assert table[mp] == _ScaledAValues(p)[mp] == -schur_valuation(mp, p), (p, mp)
 
 
 def test_a_value_rejects_bad_input():
