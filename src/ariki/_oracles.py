@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .aseq import a_sequence_blocks, composition_addable_positions
 from .canonical import _elements, _leading_one
-from .charge import ChargeParams, check_order, residue
+from .charge import ChargeParams, check_order, check_residue, residue
 from .crystal import flotw_multipartitions
 from .fock import FockVector, f_divided
 from .laurent import LaurentPoly
@@ -100,6 +100,7 @@ def f_action(v: FockVector, i, order: str, p: ChargeParams) -> FockVector:
     Adding gamma to lam has the exponent: addable i-nodes of lam below
     gamma minus removable i-nodes of the result below gamma.
     """
+    check_residue(i, p)
     key = below_key(order, p)
     out = {}
     for lam in v.support():

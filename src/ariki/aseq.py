@@ -12,7 +12,7 @@ multipartition through a chain of diagonal-crystal vertices.
 
 from typing import NamedTuple
 
-from .charge import ChargeParams
+from .charge import ChargeParams, check_residue
 from .crystal import _is_flotw
 from .partitions import (Node, add_node, check_components, check_multicomposition,
                          empty_multipartition, part, rank)
@@ -100,6 +100,20 @@ def a_sequence(mp, p: ChargeParams):
 
 def composition_addable_positions(mc, k, p: ChargeParams):
     """Nodes of residue k addable to a multicomposition (any row, or a new one)."""
+    check_residue(k, p)
+    return _addable_positions(_checked_multicomposition(mc, p), k, p)
+
+
+def _checked_multicomposition(mc, p):
+    """mc validated as a multicomposition of p.d components."""
+    mc = check_multicomposition(mc)
+    if len(mc) != p.d:
+        raise ValueError(f"expected {p.d} components, got {len(mc)}")
+    return mc
+
+
+def _addable_positions(mc, k, p):
+    """composition_addable_positions on an input already validated."""
     out = []
     for c, comp in enumerate(mc):
         for j in range(1, len(comp) + 2):
@@ -115,16 +129,13 @@ def k_opt_add(mc, k, p: ChargeParams):
     Returns (new multicomposition, added node).  On multipartitions the
     maximizer is unique; composition ties go to the smallest (component, row).
     """
-    mc = check_multicomposition(mc)
-    if len(mc) != p.d:
-        raise ValueError(f"expected {p.d} components, got {len(mc)}")
-    return _k_opt_add(mc, k, p)
+    return _k_opt_add(_checked_multicomposition(mc, p), k, p)
 
 
 def _k_opt_add(mc, k, p: ChargeParams):
     """k_opt_add on a multicomposition already validated."""
     best = None
-    for g in composition_addable_positions(mc, k, p):
+    for g in _addable_positions(mc, k, p):
         weight = p.d * (part(mc[g.comp], g.row) - g.row) + p.scaled_m[g.comp]
         slot = (g.comp, g.row)
         if best is None or weight > best[0] or (weight == best[0] and slot < best[1]):

@@ -14,9 +14,13 @@ A vector is straightened by its offending coefficients only, those outside
 q*Z[q] at labels of larger a-value: one pass over its terms finds them,
 and they are corrected in ascending (a-value, label) order, each by
 subtracting the bar-symmetric completion of the coefficient times that
-label's basis element.  A subtraction only touches labels of still larger
-a-value, so no coefficient already corrected changes; a label it leaves
-offending joins the queue.
+label's basis element.  By Lusztig's positivity that completion lies in
+N[q, q^-1]; one with a negative coefficient is an error.  The subtraction
+is made in place on plain dicts: each term's products are subtracted
+straight into a copy of its coefficient dict, which is wrapped as one
+LaurentPoly.  A subtraction only touches labels of still larger a-value,
+so no coefficient already corrected changes; a label it leaves offending
+joins the queue.
 
 The walk builds only what its caller reads.  The wanted labels (the top
 level for canonical_basis and decomposition_matrix, every label for odd-e
@@ -132,11 +136,17 @@ def _straighten(labels, avals, start, values, others=()):
     coefficient and queues the offending ones, those outside q*Z[q] at a
     label of larger a-value.  The queue is corrected in ascending (a-value,
     label) order: each correction subtracts the bar-symmetric completion of
-    the coefficient times that label's basis element, and a label the
-    subtraction leaves offending, past the one being corrected, is queued
-    too.  A label's coefficient changes only through labels of smaller key,
-    all corrected before it, so these are the corrections a scan over every
-    label of larger a-value makes, in the same order.  At the end only the
+    the coefficient, which must lie in N[q, q^-1], times that label's basis
+    element, and a label the subtraction leaves offending, past the one
+    being corrected, is queued too.  The subtraction works in place on
+    dicts: for each term of that element, every product of a monomial of
+    its coefficient with one of the completion is subtracted straight into
+    one dict, a copy of the vector's coefficient there (empty if it has
+    none); an entry reaching 0 is deleted, a term whose dict empties is
+    dropped, and the dict is wrapped once as a LaurentPoly.  A label's
+    coefficient changes only through labels of smaller key, all corrected
+    before it, so these are the corrections a scan over every label of
+    larger a-value makes, in the same order.  At the end only the
     terms a subtraction touched, or that the pass found outside q*Z[q] but
     could not correct, are checked again.
 
@@ -187,18 +197,29 @@ def _build(mp, others, avals, start, values, basis):
         gamma = _bar_symmetric_completion(coeff)
         if gamma != gamma.bar():
             raise RuntimeError("correction coefficient is not bar-symmetric")
+        if any(x < 0 for x in gamma.coeffs.values()):
+            raise RuntimeError(f"correction coefficient {gamma} is not in N[q, q^-1]")
         if nu not in basis:  # one of others: built on demand
             _build(nu, others, avals, start, values, basis)
-        # terms -= gamma * basis[nu], in place
-        minus_gamma = -gamma
+        # terms -= gamma * basis[nu], each term's product subtracted
+        # straight into one dict, wrapped once
+        gamma_items = gamma.coeffs.items()
         for mu, c in basis[nu].terms.items():
             old = terms.get(mu)
-            new = c * minus_gamma if old is None else old + c * minus_gamma
+            data = {} if old is None else old.coeffs.copy()
+            for e1, c1 in c.coeffs.items():
+                for e2, c2 in gamma_items:
+                    e = e1 + e2
+                    x = data.get(e, 0) - c1 * c2
+                    if x:
+                        data[e] = x
+                    else:
+                        del data[e]
             recheck[mu] = None
-            if new.is_zero():
+            if not data:
                 terms.pop(mu, None)
                 continue
-            terms[mu] = new
+            new = terms[mu] = LaurentPoly._of(data)
             if (mu in basis or mu in others) and not new.in_q_zq():
                 later = (avals[mu], mu)
                 if later > key:  # a label queued twice is skipped once corrected

@@ -122,9 +122,10 @@ def _capture(write, *args) -> str:
 def write_canonical(out, p: ChargeParams, n: int):
     basis = canonical_basis(p, n)
     # one position and one text per distinct multipartition in any support,
-    # and one text per distinct coefficient, keyed by its stored items: a
-    # tuple hashes much faster than the polynomial's frozenset, and an equal
-    # coefficient stored in another order only formats the same text again
+    # and one text per coefficient object, keyed by its id: a rank holds one
+    # object per distinct value (fock._shared), every object stays alive in
+    # basis while the writer runs, and an equal value held by a second
+    # object only formats the same text again
     support = sorted({mp for el in basis for mp in el.vector.terms})
     position = {mp: i for i, mp in enumerate(support)}
     name = {mp: format_multipartition(mp) for mp in support}
@@ -134,10 +135,9 @@ def write_canonical(out, p: ChargeParams, n: int):
         parts = []
         for mp in sorted(terms, key=position.__getitem__):
             c = terms[mp]
-            key = tuple(c.coeffs.items())
-            text = coeff_text.get(key)
+            text = coeff_text.get(id(c))
             if text is None:
-                text = coeff_text[key] = f"({c})*["
+                text = coeff_text[id(c)] = f"({c})*["
             parts.append(f"{text}{name[mp]}]")
         out.write(f"{name[el.label]}: {' + '.join(parts)}\n")
 

@@ -212,8 +212,9 @@ def _structure_error(basis, p):
 
     The shape: leading coefficient 1; every other coefficient of minimum
     degree >= 1, read off the degrees, not through LaurentPoly.in_q_zq,
-    which the straightening itself uses; nonnegative at q = 1; and at a
-    multipartition of strictly larger a-value.
+    which the straightening itself uses; in N[q], every monomial
+    coefficient >= 0 (positivity); and at a multipartition of strictly
+    larger a-value.
     """
     a = {mp: a_value(mp, p) for mp in {mp for el in basis for mp in el.vector.terms}}
     for el in basis:
@@ -225,21 +226,23 @@ def _structure_error(basis, p):
                 continue
             if min(c.coeffs, default=0) < 1:
                 return f"{nu} coefficient {c} outside q*Z[q]"
-            if c.at_one() < 0:
-                return f"negative value at q=1 for {nu}"
+            if min(c.coeffs.values()) < 0:
+                return f"{nu} coefficient {c} not in N[q]"
             if a[nu] <= a[el.label]:
                 return f"a({nu}) <= a({el.label})"
     return None
 
 
 def check_canonical_structure():
-    """Leading 1, q*Z[q] coefficients, strict a-triangularity, min-identity,
-    and equality with the compute_A replays straightened by a scan.
+    """Leading 1, coefficients in q*N[q], strict a-triangularity,
+    min-identity, and equality with the compute_A replays straightened by
+    a scan.
 
     The ranks up to 6 straighten almost nothing (at most 2 subtractions),
     so (2,2,(0,1)) n=9, whose recursion makes 28, is checked as well.
-    (2,2,(0,1)) n=13 is built too, and checked for the shape only: its
-    replay would take several times the build.
+    (2,2,(0,1)) n=13 and the other two GRID parameter sets to rank 6 are
+    built too, and checked for the shape only: the replay of n=13 would
+    take several times the build.
     """
     top = 6
     p24, p22 = ChargeParams(2, 4, (0, 1)), ChargeParams(2, 2, (0, 1))
@@ -253,12 +256,14 @@ def check_canonical_structure():
         if error:
             return False, f"{p.to_dict()} rank {n}: {error}"
         simple_module_a_values(p, n)
-    error = _structure_error(canonical_basis(p22, 13), p22)
-    if error:
-        return False, f"{p22.to_dict()} rank 13: {error}"
+    shape_only = [(p, n) for p in GRID if p not in (p24, p22) for n in range(top + 1)]
+    for p, n in shape_only + [(p22, 13)]:
+        error = _structure_error(canonical_basis(p, n), p)
+        if error:
+            return False, f"{p.to_dict()} rank {n}: {error}"
     return True, (f"both parameter sets to rank {top} and (2,2,(0,1)) "
-                  "n=9, equal to the compute_A replay; (2,2,(0,1)) n=13 leading 1, "
-                  "q*Z[q], a-triangular")
+                  "n=9, equal to the compute_A replay; the other two to rank "
+                  f"{top} and (2,2,(0,1)) n=13 leading 1, q*N[q], a-triangular")
 
 
 def check_regularization():

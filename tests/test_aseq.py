@@ -3,7 +3,8 @@
 import pytest
 
 from ariki._oracles import bumped_weights, prec, residue_path_terminals
-from ariki.aseq import a_graph, a_sequence, a_sequence_blocks, k_opt_add, peel_step
+from ariki.aseq import (a_graph, a_sequence, a_sequence_blocks, composition_addable_positions,
+                        k_opt_add, peel_step)
 from ariki.charge import ChargeParams
 from ariki.crystal import flotw_multipartitions, is_flotw
 from ariki.partitions import Node, part, removable_nodes
@@ -51,13 +52,25 @@ def test_k_opt_add_examples():
 
 def test_k_opt_add_rejects_wrong_component_count():
     # too few components would give a wrong answer, too many an IndexError;
-    # a_graph rejects both the same way
+    # a_graph and composition_addable_positions reject both the same way
     for mc in (((1,),), ((1,), (), ())):
-        for fn in (lambda mc, p: k_opt_add(mc, 1, p), a_graph):
+        for fn in (lambda mc, p: k_opt_add(mc, 1, p), a_graph,
+                   lambda mc, p: composition_addable_positions(mc, 1, p)):
             with pytest.raises(ValueError, match=f"expected 2 components, got {len(mc)}"):
                 fn(mc, P24)
         with pytest.raises(ValueError, match="expected 2 components"):
             k_opt_add(mc, 1, bumped_weights(P24))
+
+
+def test_composition_addable_positions_validates_its_input():
+    # the scan compares residues in 0..e-1, so k = -1 or 5 would match no
+    # node; the component count is checked with k_opt_add's above
+    for k in (-1, 4, 5, 1.0):
+        with pytest.raises(ValueError, match=r"residue must be an integer in 0\.\.3"):
+            composition_addable_positions(((1,), ()), k, P24)
+    with pytest.raises(ValueError, match="is not a composition"):
+        composition_addable_positions(((1,), (0, 1)), 1, P24)
+    assert composition_addable_positions(([2, 1], ()), 1, P24) == [Node(1, 1, 1)]
 
 
 def test_k_opt_add_composition_tie_break():

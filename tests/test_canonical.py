@@ -61,17 +61,54 @@ def test_bar_symmetric_completion():
 def test_subtraction_that_makes_an_offending_coefficient_queues_it():
     # a hand-built rank A < B < C by a-value.  A's coefficient at B is
     # q^-1, at C q^3, which is in q*Z[q], so only B is queued at first.
-    # Correcting B subtracts (q^-1 + q)(B + q C), which leaves q^3 - q^2 - 1
+    # Correcting B subtracts (q^-1 + q)(B - q C), which leaves q^3 + q^2 + 1
     # at C: C must be queued then and corrected after B, as a scan would.
     # No grid point reaches this path.
     q = LaurentPoly.q_power
     A, B, C = ((2,), ()), ((1,), (1,)), ((), (2,))
-    starts = {C: {C: q(0)}, B: {B: q(0), C: q(1)},
+    starts = {C: {C: q(0)}, B: {B: q(0), C: -q(1)},
               A: {A: q(0), B: q(-1), C: q(3)}}
     avals = {A: 0, B: 1, C: 2}
     basis = _straighten(list(starts), avals, lambda mp: dict(starts[mp]), {})
     assert basis[A] == FockVector({A: 1, B: LaurentPoly({1: -1}),
-                                   C: LaurentPoly({3: 1, 2: -1})})
+                                   C: LaurentPoly({3: 1, 2: 1})})
+    assert basis == straighten_by_scan(list(starts), avals, lambda mp: starts[mp])
+
+
+def test_negative_correction_coefficient_raises():
+    # by positivity every correction coefficient lies in N[q, q^-1]; a start
+    # vector with -q^-1 at a label of larger a-value asks for -(q^-1 + q)
+    q = LaurentPoly.q_power
+    A, B = ((2,), ()), ((1,), (1,))
+    starts = {B: {B: q(0)}, A: {A: q(0), B: -q(-1)}}
+    with pytest.raises(RuntimeError, match=r"is not in N\[q, q\^-1\]"):
+        _straighten(list(starts), {A: 0, B: 1}, lambda mp: dict(starts[mp]), {})
+
+
+_A, _B, _C, _D = ((2,), ()), ((1, 1), ()), ((1,), (1,)), ((), (2,))
+
+
+@pytest.mark.parametrize("a_start,gone", [
+    # B's element has D, which A's start lacks: the subtraction makes the term
+    ({_A: LaurentPoly.one(), _B: LaurentPoly({-1: 1}), _C: LaurentPoly({5: 1})}, None),
+    # (q^-1 + q) q^2 cancels A's coefficient q + q^3 at C to zero
+    ({_A: LaurentPoly.one(), _B: LaurentPoly({-1: 1}), _C: LaurentPoly({1: 1, 3: 1})}, _C),
+], ids=["new-term", "cancel-to-zero"])
+def test_in_place_subtraction_edge_terms(a_start, gone):
+    # a hand-built rank A < B < C < D by a-value; A is corrected once, at B,
+    # by gamma = q^-1 + q, and the result must be that subtraction done in
+    # LaurentPoly arithmetic, with no zero coefficient left in any vector
+    q = LaurentPoly.q_power
+    starts = {_D: {_D: q(0)}, _C: {_C: q(0)},
+              _B: {_B: q(0), _C: q(2), _D: q(2)}, _A: a_start}
+    avals = {_A: 0, _B: 1, _C: 2, _D: 3}
+    basis = _straighten(list(starts), avals, lambda mp: dict(starts[mp]), {})
+    gamma = LaurentPoly({-1: 1, 1: 1})
+    expect = {mu: starts[_A].get(mu, LaurentPoly()) - gamma * basis[_B].coefficient(mu)
+              for mu in set(starts[_A]) | set(basis[_B].terms)}
+    assert basis[_A].terms == {mu: c for mu, c in expect.items() if c}
+    assert _D in basis[_A].terms and gone not in basis[_A].terms
+    assert all(c for vec in basis.values() for c in vec.terms.values())
     assert basis == straighten_by_scan(list(starts), avals, lambda mp: starts[mp])
 
 

@@ -230,9 +230,10 @@ def test_unknown_order_rejected(call):
 
 @pytest.mark.parametrize("call", [
     lambda i, p: f_divided(FockVector.unit(((1,),)), i, 1, "flotw", p),
+    lambda i, p: f_action(FockVector.unit(((1,),)), i, "flotw", p),
     lambda i, p: good_addable_node(((1,),), i, "flotw", p),
     lambda i, p: good_removable_node(((1,),), i, "am", p),
-], ids=["f_divided", "good_addable_node", "good_removable_node"])
+], ids=["f_divided", "f_action", "good_addable_node", "good_removable_node"])
 def test_residue_outside_zero_to_e_rejected(call):
     # i = -1 and i = 3 are congruent to 1 mod e = 2, but the row scan
     # compares residues in 0..e-1, so it would miss the new-row 1-node

@@ -6,6 +6,7 @@ import ariki.canonical as canonical
 from ariki import verification
 from ariki.charge import ChargeParams
 from ariki.crystal import kleshchev_multipartitions
+from ariki.fock import FockVector
 from ariki.laurent import LaurentPoly
 from ariki.verification import ALL_CHECKS
 
@@ -69,6 +70,34 @@ def test_canonical_structure_fails_when_q_zq_admits_constants(monkeypatch):
                         lambda self: not self.coeffs or min(self.coeffs) >= 0)
     ok, detail = dict(ALL_CHECKS)["canonical-structure"]()
     assert not ok, detail
+
+
+def _with_negative_monomial(real, p_bad, n_bad):
+    # canonical_basis with 2q - q^2, which is 1 at q = 1 and of minimum
+    # degree 1, in place of the first non-leading coefficient at (p_bad, n_bad)
+    def call(p, n):
+        basis = real(p, n)
+        if (p, n) == (p_bad, n_bad):
+            i, el = next((i, el) for i, el in enumerate(basis) if len(el.vector.terms) > 1)
+            nu = next(nu for nu in el.vector.terms if nu != el.label)
+            terms = {**el.vector.terms, nu: LaurentPoly({1: 2, 2: -1})}
+            basis[i] = el._replace(vector=FockVector(terms))
+        return basis
+    return call
+
+
+@pytest.mark.parametrize("p,n", [
+    (ChargeParams(2, 2, (0, 1)), 13),
+    (ChargeParams(3, 3, (0, 1, 2)), 6),
+    (ChargeParams(2, 4, (1, 2)), 6),
+], ids=["p22-n13", "p333-n6", "p24-12-n6"])
+def test_canonical_structure_fails_on_a_negative_monomial(monkeypatch, p, n):
+    # each point is checked for the shape only, with no replay to compare;
+    # a coefficient nonnegative at q = 1 must still be in N[q] monomial by monomial
+    monkeypatch.setattr(verification, "canonical_basis",
+                        _with_negative_monomial(verification.canonical_basis, p, n))
+    ok, detail = dict(ALL_CHECKS)["canonical-structure"]()
+    assert not ok and detail.endswith("coefficient -q^2 + 2q not in N[q]"), detail
 
 
 def _drop_high_degree_values(at_one):
