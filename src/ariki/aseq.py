@@ -8,13 +8,18 @@ removable k-node lying on parts longer than the longest part carrying a
 residue sequence; replaying it from the empty multipartition, always adding
 at the position with the largest shifted diagonal, rebuilds the original
 multipartition through a chain of diagonal-crystal vertices.
+
+The public peel_step checks its input and returns the whole PeelStep record.
+The residue sequence and the canonical basis peel through _peel, which
+takes the smallest admissible residue straight away and returns only
+(k, removed, rest), with plain (row, col, comp) nodes.
 """
 
 from typing import NamedTuple
 
 from .charge import ChargeParams, check_residue
 from .crystal import _is_flotw
-from .partitions import (Node, add_node, check_components, check_multicomposition,
+from .partitions import (Node, _moved, add_node, check_components, check_multicomposition,
                          empty_multipartition, part, rank)
 
 
@@ -35,43 +40,62 @@ def peel_step(mp, p: ChargeParams) -> PeelStep:
     mp = check_components(mp, p.d)
     if rank(mp) == 0:
         raise ValueError("cannot peel the empty multipartition")
-    step = _peel(mp, p)
-    return step._replace(removed=tuple(Node(*g) for g in step.removed))
+    if not _is_flotw(mp, p):
+        raise ValueError(f"{mp} does not satisfy the membership conditions")
+    ends, e = _top_ends(mp, p), p.e
+    k, removed, rest = _peel(mp, p)
+    return PeelStep(k=k, candidates=tuple(sorted(r for r in ends if (r - 1) % e not in ends)),
+                    removed=tuple(Node(*g) for g in removed), rest=rest)
 
 
-def _peel(mp, p: ChargeParams) -> PeelStep:
-    """peel_step on a nonempty multipartition already validated with p.d components.
+def _top_ends(mp, p):
+    """Residues of the row ends on the longest parts of a nonempty multipartition.
 
-    One pass over the row ends records, per residue, the longest part whose
-    border node has it, and the removable row ends with their residues.
-    The removed nodes are plain (row, col, comp) tuples; peel_step makes
-    them Nodes.
+    The parts of the longest length are the top rows of their components,
+    and their ends go down one residue per row, so a residue is admissible
+    (the end of a removable longest part, with no longest part ending one
+    residue lower) exactly when it is here and the residue before it is not.
     """
     e, v = p.e, p.v
-    longest = {}     # residue -> longest part with a border node of that residue
-    removable = []   # (residue, row, length, comp) of every removable row end
+    lmax = max(mp)[0]  # the largest first part; an empty component sorts first
+    ends = set()
+    for vc, comp in zip(v, mp):
+        if comp and comp[0] == lmax:
+            top = lmax - 1 + vc
+            for a in range(comp.count(lmax)):
+                ends.add((top - a) % e)
+    return ends
+
+
+def _peel(mp, p: ChargeParams):
+    """peel_step on a nonempty vertex already validated: (k, removed, rest).
+
+    k is the smallest admissible residue.  The removed nodes are the
+    removable k-nodes on parts longer than the longest part ending in
+    residue k - 1, as plain (row, col, comp) tuples, and rest is mp without
+    them.  A component's rows below its first (k-1)-end are no longer than
+    that part, so its scan stops there.
+    """
+    e, v = p.e, p.v
+    ends = _top_ends(mp, p)
+    for k in sorted(ends):
+        if (k - 1) % e not in ends:
+            break
+    else:
+        raise ValueError(f"no admissible residue on {mp}; not a diagonal-crystal vertex")
+    before, threshold, found = (k - 1) % e, 0, []
     for c, comp in enumerate(mp):
         vc, height = v[c], len(comp)
         for a, length in enumerate(comp, start=1):
             r = (length - a + vc) % e
-            if longest.get(r, 0) < length:
-                longest[r] = length
-            if a == height or comp[a] < length:
-                removable.append((r, a, length, c))
-    lmax = max(longest.values())
-    candidates = sorted({r for r, _, length, _ in removable
-                         if length == lmax and longest.get((r - 1) % e) != lmax})
-    if not candidates:
-        raise ValueError(f"no admissible residue on {mp}; not a diagonal-crystal vertex")
-    k = candidates[0]
-    threshold = longest.get((k - 1) % e, 0)
-    removed = tuple((a, length, c) for r, a, length, c in removable
-                    if r == k and length > threshold)
-    rest = list(mp)
-    for a, length, c in removed:
-        comp = rest[c]
-        rest[c] = comp[:a - 1] + ((length - 1,) if length > 1 else ()) + comp[a:]
-    return PeelStep(k=k, candidates=tuple(candidates), removed=removed, rest=tuple(rest))
+            if r == before:
+                if threshold < length:
+                    threshold = length
+                break
+            if r == k and (a == height or comp[a] < length):
+                found.append((a, length, c))
+    removed = tuple([g for g in found if g[1] > threshold])
+    return k, removed, _moved(mp, removed, -1)
 
 
 def a_sequence_blocks(mp, p: ChargeParams):
@@ -84,11 +108,9 @@ def _blocks(mp, p: ChargeParams):
     if not _is_flotw(mp, p):
         raise ValueError(f"{mp} does not satisfy the membership conditions")
     blocks = []
-    cur, remaining = mp, rank(mp)
-    while remaining:
-        step = _peel(cur, p)
-        blocks.append((step.k, len(step.removed)))
-        cur, remaining = step.rest, remaining - len(step.removed)
+    while any(mp):
+        k, removed, mp = _peel(mp, p)
+        blocks.append((k, len(removed)))
     blocks.reverse()
     return blocks
 

@@ -272,9 +272,9 @@ def _bases_by_rank(p: ChargeParams, levels, avals, wanted=None):
     peels, label_of = {}, {levels[0][0]: levels[0][0]}
     for level in levels[1:]:
         for mp in level:
-            step = _peel(mp, p)  # the walk's labels are valid vertices
+            k, removed, rest = _peel(mp, p)  # the walk's labels are valid vertices
             # a rest is held as its level's label, not as a copy of its own
-            peels[mp] = (step.k, len(step.removed), label_of.get(step.rest, step.rest))
+            peels[mp] = (k, len(removed), label_of.get(rest, rest))
             label_of[mp] = mp
     del label_of
     top = len(levels) - 1

@@ -12,14 +12,19 @@ partitions, the diagonal-order crystal regenerates the explicit
 two-condition membership test at every rank, and the two membership sets are
 equinumerous rank by rank.  The signature's nodes are plain (row, col,
 comp) tuples; a partitions.Node is built only where a public function
-returns one (the good nodes and crystal_graph's edges).
+returns one (the good nodes and crystal_graph's edges).  The walks (the
+raising paths, the bijection's replay and crystal_graph) apply a whole
+i-string through partitions._moved, which trusts the signature and checks
+no node again; the public add_node and remove_node keep their checks, and
+the walks keep their own "crystals disagree" guards.
 
 Component-major-order crystal vertices are called Kleshchev multipartitions
 and diagonal-order vertices satisfy the explicit conditions below
-(is_flotw).  Each connected component of the Fock-space crystal has one
-highest-weight vertex, and raising lowers the rank inside the component,
-so a multipartition is a vertex exactly when one greedy raising path
-reaches empty.  The bijection between the two vertex sets is the crystal
+(is_flotw), read straight off the rows that can break them.  Each
+connected component of the Fock-space crystal has one highest-weight
+vertex, and raising lowers the rank inside the component, so a
+multipartition is a vertex exactly when one greedy raising path reaches
+empty.  The bijection between the two vertex sets is the crystal
 isomorphism: one vertex is mapped by replaying its raising steps, whole
 i-strings, as lowerings in the other order, a whole rank along the
 diagonal crystal graph's own edges, each one replayed as a
@@ -29,8 +34,8 @@ component-major lowering of the image of its source.
 from typing import NamedTuple
 
 from .charge import ChargeParams, check_order, check_residue, i_signature
-from .partitions import (Node, add_node, check_components, empty_multipartition,
-                         enumerate_multipartitions, part, rank, remove_node)
+from .partitions import (Node, _moved, check_components, empty_multipartition,
+                         enumerate_multipartitions, rank)
 
 
 def _reduced_signature(mp, i, order, p):
@@ -109,8 +114,7 @@ def _raising_path(mp, order, p):
             _, removable = _reduced_signature(mp, i, order, p)
             if removable:
                 path.append((i, len(removable)))
-                for node in removable:
-                    mp = remove_node(mp, node)
+                mp = _moved(mp, removable, -1)
                 left -= len(removable)
                 break
         else:
@@ -129,22 +133,35 @@ def is_flotw(mp, p: ChargeParams) -> bool:
 
 
 def _is_flotw(mp, p):
-    """is_flotw on a multipartition already validated with p.d components."""
-    d, e, v = p.d, p.e, p.v
-    hmax = max((len(comp) for comp in mp), default=0)
-    for i in range(1, hmax + 1):
-        for j in range(d - 1):
-            if part(mp[j], i) < part(mp[j + 1], i + v[j + 1] - v[j]):
+    """is_flotw on a multipartition already validated with p.d components.
+
+    The cyclic condition lam^(j)_i >= lam^(j+1)_(i+s) with s = v_(j+1) - v_j,
+    and its wrap-around lam^(d-1)_i >= lam^(0)_(i+s) with s = e + v_0 - v_(d-1),
+    can only break on a row t > s of the lower component: row t must have a
+    row t - s of the upper one at least as long.  The second condition fails
+    once the row ends of one part length carry all e residues, which a
+    bitmask per length shows as soon as it happens.
+    """
+    e, v = p.e, p.v
+    upper, vu = mp[-1], v[-1] - e
+    for lower, vl in zip(mp, v):
+        s = vl - vu
+        rows = len(lower) - s
+        if rows > 0:
+            if rows > len(upper):
                 return False
-        if part(mp[d - 1], i) < part(mp[0], i + e + v[0] - v[d - 1]):
-            return False
-    lengths = {}
+            for t in range(rows):
+                if upper[t] < lower[t + s]:
+                    return False
+        upper, vu = lower, vl
+    full, masks = (1 << e) - 1, {}
     for c, comp in enumerate(mp):
+        vc = v[c]
         for a, length in enumerate(comp, start=1):
-            lengths.setdefault(length, set()).add((length - a + v[c]) % e)
-    for length, residues in lengths.items():
-        if len(residues) == e:
-            return False
+            mask = masks.get(length, 0) | (1 << (length - a + vc) % e)
+            if mask == full:
+                return False
+            masks[length] = mask
     return True
 
 
@@ -176,7 +193,7 @@ def crystal_graph(p: ChargeParams, n: int, order: str) -> CrystalGraph:
             for i in _addable_residues(mp, p):
                 addable, _ = _reduced_signature(mp, i, order, p)
                 if addable:
-                    nxt = add_node(mp, addable[0])
+                    nxt = _moved(mp, addable[:1], 1)
                     nxt = targets.setdefault(nxt, nxt)
                     level_edges.append((mp, i, Node(*addable[0]), nxt))
         level_edges.sort()
@@ -215,7 +232,7 @@ def _graph_bijection(gf: CrystalGraph, p: ChargeParams):
         level = {}
         for src, i, _, dst in flotw_edges:
             addable, _ = _reduced_signature(image[src], i, "am", p)
-            target = add_node(image[src], addable[0]) if addable else None
+            target = _moved(image[src], addable[:1], 1) if addable else None
             if target is None or level.setdefault(dst, target) != target:
                 raise RuntimeError(f"crystals disagree at {dst}")
         image = level
@@ -237,8 +254,7 @@ def _transport(mp, p, source, target):
         addable, _ = _reduced_signature(cur, i, target, p)
         if len(addable) < k:
             raise RuntimeError("residue path cannot be replayed; crystals disagree")
-        for node in addable[:k]:
-            cur = add_node(cur, node)
+        cur = _moved(cur, addable[:k], 1)
     return cur
 
 

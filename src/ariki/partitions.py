@@ -140,6 +140,28 @@ def remove_node(mp, node: Node):
     return mp[:c] + (new,) + mp[c + 1:]
 
 
+def _moved(mp, nodes, step: int):
+    """mp with one cell added (step 1) or removed (step -1) at each node.
+
+    The nodes are plain (row, col, comp) tuples already known addable or
+    removable on mp, as charge.i_signature and aseq._peel prove them, so
+    nothing is re-checked: a node on row a lengthens or shortens row a, one
+    past the last row appends a row of 1, and a row of 1 losing its cell is
+    the last row and goes.  The multipartition is rebuilt once, and a
+    component once per node on it.
+    """
+    out = list(mp)
+    for a, _, c in nodes:
+        comp = out[c]
+        if a > len(comp):
+            out[c] = comp + (1,)
+        elif step < 0 and comp[a - 1] == 1:
+            out[c] = comp[:-1]
+        else:
+            out[c] = comp[:a - 1] + (comp[a - 1] + step,) + comp[a:]
+    return tuple(out)
+
+
 def is_e_regular(p, e: int) -> bool:
     """True iff no part value of the partition repeats e or more times."""
     if e < 2:

@@ -3,8 +3,8 @@
 import pytest
 
 from ariki._oracles import bumped_weights, prec, residue_path_terminals
-from ariki.aseq import (a_graph, a_sequence, a_sequence_blocks, composition_addable_positions,
-                        k_opt_add, peel_step)
+from ariki.aseq import (_peel, a_graph, a_sequence, a_sequence_blocks,
+                        composition_addable_positions, k_opt_add, peel_step)
 from ariki.charge import ChargeParams
 from ariki.crystal import flotw_multipartitions, is_flotw
 from ariki.partitions import Node, part, removable_nodes
@@ -28,6 +28,19 @@ def test_a_sequence_rejects_non_members():
 def test_peel_step_forced_residue():
     step = peel_step(((2, 2), (2, 2, 1)), P24)
     assert step.k == 0 and step.candidates == (0,)
+
+
+def test_peel_step_rejects_non_members():
+    with pytest.raises(ValueError, match="membership conditions"):
+        peel_step(((), (1, 1)), P24)
+
+
+def test_internal_peel_equals_peel_step():
+    for p in GRID:
+        for n in range(1, 8):
+            for lam in flotw_multipartitions(p, n):
+                step = peel_step(lam, p)
+                assert _peel(lam, p) == (step.k, step.removed, step.rest), (p, lam)
 
 
 def test_consecutive_blocks_have_distinct_residues():

@@ -343,7 +343,7 @@ def test_peel_rest_must_be_a_finished_label(monkeypatch):
     import ariki.canonical as canonical
     real = canonical._peel
     monkeypatch.setattr(canonical, "_peel",
-                        lambda mp, p: real(mp, p)._replace(rest=mp))
+                        lambda mp, p: real(mp, p)[:2] + (mp,))
     with pytest.raises(RuntimeError, match="not a finished label"):
         canonical_basis(P24, 2)
 

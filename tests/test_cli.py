@@ -278,7 +278,7 @@ def test_streamed_commands_write_nothing_on_internal_error(capsys, monkeypatch):
     import ariki.canonical as canonical
     real = canonical._peel
     monkeypatch.setattr(canonical, "_peel",
-                        lambda mp, p: real(mp, p)._replace(rest=mp))
+                        lambda mp, p: real(mp, p)[:2] + (mp,))
     charge = ["--d", "2", "--e", "4", "--charges", "0,1", "--n", "3"]
     for argv in (["canonical", *charge], ["decomp", *charge],
                  ["decomp", *charge, "--format=json"],

@@ -15,7 +15,7 @@ from ariki.crystal import (_reduced_signature, bijection_j, bijection_j_inverse,
                            good_addable_node, good_removable_node, is_flotw,
                            is_kleshchev, kleshchev_multipartitions)
 from ariki.fock import FockVector, f_divided
-from ariki.partitions import Node, add_node, enumerate_multipartitions, remove_node
+from ariki.partitions import Node, _moved, add_node, enumerate_multipartitions, remove_node
 from ariki.render import render_typeb
 from ariki.symbols import a_value
 from ariki.typeb import decomposition_matrix_b
@@ -78,6 +78,9 @@ def test_crystal_regenerates_membership_sets():
     # brute-force reachability on the right: the multipartitions whose greedy
     # raising path reaches empty are exactly the vertices of the walk
     cases = [(p, 5) for p in GRID] + [(ChargeParams(1, e, (0,)), 8) for e in (2, 3)]
+    # equal charges, gapped charges and d = 4
+    cases += [(ChargeParams(2, 3, (0, 0)), 6), (ChargeParams(2, 5, (1, 3)), 6),
+              (ChargeParams(3, 4, (0, 1, 3)), 5), (ChargeParams(4, 2, (0, 0, 1, 1)), 4)]
     for p, cap in cases:
         gf = crystal_graph(p, cap, "flotw")
         ga = crystal_graph(p, cap, "am")
@@ -181,6 +184,36 @@ def test_hot_scans_build_no_node_records():
                 assert not any(getattr(node, "id", getattr(node, "attr", None)) == "Node"
                                for node in ast.walk(fn)), fn.name
         assert names == [], f"{module.__name__} lost {names}"
+
+
+def test_string_moves_equal_one_node_moves():
+    # the walks' unchecked i-string moves equal the checked one-node moves,
+    # on every lowering f_i^k and every raising e_i^k of every vertex
+    def one_by_one(mp, nodes, move):
+        for g in nodes:
+            mp = move(mp, g)
+        return mp
+
+    appended = emptied = 0
+    for p in (ChargeParams(3, 4, (0, 1, 3)), ChargeParams(2, 3, (0, 0))):
+        for order in ("am", "flotw"):
+            graph = crystal_graph(p, 7, order)
+            for level in graph.levels:
+                for mp in level:
+                    for i in range(p.e):
+                        addable, removable = _reduced_signature(mp, i, order, p)
+                        for k in range(1, len(addable) + 1):
+                            assert _moved(mp, addable[:k], 1) == \
+                                one_by_one(mp, addable[:k], add_node), (mp, i, k)
+                        if removable:
+                            assert _moved(mp, removable, -1) == \
+                                one_by_one(mp, removable, remove_node), (mp, i)
+                        appended += any(a > len(mp[c]) for a, _, c in addable)
+                        emptied += any(b == 1 for _, b, _ in removable)
+            for level_edges in graph.edges:
+                for src, _, g, dst in level_edges:
+                    assert _moved(src, (g,), 1) == dst and _moved(dst, (g,), -1) == src
+    assert appended and emptied
 
 
 def test_bijection_rejects_non_members():
