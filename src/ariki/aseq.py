@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .charge import ChargeParams, check_residue
 from .crystal import _is_flotw
-from .partitions import (Node, _moved, add_node, check_components, check_multicomposition,
+from .partitions import (Node, _moved, check_components, check_multicomposition,
                          empty_multipartition, part, rank)
 
 
@@ -155,7 +155,11 @@ def k_opt_add(mc, k, p: ChargeParams):
 
 
 def _k_opt_add(mc, k, p: ChargeParams):
-    """k_opt_add on a multicomposition already validated."""
+    """k_opt_add on a multicomposition already validated.
+
+    The node is one _addable_positions just built, so partitions._moved
+    adds it unchecked: it lengthens its row, or starts a new one.
+    """
     best = None
     for g in _addable_positions(mc, k, p):
         weight = p.d * (part(mc[g.comp], g.row) - g.row) + p.scaled_m[g.comp]
@@ -165,7 +169,7 @@ def _k_opt_add(mc, k, p: ChargeParams):
     if best is None:
         raise ValueError(f"no addable node of residue {k} on {mc}")
     g = best[2]
-    return add_node(mc, g), g
+    return _moved(mc, (g,), 1), g
 
 
 class AGraph(NamedTuple):

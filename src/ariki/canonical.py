@@ -94,10 +94,10 @@ from .symbols import _ScaledAValues
 
 
 def _leading_one(mp, vec: FockVector) -> FockVector:
-    """vec, whose coefficient at mp must be 1."""
-    lead = vec.coefficient(mp)
-    if lead != LaurentPoly.one():
-        raise RuntimeError(f"leading coefficient of A({mp}) is {lead}, not 1")
+    """vec, whose coefficient at mp must be 1 (its dict read, no 1 built)."""
+    lead = vec.terms.get(mp)
+    if lead is None or lead.coeffs != {0: 1}:
+        raise RuntimeError(f"leading coefficient of A({mp}) is {vec.coefficient(mp)}, not 1")
     return vec
 
 
@@ -225,7 +225,8 @@ def _build(mp, others, avals, start, values, basis):
                 if later > key:  # a label queued twice is skipped once corrected
                     queue.append(later)
                     queue.sort(reverse=True)
-    if terms.get(mp) != LaurentPoly.one():
+    lead = terms.get(mp)
+    if lead is None or lead.coeffs != {0: 1}:
         raise RuntimeError(f"straightening destroyed the leading term of {mp}")
     for nu in recheck:
         c = terms.get(nu)

@@ -12,12 +12,19 @@ property m imports fractions on first use, not at import.
 Two strict total orders on same-residue nodes drive everything downstream:
 the component-major order (below = smaller (comp, row)) and the
 diagonal order (below = larger b - a + v_c, ties to the smaller component).
-i_signature lists a multipartition's addable and removable i-nodes lowest
-first in either order, from one pass over its rows; the crystal operators
-and the divided powers both read it.  Its nodes are plain (row, col, comp)
-tuples; the public functions that return a node build the partitions.Node
-record from one.  The oracles' one encoding of the two orders is
-ariki._oracles.below_key.
+Two row scans find a multipartition's addable and removable nodes by
+residue, both in one pass over its rows.  i_signature lists the i-nodes of
+one residue i lowest first in either order; the divided powers, the
+crystal's good nodes and the bijection's replay read it.
+border_signatures lists every residue that occurs at once, as
+{residue: i_signature items in the component-major order}, for the crystal
+walks that try several residues of one vertex (the crystal graph, the
+bijection's edges and the raising paths).  A reader that wants a single
+residue stays on i_signature: a pass that sorts every node into buckets
+costs more than one that keeps the nodes of one residue.  The nodes are
+plain (row, col, comp) tuples; the public functions that return a node
+build the partitions.Node record from one.  The oracles' one encoding of
+the two orders is ariki._oracles.below_key.
 """
 
 from .partitions import Node
@@ -133,6 +140,35 @@ def i_signature(mp, i, order, p: ChargeParams):
     if order == "flotw":
         items.sort()
     return items
+
+
+def border_signatures(mp, p: ChargeParams):
+    """{i: i_signature(mp, i, "am", p)} for every residue i with an i-node.
+
+    The same items as i_signature, from one pass over the rows for all
+    residues at once: the end of row a is removable with residue
+    (length - a + v_c) mod e when row a+1 is shorter, and the node after
+    it addable with the next residue when row a-1 is longer.  Each
+    residue's list comes out in the component-major order, since the pass
+    meets the rows in that order and a component's new-row node after its
+    rows; a diagonal-order reader sorts the lists it reads.  Only the
+    residues that occur are keys, so the cost does not grow with e.
+    """
+    if len(mp) > p.d:
+        raise ValueError(f"component index {p.d} out of range for d={p.d}")
+    e, out = p.e, {}
+    for c, comp in enumerate(mp):
+        vc, height = p.v[c], len(comp)
+        for a, length in enumerate(comp, start=1):
+            if a == 1 or comp[a - 2] > length:  # row a-1 longer: addable
+                out.setdefault((length + 1 - a + vc) % e, []).append(
+                    (a - length - 1 - vc, c, True, (a, length + 1, c)))
+            if a == height or comp[a] < length:  # row a+1 shorter: removable
+                out.setdefault((length - a + vc) % e, []).append(
+                    (a - length - vc, c, False, (a, length, c)))
+        out.setdefault((vc - height) % e, []).append(
+            (height - vc, c, True, (height + 1, 1, c)))
+    return out
 
 
 def is_semisimple(p: ChargeParams, n: int) -> bool:

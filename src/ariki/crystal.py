@@ -1,22 +1,29 @@
 """Crystal combinatorics: signatures, good nodes, membership, and the bijection.
 
 The i-signature of a multipartition lists its addable and removable i-nodes
-from the lowest to the highest node of the selected order; it comes from
-charge.i_signature, the one row scan the divided powers read too.  Scanning
-in that direction, an addable node cancels the next uncancelled removable
+from the lowest to the highest node of the selected order.  Scanning in
+that direction, an addable node cancels the next uncancelled removable
 node after it; the good addable node is the lowest surviving addable one and
 the good removable node is the highest surviving removable one.  This
 scanning convention is pinned by three observable requirements checked in
 the test suite: for d = 1 both crystals regenerate exactly the e-regular
 partitions, the diagonal-order crystal regenerates the explicit
 two-condition membership test at every rank, and the two membership sets are
-equinumerous rank by rank.  The signature's nodes are plain (row, col,
-comp) tuples; a partitions.Node is built only where a public function
-returns one (the good nodes and crystal_graph's edges).  The walks (the
-raising paths, the bijection's replay and crystal_graph) apply a whole
-i-string through partitions._moved, which trusts the signature and checks
-no node again; the public add_node and remove_node keep their checks, and
-the walks keep their own "crystals disagree" guards.
+equinumerous rank by rank.
+
+Each walk scans a vertex's rows once per step.  The walks that try several
+residues of one vertex read every residue's i-signature from one
+charge.border_signatures pass: crystal_graph once per vertex, the
+bijection once per source of the diagonal edges, and a raising path once
+per step.  The good nodes and the bijection's replay want one residue, and
+read it from charge.i_signature, the scan the divided powers read too.
+The signature's nodes are plain (row, col, comp) tuples; a
+partitions.Node is built only where a public function returns one (the
+good nodes and crystal_graph's edges).  The walks (the raising paths, the
+bijection's replay and crystal_graph) apply a whole i-string through
+partitions._moved, which trusts the signature and checks no node again;
+the public add_node and remove_node keep their checks, and the walks keep
+their own "crystals disagree" guards.
 
 Component-major-order crystal vertices are called Kleshchev multipartitions
 and diagonal-order vertices satisfy the explicit conditions below
@@ -33,7 +40,7 @@ component-major lowering of the image of its source.
 
 from typing import NamedTuple
 
-from .charge import ChargeParams, check_order, check_residue, i_signature
+from .charge import ChargeParams, border_signatures, check_order, check_residue, i_signature
 from .partitions import (Node, _moved, check_components, empty_multipartition,
                          enumerate_multipartitions, rank)
 
@@ -41,12 +48,20 @@ from .partitions import (Node, _moved, check_components, empty_multipartition,
 def _reduced_signature(mp, i, order, p):
     """Surviving addable and removable i-nodes after pair cancellation.
 
-    Scanning charge.i_signature upward, each addable node cancels against
-    the next surviving removable node above it; both lists come out lowest
-    node first.  Neither mp nor order is validated.
+    Neither mp nor order is validated.
+    """
+    return _cancelled(i_signature(mp, i, order, p))
+
+
+def _cancelled(items):
+    """The surviving addable and removable nodes of an i-signature's items.
+
+    Scanning the items upward, each addable node cancels against the next
+    surviving removable node above it; both lists come out lowest node
+    first.
     """
     addable, removable = [], []
-    for _, _, is_addable, g in i_signature(mp, i, order, p):
+    for _, _, is_addable, g in items:
         if is_addable:
             addable.append(g)
         elif addable:
@@ -72,31 +87,6 @@ def good_removable_node(mp, i, order: str, p: ChargeParams):
     return Node(*removable[-1]) if removable else None
 
 
-# An i-signature without addable (removable) i-nodes has no surviving
-# addable (removable) node, so trying only the residues of a vertex's
-# addable (removable) nodes, in ascending order, finds the same smallest i
-# as trying all e of them.
-
-def _addable_residues(mp, p):
-    """Sorted distinct residues of the addable nodes, from one pass over the rows."""
-    e, v = p.e, p.v
-    out = {(v[c] - len(comp)) % e for c, comp in enumerate(mp)}
-    out.update((length + 1 - a + v[c]) % e
-               for c, comp in enumerate(mp)
-               for a, length in enumerate(comp, start=1)
-               if a == 1 or comp[a - 2] > length)
-    return sorted(out)
-
-
-def _removable_residues(mp, p):
-    """Sorted distinct residues of the removable nodes, from one pass over the rows."""
-    e, v = p.e, p.v
-    return sorted({(length - a + v[c]) % e
-                   for c, comp in enumerate(mp)
-                   for a, length in enumerate(comp, start=1)
-                   if a == len(comp) or comp[a] < length})
-
-
 def _raising_path(mp, order, p):
     """Greedy raising down to empty as (residue, k) steps, or None if stuck.
 
@@ -106,12 +96,20 @@ def _raising_path(mp, order, p):
     cancels nothing, and the next good removable node is the next surviving
     one down.  Any maximal raising path ends at its component's one
     highest-weight vertex, so this path reaches empty exactly when the
-    one-node path does.  The rank is counted down, not recomputed.
+    one-node path does.  A step makes one charge.border_signatures pass and
+    cancels its residues in ascending order until one keeps a removable
+    node; a residue with no i-node has none, so only those that occur are
+    tried, and the diagonal order sorts only the lists it reaches.  The
+    rank is counted down, not recomputed.
     """
-    path, left = [], rank(mp)
+    path, left, diagonal = [], rank(mp), order == "flotw"
     while left:
-        for i in _removable_residues(mp, p):
-            _, removable = _reduced_signature(mp, i, order, p)
+        scan = border_signatures(mp, p)
+        for i in sorted(scan):
+            items = scan[i]
+            if diagonal:
+                items.sort()
+            _, removable = _cancelled(items)
             if removable:
                 path.append((i, len(removable)))
                 mp = _moved(mp, removable, -1)
@@ -180,18 +178,25 @@ class CrystalGraph(NamedTuple):
 
 
 def crystal_graph(p: ChargeParams, n: int, order: str) -> CrystalGraph:
-    """Breadth-first crystal from the empty multipartition up to rank n."""
+    """Breadth-first crystal from the empty multipartition up to rank n.
+
+    Every residue of a vertex is read from one charge.border_signatures
+    pass; a residue with no i-node has no edge.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     check_order(order)
+    diagonal = order == "flotw"
     levels = [[empty_multipartition(p.d)]]
     edges = []
     for r in range(n):
         targets = {}  # every edge into a vertex holds the level's one tuple
         level_edges = []
         for mp in levels[r]:
-            for i in _addable_residues(mp, p):
-                addable, _ = _reduced_signature(mp, i, order, p)
+            for i, items in border_signatures(mp, p).items():
+                if diagonal:
+                    items.sort()
+                addable, _ = _cancelled(items)
                 if addable:
                     nxt = _moved(mp, addable[:1], 1)
                     nxt = targets.setdefault(nxt, nxt)
@@ -225,14 +230,23 @@ def crystal_bijection(p: ChargeParams, n: int):
 
 
 def _graph_bijection(gf: CrystalGraph, p: ChargeParams):
-    """crystal_bijection at the top rank of a diagonal-order crystal graph."""
+    """crystal_bijection at the top rank of a diagonal-order crystal graph.
+
+    A level's edges come sorted, so the edges of one source are adjacent:
+    its image is scanned once (charge.border_signatures, whose lists are in
+    the component-major order already) and each edge cancels its own
+    residue's list.
+    """
     empty = gf.levels[0][0]
     image = {empty: empty}
     for flotw_edges in gf.edges:
-        level = {}
+        level, source = {}, None
         for src, i, _, dst in flotw_edges:
-            addable, _ = _reduced_signature(image[src], i, "am", p)
-            target = _moved(image[src], addable[:1], 1) if addable else None
+            if src != source:
+                source, cur = src, image[src]
+                scan = border_signatures(cur, p)
+            addable, _ = _cancelled(scan.get(i, ()))
+            target = _moved(cur, addable[:1], 1) if addable else None
             if target is None or level.setdefault(dst, target) != target:
                 raise RuntimeError(f"crystals disagree at {dst}")
         image = level

@@ -111,6 +111,29 @@ def test_a_graph_reconstruction_and_closure():
                     assert is_flotw(stage, p)
 
 
+def test_a_graph_adds_no_node_through_the_checked_add(monkeypatch):
+    # k_opt_add's node is one it just found addable, so it goes in
+    # unchecked; the chain still equals the checked one-node replay
+    import ariki.aseq as aseq
+    import ariki.partitions as partitions
+    checked = partitions.add_node
+
+    def refuse(mp, node):
+        raise AssertionError("checked add_node on the a_graph path")
+
+    monkeypatch.setattr(partitions, "add_node", refuse)
+    monkeypatch.setattr(aseq, "add_node", refuse, raising=False)
+    for p in GRID:
+        for n in range(7):
+            for lam in flotw_multipartitions(p, n):
+                graph = a_graph(lam, p)
+                cur = ((),) * p.d
+                for before, node, _ in graph.steps:
+                    assert before == cur
+                    cur = checked(cur, node)
+                assert cur == graph.final == lam
+
+
 def test_minimality_over_composition_realizations():
     for p in (P24,):
         for n in range(5):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ariki._oracles import addable_i_nodes, below_key, bumped_weights, removable_i_nodes
-from ariki.charge import ChargeParams, i_signature, is_semisimple, residue
+from ariki.charge import ChargeParams, border_signatures, i_signature, is_semisimple, residue
 from ariki.crystal import flotw_multipartitions
 from ariki.partitions import Node, diagram_nodes, enumerate_multipartitions
 from ariki.verification import GRID
@@ -48,6 +48,23 @@ def test_i_signature_matches_generic_filters():
                         assert i_signature(mp, i, order, p) == expected, (p, mp, i, order)
     with pytest.raises(ValueError):
         i_signature(((1,), (), ()), 0, "am", ChargeParams(2, 4, (0, 1)))
+
+
+def test_border_signatures_equal_i_signature():
+    # one pass for every residue lists each residue's i_signature items in
+    # the component-major order; sorted, they are the diagonal order's, and
+    # a residue with no i-node is no key
+    for p in GRID:
+        for n in range(7):
+            for mp in enumerate_multipartitions(p.d, n):
+                scan = border_signatures(mp, p)
+                assert all(scan.values()) and set(scan) <= set(range(p.e)), (p, mp)
+                for i in range(p.e):
+                    items = scan.get(i, [])
+                    assert items == i_signature(mp, i, "am", p), (p, mp, i)
+                    assert sorted(items) == i_signature(mp, i, "flotw", p), (p, mp, i)
+    with pytest.raises(ValueError):
+        border_signatures(((1,), (), ()), ChargeParams(2, 4, (0, 1)))
 
 
 def test_am_below_examples():

@@ -175,7 +175,7 @@ def test_public_functions_return_node_records():
 
 def test_hot_scans_build_no_node_records():
     # the row scans carry plain (row, col, comp) tuples
-    scans = {charge: ["i_signature"], fock: ["_moves"], aseq: ["_peel"]}
+    scans = {charge: ["i_signature", "border_signatures"], fock: ["_moves"], aseq: ["_peel"]}
     for module, names in scans.items():
         tree = ast.parse(inspect.getsource(module))
         for fn in tree.body:
@@ -223,25 +223,96 @@ def test_bijection_rejects_non_members():
         bijection_j_inverse(((), (1, 1)), P24)
 
 
-def test_signature_count_does_not_grow_with_e(monkeypatch):
-    # only the residues of a vertex's addable or removable nodes are tried,
-    # so a huge e costs no more signatures than a small one
+def _count_border_scans(monkeypatch):
+    """A Counter of border scans by multipartition, through the name crystal calls."""
     import ariki.crystal as crystal
     calls = Counter()
-    real = crystal._reduced_signature
+    real = crystal.border_signatures
 
-    def counted(mp, i, order, p):
-        calls[p.e] += 1
-        return real(mp, i, order, p)
+    def counted(mp, p):
+        calls[mp] += 1
+        return real(mp, p)
 
-    monkeypatch.setattr(crystal, "_reduced_signature", counted)
+    monkeypatch.setattr(crystal, "border_signatures", counted)
+    return calls
+
+
+def test_signature_count_does_not_grow_with_e(monkeypatch):
+    # the border scan keys only the residues that occur, and the walks try
+    # only those, so a huge e costs no more scans and no more cancellations
+    # than a small one (a list of e residues would take tens of seconds at
+    # e = 10**6, and a walk that cancelled every residue would cost e)
+    import ariki.crystal as crystal
+    signatures, cancelled = Counter(), Counter()
+    real_signature, real_cancelled = crystal._reduced_signature, crystal._cancelled
+
+    def counted_signature(mp, i, order, p):
+        signatures[p.e] += 1
+        return real_signature(mp, i, order, p)
+
+    def counted_cancelled(items):
+        cancelled[e] += 1
+        return real_cancelled(items)
+
+    monkeypatch.setattr(crystal, "_reduced_signature", counted_signature)
+    monkeypatch.setattr(crystal, "_cancelled", counted_cancelled)
+    calls, scans = _count_border_scans(monkeypatch), {}
     for e in (5, 10**6):
         p = ChargeParams(1, e, (0,))
+        calls.clear()
         assert is_kleshchev(((2, 1),), p)
         bijection_j_inverse(((2, 1),), p)
         for order in ("am", "flotw"):
             crystal_graph(p, 3, order)
-    assert calls[5] == calls[10**6] > 0
+        crystal_bijection(ChargeParams(2, e, (0, 1)), 3)
+        scans[e] = sum(calls.values())
+    assert scans[5] == scans[10**6] > 0
+    assert signatures[5] == signatures[10**6] > 0
+    assert cancelled[5] == cancelled[10**6] > 0
+
+
+def test_crystal_graph_scans_each_vertex_once(monkeypatch):
+    # one border scan per vertex of ranks 0..n-1, which grow the edges
+    calls = _count_border_scans(monkeypatch)
+    for p in GRID:
+        for order in ("am", "flotw"):
+            calls.clear()
+            graph = crystal_graph(p, 6, order)
+            below = [mp for level in graph.levels[:-1] for mp in level]
+            assert calls == Counter(below), (p, order)
+
+
+def test_graph_bijection_scans_each_source_once(monkeypatch):
+    # one border scan of each source's image, whatever its number of edges
+    from ariki.crystal import _graph_bijection
+    calls = _count_border_scans(monkeypatch)
+    for p in (*GRID, ChargeParams(3, 4, (0, 1, 3))):
+        graph = crystal_graph(p, 6, "flotw")
+        calls.clear()
+        _graph_bijection(graph, p)
+        sources = {src for level_edges in graph.edges for src, _, _, _ in level_edges}
+        assert sum(calls.values()) == len(sources) < sum(map(len, graph.edges)), p
+
+
+def test_raising_path_scans_once_per_step(monkeypatch):
+    # a raising path makes one border scan per (residue, k) step, and a
+    # multipartition that gets stuck one per step until it does
+    from ariki.crystal import _raising_path
+    calls = _count_border_scans(monkeypatch)
+    stuck = 0
+    for p in GRID:
+        for order in ("am", "flotw"):
+            for n in range(7):
+                for mp in enumerate_multipartitions(p.d, n):
+                    calls.clear()
+                    path = _raising_path(mp, order, p)
+                    if path is None:
+                        stuck += 1
+                        assert 0 < sum(calls.values()) <= n, (p, order, mp)
+                    else:
+                        assert sum(calls.values()) == len(path), (p, order, mp)
+                        assert all(count == 1 for count in calls.values())
+    assert stuck
 
 
 def test_kleshchev_differs_from_flotw_in_general():

@@ -16,7 +16,8 @@ PERFBENCH = os.path.join(ROOT, "perfbench")
 
 # the kernels the oracles check; a reference that reads one is no longer
 # independent of it
-CHECKED_KERNELS = {"i_signature", "_reduced_signature", "_moves", "_f_divided"}
+CHECKED_KERNELS = {"i_signature", "border_signatures", "_reduced_signature", "_cancelled",
+                   "_moves", "_f_divided"}
 
 # the modules that are not on the pipeline: the oracles, the checks and the CLI
 NOT_PIPELINE = ("_oracles.py", "verification.py", "cli.py")
