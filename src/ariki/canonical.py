@@ -432,8 +432,10 @@ def decomposition_matrix(p: ChargeParams, n: int) -> DecompositionMatrix:
     rows = enumerate_multipartitions(p.d, n)
     avals = _ScaledAValues(p)  # d*a of the rows and of every rank of the walk
     basis = _top_basis(p, levels, avals)
-    rows.sort(key=lambda m: (avals[m], m))
-    columns = sorted(basis, key=lambda m: (avals[m], m))
+    # rows come in label order and the sort is stable, so ties keep label
+    # order; the columns are a subset of the rows, so they keep theirs
+    rows.sort(key=avals.__getitem__)
+    columns = [mp for mp in rows if mp in basis]
     # each column's q = 1 values go straight into its rows' nonzero pairs,
     # and its vector is dropped once read; equal cells share one tuple
     row_of = {mp: r for r, mp in enumerate(rows)}

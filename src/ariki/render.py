@@ -10,7 +10,17 @@ so equal inputs produce byte-identical output across runs and hash seeds.
 
 Text is made only for what the output shows: a matrix row is a copy of one
 blank row with its nonzero cells written in, and a canonical basis formats
-each distinct multipartition and each distinct coefficient once.
+each distinct coefficient once.  Labels are formatted once per distinct
+component: each call keeps one _Labels table of {component: text}, filled
+through format_multipartition((component,)), so a matrix's rows, columns
+and kleshchev labels, a canonical basis's support, and the enumerate,
+crystal DOT and typeb basic-set and a-values lists join the texts of
+components they have already met; the table ends with the call.  The
+format itself has its one definition in partitions.format_multipartition.
+
+render_enumerate, render_a_graph, render_crystal, write_decomp and
+write_typeb reject an unknown format with a ValueError naming the allowed
+ones, before they compute or write anything.
 
 Importing this module loads neither json nor fractions: json is imported
 in _dumps, on the JSON paths only (enumerate, a-graph, crystal, decomp and
@@ -40,11 +50,30 @@ def _dumps(obj) -> str:
     return json.dumps(obj)
 
 
+def _check_format(fmt: str, allowed):
+    if fmt not in allowed:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {', '.join(allowed)}")
+
+
+class _Labels(dict):
+    """format_multipartition(mp) as labels(mp), each distinct component
+    formatted once: a table of {component: text} for one call."""
+    __slots__ = ()
+
+    def __missing__(self, comp):
+        text = self[comp] = format_multipartition((comp,))
+        return text
+
+    def __call__(self, mp) -> str:
+        return ",".join(map(self.__getitem__, mp))
+
+
 def render_enumerate(d: int, n: int, fmt: str = "text") -> str:
+    _check_format(fmt, ("text", "json"))
     mps = enumerate_multipartitions(d, n)
     if fmt == "json":
         return _dumps([multipartition_to_json(mp) for mp in mps])
-    return "\n".join(format_multipartition(mp) for mp in mps) + "\n"
+    return "\n".join(map(_Labels(), mps)) + "\n"
 
 
 def render_a_value(p: ChargeParams, mp) -> str:
@@ -73,6 +102,7 @@ def render_a_seq(p: ChargeParams, mp) -> str:
 
 
 def render_a_graph(p: ChargeParams, mp, fmt: str = "text") -> str:
+    _check_format(fmt, ("text", "json"))
     graph = a_graph(mp, p)
     if fmt == "json":
         return _dumps({
@@ -87,13 +117,14 @@ def render_a_graph(p: ChargeParams, mp, fmt: str = "text") -> str:
 
 
 def render_crystal(p: ChargeParams, n: int, order: str, fmt: str = "json") -> str:
+    _check_format(fmt, ("json", "dot"))
     graph = crystal_graph(p, n, order)
     if fmt == "dot":
+        label = _Labels()
         lines = ["digraph crystal {"]
         for level_edges in graph.edges:
             for src, i, _, dst in level_edges:
-                lines.append(f'  "{format_multipartition(src)}" -> '
-                             f'"{format_multipartition(dst)}" [label="{i}"];')
+                lines.append(f'  "{label(src)}" -> "{label(dst)}" [label="{i}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
     return _dumps({
@@ -128,7 +159,7 @@ def write_canonical(out, p: ChargeParams, n: int):
     # object only formats the same text again
     support = sorted({mp for el in basis for mp in el.vector.terms})
     position = {mp: i for i, mp in enumerate(support)}
-    name = {mp: format_multipartition(mp) for mp in support}
+    name = dict(zip(support, map(_Labels(), support)))
     coeff_text = {}
     for el in basis:
         terms = el.vector.terms
@@ -180,16 +211,17 @@ def write_matrix(out, matrix, fmt: str = "text"):
                 [multipartition_to_json(mp) for mp in matrix.kleshchev_labels]))
         out.write("}")
         return
+    label = _Labels()
     lines = ["columns:"]
     for j, col in enumerate(matrix.columns):
         dual = ""
         if matrix.kleshchev_labels is not None:
-            dual = f"  kleshchev {format_multipartition(matrix.kleshchev_labels[j])}"
-        lines.append(f"  [{j}] {format_multipartition(col)}"
+            dual = f"  kleshchev {label(matrix.kleshchev_labels[j])}"
+        lines.append(f"  [{j}] {label(col)}"
                      f"  a={format_rational(matrix.column_a_values[j])}{dual}")
     lines.append("rows:")
     out.write("\n".join(lines) + "\n")
-    labels = [format_multipartition(mp) for mp in matrix.rows]
+    labels = list(map(label, matrix.rows))
     label_width = max(map(len, labels), default=1)
     # "0" is one character wide, so the nonzero values alone fix the width
     width = max((len(str(x)) for x in values), default=1)
@@ -204,6 +236,7 @@ def render_matrix(matrix) -> str:
 
 
 def write_decomp(out, p: ChargeParams, n: int, fmt: str = "text"):
+    _check_format(fmt, ("text", "json"))
     write_matrix(out, decomposition_matrix(p, n), fmt)
 
 
@@ -213,22 +246,24 @@ def render_decomp(p: ChargeParams, n: int, fmt: str = "text") -> str:
 
 def write_typeb(out, n: int, e: int, action: str, fmt: str = "text"):
     """The type B action at rank n; the a-values read no e."""
+    if action not in ("basic-set", "a-values", "decomp"):
+        raise ValueError(f"unknown type B action {action!r}")
+    _check_format(fmt, ("text", "json"))
     if action == "basic-set":
         labels = canonical_basic_set_b(n, e)
         if fmt == "json":
             out.write(_dumps([multipartition_to_json(bp) for bp in labels]))
         else:
-            out.write("\n".join(format_multipartition(bp) for bp in labels) + "\n")
+            out.write("\n".join(map(_Labels(), labels)) + "\n")
     elif action == "a-values":
         pairs = _a_values_typeb(enumerate_multipartitions(2, n)).items()
         if fmt == "json":
             out.write(_dumps([[multipartition_to_json(bp), a] for bp, a in pairs]))
         else:
-            out.write("\n".join(f"{format_multipartition(bp)}: {a}" for bp, a in pairs) + "\n")
-    elif action == "decomp":
-        write_matrix(out, decomposition_matrix_b(n, e), fmt)
+            label = _Labels()
+            out.write("\n".join(f"{label(bp)}: {a}" for bp, a in pairs) + "\n")
     else:
-        raise ValueError(f"unknown type B action {action!r}")
+        write_matrix(out, decomposition_matrix_b(n, e), fmt)
 
 
 def render_typeb(n: int, e: int, action: str, fmt: str = "text") -> str:

@@ -3,7 +3,8 @@
 For odd e the decomposition matrix factors through two type-A computations:
 an entry is the product of the component-wise type-A decomposition numbers
 when the component sizes match, and zero otherwise; the basic set consists
-of the bipartitions with both components e-regular.  Every factor, of
+of the bipartitions with both components e-regular, which _both_regular
+picks with one is_e_regular test per distinct component.  Every factor, of
 every rank 0..n, is read at q = 1 off the ranks of one type-A canonical
 basis recursion over one diagonal-crystal walk to rank n.  For even e the algebra
 is the d = 2 case at charges (1, e/2), so everything delegates to the
@@ -46,13 +47,19 @@ def _a_values_typeb(bps) -> dict:
     return out
 
 
+def _both_regular(bps, e: int) -> list:
+    """The bipartitions of bps, in their order, whose two components are
+    both e-regular; each distinct component is tested once."""
+    regular = {comp: is_e_regular(comp, e) for comp in {comp for bp in bps for comp in bp}}
+    return [bp for bp in bps if regular[bp[0]] and regular[bp[1]]]
+
+
 def canonical_basic_set_b(n: int, e: int):
     """Labels of the canonical basic set, sorted canonically."""
     if e < 2:
         raise ValueError("e must be at least 2")
     if e % 2:
-        return [bp for bp in enumerate_multipartitions(2, n)
-                if is_e_regular(bp[0], e) and is_e_regular(bp[1], e)]
+        return _both_regular(enumerate_multipartitions(2, n), e)
     return flotw_multipartitions(even_charge_params(e), n)
 
 
@@ -82,9 +89,10 @@ def decomposition_matrix_b(n: int, e: int) -> DecompositionMatrix:
         factors.append(pairs)
 
     avals = _a_values_typeb(enumerate_multipartitions(2, n))
-    rows = sorted(avals, key=lambda bp: (avals[bp], bp))
+    # avals is in label order and the sort is stable, so ties keep label order
+    rows = sorted(avals, key=avals.__getitem__)
     # the basic set: the rows whose components are both e-regular
-    columns = [bp for bp in rows if is_e_regular(bp[0], e) and is_e_regular(bp[1], e)]
+    columns = _both_regular(rows, e)
     # an entry is the product of the component-wise type-A entries, so only
     # products of two nonzeros are stored; size mismatches stay zero.
     # Equal cells share one tuple.

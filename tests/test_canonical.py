@@ -13,7 +13,7 @@ from ariki.charge import ChargeParams
 from ariki.crystal import crystal_graph, flotw_multipartitions
 from ariki.fock import FockVector
 from ariki.laurent import LaurentPoly
-from ariki.partitions import rank
+from ariki.partitions import enumerate_multipartitions, rank
 from ariki.symbols import _ScaledAValues, a_value
 from ariki.typeb import decomposition_matrix_b
 from ariki.verification import GRID
@@ -441,6 +441,19 @@ def test_matrix_a_values_are_fractions():
             assert len(labels) == len(values)
             for mp, a in zip(labels, values):
                 assert type(a) is Fraction and a == a_value(mp, p), (p, mp, a)
+
+
+def test_matrix_rows_and_columns_sort_by_a_value_then_label():
+    # reference: each label's own a_value, ties broken by the label itself
+    cases = [(p, n) for p in GRID for n in range(7)]
+    cases.append((ChargeParams(2, 2, (0, 1)), 9))
+    for p, n in cases:
+        m = decomposition_matrix(p, n)
+
+        def key(mp):
+            return a_value(mp, p), mp
+        assert m.rows == tuple(sorted(enumerate_multipartitions(p.d, n), key=key)), (p, n)
+        assert m.columns == tuple(sorted(flotw_multipartitions(p, n), key=key)), (p, n)
 
 
 def test_simple_module_a_values():

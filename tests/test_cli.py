@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, schemas, determinism."""
 
+import io
 import json
 import os
 import random
@@ -8,13 +9,18 @@ import shlex
 import subprocess
 import sys
 
+import pytest
+
 import ariki
 from ariki import crystal
 from ariki.canonical import DecompositionMatrix, canonical_basis
 from ariki.cli import MAX_MP_RANK, main
 from ariki.charge import ChargeParams
 from ariki.partitions import format_multipartition
-from ariki.render import render_canonical, render_decomp, render_matrix, render_typeb
+from ariki.render import (render_a_graph, render_canonical, render_crystal, render_decomp,
+                          render_enumerate, render_matrix, render_typeb, write_decomp,
+                          write_typeb)
+from ariki.symbols import format_rational
 from ariki.verification import GRID
 
 
@@ -305,11 +311,13 @@ def test_reader_closing_early_ends_quietly():
 
 def test_render_canonical_matches_per_element_formatting():
     # reference: each element through FockVector.__str__, every term formatted anew
-    for p in GRID:
-        for n in range(7):
-            lines = [f"{format_multipartition(el.label)}: {el.vector}"
-                     for el in canonical_basis(p, n)]
-            assert render_canonical(p, n) == "\n".join(lines) + "\n", (p, n)
+    # (2,2,(0,1)) n=10 has a part 10
+    cases = [(p, n) for p in GRID for n in range(7)]
+    cases.append((ChargeParams(2, 2, (0, 1)), 10))
+    for p, n in cases:
+        lines = [f"{format_multipartition(el.label)}: {el.vector}"
+                 for el in canonical_basis(p, n)]
+        assert render_canonical(p, n) == "\n".join(lines) + "\n", (p, n)
 
 
 def _per_cell_rows(matrix):
@@ -323,21 +331,70 @@ def _per_cell_rows(matrix):
     return lines
 
 
+def _per_column_header(matrix):
+    # reference: every column label and kleshchev label formatted whole
+    lines = ["columns:"]
+    for j, col in enumerate(matrix.columns):
+        dual = ""
+        if matrix.kleshchev_labels is not None:
+            dual = f"  kleshchev {format_multipartition(matrix.kleshchev_labels[j])}"
+        lines.append(f"  [{j}] {format_multipartition(col)}"
+                     f"  a={format_rational(matrix.column_a_values[j])}{dual}")
+    return lines + ["rows:"]
+
+
 def test_render_matrix_matches_per_cell_formatting():
-    rows = (((3,), ()), ((2, 1), ()), ((1,), (1, 1)), ((), (1, 1, 1)))
-    columns = rows[:3]
-    for entries in (((1, 0, 0), (12, 1, 0), (0, 3, 1), (10, 0, 7)),
-                    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)),
-                    ((0, 0, 0),) * 4):
+    # labels with parts of one and of two digits, and empty components
+    rows = (((3,), ()), ((2, 1), ()), ((1,), (1, 1)), ((), (1, 1, 1)),
+            ((10,), ()), ((1,), (10,)), ((), (12, 1)))
+    columns = (rows[0], rows[4], rows[6])
+    for entries in (((1, 0, 0), (12, 1, 0), (0, 3, 1), (10, 0, 7), (0, 1, 0),
+                     (2, 0, 0), (0, 0, 1)),
+                    ((1, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 1, 0),
+                     (0, 0, 0), (0, 0, 1)),
+                    ((0, 0, 0),) * 7):
         for dual in (None, columns[::-1]):
             m = DecompositionMatrix(rows=rows, columns=columns, kleshchev_labels=dual,
-                                    entries=entries, row_a_values=(0, 1, 2, 3),
-                                    column_a_values=(0, 1, 2))
+                                    entries=entries, row_a_values=(0, 1, 2, 3, 4, 5, 6),
+                                    column_a_values=(0, 4, 6))
             lines = render_matrix(m).splitlines()
-            assert lines[lines.index("rows:") + 1:] == _per_cell_rows(m)
+            split = lines.index("rows:") + 1
+            assert lines[:split] == _per_column_header(m)
+            assert lines[split:] == _per_cell_rows(m)
     empty = DecompositionMatrix(rows=(), columns=(), kleshchev_labels=None, entries=(),
                                 row_a_values=(), column_a_values=())
     assert render_matrix(empty) == "columns:\nrows:\n"
+
+
+def test_unknown_formats_raise_before_any_work(monkeypatch):
+    # an unknown format names the allowed ones and is caught before anything
+    # is computed or written; argparse choices keep the CLI from reaching it
+    import ariki.render as render
+
+    def no_work(*args):
+        raise AssertionError("computed before the format check")
+
+    for name in ("enumerate_multipartitions", "a_graph", "crystal_graph",
+                 "decomposition_matrix", "decomposition_matrix_b",
+                 "canonical_basic_set_b", "_a_values_typeb"):
+        monkeypatch.setattr(render, name, no_work)
+    p = ChargeParams(2, 4, (0, 1))
+    calls = [(lambda: render_enumerate(1, 2, "csv"), "text, json"),
+             (lambda: render_a_graph(p, ((1,), ()), "dot"), "text, json"),
+             (lambda: render_crystal(p, 1, "flotw", "text"), "json, dot"),
+             (lambda: render_decomp(p, 2, "JSON"), "text, json"),
+             (lambda: render_typeb(2, 3, "decomp", "xml"), "text, json")]
+    for action in ("basic-set", "a-values"):
+        calls.append((lambda action=action: render_typeb(2, 3, action, "xml"), "text, json"))
+    for call, allowed in calls:
+        with pytest.raises(ValueError, match=f"unknown format .*; expected one of {allowed}$"):
+            call()
+    out = io.StringIO()
+    for write in (lambda: write_decomp(out, p, 2, "dot"),
+                  lambda: write_typeb(out, 2, 3, "decomp", "dot")):
+        with pytest.raises(ValueError, match="unknown format 'dot'"):
+            write()
+    assert out.getvalue() == ""
 
 
 def test_a_graph_text(capsys):
