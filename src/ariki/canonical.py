@@ -2,8 +2,8 @@
 
 The basis is built rank by rank, by the recursion of the LLT algorithm
 (Lascoux-Leclerc-Thibon 1996; Uglov 1999 for the higher-level Fock
-space), over the levels of one diagonal-crystal walk from the empty
-multipartition.  Peeling a label lam once gives a residue k, the number c
+space), over the diagonal crystal from the empty multipartition.
+Peeling a label lam once gives a residue k, the number c
 of k-nodes removed and the rest lam', a label of rank n - c; then
 A'(lam) = f_k^(c) G(lam') applies one divided power to the finished basis
 element G(lam').  A'(lam) is bar-invariant, its leading coefficient is 1 and
@@ -22,19 +22,23 @@ LaurentPoly.  A subtraction only touches labels of still larger a-value,
 so no coefficient already corrected changes; a label it leaves offending
 joins the queue.
 
-The walk builds only what its caller reads.  The wanted labels (the top
-level for canonical_basis and decomposition_matrix, every label for odd-e
-type B) closed under peel rests form the demand set, and each rank lifts
-and straightens only its demanded labels, in the same order.  An element
-reads lower ranks only through its peel rest and its own rank only
-through corrections, so a correction that reaches a label outside the
-demand set builds it there and then, and the rank keeps it.  At
-(2,2,(0,1)) n=13 the walk lifts 234 of its 350 labels, 6 of them on
-demand.  Such a label starts from f_k^(c) G(lam') when G(lam') is still
-held, and otherwise from f_k^(c) A(lam') = A(lam), with the A-vector
-A(lam') replayed from the empty vector; no perfbench workload needs the
-replay.  Each canonical basis element is unique, so the elements do not
-depend on what was built or from which start.
+The walk runs on its demand set: the wanted labels, of any ranks (the
+top rank for canonical_basis and decomposition_matrix, every rank for
+odd-e type B), closed under peel rests, peeled once each from the top
+rank down.  Each rank 0..the top wanted rank lifts and straightens its
+labels of the demand set, and a vertex membership test, not a list of
+the rank's vertices, tells a correction which terms are labels.  An
+element reads lower ranks only through its peel rest and its own rank
+only through corrections, so a correction that reaches a label outside
+the demand set builds it there and then, peeling it then, and the rank
+keeps it.  At (2,2,(0,1)) n=13 the walk lifts 234 of the crystal's 350
+labels, 6 of them on demand, and peels only those.  Such a label starts
+from f_k^(c) G(lam') when G(lam') is still held, and otherwise from
+f_k^(c) A(lam') = A(lam), with A(lam') replayed from the empty vector;
+no perfbench workload needs the replay.  Each canonical basis element is
+unique, so the elements do not depend on what was built or from which
+start, and a walk that wants one block (the labels of one residue
+content) builds each of its elements as a walk that wants the whole rank.
 
 The lifts of one rank apply divided powers to overlapping vectors G(lam'),
 so they share one table of divided-power moves (fock.f_divided), keyed by
@@ -49,12 +53,10 @@ straightening only the terms its subtractions rebuilt.  So a finished rank
 holds one tuple per distinct multipartition and one polynomial per
 distinct coefficient rather than one of each per term.
 
-The recursion yields every rank in turn, so one walk to rank n serves a
-caller that wants all ranks 0..n (odd-e type B) as well as one that wants
-only the top.  Memory: G(mu) of a lower rank is kept while a demanded
-label still to be lifted peels to mu, and no longer.  A caller that drops
-each yielded rank at once holds no rank's element list while the next
-rank is straightened.
+Memory: G(mu) of a lower rank is kept while a demanded label still to
+be lifted peels to mu, and no longer.  A caller that drops each yielded
+rank at once holds no rank's element list while the next rank is
+straightened.
 
 The oracle ariki._oracles.compute_A, the paper's A-vector, replays a
 label's whole residue sequence from the empty vector.  The basis path
@@ -89,7 +91,7 @@ from .charge import ChargeParams
 from .crystal import _graph_bijection, crystal_graph
 from .fock import FockVector, _f_divided, _shared, f_divided
 from .laurent import LaurentPoly
-from .partitions import enumerate_multipartitions
+from .partitions import empty_multipartition, enumerate_multipartitions, rank
 from .symbols import _ScaledAValues
 
 
@@ -117,16 +119,16 @@ def _bar_symmetric_completion(c: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(data)
 
 
-def _straighten(labels, avals, start, values, others=()):
-    """{label: straightened vector} of one rank: labels, and those of others
+def _straighten(labels, vertices, avals, start, values):
+    """{label: straightened vector} of one rank: labels, and the vertices
     that their corrections reach.
 
-    labels and others (a set) part the rank's labels.  start(mp) returns a
-    fresh term dict of a bar-invariant vector with leading term mp; labels
-    are built in decreasing (a-value, label) order.  avals maps the labels
-    the straightening reads to values ordered like their a-values: the
-    pipeline passes its table of the integers d*a (symbols._ScaledAValues),
-    the tests may pass the Fraction a-values.
+    labels are vertices of one rank, built in decreasing (a-value, label)
+    order; `mp in vertices` tells whether mp is a diagonal-crystal vertex.
+    start(mp) returns a fresh term dict of a bar-invariant vector with
+    leading term mp.  avals maps the vertices the straightening reads to values ordered like
+    their a-values: the pipeline passes its table of the integers d*a
+    (symbols._ScaledAValues), the tests may pass the Fraction a-values.
     A label's vector reads only the elements of strictly larger a-value, so
     equal-a labels never interact and the tie order cannot change the
     result.  Every non-leading coefficient (crystal label or not) must end
@@ -134,7 +136,7 @@ def _straighten(labels, avals, start, values, others=()):
 
     One pass over the start vector's terms checks every non-leading
     coefficient and queues the offending ones, those outside q*Z[q] at a
-    label of larger a-value.  The queue is corrected in ascending (a-value,
+    vertex of larger a-value.  The queue is corrected in ascending (a-value,
     label) order: each correction subtracts the bar-symmetric completion of
     the coefficient, which must lie in N[q, q^-1], times that label's basis
     element, and a label the subtraction leaves offending, past the one
@@ -150,9 +152,8 @@ def _straighten(labels, avals, start, values, others=()):
     terms a subtraction touched, or that the pass found outside q*Z[q] but
     could not correct, are checked again.
 
-    Every label of larger key than one of labels is built already, or is
-    one of others.  A correction at one of others builds it there and then
-    (_build), by the same rule, and keeps it in the returned rank: each
+    A correction at a vertex not yet built, never one of labels, builds it
+    there and then (_build) and keeps it in the returned rank: each
     canonical basis element is unique, so it does not matter which label's
     correction asked for it first.
 
@@ -164,17 +165,17 @@ def _straighten(labels, avals, start, values, others=()):
     """
     basis = {}
     for mp in sorted(labels, key=lambda m: (avals[m], m), reverse=True):
-        _build(mp, others, avals, start, values, basis)
+        _build(mp, vertices, avals, start, values, basis)
     return basis
 
 
-def _build(mp, others, avals, start, values, basis):
+def _build(mp, vertices, avals, start, values, basis):
     """Straighten start(mp) into basis[mp]; see _straighten.
 
-    A label of larger a-value is in basis or in others: the labels of
-    larger key are all built, and those of smaller key have no larger
-    a-value.  One of others that a correction needs is built first, by a
-    call to this function; the recursion is a plain call, so no closure
+    A vertex of larger a-value than mp is built already or is not one of
+    the rank's labels: the labels of larger key are all built, and those
+    of smaller key have no larger a-value.  One not built that a correction
+    needs is built first, by a plain call to this function, so no closure
     refers to itself and a rank's elements die with the rank.
     """
     terms = start(mp)
@@ -183,7 +184,7 @@ def _build(mp, others, avals, start, values, basis):
     for nu, c in terms.items():
         if c.in_q_zq():
             continue
-        if (nu in basis or nu in others) and avals[nu] > a:
+        if nu in vertices and avals[nu] > a:
             queue.append((avals[nu], nu))
         elif nu != mp:  # nothing corrects it unless a subtraction does
             recheck[nu] = None
@@ -199,8 +200,8 @@ def _build(mp, others, avals, start, values, basis):
             raise RuntimeError("correction coefficient is not bar-symmetric")
         if any(x < 0 for x in gamma.coeffs.values()):
             raise RuntimeError(f"correction coefficient {gamma} is not in N[q, q^-1]")
-        if nu not in basis:  # one of others: built on demand
-            _build(nu, others, avals, start, values, basis)
+        if nu not in basis:  # not one of labels: built on demand
+            _build(nu, vertices, avals, start, values, basis)
         # terms -= gamma * basis[nu], each term's product subtracted
         # straight into one dict, wrapped once
         gamma_items = gamma.coeffs.items()
@@ -220,7 +221,7 @@ def _build(mp, others, avals, start, values, basis):
                 terms.pop(mu, None)
                 continue
             new = terms[mu] = LaurentPoly._of(data)
-            if (mu in basis or mu in others) and not new.in_q_zq():
+            if mu in vertices and not new.in_q_zq():
                 later = (avals[mu], mu)
                 if later > key:  # a label queued twice is skipped once corrected
                     queue.append(later)
@@ -240,27 +241,24 @@ def _build(mp, others, avals, start, values, basis):
     basis[mp] = FockVector._of(terms)
 
 
-def _bases_by_rank(p: ChargeParams, levels, avals, wanted=None):
-    """Yield {label: straightened vector} for each level of a diagonal walk.
+def _bases_by_rank(p: ChargeParams, wanted, vertices, avals):
+    """Yield {label: straightened vector} for each rank 0..the top of wanted.
 
-    levels[r] lists the diagonal-crystal vertices of rank r, and avals
-    maps every label the straightening of any rank reads to a value
-    ordered like its a-value, as in _straighten: the pipeline passes one
-    lazy table for the whole walk.  Ranks come out from 0 to the top, each
-    label starting from f_k^(c) of its peel rest's element.  A caller that
-    wants only the top rank should drop each rank as it comes.
+    wanted holds the diagonal-crystal vertices whose elements the caller
+    reads, of any ranks; see the module docstring for the demand set.
+    vertices maps every vertex the walk meets to the caller's own tuple of
+    it: corrections test membership in it (_straighten), and each peel
+    rest is held as that tuple, not as a copy.  avals maps each vertex the
+    straightening reads to a value ordered like its a-value, as in
+    _straighten: the pipeline passes one lazy table for the whole walk.
+    A caller that wants only the top rank should drop each rank as it comes.
 
-    wanted holds the labels whose elements the caller wants, every label of
-    every rank by default.  Closed under peel rests it is the demand set D,
-    and each rank builds D's labels and those its corrections reach
-    (_straighten); so a rank comes out whole only when every label is
-    wanted.  An element is held while a label of D still to be lifted
-    peels to it.  A label built on demand whose peel rest is no longer held
-    starts instead from f_k^(c) of the rest's A-vector, replayed from the
-    empty vector along the rest's residue blocks: the blocks of lam are its
-    rest's followed by (k, c), so that start is A(lam), bar-invariant with
-    leading term lam and a-triangular like f_k^(c) G(rest), and it
-    straightens to the same G(lam).
+    A label of the demand set starts from f_k^(c) of its peel rest's
+    element, held until the last such label is lifted.  A vertex a
+    correction reaches is peeled when it is lifted, and if its rest is not
+    held it starts from f_k^(c) of the rest's A-vector, replayed along the
+    rest's residue blocks: that is A(lam), whose blocks are the rest's
+    followed by (k, c), so it straightens to the same G(lam).
 
     Each rank has three tables of its own, made before its straightening
     and deleted after it: moves, (lam, k) -> the moves of f_k^(r - |lam|)
@@ -270,55 +268,50 @@ def _bases_by_rank(p: ChargeParams, levels, avals, wanted=None):
     straightening make -> its one LaurentPoly.  They stay separate tables,
     so that moves holds (lam, k) keys only.
     """
-    peels, label_of = {}, {levels[0][0]: levels[0][0]}
-    for level in levels[1:]:
-        for mp in level:
-            k, removed, rest = _peel(mp, p)  # the walk's labels are valid vertices
-            # a rest is held as its level's label, not as a copy of its own
-            peels[mp] = (k, len(removed), label_of.get(rest, rest))
-            label_of[mp] = mp
-    del label_of
-    top = len(levels) - 1
-    # one pass from the top down closes wanted under peel rests and counts,
-    # per element, the demanded labels peeling to it
-    demand = set(peels if wanted is None else wanted)
-    refs = {}
+    top = max(map(rank, wanted))
+    demand = [set() for _ in range(top + 1)]  # D's labels, by rank
+    for mp in wanted:
+        demand[rank(mp)].add(mp)
+    # per label of D: its peel; per held element: the labels of D peeling to it
+    peels, refs = {}, {}
     for r in range(top, 0, -1):
-        for mp in levels[r]:
-            if mp in demand:
-                rest = peels[mp][2]
-                demand.add(rest)
-                refs[rest] = refs.get(rest, 0) + 1
-    empty = levels[0][0]
+        for mp in demand[r]:
+            k, removed, rest = _peel(mp, p)  # D holds valid vertices
+            rest = vertices[rest]
+            peels[mp] = (k, len(removed), rest)
+            demand[r - len(removed)].add(rest)
+            refs[rest] = refs.get(rest, 0) + 1
+    empty = empty_multipartition(p.d)
     finished = {empty: FockVector.unit(empty)}
     yield dict(finished)
 
     def lift(mp):
-        k, c, rest = peels.pop(mp)
-        below = finished.get(rest)
-        if mp in demand:
+        if mp in peels:
+            k, c, rest = peels.pop(mp)
+            below = finished.get(rest)
             if below is None:
                 raise RuntimeError(f"{mp} peels to {rest}, which is not a finished label")
             refs[rest] -= 1
             if not refs[rest]:
-                del finished[rest]
-        elif below is None:  # built on demand, its rest gone: replay A(rest)
-            below = FockVector.unit(empty)
-            for i, count in _blocks(rest, p):
-                below = f_divided(below, i, count, "flotw", p)
+                del finished[rest], refs[rest]
+        else:  # reached by a correction
+            k, removed, rest = _peel(mp, p)
+            c = len(removed)
+            below = finished.get(rest)
+            if below is None:  # its rest is not held: replay A(rest)
+                below = FockVector.unit(empty)
+                for i, count in _blocks(rest, p):
+                    below = f_divided(below, i, count, "flotw", p)
         lifted = _f_divided(below, k, c, "flotw", p, moves, targets, values)
         return _leading_one(mp, lifted).terms  # fresh: nothing else holds lifted
 
     for r in range(1, top + 1):
-        level = levels[r]
         moves = {}  # this rank's (lam, k) -> moves of f_k^(r - |lam|)
         targets = {}  # this rank's multipartition -> the one tuple its moves hold
         values = {}  # this rank's coefficient value -> the one LaurentPoly of it
-        basis = _straighten([mp for mp in level if mp in demand], avals, lift,
-                            values, {mp for mp in level if mp not in demand})
+        basis = _straighten(demand[r], vertices, avals, lift, values)
         del moves, targets, values
-        for mp in level:  # no later rank builds this rank's labels
-            peels.pop(mp, None)
+        demand[r] = None
         finished.update((mp, vec) for mp, vec in basis.items() if refs.get(mp))
         yield basis
         del basis  # only the elements some label above still peels to stay
@@ -326,8 +319,9 @@ def _bases_by_rank(p: ChargeParams, levels, avals, wanted=None):
 
 def _top_basis(p: ChargeParams, levels, avals):
     """The top level's {label: straightened vector}; lower ranks are dropped."""
-    ranks = _bases_by_rank(p, levels, avals, levels[-1])
-    for _ in range(len(levels) - 1):
+    vertices = {mp: mp for level in levels for mp in level}
+    ranks = _bases_by_rank(p, levels[-1], vertices, avals)
+    for _ in levels[1:]:
         next(ranks)
     return next(ranks)
 

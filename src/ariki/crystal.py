@@ -138,7 +138,8 @@ def _is_flotw(mp, p):
     can only break on a row t > s of the lower component: row t must have a
     row t - s of the upper one at least as long.  The second condition fails
     once the row ends of one part length carry all e residues, which a
-    bitmask per length shows as soon as it happens.
+    bitmask per length shows as soon as it happens; with fewer than e rows
+    in all it cannot, so no bitmask is made and a huge e costs nothing.
     """
     e, v = p.e, p.v
     upper, vu = mp[-1], v[-1] - e
@@ -152,6 +153,8 @@ def _is_flotw(mp, p):
                 if upper[t] < lower[t + s]:
                     return False
         upper, vu = lower, vl
+    if sum(map(len, mp)) < e:
+        return True
     full, masks = (1 << e) - 1, {}
     for c, comp in enumerate(mp):
         vc = v[c]

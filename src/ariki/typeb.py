@@ -77,10 +77,10 @@ def decomposition_matrix_b(n: int, e: int) -> DecompositionMatrix:
         return decomposition_matrix(even_charge_params(e), n)
 
     pa = type_a_params(e)
-    levels = crystal_graph(pa, n, "flotw").levels
+    every = {mp: mp for level in crystal_graph(pa, n, "flotw").levels for mp in level}
     # per rank and row partition of a type-A factor: its nonzero (column, entry)
     factors = []
-    for basis in _bases_by_rank(pa, levels, _ScaledAValues(pa)):
+    for basis in _bases_by_rank(pa, every, every, _ScaledAValues(pa)):
         pairs = {}
         for (lam,), vec in basis.items():
             for (mu,), x in vec.at_one().items():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ariki._oracles import compute_A, replayed_basis, straighten_by_scan
+from ariki._oracles import compute_A, diagram_residues, replayed_basis, straighten_by_scan
 from ariki.aseq import peel_step
 from ariki.canonical import (DecompositionMatrix, _bar_symmetric_completion,
                              _bases_by_rank, _elements, _straighten, _top_basis,
@@ -69,7 +69,7 @@ def test_subtraction_that_makes_an_offending_coefficient_queues_it():
     starts = {C: {C: q(0)}, B: {B: q(0), C: -q(1)},
               A: {A: q(0), B: q(-1), C: q(3)}}
     avals = {A: 0, B: 1, C: 2}
-    basis = _straighten(list(starts), avals, lambda mp: dict(starts[mp]), {})
+    basis = _straighten(list(starts), set(starts), avals, lambda mp: dict(starts[mp]), {})
     assert basis[A] == FockVector({A: 1, B: LaurentPoly({1: -1}),
                                    C: LaurentPoly({3: 1, 2: 1})})
     assert basis == straighten_by_scan(list(starts), avals, lambda mp: starts[mp])
@@ -82,7 +82,7 @@ def test_negative_correction_coefficient_raises():
     A, B = ((2,), ()), ((1,), (1,))
     starts = {B: {B: q(0)}, A: {A: q(0), B: -q(-1)}}
     with pytest.raises(RuntimeError, match=r"is not in N\[q, q\^-1\]"):
-        _straighten(list(starts), {A: 0, B: 1}, lambda mp: dict(starts[mp]), {})
+        _straighten(list(starts), set(starts), {A: 0, B: 1}, lambda mp: dict(starts[mp]), {})
 
 
 _A, _B, _C, _D = ((2,), ()), ((1, 1), ()), ((1,), (1,)), ((), (2,))
@@ -102,7 +102,7 @@ def test_in_place_subtraction_edge_terms(a_start, gone):
     starts = {_D: {_D: q(0)}, _C: {_C: q(0)},
               _B: {_B: q(0), _C: q(2), _D: q(2)}, _A: a_start}
     avals = {_A: 0, _B: 1, _C: 2, _D: 3}
-    basis = _straighten(list(starts), avals, lambda mp: dict(starts[mp]), {})
+    basis = _straighten(list(starts), set(starts), avals, lambda mp: dict(starts[mp]), {})
     gamma = LaurentPoly({-1: 1, 1: 1})
     expect = {mu: starts[_A].get(mu, LaurentPoly()) - gamma * basis[_B].coefficient(mu)
               for mu in set(starts[_A]) | set(basis[_B].terms)}
@@ -142,12 +142,13 @@ def test_every_yielded_rank_is_that_rank_canonical_basis():
     top = 5
     for p in GRID:
         levels = crystal_graph(p, top, "flotw").levels
-        avals = {mp: a_value(mp, p) for level in levels for mp in level}
-        ranks = list(_bases_by_rank(p, levels, avals))
+        every = {mp: mp for level in levels for mp in level}
+        avals = {mp: a_value(mp, p) for mp in every}
+        ranks = list(_bases_by_rank(p, every, every, avals))
         assert len(ranks) == top + 1
         for r, basis in enumerate(ranks):
             assert _elements(basis, avals) == canonical_basis(p, r), (p, r)
-        demanded = list(_bases_by_rank(p, levels, avals, levels[top]))
+        demanded = list(_bases_by_rank(p, levels[top], every, avals))
         assert demanded[top] == ranks[top], p
         for r, basis in enumerate(demanded):
             assert basis and all(ranks[r][mp] == vec for mp, vec in basis.items()), (p, r)
@@ -166,20 +167,45 @@ def _peel_closure(p, levels):
 def test_walk_to_the_top_lifts_the_peel_closure_and_what_corrections_reach(monkeypatch):
     # canonical_basis lifts each label of the top level's peel closure once,
     # and the few labels outside it that a correction reaches; at
-    # (2,2,(0,1)) n=10 that is 102 + 4 of the walk's 142 labels
+    # (2,2,(0,1)) n=10 that is 102 + 4 of the walk's 142 labels.  It peels
+    # those labels once each and no other vertex of the walk
     import ariki.canonical as canonical
     p, n = ChargeParams(2, 2, (0, 1)), 10
     levels = crystal_graph(p, n, "flotw").levels
-    lifted = []
-    real = canonical._leading_one
+    lifted, peeled = [], []
+    real_leading, real_peel = canonical._leading_one, canonical._peel
     monkeypatch.setattr(canonical, "_leading_one",
-                        lambda mp, vec: (lifted.append(mp), real(mp, vec))[1])
+                        lambda mp, vec: (lifted.append(mp), real_leading(mp, vec))[1])
+    monkeypatch.setattr(canonical, "_peel",
+                        lambda mp, p: (peeled.append(mp), real_peel(mp, p))[1])
     canonical_basis(p, n)
     closure = _peel_closure(p, levels) - set(levels[0])
     on_demand = set(lifted) - closure
     assert len(lifted) == len(set(lifted)) and closure <= set(lifted)
+    assert sorted(peeled) == sorted(lifted)
     assert (len(closure), len(on_demand), sum(map(len, levels[1:]))) == (102, 4, 142)
     assert on_demand <= set().union(*levels[1:])
+
+
+def test_one_block_at_a_time():
+    # a block is the top level's labels of one residue content; at its own
+    # rank one block's basis reads no element of another block, so a walk
+    # that wants one block alone builds each of its elements as the whole
+    # walk does
+    cases = [(p, 6 if p.d == 3 else 8) for p in GRID] + [(P24, 14)]
+    for p, n in cases:
+        levels = crystal_graph(p, n, "flotw").levels
+        every = {mp: mp for level in levels for mp in level}
+        avals = _ScaledAValues(p)
+        full = _top_basis(p, levels, avals)
+        blocks = {}
+        for mp in levels[n]:
+            blocks.setdefault(tuple(diagram_residues(mp, p).items()), []).append(mp)
+        assert len(blocks) > 1, (p, n)
+        for block in blocks.values():
+            *_, basis = _bases_by_rank(p, block, every, avals)
+            assert set(block) <= set(basis), (p, n, block)
+            assert all(full[mp] == vec for mp, vec in basis.items()), (p, n, block)
 
 
 def test_label_built_on_demand_without_its_rest_replays_the_rest(monkeypatch):
@@ -193,12 +219,13 @@ def test_label_built_on_demand_without_its_rest_replays_the_rest(monkeypatch):
     avals = _ScaledAValues(p)  # d*a of every label the walks read
     full = _top_basis(p, levels, avals)
     assert len(full) == len(levels[n])
+    every = {mp: mp for level in levels for mp in level}
     replayed = []
     real = canonical._blocks
     monkeypatch.setattr(canonical, "_blocks",
                         lambda mp, p: (replayed.append(mp), real(mp, p))[1])
     for label in levels[n]:
-        *_, basis = _bases_by_rank(p, levels, avals, [label])
+        *_, basis = _bases_by_rank(p, [label], every, avals)
         assert label in basis and all(full[mp] == vec for mp, vec in basis.items()), label
     assert len(replayed) == 48
 
@@ -277,8 +304,9 @@ def _ranks(p, n, wanted=None):
     """Each rank's {label: vector} of one walk to rank n that wants every
     label (wanted=None) or the top level ("top")."""
     levels = crystal_graph(p, n, "flotw").levels
-    return _bases_by_rank(p, levels, _ScaledAValues(p),
-                          levels[n] if wanted == "top" else None)
+    every = {mp: mp for level in levels for mp in level}
+    return _bases_by_rank(p, levels[n] if wanted == "top" else every, every,
+                          _ScaledAValues(p))
 
 
 def test_one_coefficient_object_per_value_in_a_rank():

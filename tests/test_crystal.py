@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -66,6 +67,26 @@ def test_is_flotw_examples():
     assert is_flotw(((2, 2), (2, 2, 1)), P24)
     assert is_flotw(((), ()), P24)
     assert not is_flotw(((), (1, 1)), P24)
+
+
+def test_is_flotw_cost_does_not_grow_with_e():
+    # a part length whose row ends carry all e residues needs e rows, so
+    # with fewer rows than e no residue bitmask is made: e = 10**12 would
+    # otherwise ask for an integer of 10**12 bits.  Above n + 1 neither
+    # condition can bind, so the vertices at e = 10**12 are those at e = 7
+    huge = ChargeParams(2, 10**12, (0, 1))
+    tracemalloc.start()
+    try:
+        vertices = flotw_multipartitions(huge, 5)
+        sequence = a_sequence(((2, 1), (1,)), huge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+    assert vertices == flotw_multipartitions(ChargeParams(2, 7, (0, 1)), 5)
+    assert sequence == (0, 10**12 - 1, 1, 1)
+    assert not is_flotw(((1, 1, 1),), ChargeParams(1, 3, (0,)))
+    assert is_flotw(((1, 1),), ChargeParams(1, 3, (0,)))
 
 
 def test_crystal_graph_rank_zero():
