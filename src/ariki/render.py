@@ -39,7 +39,7 @@ from .charge import ChargeParams
 from .crystal import bijection_j, bijection_j_inverse, crystal_graph
 from .partitions import (check_components, enumerate_multipartitions,
                          format_multipartition, multipartition_to_json)
-from .symbols import (_ScaledAValues, _format_ratio, format_rational, ordinary_symbol,
+from .symbols import (_format_ratio, _scaled_a_value, format_rational, ordinary_symbol,
                       shifted_symbol)
 from .typeb import _a_values_typeb, canonical_basic_set_b, decomposition_matrix_b
 
@@ -79,7 +79,7 @@ def render_enumerate(d: int, n: int, fmt: str = "text") -> str:
 def render_a_value(p: ChargeParams, mp) -> str:
     # symbols.a_value as text, read off the integer x = d*a with no Fraction:
     # x / d is the correctly rounded float of x/d, as float(Fraction(x, d)) is
-    x = _ScaledAValues(p)[check_components(mp, p.d)]
+    x = _scaled_a_value(check_components(mp, p.d), p)
     g = gcd(x, p.d)
     return f"{_format_ratio(x // g, p.d // g)} = {x / p.d}\n"
 

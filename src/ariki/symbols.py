@@ -12,13 +12,18 @@ binomial factors.
 
 All charged arithmetic uses entries scaled by d (see charge.scaled_m);
 exact rationals appear only in shifted symbols and returned a-values.  The
-one a-value table, _ScaledAValues, holds the integers d*a, which order
-multipartitions exactly as the a-value does.  Every caller makes one table
-per call and reads all its a-values from it, building a Fraction only for
-the public a_value and the a-values a DecompositionMatrix reports.  A
-symbol row depends only on (component index, partition, height), so the
-table computes each row's scaled entries and hook sum (_scaled_row) once;
-the composition statistic _scaled_stat reads the same rows.
+integer d*a orders multipartitions exactly as the a-value does, and it has
+one formula: a term of the height alone (_height_term), n*sum(sm), and the
+composition statistic _scaled_stat, which sorts the scaled entries of the
+d symbol rows once for their pair sum and subtracts the rows' hook sums,
+each row built once by _scaled_row.  It has two readers.  A single query
+(a_value, render.render_a_value, typeb.a_value_typeb) calls
+_scaled_a_value, which builds its d rows and no table.  A call that reads
+many a-values (the basis and matrix pipelines, type B's a-value lists)
+makes one _ScaledAValues table, which adds only a cache: a symbol row
+depends only on (component index, partition, height), so the table
+computes each row once per call.  A Fraction is built only for the public
+a_value and the a-values a DecompositionMatrix reports.
 
 fractions is imported only inside shifted_symbol and a_value, the two
 functions here that return Fractions, so importing the package does not
@@ -84,25 +89,43 @@ def shifted_symbol(sym: Symbol, m) -> ShiftedSymbol:
 
 
 def _weighted_min_sum(xs):
-    """Sum of min(x, y) over unordered pairs of xs: sorted, x_(k) counts N-1-k times."""
-    xs = sorted(xs)
+    """Sum of min(x, y) over unordered pairs of the list xs, which this sorts
+    in place: x_(k) counts N-1-k times."""
+    xs.sort()
     return sum(map(mul, xs, range(len(xs) - 1, -1, -1)))
+
+
+def _height_term(h, p: ChargeParams) -> int:
+    """The part of d*a that depends on the symbol height h alone.
+
+    The entries of a height-h symbol total n + d*h(h-1)/2, and tau sums
+    C(d*t+1, 2) for t = 1..h-1; with the entries' pair sum and hook sums
+    (_scaled_stat) and n*sum(sm), d*a is
+    n*sum(sm) - d*tau + d*(total - n) - h*sum_{i<j} min(sm_i, sm_j) + stat.
+    """
+    d = p.d
+    t1 = (h - 1) * h // 2
+    t2 = (h - 1) * h * (2 * h - 1) // 6
+    tau = (d * d * t2 + d * t1) // 2
+    return d * d * t1 - d * tau - h * _weighted_min_sum(list(p.scaled_m))
 
 
 def _scaled_row(i, comp, h, p: ChargeParams):
     """Row i of the height-h symbol of the composition comp, scaled: its
     entries d*beta + sm_i, and its hook sum.
 
-    The hook sum is that of min(d*k + sm_i, sm_j) over the row's entries
-    beta, 1 <= k <= beta and every row j.  It is closed form: for fixed j
-    the first K = floor((sm_j - sm_i)/d) values of k take the left side of
-    the min, and every k takes sm_j when K <= 0.
+    The entries are built once, the parts' then the padding's, and the
+    betas total |comp| + h(h-1)/2.  The hook sum is that of
+    min(d*k + sm_i, sm_j) over the row's entries beta, 1 <= k <= beta and
+    every row j.  It is closed form: for fixed j the first
+    K = floor((sm_j - sm_i)/d) values of k take the left side of the min,
+    and every k takes sm_j when K <= 0.
     """
     d, sm = p.d, p.scaled_m
     sm_i = sm[i]
-    betas = [x - j for j, x in enumerate(comp, 1 - h)]
-    betas.extend(range(h - len(comp) - 1, -1, -1))
-    beta_sum = sum(betas)
+    row = [d * (x - j) + sm_i for j, x in enumerate(comp, 1 - h)]
+    row += range(d * (h - len(comp) - 1) + sm_i, sm_i - 1, -d)
+    beta_sum = sum(comp) + h * (h - 1) // 2
     hooks = 0
     if beta_sum:  # otherwise every beta is 0: no k at all
         for sm_j in sm:
@@ -110,10 +133,11 @@ def _scaled_row(i, comp, h, p: ChargeParams):
             if cut <= 0:
                 hooks += beta_sum * sm_j
                 continue
-            for beta in betas:
+            for x in row:
+                beta = (x - sm_i) // d
                 k = beta if beta < cut else cut
                 hooks += d * k * (k + 1) // 2 + sm_i * k + (beta - k) * sm_j
-    return [d * beta + sm_i for beta in betas], hooks
+    return row, hooks
 
 
 def _scaled_stat(mc, h, p: ChargeParams) -> int:
@@ -132,6 +156,14 @@ def _scaled_stat(mc, h, p: ChargeParams) -> int:
     return _weighted_min_sum(entries) - hooks
 
 
+def _scaled_a_value(mp, p: ChargeParams) -> int:
+    """d*a of one multipartition already validated with p.d components, at
+    the least symbol height: each of its d rows computed once, no table."""
+    h = max(map(len, mp))
+    return (_height_term(h, p) + sum(map(sum, mp)) * sum(p.scaled_m)
+            + _scaled_stat(mp, h, p))
+
+
 def a_value(mp, p: ChargeParams):
     """a-value of a d-partition: exact rational with denominator d.
 
@@ -139,42 +171,33 @@ def a_value(mp, p: ChargeParams):
     """
     from fractions import Fraction
     mp = check_components(mp, p.d)
-    return Fraction(_ScaledAValues(p)[mp], p.d)
+    return Fraction(_scaled_a_value(mp, p), p.d)
 
 
 class _ScaledAValues(dict):
     """{mp: d*a} of multipartitions already validated with p.d components,
-    each computed when first read, at the least symbol height h.
+    each computed when first read, at the least symbol height h, by the
+    formula of _scaled_a_value.
 
-    A row of a symbol depends only on (i, comp, h), so the table keeps
-    each row it meets, with its scaled entries and its own term
-    |comp|*sum(sm) less its hook sum (_scaled_row).  A multipartition then
-    sorts the concatenation of its d rows' entries once for the pair sum
-    and adds its rows' terms and a constant of h: the entries total
-    n + d*h(h-1)/2, and tau sums C(d*t+1, 2) for t = 1..h-1, so the closed
-    form is
-    n*sum(sm) - d*tau + d*(total - n) - h*sum_{i<j} min(sm_i, sm_j) + stat.
+    A row of a symbol depends only on (i, comp, h), so the table keeps each
+    row it meets, with the scaled entries of _scaled_row and its term: its
+    share |comp|*sum(sm) of n*sum(sm), less its hook sum.  It keeps each
+    height's _height_term too, so a call that reads many multipartitions
+    computes each row and each height term once.
     """
     __slots__ = ("p", "sm_sum", "rows", "heights")
 
     def __init__(self, p: ChargeParams):  # dict.__new__ made the empty table
         self.p, self.sm_sum = p, sum(p.scaled_m)
         self.rows = {}  # (i, comp, h) -> (its scaled entries, its term)
-        self.heights = {}  # h -> (its constant, the pair-sum weights d*h - 1, ..., 0)
+        self.heights = {}  # h -> _height_term(h, p)
 
     def __missing__(self, mp):
         p, rows = self.p, self.rows
         h = max(map(len, mp))
-        height = self.heights.get(h)
-        if height is None:
-            d = p.d
-            t1 = (h - 1) * h // 2
-            t2 = (h - 1) * h * (2 * h - 1) // 6
-            tau = (d * d * t2 + d * t1) // 2
-            height = self.heights[h] = (
-                d * d * t1 - d * tau - h * _weighted_min_sum(p.scaled_m),
-                range(d * h - 1, -1, -1))
-        total, weights = height
+        total = self.heights.get(h)
+        if total is None:
+            total = self.heights[h] = _height_term(h, p)
         entries = []
         for i, comp in enumerate(mp):
             row = rows.get((i, comp, h))
@@ -183,8 +206,7 @@ class _ScaledAValues(dict):
                 row = rows[i, comp, h] = (row_entries, sum(comp) * self.sm_sum - hooks)
             entries += row[0]
             total += row[1]
-        entries.sort()
-        value = self[mp] = total + sum(map(mul, entries, weights))
+        value = self[mp] = total + _weighted_min_sum(entries)
         return value
 
 

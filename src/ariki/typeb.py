@@ -9,16 +9,18 @@ every rank 0..n, is read at q = 1 off the ranks of one type-A canonical
 basis recursion over one diagonal-crystal walk to rank n.  For even e the algebra
 is the d = 2 case at charges (1, e/2), so everything delegates to the
 general machinery.  A type B a-value is the a-value at those charges,
-half the d*a of one symbols._ScaledAValues table per call, as the odd-e
-matrix's type-A walk reads one table too.  Those charges have scaled
-weights (2, 0) for every even e, so the a-values read no e.
+half its d*a: a_value_typeb reads one bipartition's d*a off
+symbols._scaled_a_value, with no table, and a call that lists many reads
+one symbols._ScaledAValues table, as the odd-e matrix's type-A walk reads
+one table too.  Those charges have scaled weights (2, 0) for every even
+e, so the a-values read no e.
 """
 
 from .canonical import DecompositionMatrix, _bases_by_rank, decomposition_matrix
 from .charge import ChargeParams
 from .crystal import crystal_graph, flotw_multipartitions
 from .partitions import check_multipartition, enumerate_multipartitions, is_e_regular
-from .symbols import _ScaledAValues
+from .symbols import _ScaledAValues, _scaled_a_value
 
 
 def even_charge_params(e: int) -> ChargeParams:
@@ -33,18 +35,21 @@ def a_value_typeb(bp) -> int:
     bp = check_multipartition(bp)
     if len(bp) != 2:
         raise ValueError("expected a bipartition")
-    return _a_values_typeb((bp,))[bp]
+    return _halved(_scaled_a_value(bp, even_charge_params(2)), bp)
 
 
 def _a_values_typeb(bps) -> dict:
     """{bp: a_value_typeb(bp)} of valid bipartitions, unchecked."""
-    table, out = _ScaledAValues(even_charge_params(2)), {}
-    for bp in bps:
-        a, odd = divmod(table[bp], 2)
-        if odd:
-            raise RuntimeError(f"2*a of {bp} is odd: {table[bp]}")
-        out[bp] = a
-    return out
+    table = _ScaledAValues(even_charge_params(2))
+    return {bp: _halved(table[bp], bp) for bp in bps}
+
+
+def _halved(scaled: int, bp) -> int:
+    """The type B a-value of bp from its 2*a at the even-e charges."""
+    a, odd = divmod(scaled, 2)
+    if odd:
+        raise RuntimeError(f"2*a of {bp} is odd: {scaled}")
+    return a
 
 
 def _both_regular(bps, e: int) -> list:

@@ -31,7 +31,7 @@ from .laurent import LaurentPoly
 from .partitions import enumerate_multipartitions, is_e_regular
 from .render import (render_a_seq, render_a_value, render_bijection, render_canonical,
                      render_crystal, render_decomp, render_typeb)
-from .symbols import a_value, ordinary_symbol, shifted_symbol
+from .symbols import _ScaledAValues, a_value, ordinary_symbol, shifted_symbol
 from .typeb import (a_value_typeb, decomposition_matrix_b, even_charge_params,
                     type_a_params)
 
@@ -130,15 +130,21 @@ def check_d1_oracle():
 
 
 def check_a_oracle():
-    """a_value equals -schur_valuation/d on every multipartition of the grid."""
+    """a_value, and one a-value table per parameter set read over every rank
+    as the pipeline reads one, equal -schur_valuation/d on every
+    multipartition of the grid."""
     total = 0
     for p in GRID:
+        table = _ScaledAValues(p)
         for n in range(6):
             for mp in enumerate_multipartitions(p.d, n):
-                if a_value(mp, p) != Fraction(-schur_valuation(mp, p), p.d):
-                    return False, f"{mp} at {p.to_dict()}"
+                scaled = -schur_valuation(mp, p)
+                if a_value(mp, p) != Fraction(scaled, p.d):
+                    return False, f"a_value of {mp} at {p.to_dict()}"
+                if table[mp] != scaled:
+                    return False, f"table d*a of {mp} at {p.to_dict()}"
                 total += 1
-    return True, f"{total} multipartitions checked"
+    return True, f"{total} multipartitions checked, one at a time and by table"
 
 
 def check_invariances():

@@ -9,8 +9,8 @@ from ariki.charge import ChargeParams
 from ariki.partitions import enumerate_multipartitions
 from ariki._oracles import Weights, prec, schur_valuation
 from ariki.render import render_a_value
-from ariki.symbols import (_ScaledAValues, _scaled_stat, a_value, format_rational,
-                           ordinary_symbol, shifted_symbol)
+from ariki.symbols import (_ScaledAValues, _scaled_a_value, _scaled_stat, a_value,
+                           format_rational, ordinary_symbol, shifted_symbol)
 
 P24 = ChargeParams(2, 4, (0, 1))
 GRID = (P24, ChargeParams(2, 2, (0, 1)), ChargeParams(3, 3, (0, 1, 2)),
@@ -209,14 +209,16 @@ def test_a_value_matches_symbol_formula():
 
 
 def test_a_value_table_matches_one_at_a_time_and_valuation():
-    # one table read over every rank in turn, against a fresh table on one
-    # multipartition and the valuation oracle; it holds what was read
+    # one table read over every rank in turn, against the one-shot d*a and
+    # the valuation oracle; it holds what was read.  P24 = (2,4,(0,1)), with
+    # scaled weights (8, 6), and (2,4,(1,2)), with (2, 0), are the GRID
+    # points where _scaled_row's cut > 0 hook branch runs
     for p in GRID:
         table, read = _ScaledAValues(p), []
         for n in range(6):
             for mp in enumerate_multipartitions(p.d, n):
                 read.append(mp)
-                assert table[mp] == _ScaledAValues(p)[mp] == -schur_valuation(mp, p), (p, mp)
+                assert table[mp] == _scaled_a_value(mp, p) == -schur_valuation(mp, p), (p, mp)
         assert list(table) == read, p
 
 
@@ -236,7 +238,45 @@ def test_a_value_table_at_large_d_with_most_components_empty():
             mps.append(tuple(comps))
         table = _ScaledAValues(p)
         for mp in mps:
-            assert table[mp] == _ScaledAValues(p)[mp] == -schur_valuation(mp, p), (p, mp)
+            assert table[mp] == _scaled_a_value(mp, p) == -schur_valuation(mp, p), (p, mp)
+
+
+def test_a_single_query_builds_no_table(monkeypatch, capsys):
+    # a one-vertex a-value computes its d symbol rows once each and makes no
+    # _ScaledAValues, wherever a query path could reach the table
+    import ariki.render as render
+    import ariki.symbols as symbols
+    import ariki.typeb as typeb
+    from ariki.cli import main
+    from ariki.typeb import a_value_typeb, even_charge_params
+
+    def no_table(p):
+        raise AssertionError("a single query built an a-value table")
+
+    for module in (symbols, render, typeb):
+        monkeypatch.setattr(module, "_ScaledAValues", no_table, raising=False)
+    rows = []
+    real = symbols._scaled_row
+
+    def counting(i, comp, h, p):
+        rows.append(i)
+        return real(i, comp, h, p)
+
+    monkeypatch.setattr(symbols, "_scaled_row", counting)
+    p, mp, bp = ChargeParams(3, 4, (0, 1, 3)), ((2, 1), (1,), ()), ((1,), (2, 1))
+    a = Fraction(-schur_valuation(mp, p), 3)
+    text = f"{format_rational(a)} = {float(a)}\n"
+    queries = [
+        (lambda: a_value(mp, p), a, 3),
+        (lambda: render_a_value(p, mp), text, 3),
+        (lambda: a_value_typeb(bp), -schur_valuation(bp, even_charge_params(2)) // 2, 2),
+        (lambda: (main(["a-value", "--d", "3", "--e", "4", "--charges", "0,1,3",
+                        "--mp=2.1,1,-"]), capsys.readouterr().out), (0, text), 3),
+    ]
+    for query, expect, d in queries:
+        rows.clear()
+        assert query() == expect
+        assert rows == list(range(d)), rows
 
 
 def test_a_value_rejects_bad_input():

@@ -17,6 +17,11 @@ def _conjugate(lam):
 
 BREAKS = [
     ("a-function-oracle", "a_value", lambda a_value: lambda *args: a_value(*args) + 1),
+    # a table whose rows are right but whose d*a is off by one: the
+    # one-at-a-time a_value does not read it
+    ("a-function-oracle", "_ScaledAValues",
+     lambda real: type("OffByOne", (real,), {"__missing__": lambda self, mp:
+                                             real.__missing__(self, mp) + 1})),
     ("divided-power-oracle", "f_divided", lambda _: lambda vec, *args: vec),
     ("counting-identity", "is_kleshchev", lambda _: lambda mp, p: True),
     # as many labels as the diagonal walk has at every rank, but not its set
