@@ -1,8 +1,8 @@
 """Independent references that `verify` and the tests compare the pipeline against.
 
 Nothing in the pipeline imports this module, and none of its references
-reads the kernels it checks: the row scan charge.i_signature, the crystal's
-pair cancellation, or the divided-power move table.  Instead:
+reads the kernels it checks: charge's row scans, the crystal's pair
+cancellation, or the divided-power move table.  Instead:
 
 - the node orders have one encoding here, below_key, and the i-nodes come
   from the generic addable and removable filters;

@@ -12,19 +12,25 @@ property m imports fractions on first use, not at import.
 Two strict total orders on same-residue nodes drive everything downstream:
 the component-major order (below = smaller (comp, row)) and the
 diagonal order (below = larger b - a + v_c, ties to the smaller component).
-Two row scans find a multipartition's addable and removable nodes by
-residue, both in one pass over its rows.  i_signature lists the i-nodes of
-one residue i lowest first in either order; the divided powers, the
-crystal's good nodes and the bijection's replay read it.
-border_signatures lists every residue that occurs at once, as
-{residue: i_signature items in the component-major order}, for the crystal
-walks that try several residues of one vertex (the crystal graph, the
-bijection's edges and the raising paths).  A reader that wants a single
-residue stays on i_signature: a pass that sorts every node into buckets
-costs more than one that keeps the nodes of one residue.  The nodes are
-plain (row, col, comp) tuples; the public functions that return a node
-build the partitions.Node record from one.  The oracles' one encoding of
-the two orders is ariki._oracles.below_key.
+Four row scans find a multipartition's addable and removable nodes by
+residue, each in one pass over its rows.  i_signature lists the i-nodes of
+one residue i lowest first in either order; the divided powers read it in
+both orders, and the crystal's good nodes and the bijection's replay in
+the diagonal one.  border_signatures lists every residue that occurs at
+once, as {residue: i_signature items in the component-major order}, for
+the diagonal-order crystal walks that try several residues of one vertex
+(the crystal graph and the raising paths), which sort the lists they read.
+The component-major order is the scan order itself, so its two scans
+cancel while they scan and return the surviving nodes:
+am_reduced_signature for one residue (the good nodes and the bijection's
+replay in that order) and am_reduced_signatures for every residue that
+occurs (the crystal graph, the raising paths and the bijection's edges in
+that order).  A reader that wants a single residue stays on a one-residue
+scan: a pass that files every node by residue costs more than one that
+keeps the nodes of one residue.  The nodes are plain (row, col, comp)
+tuples; the public functions that return a node build the partitions.Node
+record from one.  The oracles' one encoding of the two orders is
+ariki._oracles.below_key.
 """
 
 from .partitions import Node
@@ -151,8 +157,9 @@ def border_signatures(mp, p: ChargeParams):
     it addable with the next residue when row a-1 is longer.  Each
     residue's list comes out in the component-major order, since the pass
     meets the rows in that order and a component's new-row node after its
-    rows; a diagonal-order reader sorts the lists it reads.  Only the
-    residues that occur are keys, so the cost does not grow with e.
+    rows.  Its readers are the diagonal-order walks, which sort the lists
+    they read; the component-major walks read am_reduced_signatures.  Only
+    the residues that occur are keys, so the cost does not grow with e.
     """
     if len(mp) > p.d:
         raise ValueError(f"component index {p.d} out of range for d={p.d}")
@@ -168,6 +175,82 @@ def border_signatures(mp, p: ChargeParams):
                     (a - length - vc, c, False, (a, length, c)))
         out.setdefault((vc - height) % e, []).append(
             (height - vc, c, True, (height + 1, 1, c)))
+    return out
+
+
+def am_reduced_signature(mp, i, p: ChargeParams):
+    """The surviving addable and removable i-nodes in the component-major order.
+
+    The nodes of i_signature(mp, i, "am", p), cancelled while the rows are
+    scanned: the scan meets them in the order itself, so an addable i-node
+    is pushed and a removable one pops the last surviving addable node, or
+    survives if there is none.  The scan steps a run of equal rows at a
+    time, since only its first row has an addable node and only its last a
+    removable one.  Both lists come out lowest node first.
+    """
+    if len(mp) > p.d:
+        raise ValueError(f"component index {p.d} out of range for d={p.d}")
+    e = p.e
+    addable, removable = [], []
+    for c, comp in enumerate(mp):
+        vc, height = p.v[c], len(comp)
+        a = 1
+        while a <= height:  # rows a..b have one length
+            length, b = comp[a - 1], a
+            while b < height and comp[b] == length:
+                b += 1
+            if (length + 1 - a + vc) % e == i:
+                addable.append((a, length + 1, c))
+            if (length - b + vc) % e == i:
+                if addable:
+                    addable.pop()
+                else:
+                    removable.append((b, length, c))
+            a = b + 1
+        if (vc - height) % e == i:
+            addable.append((height + 1, 1, c))
+    return addable, removable
+
+
+def am_reduced_signatures(mp, p: ChargeParams):
+    """{i: am_reduced_signature(mp, i, p)} for every residue i with an i-node.
+
+    One pass for all residues at once, a run of equal rows at a time,
+    cancelling as it scans: it meets every residue's nodes in the
+    component-major order.  Only the residues that occur are keys, so the
+    cost does not grow with e.
+    """
+    if len(mp) > p.d:
+        raise ValueError(f"component index {p.d} out of range for d={p.d}")
+    e, out = p.e, {}
+    for c, comp in enumerate(mp):
+        vc, height = p.v[c], len(comp)
+        a = 1
+        while a <= height:  # rows a..b have one length
+            length, b = comp[a - 1], a
+            while b < height and comp[b] == length:
+                b += 1
+            r = (length + 1 - a + vc) % e
+            pair = out.get(r)
+            if pair is None:
+                out[r] = ([(a, length + 1, c)], [])
+            else:
+                pair[0].append((a, length + 1, c))
+            r = (length - b + vc) % e
+            pair = out.get(r)
+            if pair is None:
+                out[r] = ([], [(b, length, c)])
+            elif pair[0]:
+                pair[0].pop()
+            else:
+                pair[1].append((b, length, c))
+            a = b + 1
+        r = (vc - height) % e
+        pair = out.get(r)
+        if pair is None:
+            out[r] = ([(height + 1, 1, c)], [])
+        else:
+            pair[0].append((height + 1, 1, c))
     return out
 
 

@@ -12,11 +12,17 @@ two-condition membership test at every rank, and the two membership sets are
 equinumerous rank by rank.
 
 Each walk scans a vertex's rows once per step.  The walks that try several
-residues of one vertex read every residue's i-signature from one
-charge.border_signatures pass: crystal_graph once per vertex, the
-bijection once per source of the diagonal edges, and a raising path once
-per step.  The good nodes and the bijection's replay want one residue, and
-read it from charge.i_signature, the scan the divided powers read too.
+residues of one vertex read every residue from one pass: crystal_graph
+once per vertex, the bijection once per source of the diagonal edges, and
+a raising path once per step.  In the component-major order the rows are
+scanned in the order itself, so that pass, charge.am_reduced_signatures,
+cancels as it scans and hands over every residue's surviving nodes; the
+diagonal order merges the components' rows, so its walks read
+charge.border_signatures and sort and cancel each list they use.  The
+good nodes and the bijection's replay want one residue: in the
+component-major order they read charge.am_reduced_signature, the same
+cancelling scan for one residue, and in the diagonal order
+charge.i_signature, the scan the divided powers read too.
 The signature's nodes are plain (row, col, comp) tuples; a
 partitions.Node is built only where a public function returns one (the
 good nodes and crystal_graph's edges).  The walks (the raising paths, the
@@ -40,7 +46,8 @@ component-major lowering of the image of its source.
 
 from typing import NamedTuple
 
-from .charge import ChargeParams, border_signatures, check_order, check_residue, i_signature
+from .charge import (ChargeParams, am_reduced_signature, am_reduced_signatures,
+                     border_signatures, check_order, check_residue, i_signature)
 from .partitions import (Node, _moved, check_components, empty_multipartition,
                          enumerate_multipartitions, rank)
 
@@ -48,8 +55,11 @@ from .partitions import (Node, _moved, check_components, empty_multipartition,
 def _reduced_signature(mp, i, order, p):
     """Surviving addable and removable i-nodes after pair cancellation.
 
-    Neither mp nor order is validated.
+    The component-major order cancels while it scans; the diagonal order
+    sorts the i-nodes first.  Neither mp nor order is validated.
     """
+    if order == "am":
+        return am_reduced_signature(mp, i, p)
     return _cancelled(i_signature(mp, i, order, p))
 
 
@@ -96,27 +106,37 @@ def _raising_path(mp, order, p):
     cancels nothing, and the next good removable node is the next surviving
     one down.  Any maximal raising path ends at its component's one
     highest-weight vertex, so this path reaches empty exactly when the
-    one-node path does.  A step makes one charge.border_signatures pass and
-    cancels its residues in ascending order until one keeps a removable
-    node; a residue with no i-node has none, so only those that occur are
-    tried, and the diagonal order sorts only the lists it reaches.  The
-    rank is counted down, not recomputed.
+    one-node path does.  A step tries the residues in ascending order until
+    one keeps a removable node; a residue with no i-node has none, so only
+    those that occur are tried.  In the component-major order a step reads
+    them all from one charge.am_reduced_signatures pass, which cancels as
+    it scans; in the diagonal order from one charge.border_signatures pass,
+    sorting and cancelling only the lists it reaches.  The rank is counted
+    down, not recomputed.
     """
     path, left, diagonal = [], rank(mp), order == "flotw"
     while left:
-        scan = border_signatures(mp, p)
-        for i in sorted(scan):
-            items = scan[i]
-            if diagonal:
+        if diagonal:
+            scan = border_signatures(mp, p)
+            for i in sorted(scan):
+                items = scan[i]
                 items.sort()
-            _, removable = _cancelled(items)
-            if removable:
-                path.append((i, len(removable)))
-                mp = _moved(mp, removable, -1)
-                left -= len(removable)
-                break
+                _, removable = _cancelled(items)
+                if removable:
+                    break
+            else:
+                return None
         else:
-            return None
+            scan = am_reduced_signatures(mp, p)
+            for i in sorted(scan):
+                removable = scan[i][1]
+                if removable:
+                    break
+            else:
+                return None
+        path.append((i, len(removable)))
+        mp = _moved(mp, removable, -1)
+        left -= len(removable)
     return path
 
 
@@ -183,8 +203,10 @@ class CrystalGraph(NamedTuple):
 def crystal_graph(p: ChargeParams, n: int, order: str) -> CrystalGraph:
     """Breadth-first crystal from the empty multipartition up to rank n.
 
-    Every residue of a vertex is read from one charge.border_signatures
-    pass; a residue with no i-node has no edge.
+    Every residue of a vertex is read from one pass:
+    charge.am_reduced_signatures in the component-major order,
+    charge.border_signatures in the diagonal one.  A residue with no
+    i-node has no edge.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -196,10 +218,13 @@ def crystal_graph(p: ChargeParams, n: int, order: str) -> CrystalGraph:
         targets = {}  # every edge into a vertex holds the level's one tuple
         level_edges = []
         for mp in levels[r]:
-            for i, items in border_signatures(mp, p).items():
+            scan = border_signatures(mp, p) if diagonal else am_reduced_signatures(mp, p)
+            for i, found in scan.items():
                 if diagonal:
-                    items.sort()
-                addable, _ = _cancelled(items)
+                    found.sort()
+                    addable, _ = _cancelled(found)
+                else:
+                    addable = found[0]
                 if addable:
                     nxt = _moved(mp, addable[:1], 1)
                     nxt = targets.setdefault(nxt, nxt)
@@ -236,9 +261,8 @@ def _graph_bijection(gf: CrystalGraph, p: ChargeParams):
     """crystal_bijection at the top rank of a diagonal-order crystal graph.
 
     A level's edges come sorted, so the edges of one source are adjacent:
-    its image is scanned once (charge.border_signatures, whose lists are in
-    the component-major order already) and each edge cancels its own
-    residue's list.
+    its image is scanned once (charge.am_reduced_signatures, which cancels
+    every residue as it scans) and each edge reads its own residue.
     """
     empty = gf.levels[0][0]
     image = {empty: empty}
@@ -247,8 +271,8 @@ def _graph_bijection(gf: CrystalGraph, p: ChargeParams):
         for src, i, _, dst in flotw_edges:
             if src != source:
                 source, cur = src, image[src]
-                scan = border_signatures(cur, p)
-            addable, _ = _cancelled(scan.get(i, ()))
+                scan = am_reduced_signatures(cur, p)
+            addable, _ = scan.get(i, ((), ()))
             target = _moved(cur, addable[:1], 1) if addable else None
             if target is None or level.setdefault(dst, target) != target:
                 raise RuntimeError(f"crystals disagree at {dst}")

@@ -16,7 +16,7 @@ class Node(NamedTuple):
     """A cell (row a, column b, component c) of a multipartition diagram.
 
     This is the public record: functions that return a node return a Node.
-    The hot row scans (charge.i_signature, fock._moves, aseq._peel) carry
+    The hot row scans (charge's signatures, fock._moves, aseq._peel) carry
     plain (row, col, comp) tuples, which compare and hash equal to it, and
     a Node is built from one only at the API.
     """
@@ -144,7 +144,7 @@ def _moved(mp, nodes, step: int):
     """mp with one cell added (step 1) or removed (step -1) at each node.
 
     The nodes are plain (row, col, comp) tuples already known addable or
-    removable on mp, as charge.i_signature and aseq._peel prove them, so
+    removable on mp, as charge's signatures and aseq._peel prove them, so
     nothing is re-checked: a node on row a lengthens or shortens row a, one
     past the last row appends a row of 1, and a row of 1 losing its cell is
     the last row and goes.  The multipartition is rebuilt once, and a

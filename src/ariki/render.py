@@ -125,6 +125,8 @@ def render_crystal(p: ChargeParams, n: int, order: str, fmt: str = "json") -> st
         for level_edges in graph.edges:
             for src, i, _, dst in level_edges:
                 lines.append(f'  "{label(src)}" -> "{label(dst)}" [label="{i}"];')
+        if not any(graph.edges):  # rank 0: the one vertex lies on no edge
+            lines += [f'  "{label(mp)}";' for level in graph.levels for mp in level]
         lines.append("}")
         return "\n".join(lines) + "\n"
     return _dumps({

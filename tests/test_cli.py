@@ -95,6 +95,24 @@ def test_crystal_json_and_dot(capsys):
     assert '"1" -> "2" [label="1"];' in out
 
 
+def test_crystal_dot_lists_every_vertex(capsys):
+    # the rank-0 crystal's one vertex lies on no edge and is written alone;
+    # at every higher rank each vertex lies on an edge, the JSON's vertices
+    for order in ("am", "flotw"):
+        code, out, _ = run_cli(capsys, "crystal", "--d", "2", "--e", "4",
+                               "--charges", "0,1", "--n", "0", "--order", order, "--dot")
+        assert code == 0 and out == 'digraph crystal {\n  "-,-";\n}\n'
+        p = ChargeParams(2, 4, (0, 1))
+        for n in range(1, 5):
+            graph = crystal.crystal_graph(p, n, order)
+            dot = render_crystal(p, n, order, "dot")
+            named = {name for line in dot.splitlines()[1:-1]
+                     for name in line.split('"')[1:4:2]}
+            assert named == {format_multipartition(mp) for level in graph.levels
+                             for mp in level}, (order, n)
+            assert all(line.endswith("];") for line in dot.splitlines()[1:-1])
+
+
 def test_bijection(capsys):
     code, out, _ = run_cli(capsys, "bijection", "--d", "2", "--e", "4",
                            "--charges", "0,1", "--mp", "1.1,-")

@@ -196,7 +196,9 @@ def test_public_functions_return_node_records():
 
 def test_hot_scans_build_no_node_records():
     # the row scans carry plain (row, col, comp) tuples
-    scans = {charge: ["i_signature", "border_signatures"], fock: ["_moves"], aseq: ["_peel"]}
+    scans = {charge: ["i_signature", "border_signatures", "am_reduced_signature",
+                      "am_reduced_signatures"],
+             fock: ["_moves"], aseq: ["_peel"]}
     for module, names in scans.items():
         tree = ast.parse(inspect.getsource(module))
         for fn in tree.body:
@@ -244,23 +246,27 @@ def test_bijection_rejects_non_members():
         bijection_j_inverse(((), (1, 1)), P24)
 
 
-def _count_border_scans(monkeypatch):
-    """A Counter of border scans by multipartition, through the name crystal calls."""
+def _count_scans(monkeypatch):
+    """{order: a Counter by multipartition of the all-residue passes that
+    order's walks read}, through the names crystal calls."""
     import ariki.crystal as crystal
-    calls = Counter()
-    real = crystal.border_signatures
+    passes = {"am": "am_reduced_signatures", "flotw": "border_signatures"}
+    calls = {order: Counter() for order in passes}
 
-    def counted(mp, p):
-        calls[mp] += 1
-        return real(mp, p)
+    def counted(seen, real):
+        def counting(mp, p):
+            seen[mp] += 1
+            return real(mp, p)
+        return counting
 
-    monkeypatch.setattr(crystal, "border_signatures", counted)
+    for order, name in passes.items():
+        monkeypatch.setattr(crystal, name, counted(calls[order], getattr(crystal, name)))
     return calls
 
 
 def test_signature_count_does_not_grow_with_e(monkeypatch):
-    # the border scan keys only the residues that occur, and the walks try
-    # only those, so a huge e costs no more scans and no more cancellations
+    # the all-residue passes key only the residues that occur, and the walks
+    # try only those, so a huge e costs no more scans and no more cancellations
     # than a small one (a list of e residues would take tens of seconds at
     # e = 10**6, and a walk that cancelled every residue would cost e)
     import ariki.crystal as crystal
@@ -277,62 +283,72 @@ def test_signature_count_does_not_grow_with_e(monkeypatch):
 
     monkeypatch.setattr(crystal, "_reduced_signature", counted_signature)
     monkeypatch.setattr(crystal, "_cancelled", counted_cancelled)
-    calls, scans = _count_border_scans(monkeypatch), {}
+    calls, scans = _count_scans(monkeypatch), {}
     for e in (5, 10**6):
         p = ChargeParams(1, e, (0,))
-        calls.clear()
+        for seen in calls.values():
+            seen.clear()
         assert is_kleshchev(((2, 1),), p)
         bijection_j_inverse(((2, 1),), p)
         for order in ("am", "flotw"):
             crystal_graph(p, 3, order)
         crystal_bijection(ChargeParams(2, e, (0, 1)), 3)
-        scans[e] = sum(calls.values())
-    assert scans[5] == scans[10**6] > 0
+        scans[e] = {order: sum(seen.values()) for order, seen in calls.items()}
+    assert scans[5] == scans[10**6] and all(scans[5].values())
     assert signatures[5] == signatures[10**6] > 0
     assert cancelled[5] == cancelled[10**6] > 0
 
 
 def test_crystal_graph_scans_each_vertex_once(monkeypatch):
-    # one border scan per vertex of ranks 0..n-1, which grow the edges
-    calls = _count_border_scans(monkeypatch)
+    # one all-residue pass of the order per vertex of ranks 0..n-1, which
+    # grow the edges, and none of the other order's
+    calls = _count_scans(monkeypatch)
     for p in GRID:
         for order in ("am", "flotw"):
-            calls.clear()
+            for seen in calls.values():
+                seen.clear()
             graph = crystal_graph(p, 6, order)
             below = [mp for level in graph.levels[:-1] for mp in level]
-            assert calls == Counter(below), (p, order)
+            other = "flotw" if order == "am" else "am"
+            assert calls[order] == Counter(below) and not calls[other], (p, order)
 
 
 def test_graph_bijection_scans_each_source_once(monkeypatch):
-    # one border scan of each source's image, whatever its number of edges
+    # one component-major pass of each source's image, whatever its number
+    # of edges
     from ariki.crystal import _graph_bijection
-    calls = _count_border_scans(monkeypatch)
+    calls = _count_scans(monkeypatch)
     for p in (*GRID, ChargeParams(3, 4, (0, 1, 3))):
         graph = crystal_graph(p, 6, "flotw")
-        calls.clear()
+        for seen in calls.values():
+            seen.clear()
         _graph_bijection(graph, p)
         sources = {src for level_edges in graph.edges for src, _, _, _ in level_edges}
-        assert sum(calls.values()) == len(sources) < sum(map(len, graph.edges)), p
+        assert sum(calls["am"].values()) == len(sources) < sum(map(len, graph.edges)), p
+        assert not calls["flotw"], p
 
 
 def test_raising_path_scans_once_per_step(monkeypatch):
-    # a raising path makes one border scan per (residue, k) step, and a
-    # multipartition that gets stuck one per step until it does
+    # a raising path makes one all-residue pass of its order per (residue, k)
+    # step, and a multipartition that gets stuck one per step until it does
     from ariki.crystal import _raising_path
-    calls = _count_border_scans(monkeypatch)
-    stuck = 0
+    calls, stuck = _count_scans(monkeypatch), 0
     for p in GRID:
         for order in ("am", "flotw"):
+            other = "flotw" if order == "am" else "am"
             for n in range(7):
                 for mp in enumerate_multipartitions(p.d, n):
-                    calls.clear()
+                    for seen in calls.values():
+                        seen.clear()
                     path = _raising_path(mp, order, p)
+                    scans = calls[order]
+                    assert not calls[other], (p, order, mp)
                     if path is None:
                         stuck += 1
-                        assert 0 < sum(calls.values()) <= n, (p, order, mp)
+                        assert 0 < sum(scans.values()) <= n, (p, order, mp)
                     else:
-                        assert sum(calls.values()) == len(path), (p, order, mp)
-                        assert all(count == 1 for count in calls.values())
+                        assert sum(scans.values()) == len(path), (p, order, mp)
+                        assert all(count == 1 for count in scans.values())
     assert stuck
 
 
@@ -372,6 +388,25 @@ def test_reduced_signature_matches_generic_filters():
                     for i in range(p.e):
                         assert _reduced_signature(mp, i, order, p) == \
                             _reduced_signature_oracle(mp, i, order, p), (mp, i, order)
+
+
+def test_all_residue_pass_matches_generic_filters():
+    # the pass that cancels every residue as it scans keys only the residues
+    # that occur; a residue it leaves out has no i-node at all
+    for p in VERIFY_GRID:
+        for n in range(7):
+            for mp in enumerate_multipartitions(p.d, n):
+                scan = charge.am_reduced_signatures(mp, p)
+                assert set(scan) <= set(range(p.e)), mp
+                for i in range(p.e):
+                    assert scan.get(i, ([], [])) == \
+                        _reduced_signature_oracle(mp, i, "am", p), (mp, i)
+                    assert (i in scan) == bool(addable_i_nodes(mp, i, p)
+                                               or removable_i_nodes(mp, i, p)), (mp, i)
+    with pytest.raises(ValueError, match="out of range"):
+        charge.am_reduced_signatures(((1,), (), ()), P24)
+    with pytest.raises(ValueError, match="out of range"):
+        charge.am_reduced_signature(((1,), (), ()), 0, P24)
 
 
 def test_validation_stays_at_the_boundary(monkeypatch):

@@ -10,7 +10,9 @@ import json
 import os
 
 from ariki.charge import ChargeParams
-from ariki.render import render_canonical, render_decomp, render_typeb
+from ariki.crystal import flotw_multipartitions, kleshchev_multipartitions
+from ariki.render import (render_bijection, render_canonical, render_crystal, render_decomp,
+                          render_typeb)
 from ariki.verification import GRID
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "render_digests.json")
@@ -25,6 +27,20 @@ def _cases():
         yield f"canonical {key}", lambda p=p, n=n: render_canonical(p, n)
         yield f"decomp text {key}", lambda p=p, n=n: render_decomp(p, n)
         yield f"decomp json {key}", lambda p=p, n=n: render_decomp(p, n, "json")
+    # the crystals and the bijection, in both orders and directions, on
+    # every vertex
+    for p in GRID:
+        for n in range(1, 7):
+            key = f"{p.d},{p.e},{','.join(map(str, p.v))},n={n}"
+            for order in ("am", "flotw"):
+                for fmt in ("json", "dot"):
+                    yield (f"crystal {order} {fmt} {key}",
+                           lambda p=p, n=n, order=order, fmt=fmt:
+                           render_crystal(p, n, order, fmt))
+            yield (f"bijection {key}", lambda p=p, n=n: "".join(
+                render_bijection(p, mp) for mp in kleshchev_multipartitions(p, n)))
+            yield (f"bijection inverse {key}", lambda p=p, n=n: "".join(
+                render_bijection(p, mp, True) for mp in flotw_multipartitions(p, n)))
     for e in (3, 4):
         for n in range(8):
             for fmt in ("text", "json"):
