@@ -6,8 +6,8 @@ cancellation, or the divided-power move table.  Instead:
 
 - the node orders have one encoding here, below_key, and the i-nodes come
   from the generic addable and removable filters;
-- f_action adds one node at a time, so (f_i)^j / [j]! checks the
-  divided powers;
+- f_action adds one node at a time, and divided_power_holds checks a
+  divided power against it: [j]! f_i^(j) v = (f_i)^j v;
 - compute_A replays a label's whole residue sequence from the empty
   vector, and replayed_basis straightens those replays against the LLT
   rank recursion, by a scan over every finished label rather than the
@@ -115,12 +115,19 @@ def f_action(v: FockVector, i, order: str, p: ChargeParams) -> FockVector:
     return FockVector(out)
 
 
-def f_power_divided_oracle(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVector:
-    """(f_i)^j / [j]!, with the division required to be exact."""
-    out = v
+def divided_power_holds(out: FockVector, v: FockVector, i, j: int, order: str,
+                        p: ChargeParams) -> bool:
+    """Whether [j]! * out == (f_i)^j v, term by term, out's terms as stored.
+
+    Z[q, q^-1] has no zero divisors, so this holds for exactly one out, the
+    exact quotient (f_i)^j v / [j]!, and for none when [j]! does not divide
+    (f_i)^j v; a zero coefficient stored in out never matches.
+    """
+    power = v
     for _ in range(j):
-        out = f_action(out, i, order, p)
-    return out.exact_div(gauss_factorial(j))
+        power = f_action(power, i, order, p)
+    factorial = gauss_factorial(j)
+    return {mp: factorial * c for mp, c in out.terms.items()} == power.terms
 
 
 def compute_A(mp, p: ChargeParams) -> FockVector:

@@ -356,7 +356,7 @@ class DecompositionMatrix:
     rows x columns view, is derived from them on first use.  The
     constructor takes either nonzero= or a dense entries=, which it
     converts once.  Equality and hashing read the stored fields.  There are
-    no __slots__: the cached properties live in the instance dict.
+    no __slots__: the cached entries live in the instance dict.
     """
 
     def __init__(self, rows, columns, kleshchev_labels, row_a_values,
@@ -397,22 +397,6 @@ class DecompositionMatrix:
                 row[j] = x
             dense.append(tuple(row))
         return tuple(dense)
-
-    @cached_property
-    def _row_index(self):
-        return {mp: i for i, mp in enumerate(self.rows)}
-
-    @cached_property
-    def _column_index(self):
-        return {mp: j for j, mp in enumerate(self.columns)}
-
-    def entry(self, mp_row, mp_col) -> int:
-        pairs = self.nonzero[self._row_index[mp_row]]
-        return dict(pairs).get(self._column_index[mp_col], 0)
-
-    def is_identity(self) -> bool:
-        return (len(self.rows) == len(self.columns)
-                and all(pairs == ((i, 1),) for i, pairs in enumerate(self.nonzero)))
 
 
 def decomposition_matrix(p: ChargeParams, n: int) -> DecompositionMatrix:

@@ -6,9 +6,8 @@ q-exponent on each term balances addable against removable i-nodes on one
 side of the new node, the side being measured in either the
 component-major order ("am") or the diagonal order ("flotw").  The divided
 power f_i^(j) adds j distinct i-nodes at once with the closed-form
-multi-node exponent; the oracle ariki._oracles.f_power_divided_oracle
-divides the j-fold one-node action by [j]!, which must reproduce it
-exactly.
+multi-node exponent; the predicate ariki._oracles.divided_power_holds
+requires [j]! times it to equal the j-fold one-node action exactly.
 
 The multi-node exponent has a closed form.  Adding a node of residue i
 changes the addable or removable status only of that node and of cells of
@@ -111,10 +110,6 @@ class FockVector:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def exact_div(self, poly: LaurentPoly):
-        """Divide every coefficient exactly by poly; raises if any fails."""
-        return FockVector({mp: c.exact_div(poly) for mp, c in self.terms.items()})
 
     def at_one(self):
         """Specialize q = 1: map multipartition -> integer."""

@@ -1,4 +1,4 @@
-"""Sparse integer Laurent polynomials in q, with exact division.
+"""Sparse integer Laurent polynomials in q.
 
 Polynomials are stored as {exponent: coefficient} with no zero entries;
 coefficients are Python ints, so nothing overflows.  The bar involution
@@ -59,16 +59,6 @@ class LaurentPoly:
     def coefficient(self, e: int) -> int:
         return self.coeffs.get(e, 0)
 
-    def min_degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return min(self.coeffs)
-
-    def max_degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return max(self.coeffs)
-
     def in_q_zq(self) -> bool:
         """True iff the polynomial lies in q*Z[q] (zero counts)."""
         return not self.coeffs or min(self.coeffs) >= 1
@@ -123,39 +113,6 @@ class LaurentPoly:
                 else:
                     data.pop(e, None)
         return LaurentPoly._of(data)
-
-    def exact_div(self, other):
-        """Exact quotient self / other over Z[q, q^(-1)]; raises if inexact."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return LaurentPoly()
-        # shift both to ordinary polynomials and long-divide from the top
-        lo_s, lo_o = self.min_degree(), other.min_degree()
-        num = dict(self.coeffs)
-        quot = {}
-        lead_e = other.max_degree()
-        lead_c = other.coeffs[lead_e]
-        while num:
-            top = max(num)
-            c = num[top]
-            if top - lead_e < lo_s - lo_o or c % lead_c:
-                raise ArithmeticError("division is not exact")
-            qe, qc = top - lead_e, c // lead_c
-            quot[qe] = qc
-            for e, oc in other.coeffs.items():
-                ne = e + qe
-                new = num.get(ne, 0) - oc * qc
-                if new:
-                    num[ne] = new
-                else:
-                    num.pop(ne, None)
-            if num and max(num) >= top:
-                raise ArithmeticError("division is not exact")
-        result = LaurentPoly(quot)
-        if result.min_degree() != lo_s - lo_o:
-            raise ArithmeticError("division is not exact")
-        return result
 
     def __str__(self):
         if not self.coeffs:

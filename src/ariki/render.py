@@ -18,9 +18,9 @@ crystal DOT and typeb basic-set and a-values lists join the texts of
 components they have already met; the table ends with the call.  The
 format itself has its one definition in partitions.format_multipartition.
 
-render_enumerate, render_a_graph, render_crystal, write_decomp and
-write_typeb reject an unknown format with a ValueError naming the allowed
-ones, before they compute or write anything.
+render_enumerate, render_a_graph, render_crystal, write_matrix,
+write_decomp and write_typeb reject an unknown format with a ValueError
+naming the allowed ones, before they compute or write anything.
 
 Importing this module loads neither json nor fractions: json is imported
 in _dumps, on the JSON paths only (enumerate, a-graph, crystal, decomp and
@@ -192,6 +192,7 @@ def _fill(blank, stride, width, pairs, text):
 
 
 def write_matrix(out, matrix, fmt: str = "text"):
+    _check_format(fmt, ("text", "json"))
     values = {x for pairs in matrix.nonzero for _, x in pairs}
     if fmt == "json":
         # json.dumps of the dense payload, byte for byte: its head is dumped

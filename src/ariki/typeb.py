@@ -6,7 +6,10 @@ when the component sizes match, and zero otherwise; the basic set consists
 of the bipartitions with both components e-regular, which _both_regular
 picks with one is_e_regular test per distinct component.  Every factor, of
 every rank 0..n, is read at q = 1 off the ranks of one type-A canonical
-basis recursion over one diagonal-crystal walk to rank n.  For even e the algebra
+basis recursion.  Its labels, the e-regular partitions of sizes 0..n (the
+vertices of the d = 1 diagonal crystal), are the components of the basic
+set: each such lam is a component of the column (lam, (n - |lam|)), so no
+crystal is walked.  For even e the algebra
 is the d = 2 case at charges (1, e/2), so everything delegates to the
 general machinery.  A type B a-value is the a-value at those charges,
 half its d*a: a_value_typeb reads one bipartition's d*a off
@@ -18,7 +21,7 @@ e, so the a-values read no e.
 
 from .canonical import DecompositionMatrix, _bases_by_rank, decomposition_matrix
 from .charge import ChargeParams
-from .crystal import crystal_graph, flotw_multipartitions
+from .crystal import flotw_multipartitions
 from .partitions import check_multipartition, enumerate_multipartitions, is_e_regular
 from .symbols import _ScaledAValues, _scaled_a_value
 
@@ -81,8 +84,15 @@ def decomposition_matrix_b(n: int, e: int) -> DecompositionMatrix:
     if e % 2 == 0:
         return decomposition_matrix(even_charge_params(e), n)
 
+    avals = _a_values_typeb(enumerate_multipartitions(2, n))
+    # avals is in label order and the sort is stable, so ties keep label order
+    rows = sorted(avals, key=avals.__getitem__)
+    # the basic set: the rows whose components are both e-regular
+    columns = _both_regular(rows, e)
+
     pa = type_a_params(e)
-    every = {mp: mp for level in crystal_graph(pa, n, "flotw").levels for mp in level}
+    # the type-A labels of ranks 0..n: the components of the basic set
+    every = {(c,): (c,) for c in {c for bp in columns for c in bp}}
     # per rank and row partition of a type-A factor: its nonzero (column, entry)
     factors = []
     for basis in _bases_by_rank(pa, every, every, _ScaledAValues(pa)):
@@ -92,12 +102,6 @@ def decomposition_matrix_b(n: int, e: int) -> DecompositionMatrix:
                 if x:
                     pairs.setdefault(mu, []).append((lam, x))
         factors.append(pairs)
-
-    avals = _a_values_typeb(enumerate_multipartitions(2, n))
-    # avals is in label order and the sort is stable, so ties keep label order
-    rows = sorted(avals, key=avals.__getitem__)
-    # the basic set: the rows whose components are both e-regular
-    columns = _both_regular(rows, e)
     # an entry is the product of the component-wise type-A entries, so only
     # products of two nonzeros are stored; size mismatches stay zero.
     # Equal cells share one tuple.

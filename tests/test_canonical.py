@@ -252,9 +252,10 @@ def test_one_symbol_row_computation_per_call(monkeypatch):
 
 def test_one_crystal_walk_per_matrix(monkeypatch):
     # the diagonal walk labels the columns, gives their Kleshchev duals and
-    # builds the basis; odd-e type B reads every factor off one type-A walk
+    # builds the basis; odd-e type B reads its type-A labels off the basic
+    # set and walks no crystal, even-e type B walks the one of its charges
     import ariki.canonical as canonical
-    import ariki.typeb as typeb
+    import ariki.crystal as crystal
     calls = []
 
     def counted(real):
@@ -263,16 +264,16 @@ def test_one_crystal_walk_per_matrix(monkeypatch):
             return real(p, n, order)
         return counting
 
-    for module in (canonical, typeb):
+    for module in (canonical, crystal):
         monkeypatch.setattr(module, "crystal_graph", counted(module.crystal_graph))
     for p, n in ((P24, 5), (ChargeParams(3, 3, (0, 1, 2)), 4), (D1E2, 6)):
         calls.clear()
         decomposition_matrix(p, n)
         assert calls == ["flotw"], (p, n)
-    for n, e in ((6, 3), (5, 5), (0, 3)):
+    for n, e, walks in ((6, 3, []), (5, 5, []), (0, 3, []), (5, 4, ["flotw"])):
         calls.clear()
         decomposition_matrix_b(n, e)
-        assert calls == ["flotw"], (n, e)
+        assert calls == walks, (n, e)
 
 
 def test_one_move_table_per_rank(monkeypatch):
@@ -393,11 +394,9 @@ def test_records_are_immutable_values():
 
 def test_decomposition_matrix_d1e3():
     m = decomposition_matrix(ChargeParams(1, 3, (0,)), 3)
+    assert m.rows == (((3,),), ((2, 1),), ((1, 1, 1),))
     assert m.columns == (((3,),), ((2, 1),))
-    assert m.entry(((3,),), ((3,),)) == 1
-    assert m.entry(((2, 1),), ((3,),)) == 1
-    assert m.entry(((1, 1, 1),), ((2, 1),)) == 1
-    assert m.entry(((1, 1, 1),), ((3,),)) == 0
+    assert m.entries == ((1, 0), (1, 1), (0, 1))
 
 
 def test_matrix_stores_only_nonzeros():
@@ -413,9 +412,6 @@ def test_matrix_stores_only_nonzeros():
         for pairs in m.nonzero:
             columns = [j for j, _ in pairs]
             assert all(x for _, x in pairs) and columns == sorted(set(columns))
-        identity = tuple(tuple(int(i == j) for j in range(len(m.columns)))
-                         for i in range(len(m.rows)))
-        assert m.is_identity() == (len(m.rows) == len(m.columns) and dense == identity)
         fields = {f: getattr(m, f) for f in ("rows", "columns", "kleshchev_labels",
                                              "row_a_values", "column_a_values")}
         assert DecompositionMatrix(**fields, entries=dense) == m
@@ -423,14 +419,6 @@ def test_matrix_stores_only_nonzeros():
             DecompositionMatrix(**fields)
         with pytest.raises(TypeError):
             DecompositionMatrix(**fields, entries=dense, nonzero=m.nonzero)
-    # square and unitriangular is not enough for the identity
-    labels = (((2,),), ((1, 1),))
-    for dense, identity in ((((1, 0), (0, 1)), True), (((1, 1), (0, 1)), False),
-                            (((1, 0), (1, 1)), False)):
-        m = DecompositionMatrix(rows=labels, columns=labels, kleshchev_labels=labels,
-                                row_a_values=(0, 1), column_a_values=(0, 1),
-                                entries=dense)
-        assert m.is_identity() == identity and m.entries == dense
 
 
 def test_matrix_unitriangular_shape():

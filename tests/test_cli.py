@@ -19,7 +19,7 @@ from ariki.charge import ChargeParams
 from ariki.partitions import format_multipartition
 from ariki.render import (render_a_graph, render_canonical, render_crystal, render_decomp,
                           render_enumerate, render_matrix, render_typeb, write_decomp,
-                          write_typeb)
+                          write_matrix, write_typeb)
 from ariki.symbols import format_rational
 from ariki.verification import GRID
 
@@ -412,6 +412,13 @@ def test_unknown_formats_raise_before_any_work(monkeypatch):
                   lambda: write_typeb(out, 2, 3, "decomp", "dot")):
         with pytest.raises(ValueError, match="unknown format 'dot'"):
             write()
+    # a matrix the caller built is checked too: no format falls back to text
+    m = DecompositionMatrix(rows=(((1,), ()),), columns=(((1,), ()),), kleshchev_labels=None,
+                            nonzero=(((0, 1),),), row_a_values=(0,), column_a_values=(0,))
+    for fmt in ("JSON", "dot"):
+        with pytest.raises(ValueError, match=f"unknown format '{fmt}'; expected one of "
+                                             f"text, json$"):
+            write_matrix(out, m, fmt)
     assert out.getvalue() == ""
 
 

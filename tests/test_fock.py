@@ -10,7 +10,7 @@ import pytest
 
 import ariki
 from ariki.canonical import DecompositionMatrix
-from ariki._oracles import below_key, f_action, f_power_divided_oracle, gauss_factorial
+from ariki._oracles import below_key, divided_power_holds, f_action
 from ariki.charge import ChargeParams, i_signature
 from ariki.crystal import crystal_graph, good_addable_node, good_removable_node
 from ariki.fock import FockVector, _f_divided, _moves, f_divided
@@ -130,7 +130,7 @@ def test_divided_power_oracle_multi_term():
                     for i in range(p.e):
                         for j in range(1, 5):
                             out = f_divided(vec, i, j, order, p)
-                            assert out == f_power_divided_oracle(vec, i, j, order, p)
+                            assert divided_power_holds(out, vec, i, j, order, p)
                             _assert_normalized(out)
 
 
@@ -165,7 +165,7 @@ def test_divided_power_cancelling_terms_dropped():
         vec = FockVector({lam1: x2, lam2: -x1})
         for j in (1, 2):
             out = f_divided(vec, 1, j, order, p)
-            assert out == f_power_divided_oracle(vec, 1, j, order, p)
+            assert divided_power_holds(out, vec, 1, j, order, p)
             assert mu not in out.terms
             _assert_normalized(out)
         assert not f_divided(vec, 1, 1, order, p).is_zero()
@@ -183,14 +183,6 @@ def test_distant_residues_commute():
                     ab = f_action(f_action(vec, i, order, p), j, order, p)
                     ba = f_action(f_action(vec, j, order, p), i, order, p)
                     assert ab == ba
-
-
-def test_vector_arithmetic_and_division():
-    a = FockVector({((2,), ()): gauss_factorial(2)})
-    b = a.exact_div(gauss_factorial(2))
-    assert b == FockVector.unit(((2,), ()))
-    with pytest.raises(ArithmeticError):
-        FockVector.unit(((2,), ())).exact_div(gauss_factorial(2))
 
 
 def test_mixed_rank_rejected():

@@ -11,8 +11,10 @@ import os
 
 from ariki.charge import ChargeParams
 from ariki.crystal import flotw_multipartitions, kleshchev_multipartitions
-from ariki.render import (render_bijection, render_canonical, render_crystal, render_decomp,
-                          render_typeb)
+from ariki.partitions import enumerate_multipartitions
+from ariki.render import (render_a_graph, render_a_seq, render_a_value, render_bijection,
+                          render_canonical, render_crystal, render_decomp, render_enumerate,
+                          render_symbol, render_typeb)
 from ariki.verification import GRID
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "render_digests.json")
@@ -41,6 +43,27 @@ def _cases():
                 render_bijection(p, mp) for mp in kleshchev_multipartitions(p, n)))
             yield (f"bijection inverse {key}", lambda p=p, n=n: "".join(
                 render_bijection(p, mp, True) for mp in flotw_multipartitions(p, n)))
+    # the single-multipartition queries, joined over every multipartition
+    # (a-value, symbol) or every diagonal-order vertex (a-seq, a-graph) of
+    # each rank
+    for p in GRID:
+        for n in range(7):
+            key = f"{p.d},{p.e},{','.join(map(str, p.v))},n={n}"
+            yield (f"a-value {key}", lambda p=p, n=n: "".join(
+                render_a_value(p, mp) for mp in enumerate_multipartitions(p.d, n)))
+            for shift in (0, 1):
+                yield (f"symbol shift={shift} {key}", lambda p=p, n=n, shift=shift: "".join(
+                    render_symbol(p, mp, shift) for mp in enumerate_multipartitions(p.d, n)))
+            yield (f"a-seq {key}", lambda p=p, n=n: "".join(
+                render_a_seq(p, mp) for mp in flotw_multipartitions(p, n)))
+            for fmt in ("text", "json"):
+                yield (f"a-graph {fmt} {key}", lambda p=p, n=n, fmt=fmt: "".join(
+                    render_a_graph(p, mp, fmt) for mp in flotw_multipartitions(p, n)))
+    for d in range(1, 4):
+        for n in range(7):
+            for fmt in ("text", "json"):
+                yield (f"enumerate {fmt} d={d},n={n}",
+                       lambda d=d, n=n, fmt=fmt: render_enumerate(d, n, fmt))
     for e in (3, 4):
         for n in range(8):
             for fmt in ("text", "json"):

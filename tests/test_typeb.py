@@ -12,6 +12,7 @@ from ariki.partitions import enumerate_multipartitions
 from ariki.symbols import a_value
 from ariki.typeb import (a_value_typeb, canonical_basic_set_b, decomposition_matrix_b,
                          even_charge_params, type_a_params)
+from ariki.verification import _cells
 
 
 def test_a_value_typeb_examples():
@@ -84,23 +85,24 @@ def _check_entry_formula(n, e, factors, row_sizes):
                                   key=lambda bp: (a_value_typeb(bp), bp)))
     assert m.columns == tuple(sorted(canonical_basic_set_b(n, e),
                                      key=lambda bp: (a_value_typeb(bp), bp)))
-    for i, mu in enumerate(m.rows):
+    for mu, row in zip(m.rows, m.entries):
         if sum(mu[0]) not in row_sizes:
             continue
-        for j, lam in enumerate(m.columns):
+        for lam, x in zip(m.columns, row):
             if sum(mu[0]) != sum(lam[0]):
                 expected = 0
             else:
-                a = sum(lam[0])
-                expected = (factors[a].entry((mu[0],), (lam[0],))
-                            * factors[n - a].entry((mu[1],), (lam[1],)))
-            assert m.entries[i][j] == expected, (n, e, mu, lam)
+                expected = factors[(mu[0],), (lam[0],)] * factors[(mu[1],), (lam[1],)]
+            assert x == expected, (n, e, mu, lam)
 
 
 def test_odd_matrix_block_tensor_structure():
     for e in (3, 5):
         top = 12 if e == 3 else 9
-        factors = [decomposition_matrix(type_a_params(e), l) for l in range(top + 1)]
+        # {(mu, lam): entry} of the type-A factors of ranks 0..top
+        factors = {}
+        for l in range(top + 1):
+            factors.update(_cells(decomposition_matrix(type_a_params(e), l)))
         for n in range(10):
             _check_entry_formula(n, e, factors, range(n + 1))
         if e == 3:
@@ -123,7 +125,7 @@ def test_minimal_a_row_is_diagonal(n, e):
     for j, col in enumerate(m.columns):
         nonzero = [i for i in range(len(m.rows)) if m.entries[i][j]]
         assert min(m.row_a_values[i] for i in nonzero) == m.column_a_values[j]
-        assert m.entry(col, col) == 1
+        assert m.entries[m.rows.index(col)][j] == 1
 
 
 def test_column_count_is_product_of_regular_counts():
