@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .aseq import a_sequence_blocks, composition_addable_positions
 from .canonical import _elements, _leading_one
-from .charge import ChargeParams, check_order, check_residue, residue
+from .charge import ChargeParams, a_weights, check_order, check_residue, residue
 from .crystal import flotw_multipartitions
 from .fock import FockVector, f_divided
 from .laurent import LaurentPoly
@@ -41,6 +41,12 @@ class Weights(NamedTuple):
     e: int
     v: tuple
     scaled_m: tuple
+
+    @property
+    def _a_weights(self):
+        """The a-function's weight data, derived on each read as ChargeParams
+        derives it once."""
+        return a_weights(self.d, self.scaled_m)
 
 
 def bumped_weights(p: ChargeParams) -> Weights:

@@ -7,7 +7,10 @@ nonnegative; the a-function, and so everything downstream, depends on the
 weights only up to a common shift, so s is derived, never given.  The
 m^(j) have denominator d, so all arithmetic is done on the integers
 scaled_m[j] = d*m^(j); rationals only ever appear in display, and the
-property m imports fractions on first use, not at import.
+property m imports fractions on first use, not at import.  scaled_m and the
+a-function's weight data follow from them: a_weights(d, scaled_m) sorts
+the weights once, so each symbol row's hook sum (symbols._scaled_row) loops
+only over the weights more than d above the row's own.
 
 Two strict total orders on same-residue nodes drive everything downstream:
 the component-major order (below = smaller (comp, row)) and the
@@ -33,19 +36,51 @@ record from one.  The oracles' one encoding of the two orders is
 ariki._oracles.below_key.
 """
 
+from bisect import bisect_right
+from itertools import accumulate
+from operator import mul
+
 from .partitions import Node
 
 ORDERS = ("am", "flotw")
+
+
+def _weighted_min_sum(xs):
+    """Sum of min(x, y) over unordered pairs of the list xs, which this sorts
+    in place: x_(k) counts N-1-k times."""
+    xs.sort()
+    return sum(map(mul, xs, range(len(xs) - 1, -1, -1)))
+
+
+def a_weights(d, scaled_m):
+    """The a-function's data of the scaled weights sm, which depends on
+    (d, sm) alone: (total, pairs, low, start, ascending).
+
+    Row i of a symbol reads min(d*k + sm_i, sm_j) for every weight sm_j and
+    k >= 1.  A weight sm_j <= sm_i + d is the minimum for every k, so row i
+    reads those weights through their sum low[i] alone; the others, its
+    high weights, are ascending[start[i]:], with ascending the sorted sm.
+    pairs is the sum of min(sm_i, sm_j) over the pairs i < j, and total the
+    sum of sm.  One sort, a prefix sum and one bisect per weight: O(d log d)
+    time and O(d) memory.
+    """
+    ascending = list(scaled_m)
+    pairs = _weighted_min_sum(ascending)  # sorts ascending in place
+    ascending = tuple(ascending)
+    prefix = (0, *accumulate(ascending))
+    start = tuple(bisect_right(ascending, x + d) for x in scaled_m)
+    return prefix[-1], pairs, tuple(prefix[k] for k in start), start, ascending
 
 
 class ChargeParams:
     """Immutable (d, e, charges) bundle with the derived scaled weights.
 
     The weights take the minimal shift that makes them all nonnegative.
-    Equality and hashing read (d, e, v); scaled_m follows from them.
+    Equality and hashing read (d, e, v); scaled_m and the a-function's
+    weight data _a_weights (a_weights) follow from them.
     """
 
-    __slots__ = ("d", "e", "v", "scaled_m")
+    __slots__ = ("d", "e", "v", "scaled_m", "_a_weights")
 
     def __init__(self, d, e, v):
         v = tuple(v)
@@ -65,7 +100,8 @@ class ChargeParams:
         # s = max_j ceil((j*e - d*v_j) / (d*e)), which is 0 or more (j = 0)
         s = max((j * e - d * v[j] + d * e - 1) // (d * e) for j in range(d))
         scaled = tuple(d * v[j] - j * e + s * d * e for j in range(d))
-        for name, value in (("d", d), ("e", e), ("v", v), ("scaled_m", scaled)):
+        for name, value in (("d", d), ("e", e), ("v", v), ("scaled_m", scaled),
+                            ("_a_weights", a_weights(d, scaled))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):

@@ -13,17 +13,22 @@ binomial factors.
 All charged arithmetic uses entries scaled by d (see charge.scaled_m);
 exact rationals appear only in shifted symbols and returned a-values.  The
 integer d*a orders multipartitions exactly as the a-value does, and it has
-one formula: a term of the height alone (_height_term), n*sum(sm), and the
-composition statistic _scaled_stat, which sorts the scaled entries of the
-d symbol rows once for their pair sum and subtracts the rows' hook sums,
-each row built once by _scaled_row.  It has two readers.  A single query
+one formula: a term of the height alone (_height_term), one term per
+symbol row (_scaled_row: the row's share of n*sum(sm) less its hook sum),
+and the pair sum of all the rows' scaled entries, sorted once.  What
+depends on the weights alone, their pair sum and the split of each row's
+hook sum into weights read through one sum and weights read one by one,
+is derived once per ChargeParams (charge.a_weights), so the rows of the
+grid points loop over no weight at all.  _scaled_row appends its entries
+to the caller's list, and the formula has two readers.  A single query
 (a_value, render.render_a_value, typeb.a_value_typeb) calls
-_scaled_a_value, which builds its d rows and no table.  A call that reads
-many a-values (the basis and matrix pipelines, type B's a-value lists)
-makes one _ScaledAValues table, which adds only a cache: a symbol row
-depends only on (component index, partition, height), so the table
-computes each row once per call.  A Fraction is built only for the public
-a_value and the a-values a DecompositionMatrix reports.
+_scaled_a_value, whose d rows extend one list, with no table.  A call that
+reads many a-values (the basis and matrix pipelines, type B's a-value
+lists) makes one _ScaledAValues table, which adds only a cache: a symbol
+row depends only on (component index, partition, height), so the table
+computes each row once per call, into a list of its own.  A Fraction is
+built only for the public a_value and the a-values a DecompositionMatrix
+reports.
 
 fractions is imported only inside shifted_symbol and a_value, the two
 functions here that return Fractions, so importing the package does not
@@ -32,10 +37,9 @@ and Fractions both have, and builds no Fraction.
 """
 
 from math import comb
-from operator import mul
 from typing import NamedTuple
 
-from .charge import ChargeParams
+from .charge import ChargeParams, _weighted_min_sum
 from .partitions import check_components, check_multicomposition, part, rank
 
 
@@ -88,56 +92,52 @@ def shifted_symbol(sym: Symbol, m) -> ShiftedSymbol:
     return ShiftedSymbol(rows=rows, height=sym.height)
 
 
-def _weighted_min_sum(xs):
-    """Sum of min(x, y) over unordered pairs of the list xs, which this sorts
-    in place: x_(k) counts N-1-k times."""
-    xs.sort()
-    return sum(map(mul, xs, range(len(xs) - 1, -1, -1)))
-
-
 def _height_term(h, p: ChargeParams) -> int:
     """The part of d*a that depends on the symbol height h alone.
 
     The entries of a height-h symbol total n + d*h(h-1)/2, and tau sums
-    C(d*t+1, 2) for t = 1..h-1; with the entries' pair sum and hook sums
-    (_scaled_stat) and n*sum(sm), d*a is
-    n*sum(sm) - d*tau + d*(total - n) - h*sum_{i<j} min(sm_i, sm_j) + stat.
+    C(d*t+1, 2) for t = 1..h-1; with the rows' terms (_scaled_row) and the
+    entries' pair sum, d*a is d*(total - n) - d*tau - h*P + rows + pairs,
+    where P = sum_{i<j} min(sm_i, sm_j) depends on p alone and is derived
+    once (charge.a_weights).
     """
     d = p.d
     t1 = (h - 1) * h // 2
     t2 = (h - 1) * h * (2 * h - 1) // 6
     tau = (d * d * t2 + d * t1) // 2
-    return d * d * t1 - d * tau - h * _weighted_min_sum(list(p.scaled_m))
+    return d * d * t1 - d * tau - h * p._a_weights[1]  # P
 
 
-def _scaled_row(i, comp, h, p: ChargeParams):
-    """Row i of the height-h symbol of the composition comp, scaled: its
-    entries d*beta + sm_i, and its hook sum.
+def _scaled_row(entries, i, comp, h, p: ChargeParams) -> int:
+    """Append row i of the height-h symbol of the composition comp, scaled,
+    to entries, and return the row's term |comp|*sum(sm) less its hook sum.
 
-    The entries are built once, the parts' then the padding's, and the
-    betas total |comp| + h(h-1)/2.  The hook sum is that of
-    min(d*k + sm_i, sm_j) over the row's entries beta, 1 <= k <= beta and
-    every row j.  It is closed form: for fixed j the first
-    K = floor((sm_j - sm_i)/d) values of k take the left side of the min,
-    and every k takes sm_j when K <= 0.
+    The scaled entries d*beta + sm_i are the parts' (d*part plus a base
+    that falls by d a row) then the padding's, and the betas total
+    |comp| + h(h-1)/2.  The hook sum is that of min(d*k + sm_i, sm_j) over
+    the row's entries beta, 1 <= k <= beta and every weight sm_j.  A weight
+    sm_j <= sm_i + d is the minimum for every k, so those weights add
+    sum(beta) * low[i] together (charge.a_weights).  For each high weight
+    the first cut = floor((sm_j - sm_i)/d) >= 1 values of k take the left
+    side of the min, in closed form.
     """
-    d, sm = p.d, p.scaled_m
-    sm_i = sm[i]
-    row = [d * (x - j) + sm_i for j, x in enumerate(comp, 1 - h)]
-    row += range(d * (h - len(comp) - 1) + sm_i, sm_i - 1, -d)
-    beta_sum = sum(comp) + h * (h - 1) // 2
-    hooks = 0
-    if beta_sum:  # otherwise every beta is 0: no k at all
-        for sm_j in sm:
+    d, sm_i = p.d, p.scaled_m[i]
+    total, _, low, start, ascending = p._a_weights
+    first, top = len(entries), d * (h - 1) + sm_i
+    for x in comp:
+        entries.append(d * x + top)
+        top -= d
+    entries += range(top, sm_i - 1, -d)
+    size = sum(comp)
+    hooks = (size + h * (h - 1) // 2) * low[i]
+    if start[i] < d:  # the row has high weights
+        for sm_j in ascending[start[i]:]:
             cut = (sm_j - sm_i) // d
-            if cut <= 0:
-                hooks += beta_sum * sm_j
-                continue
-            for x in row:
+            for x in entries[first:]:
                 beta = (x - sm_i) // d
                 k = beta if beta < cut else cut
                 hooks += d * k * (k + 1) // 2 + sm_i * k + (beta - k) * sm_j
-    return row, hooks
+    return size * total - hooks
 
 
 def _scaled_stat(mc, h, p: ChargeParams) -> int:
@@ -148,20 +148,21 @@ def _scaled_stat(mc, h, p: ChargeParams) -> int:
     scaled symbol entries d*beta + sm_row, of their minimum, less the rows'
     hook sums (_scaled_row).
     """
-    entries, hooks = [], 0
+    # less n*sum(sm), which the rows' terms add
+    entries, value = [], -sum(map(sum, mc)) * p._a_weights[0]
     for i, comp in enumerate(mc):
-        row, hook = _scaled_row(i, comp, h, p)
-        entries += row
-        hooks += hook
-    return _weighted_min_sum(entries) - hooks
+        value += _scaled_row(entries, i, comp, h, p)
+    return value + _weighted_min_sum(entries)
 
 
 def _scaled_a_value(mp, p: ChargeParams) -> int:
     """d*a of one multipartition already validated with p.d components, at
-    the least symbol height: each of its d rows computed once, no table."""
+    the least symbol height: its d rows extend one entry list, no table."""
     h = max(map(len, mp))
-    return (_height_term(h, p) + sum(map(sum, mp)) * sum(p.scaled_m)
-            + _scaled_stat(mp, h, p))
+    entries, value = [], _height_term(h, p)
+    for i, comp in enumerate(mp):
+        value += _scaled_row(entries, i, comp, h, p)
+    return value + _weighted_min_sum(entries)
 
 
 def a_value(mp, p: ChargeParams):
@@ -180,33 +181,33 @@ class _ScaledAValues(dict):
     formula of _scaled_a_value.
 
     A row of a symbol depends only on (i, comp, h), so the table keeps each
-    row it meets, with the scaled entries of _scaled_row and its term: its
-    share |comp|*sum(sm) of n*sum(sm), less its hook sum.  It keeps each
-    height's _height_term too, so a call that reads many multipartitions
-    computes each row and each height term once.
+    row it meets, with the scaled entries and the term of _scaled_row.  It
+    keeps each height's _height_term too, so a call that reads many
+    multipartitions computes each row and each height term once.
     """
-    __slots__ = ("p", "sm_sum", "rows", "heights")
+    __slots__ = ("p", "rows", "heights")
 
     def __init__(self, p: ChargeParams):  # dict.__new__ made the empty table
-        self.p, self.sm_sum = p, sum(p.scaled_m)
+        self.p = p
         self.rows = {}  # (i, comp, h) -> (its scaled entries, its term)
         self.heights = {}  # h -> _height_term(h, p)
 
     def __missing__(self, mp):
         p, rows = self.p, self.rows
         h = max(map(len, mp))
-        total = self.heights.get(h)
-        if total is None:
-            total = self.heights[h] = _height_term(h, p)
+        value = self.heights.get(h)
+        if value is None:
+            value = self.heights[h] = _height_term(h, p)
         entries = []
         for i, comp in enumerate(mp):
             row = rows.get((i, comp, h))
             if row is None:
-                row_entries, hooks = _scaled_row(i, comp, h, p)
-                row = rows[i, comp, h] = (row_entries, sum(comp) * self.sm_sum - hooks)
+                row_entries = []
+                row = rows[i, comp, h] = (row_entries,
+                                          _scaled_row(row_entries, i, comp, h, p))
             entries += row[0]
-            total += row[1]
-        value = self[mp] = total + _weighted_min_sum(entries)
+            value += row[1]
+        value = self[mp] = value + _weighted_min_sum(entries)
         return value
 
 

@@ -132,9 +132,13 @@ def check_d1_oracle():
 def check_a_oracle():
     """a_value, and one a-value table per parameter set read over every rank
     as the pipeline reads one, equal -schur_valuation/d on every
-    multipartition of the grid."""
+    multipartition of the grid and of (3,5,(0,0,1)).
+
+    No weight of the grid exceeds another by more than d, so no symbol row
+    there has a high weight (charge.a_weights); at (3,5,(0,0,1)), with
+    scaled weights (15, 10, 8), rows 1 and 2 each have one."""
     total = 0
-    for p in GRID:
+    for p in GRID + (ChargeParams(3, 5, (0, 0, 1)),):
         table = _ScaledAValues(p)
         for n in range(6):
             for mp in enumerate_multipartitions(p.d, n):

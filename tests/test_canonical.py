@@ -237,9 +237,9 @@ def test_one_symbol_row_computation_per_call(monkeypatch):
     rows = []
     real = symbols._scaled_row
 
-    def counting(i, comp, h, p):
+    def counting(entries, i, comp, h, p):
         rows.append((p, i, comp, h))
-        return real(i, comp, h, p)
+        return real(entries, i, comp, h, p)
 
     monkeypatch.setattr(symbols, "_scaled_row", counting)
     for call in (lambda: decomposition_matrix(P24, 8),

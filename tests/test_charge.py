@@ -1,14 +1,20 @@
 """Charge bookkeeping, node orders, and the semisimplicity criterion."""
 
+import copy
 import pickle
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from ariki._oracles import addable_i_nodes, below_key, bumped_weights, removable_i_nodes
-from ariki.charge import ChargeParams, border_signatures, i_signature, is_semisimple, residue
+from ariki._oracles import (Weights, addable_i_nodes, below_key, bumped_weights,
+                            removable_i_nodes)
+from ariki.charge import (ChargeParams, _weighted_min_sum, border_signatures, i_signature,
+                          is_semisimple, residue)
 from ariki.crystal import flotw_multipartitions
 from ariki.partitions import Node, diagram_nodes, enumerate_multipartitions
+from ariki.render import render_a_value
 from ariki.verification import GRID
 
 
@@ -167,11 +173,57 @@ def test_params_are_immutable_values():
     assert p == q and hash(p) == hash(q)
     assert p == ChargeParams(2, 4, [0, 1]) and p != ChargeParams(2, 4, (0, 2))
     assert repr(p) == "ChargeParams(d=2, e=4, v=(0, 1))"
-    for name in ("d", "v", "scaled_m", "other"):
+    for name in ("d", "v", "scaled_m", "_a_weights", "other"):
         with pytest.raises(AttributeError):
             setattr(p, name, 0)
     assert p == q and p.scaled_m == (8, 6)
-    assert pickle.loads(pickle.dumps(p)) == p
+    # row 1 of this a-value reads the weight 8 = 6 + d, the edge of its low sum
+    mp = ((2, 2), (2, 2, 1))
+    for copied in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert copied == p and copied._a_weights == p._a_weights
+        assert render_a_value(copied, mp) == render_a_value(p, mp) == "17 = 17.0\n"
+
+
+def _weight_data_cases():
+    # random charges repeat (d up to 60, e at most 7); the raw weights are
+    # (2, 5, (0, 2)) two shifts above its least, which no ChargeParams carries
+    rng = random.Random(21)
+    cases = list(GRID) + [bumped_weights(p) for p in GRID] + [Weights(2, 5, (0, 2), (30, 29))]
+    for _ in range(40):
+        d, e = rng.randint(1, 60), rng.randint(2, 7)
+        cases.append(ChargeParams(d, e, sorted(rng.randrange(e) for _ in range(d))))
+    return cases
+
+
+def test_a_weights_match_the_pairwise_split():
+    # row i reads every weight sm_j <= sm_i + d, for which every
+    # min(d*k + sm_i, sm_j) with k >= 1 is sm_j, through low[i], and the
+    # rest, its high weights, as ascending[start[i]:]
+    for p in _weight_data_cases():
+        d, sm = p.d, p.scaled_m
+        total, pairs, low, start, ascending = p._a_weights
+        assert total == sum(sm) and ascending == tuple(sorted(sm)), p
+        assert pairs == _weighted_min_sum(list(sm)) == sum(map(min, combinations(sm, 2))), p
+        for i, sm_i in enumerate(sm):
+            below = [x for x in sm if x <= sm_i + d]
+            assert low[i] == sum(below), (p, i)
+            # the low weights are those with (sm_j - sm_i) // d <= 0 and the
+            # weights sm_i + d, whose every min is sm_j too
+            assert len(below) == sum((x - sm_i) // d <= 0 or x == sm_i + d for x in sm)
+            high = sorted(x for x in sm if x > sm_i + d)
+            assert list(ascending[start[i]:]) == high, (p, i)
+
+
+def test_a_weights_take_linear_memory():
+    # sm_j = 40000 - 2j, so row i > 10000 has i - 10000 high weights: the
+    # high ranges total about d^2/8, but the data holds d-tuples of ints
+    d = 20000
+    p = ChargeParams(d, 2, (0,) * d)
+    data = p._a_weights
+    assert sum(d - start for start in data[3]) > d * d // 9
+    for field in data:
+        assert isinstance(field, int) or (len(field) == d and
+                                          all(type(x) is int for x in field))
 
 
 @pytest.mark.parametrize("d,e,v", [(2, 4, (0, 1)), (3, 3, (0, 1, 2))])

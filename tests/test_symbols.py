@@ -242,8 +242,9 @@ def test_a_value_table_at_large_d_with_most_components_empty():
 
 
 def test_a_single_query_builds_no_table(monkeypatch, capsys):
-    # a one-vertex a-value computes its d symbol rows once each and makes no
-    # _ScaledAValues, wherever a query path could reach the table
+    # a one-vertex a-value computes its d symbol rows once each, into one
+    # entry list, and makes no _ScaledAValues, wherever a query path could
+    # reach the table
     import ariki.render as render
     import ariki.symbols as symbols
     import ariki.typeb as typeb
@@ -258,9 +259,9 @@ def test_a_single_query_builds_no_table(monkeypatch, capsys):
     rows = []
     real = symbols._scaled_row
 
-    def counting(i, comp, h, p):
-        rows.append(i)
-        return real(i, comp, h, p)
+    def counting(entries, i, comp, h, p):
+        rows.append((i, entries, len(entries)))
+        return real(entries, i, comp, h, p)
 
     monkeypatch.setattr(symbols, "_scaled_row", counting)
     p, mp, bp = ChargeParams(3, 4, (0, 1, 3)), ((2, 1), (1,), ()), ((1,), (2, 1))
@@ -276,7 +277,10 @@ def test_a_single_query_builds_no_table(monkeypatch, capsys):
     for query, expect, d in queries:
         rows.clear()
         assert query() == expect
-        assert rows == list(range(d)), rows
+        assert [i for i, _, _ in rows] == list(range(d)), rows
+        # every mp has height 2: each row appends two entries to the one list
+        assert all(entries is rows[0][1] for _, entries, _ in rows)
+        assert [size for *_, size in rows] == list(range(0, 2 * d, 2)), rows
 
 
 def test_a_value_rejects_bad_input():

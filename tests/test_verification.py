@@ -3,6 +3,7 @@
 import pytest
 
 import ariki.canonical as canonical
+import ariki.charge as charge
 from ariki import verification
 from ariki.charge import ChargeParams
 from ariki.crystal import kleshchev_multipartitions
@@ -61,6 +62,25 @@ BREAKS = [
 def test_check_fails_on_a_broken_function(monkeypatch, check, name, broken):
     monkeypatch.setattr(verification, name, broken(getattr(verification, name)))
     ok, detail = dict(ALL_CHECKS)[check]()
+    assert not ok, detail
+
+
+def test_a_function_oracle_fails_on_a_weights_without_high_weights(monkeypatch):
+    # weight data that files every weight as low, so no row runs the high
+    # weights' closed form; the grid is rebuilt, as ChargeParams derives its
+    # data once.  The check's point (3,5,(0,0,1)) has high weights in rows
+    # 1 and 2
+    real = charge.a_weights
+
+    def all_low(d, scaled_m):
+        total, pairs, _, _, ascending = real(d, scaled_m)
+        return total, pairs, (total,) * d, (d,) * d, ascending
+
+    monkeypatch.setattr(charge, "a_weights", all_low)
+    grid = tuple(ChargeParams(p.d, p.e, p.v) for p in verification.GRID)
+    assert all(p._a_weights[3] == (p.d,) * p.d for p in grid)
+    monkeypatch.setattr(verification, "GRID", grid)
+    ok, detail = dict(ALL_CHECKS)["a-function-oracle"]()
     assert not ok, detail
 
 
