@@ -4,8 +4,10 @@ Nothing in the pipeline imports this module, and none of its references
 reads the kernels it checks: charge's row scans, the crystal's pair
 cancellation, or the divided-power move table.  Instead:
 
-- the node orders have one encoding here, below_key, and the i-nodes come
-  from the generic addable and removable filters;
+- the node orders have one encoding here, below_key, the diagonal order
+  of an integer charge s = v (mod e): s = v is the pipeline's diagonal
+  order, and asymptotic_charge its component-major one up to a rank; the
+  i-nodes come from generic addable and removable filters;
 - f_action adds one node at a time, and divided_power_holds checks a
   divided power against it: [j]! f_i^(j) v = (f_i)^j v;
 - compute_A replays a label's whole residue sequence from the empty
@@ -21,17 +23,17 @@ cancellation, or the divided-power move table.  Instead:
 
 from typing import NamedTuple
 
-from .aseq import a_sequence_blocks, composition_addable_positions
+from .aseq import a_sequence_blocks
 from .canonical import _elements, _leading_one
-from .charge import ChargeParams, a_weights, check_order, check_residue, residue
+from .charge import (ChargeParams, _weighted_min_sum, a_weights, check_residue,
+                     residue)
 from .crystal import flotw_multipartitions
 from .fock import FockVector, f_divided
 from .laurent import LaurentPoly
-from .partitions import (add_node, addable_nodes, check_components,
+from .partitions import (Node, add_node, addable_nodes, check_components,
                          check_multicomposition, check_multipartition,
-                         diagram_nodes, empty_multipartition, part, rank,
-                         removable_nodes)
-from .symbols import _scaled_stat, a_value, ordinary_symbol
+                         empty_multipartition, part, rank, removable_nodes)
+from .symbols import _scaled_row, a_value, ordinary_symbol
 
 
 class Weights(NamedTuple):
@@ -54,17 +56,34 @@ def bumped_weights(p: ChargeParams) -> Weights:
     return Weights(p.d, p.e, p.v, tuple(x + p.d * p.e for x in p.scaled_m))
 
 
-def below_key(order: str, p: ChargeParams):
-    """Sort key placing the lowest node of the given order first.
+def asymptotic_charge(p: ChargeParams, n: int):
+    """A charge s = v (mod e) whose diagonal order is the component-major one
+    on the addable and removable nodes of every multipartition of rank <= n:
+    s_j - s_(j+1) > 2n, more than the contents b - a of those nodes, all in
+    -n..n, can differ."""
+    k = (2 * n + p.e) // p.e + 1
+    return tuple(v + (p.d - 1 - j) * k * p.e for j, v in enumerate(p.v))
 
-    Component-major: smaller (comp, row) is lower.  Diagonal: larger
-    charged content b - a + v_c is lower, and at equal content the smaller
-    component is lower.
+
+def below_key(s, p: ChargeParams):
+    """Sort key placing the lowest node first in the diagonal order of the
+    charge s: larger b - a + s_c is lower, ties to the smaller component.
+
+    s has d entries with s_j = v_j (mod e), so the nodes keep their residues
+    under p: s = p.v is the pipeline's diagonal order, and asymptotic_charge
+    gives its component-major one.
     """
-    check_order(order)
-    if order == "am":
-        return lambda g: (g.comp, g.row)
-    return lambda g: (-(g.col - g.row + p.v[g.comp]), g.comp)
+    if len(s) != p.d or any((x - v) % p.e for x, v in zip(s, p.v)):
+        raise ValueError(f"charge {s} is not {p.d} integers congruent to {p.v} mod {p.e}")
+    return lambda g: (-(g.col - g.row + s[g.comp]), g.comp)
+
+
+def diagram_nodes(mc):
+    """All nodes (a, b, c) of a multicomposition, row-major per component."""
+    return [Node(a, b, c)
+            for c, comp in enumerate(mc)
+            for a, length in enumerate(comp, start=1)
+            for b in range(1, length + 1)]
 
 
 def addable_i_nodes(mp, i, p: ChargeParams):
@@ -100,14 +119,26 @@ def gauss_factorial(j: int) -> LaurentPoly:
     return out
 
 
-def f_action(v: FockVector, i, order: str, p: ChargeParams) -> FockVector:
+def composition_addable_positions(mc, k, p: ChargeParams):
+    """Nodes of residue k addable to a multicomposition (any row, or a new one)."""
+    check_residue(k, p)
+    mc = check_multicomposition(mc)
+    if len(mc) != p.d:
+        raise ValueError(f"expected {p.d} components, got {len(mc)}")
+    spots = (Node(a, part(comp, a) + 1, c)
+             for c, comp in enumerate(mc) for a in range(1, len(comp) + 2))
+    return [g for g in spots if residue(g, p) == k]
+
+
+def f_action(v: FockVector, i, s, p: ChargeParams) -> FockVector:
     """Lowering generator f_i: add one i-node every possible way.
 
     Adding gamma to lam has the exponent: addable i-nodes of lam below
-    gamma minus removable i-nodes of the result below gamma.
+    gamma minus removable i-nodes of the result below gamma, in the
+    diagonal order of the charge s (below_key).
     """
     check_residue(i, p)
-    key = below_key(order, p)
+    key = below_key(s, p)
     out = {}
     for lam in v.support():
         coef = v.terms[lam]
@@ -117,11 +148,11 @@ def f_action(v: FockVector, i, order: str, p: ChargeParams) -> FockVector:
             top = key(gamma)
             exp = (sum(1 for g in addable if key(g) < top)
                    - sum(1 for g in removable_i_nodes(mu, i, p) if key(g) < top))
-            out[mu] = out.get(mu, LaurentPoly.zero()) + coef * LaurentPoly.q_power(exp)
+            out[mu] = out.get(mu, LaurentPoly.zero()) + coef * LaurentPoly({exp: 1})
     return FockVector(out)
 
 
-def divided_power_holds(out: FockVector, v: FockVector, i, j: int, order: str,
+def divided_power_holds(out: FockVector, v: FockVector, i, j: int, s,
                         p: ChargeParams) -> bool:
     """Whether [j]! * out == (f_i)^j v, term by term, out's terms as stored.
 
@@ -131,7 +162,7 @@ def divided_power_holds(out: FockVector, v: FockVector, i, j: int, order: str,
     """
     power = v
     for _ in range(j):
-        power = f_action(power, i, order, p)
+        power = f_action(power, i, s, p)
     factorial = gauss_factorial(j)
     return {mp: factorial * c for mp, c in out.terms.items()} == power.terms
 
@@ -249,7 +280,10 @@ def schur_valuation(mp, p: ChargeParams) -> int:
 def prec(mu, nu, p: ChargeParams) -> bool:
     """Strict symbol-statistic comparison of equal-rank d-compositions.
 
-    For d-partitions this is equivalent to a_value(mu) < a_value(nu).
+    For d-partitions this is equivalent to a_value(mu) < a_value(nu).  The
+    statistic, times d, is read at the common symbol height h: the sum of
+    min over all unordered pairs of scaled symbol entries d*beta + sm_row,
+    less the rows' hook sums (symbols._scaled_row).
     """
     mu = check_multicomposition(mu)
     nu = check_multicomposition(nu)
@@ -259,7 +293,13 @@ def prec(mu, nu, p: ChargeParams) -> bool:
         raise ValueError("prec compares multicompositions of equal rank")
     h = max(max((len(c) for c in mu), default=0),
             max((len(c) for c in nu), default=0))
-    return _scaled_stat(mu, h, p) < _scaled_stat(nu, h, p)
+
+    def stat(mc):  # the rows' terms add n*sum(sm), which is taken off
+        entries = []
+        terms = sum(_scaled_row(entries, i, comp, h, p) for i, comp in enumerate(mc))
+        return terms - rank(mc) * p._a_weights[0] + _weighted_min_sum(entries)
+
+    return stat(mu) < stat(nu)
 
 
 def residue_path_terminals(seq, p: ChargeParams, compositions: bool = False):
@@ -268,17 +308,10 @@ def residue_path_terminals(seq, p: ChargeParams, compositions: bool = False):
     With compositions=False the chain passes through multipartitions only;
     otherwise any multicomposition stage is allowed.
     """
+    spots = composition_addable_positions if compositions else addable_i_nodes
     frontier = {empty_multipartition(p.d)}
     for k in seq:
-        nxt = set()
-        for mc in frontier:
-            if compositions:
-                spots = composition_addable_positions(mc, k, p)
-            else:
-                spots = addable_i_nodes(mc, k, p)
-            for g in spots:
-                nxt.add(add_node(mc, g))
-        frontier = nxt
+        frontier = {add_node(mc, g) for mc in frontier for g in spots(mc, k, p)}
     return frontier
 
 

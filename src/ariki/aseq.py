@@ -17,7 +17,7 @@ takes the smallest admissible residue straight away and returns only
 
 from typing import NamedTuple
 
-from .charge import ChargeParams, check_residue
+from .charge import ChargeParams
 from .crystal import _is_flotw
 from .partitions import (Node, _moved, check_components, check_multicomposition,
                          empty_multipartition, part, rank)
@@ -120,29 +120,12 @@ def a_sequence(mp, p: ChargeParams):
     return tuple(k for k, count in a_sequence_blocks(mp, p) for _ in range(count))
 
 
-def composition_addable_positions(mc, k, p: ChargeParams):
-    """Nodes of residue k addable to a multicomposition (any row, or a new one)."""
-    check_residue(k, p)
-    return _addable_positions(_checked_multicomposition(mc, p), k, p)
-
-
 def _checked_multicomposition(mc, p):
     """mc validated as a multicomposition of p.d components."""
     mc = check_multicomposition(mc)
     if len(mc) != p.d:
         raise ValueError(f"expected {p.d} components, got {len(mc)}")
     return mc
-
-
-def _addable_positions(mc, k, p):
-    """composition_addable_positions on an input already validated."""
-    out = []
-    for c, comp in enumerate(mc):
-        for j in range(1, len(comp) + 2):
-            b = part(comp, j) + 1
-            if (b - j + p.v[c]) % p.e == k:
-                out.append(Node(j, b, c))
-    return out
 
 
 def k_opt_add(mc, k, p: ChargeParams):
@@ -157,18 +140,22 @@ def k_opt_add(mc, k, p: ChargeParams):
 def _k_opt_add(mc, k, p: ChargeParams):
     """k_opt_add on a multicomposition already validated.
 
-    The node is one _addable_positions just built, so partitions._moved
-    adds it unchecked: it lengthens its row, or starts a new one.
+    The addable k-nodes, any row's or a new row's, are scanned by
+    (component, row), so the first of the largest weight wins a tie.  The
+    node is one just found addable, so partitions._moved adds it unchecked:
+    it lengthens its row, or starts a new one.
     """
     best = None
-    for g in _addable_positions(mc, k, p):
-        weight = p.d * (part(mc[g.comp], g.row) - g.row) + p.scaled_m[g.comp]
-        slot = (g.comp, g.row)
-        if best is None or weight > best[0] or (weight == best[0] and slot < best[1]):
-            best = (weight, slot, g)
+    for c, comp in enumerate(mc):
+        for j in range(1, len(comp) + 2):
+            b = part(comp, j) + 1
+            if (b - j + p.v[c]) % p.e == k:
+                weight = p.d * (b - 1 - j) + p.scaled_m[c]
+                if best is None or weight > best[0]:
+                    best = (weight, Node(j, b, c))
     if best is None:
         raise ValueError(f"no addable node of residue {k} on {mc}")
-    g = best[2]
+    g = best[1]
     return _moved(mc, (g,), 1), g
 
 

@@ -32,8 +32,8 @@ that order).  A reader that wants a single residue stays on a one-residue
 scan: a pass that files every node by residue costs more than one that
 keeps the nodes of one residue.  The nodes are plain (row, col, comp)
 tuples; the public functions that return a node build the partitions.Node
-record from one.  The oracles' one encoding of the two orders is
-ariki._oracles.below_key.
+record from one.  The oracles read both orders as the diagonal order of
+an integer charge s = v (mod e): ariki._oracles.below_key.
 """
 
 from bisect import bisect_right
@@ -127,9 +127,6 @@ class ChargeParams:
         """The weights m^(j) as exact rationals."""
         from fractions import Fraction
         return tuple(Fraction(x, self.d) for x in self.scaled_m)
-
-    def to_dict(self):
-        return {"d": self.d, "e": self.e, "v": list(self.v)}
 
 
 def residue(node: Node, p: ChargeParams) -> int:

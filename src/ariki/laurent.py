@@ -49,10 +49,6 @@ class LaurentPoly:
     def one(cls):
         return cls({0: 1})
 
-    @classmethod
-    def q_power(cls, e: int):
-        return cls({e: 1})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

@@ -81,14 +81,6 @@ def empty_multipartition(d: int):
     return ((),) * d
 
 
-def diagram_nodes(mc):
-    """All nodes (a, b, c) of a multicomposition, row-major per component."""
-    return [Node(a, b, c)
-            for c, comp in enumerate(mc)
-            for a, length in enumerate(comp, start=1)
-            for b in range(1, length + 1)]
-
-
 def removable_nodes(mp):
     """Nodes whose deletion leaves a multipartition."""
     out = []

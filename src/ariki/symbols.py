@@ -140,21 +140,6 @@ def _scaled_row(entries, i, comp, h, p: ChargeParams) -> int:
     return size * total - hooks
 
 
-def _scaled_stat(mc, h, p: ChargeParams) -> int:
-    """d times the symbol statistic that orders compositions (see _oracles.prec).
-
-    mc is a multicomposition read at symbol height h (at least its longest
-    component).  The statistic is the pair sum, over all unordered pairs of
-    scaled symbol entries d*beta + sm_row, of their minimum, less the rows'
-    hook sums (_scaled_row).
-    """
-    # less n*sum(sm), which the rows' terms add
-    entries, value = [], -sum(map(sum, mc)) * p._a_weights[0]
-    for i, comp in enumerate(mc):
-        value += _scaled_row(entries, i, comp, h, p)
-    return value + _weighted_min_sum(entries)
-
-
 def _scaled_a_value(mp, p: ChargeParams) -> int:
     """d*a of one multipartition already validated with p.d components, at
     the least symbol height: its d rows extend one entry list, no table."""

@@ -2,9 +2,9 @@
 
 import pytest
 
-from ariki._oracles import bumped_weights, prec, residue_path_terminals
-from ariki.aseq import (_peel, a_graph, a_sequence, a_sequence_blocks,
-                        composition_addable_positions, k_opt_add, peel_step)
+from ariki._oracles import (bumped_weights, composition_addable_positions, prec,
+                            residue_path_terminals)
+from ariki.aseq import _peel, a_graph, a_sequence, a_sequence_blocks, k_opt_add, peel_step
 from ariki.charge import ChargeParams
 from ariki.crystal import flotw_multipartitions, is_flotw
 from ariki.partitions import Node, part, removable_nodes
@@ -76,8 +76,8 @@ def test_k_opt_add_rejects_wrong_component_count():
 
 
 def test_composition_addable_positions_validates_its_input():
-    # the scan compares residues in 0..e-1, so k = -1 or 5 would match no
-    # node; the component count is checked with k_opt_add's above
+    # the oracle's filter compares residues in 0..e-1, so k = -1 or 5 would
+    # match no node; the component count is checked with k_opt_add's above
     for k in (-1, 4, 5, 1.0):
         with pytest.raises(ValueError, match=r"residue must be an integer in 0\.\.3"):
             composition_addable_positions(((1,), ()), k, P24)
@@ -179,7 +179,7 @@ def test_peel_residue_ties_are_recorded_not_fatal():
                     step = peel_step(cur, p)
                     assert step.k == min(step.candidates)
                     if len(step.candidates) > 1:
-                        ties.append((p.to_dict(), cur, step.candidates))
+                        ties.append((p, cur, step.candidates))
                     cur = step.rest
     print(f"peel residue ties observed: {len(ties)}")
     for params, mp, candidates in ties[:5]:

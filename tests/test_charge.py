@@ -8,12 +8,12 @@ from itertools import combinations
 
 import pytest
 
-from ariki._oracles import (Weights, addable_i_nodes, below_key, bumped_weights,
-                            removable_i_nodes)
+from ariki._oracles import (Weights, addable_i_nodes, asymptotic_charge, below_key,
+                            bumped_weights, diagram_nodes, removable_i_nodes)
 from ariki.charge import (ChargeParams, _weighted_min_sum, border_signatures, i_signature,
                           is_semisimple, residue)
 from ariki.crystal import flotw_multipartitions
-from ariki.partitions import Node, diagram_nodes, enumerate_multipartitions
+from ariki.partitions import Node, enumerate_multipartitions
 from ariki.render import render_a_value
 from ariki.verification import GRID
 
@@ -39,12 +39,14 @@ def test_residue_constant_on_diagonals():
 
 
 def test_i_signature_matches_generic_filters():
-    # the one-pass scan equals the residue filters sorted lowest first
+    # the one-pass scan equals the residue filters sorted lowest first, the
+    # component-major order as the diagonal order of an asymptotic charge
     for p in (*GRID, ChargeParams(3, 4, (0, 1, 3))):
         for n in range(7):
+            charges = (("am", asymptotic_charge(p, n)), ("flotw", p.v))
             for mp in enumerate_multipartitions(p.d, n):
-                for order in ("am", "flotw"):
-                    key = below_key(order, p)
+                for order, s in charges:
+                    key = below_key(s, p)
                     for i in range(p.e):
                         tagged = ([(g, True) for g in addable_i_nodes(mp, i, p)]
                                   + [(g, False) for g in removable_i_nodes(mp, i, p)])
@@ -74,8 +76,9 @@ def test_border_signatures_equal_i_signature():
 
 
 def test_am_below_examples():
-    # component-major: the smaller (component, row) is lower
-    key = below_key("am", ChargeParams(2, 4, (0, 1)))
+    # component-major, an asymptotic charge: the smaller (component, row) is lower
+    p = ChargeParams(2, 4, (0, 1))
+    key = below_key(asymptotic_charge(p, 5), p)
     assert key(Node(1, 1, 0)) < key(Node(1, 1, 1))
     assert key(Node(1, 2, 0)) < key(Node(2, 1, 0))
     assert not key(Node(2, 1, 1)) < key(Node(1, 5, 1))
@@ -84,27 +87,46 @@ def test_am_below_examples():
 def test_flotw_above_examples():
     # diagonal: the smaller charged content b - a + v_c is higher, and at
     # equal content the larger component is higher
-    key = below_key("flotw", ChargeParams(2, 4, (0, 1)))
+    key = below_key((0, 1), ChargeParams(2, 4, (0, 1)))
     assert key(Node(1, 1, 1)) < key(Node(1, 1, 0))
     g = Node(2, 3, 1)
     assert not key(g) < key(g)
-    key0 = below_key("flotw", ChargeParams(2, 4, (0, 0)))
+    key0 = below_key((0, 0), ChargeParams(2, 4, (0, 0)))
     assert key0(Node(1, 1, 0)) < key0(Node(1, 1, 1))
 
 
 def test_orders_are_strict_and_total_on_distinct_keys():
-    # the keys tell apart exactly the nodes of distinct (component, row),
-    # resp. distinct (charged content, component)
+    # the key of a charge s tells apart exactly the nodes of distinct
+    # (content b - a + s_c, component), at s = v and at asymptotic charges
     p = ChargeParams(2, 3, (0, 1))
     nodes = [Node(a, b, c) for a in (1, 2, 3) for b in (1, 2, 3) for c in (0, 1)]
-    for order, fields in (("am", lambda x: (x.comp, x.row)),
-                          ("flotw", lambda x: (x.col - x.row + p.v[x.comp], x.comp))):
-        key = below_key(order, p)
+    for s in (p.v, asymptotic_charge(p, 0), asymptotic_charge(p, 4)):
+        key = below_key(s, p)
         for g in nodes:
             for h in nodes:
                 below, above = key(g) < key(h), key(h) < key(g)
                 assert not (below and above)
-                assert (below or above) == (fields(g) != fields(h)), (order, g, h)
+                assert (below or above) == ((g.col - g.row + s[g.comp], g.comp)
+                                            != (h.col - h.row + s[h.comp], h.comp)), (s, g, h)
+
+
+def test_asymptotic_charge_orders_like_component_major():
+    # the i-nodes, addable and removable, of every multipartition of rank
+    # n <= 6 and residue i sort like (component, row) at asymptotic_charge(p, n):
+    # 4,802 (multipartition, residue) cases, 4,487 with an i-node
+    cases = with_nodes = 0
+    for p in (*GRID, ChargeParams(2, 3, (0, 0)), ChargeParams(3, 4, (0, 1, 3)),
+              ChargeParams(1, 3, (0,))):
+        for n in range(7):
+            key = below_key(asymptotic_charge(p, n), p)
+            for mp in enumerate_multipartitions(p.d, n):
+                for i in range(p.e):
+                    nodes = addable_i_nodes(mp, i, p) + removable_i_nodes(mp, i, p)
+                    assert (sorted(nodes, key=key)
+                            == sorted(nodes, key=lambda g: (g.comp, g.row))), (p, mp, i)
+                    cases += 1
+                    with_nodes += bool(nodes)
+    assert (cases, with_nodes) == (4802, 4487)
 
 
 def test_is_semisimple_examples():
@@ -160,11 +182,6 @@ def test_validation_errors():
     for d, e in ((2, 4.0), (2.0, 4), (2, "4"), (None, 4)):
         with pytest.raises(ValueError, match="d and e must be integers"):
             ChargeParams(d, e, (0, 1))
-
-
-def test_to_dict():
-    p = ChargeParams(2, 4, (0, 1))
-    assert p.to_dict() == {"d": 2, "e": 4, "v": [0, 1]}
 
 
 def test_params_are_immutable_values():
@@ -231,7 +248,7 @@ def test_flotw_order_matches_scaled_diagonals_on_vertices(d, e, v):
     # on same-residue nodes of a diagonal-crystal vertex, the scaled-weight
     # diagonal comparison agrees with the order relation
     p = ChargeParams(d, e, v)
-    key = below_key("flotw", p)
+    key = below_key(p.v, p)
     for n in range(6):
         for mp in flotw_multipartitions(p, n):
             nodes = diagram_nodes(mp)
@@ -249,7 +266,7 @@ def test_below_key_sorts_lowest_first():
     # contents 1, 1 and -1: the tie at 1 puts the smaller component lower
     p = ChargeParams(2, 4, (0, 1))
     nodes = [Node(1, 1, 1), Node(1, 2, 0), Node(2, 1, 0)]
-    assert sorted(nodes, key=below_key("flotw", p)) == [
+    assert sorted(nodes, key=below_key(p.v, p)) == [
         Node(1, 2, 0), Node(1, 1, 1), Node(2, 1, 0)]
-    assert sorted(nodes, key=below_key("am", p)) == [
+    assert sorted(nodes, key=below_key(asymptotic_charge(p, 2), p)) == [
         Node(1, 2, 0), Node(2, 1, 0), Node(1, 1, 1)]

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from ariki import aseq, charge, fock
-from ariki._oracles import addable_i_nodes, below_key, removable_i_nodes
+from ariki._oracles import addable_i_nodes, asymptotic_charge, below_key, removable_i_nodes
 from ariki.aseq import a_graph, a_sequence, peel_step
 from ariki.charge import ChargeParams
 from ariki.crystal import (_reduced_signature, bijection_j, bijection_j_inverse, crystal_bijection,
@@ -361,14 +361,15 @@ def test_kleshchev_differs_from_flotw_in_general():
     assert found
 
 
-def _reduced_signature_oracle(mp, i, order, p):
-    """The generic addable/removable filters, sorted lowest first and cancelled by hand."""
-    key = below_key(order, p)
+def _reduced_signature_oracle(mp, i, s, p):
+    """The generic addable/removable filters, sorted lowest first in the
+    order of the charge s and cancelled by hand."""
+    key = below_key(s, p)
     items = sorted([(g, True) for g in addable_i_nodes(mp, i, p)]
                    + [(g, False) for g in removable_i_nodes(mp, i, p)],
                    key=lambda item: key(item[0]))
     if len({key(g) for g, _ in items}) != len(items):
-        raise RuntimeError(f"two {i}-nodes of {mp} tie in the {order} order")
+        raise RuntimeError(f"two {i}-nodes of {mp} tie in the order of {s}")
     addable, removable = [], []
     for g, is_addable in items:
         if is_addable:
@@ -383,11 +384,12 @@ def _reduced_signature_oracle(mp, i, order, p):
 def test_reduced_signature_matches_generic_filters():
     for p in VERIFY_GRID:
         for n in range(7):
+            charges = (("am", asymptotic_charge(p, n)), ("flotw", p.v))
             for mp in enumerate_multipartitions(p.d, n):
-                for order in ("am", "flotw"):
+                for order, s in charges:
                     for i in range(p.e):
                         assert _reduced_signature(mp, i, order, p) == \
-                            _reduced_signature_oracle(mp, i, order, p), (mp, i, order)
+                            _reduced_signature_oracle(mp, i, s, p), (mp, i, order)
 
 
 def test_all_residue_pass_matches_generic_filters():
@@ -395,12 +397,13 @@ def test_all_residue_pass_matches_generic_filters():
     # that occur; a residue it leaves out has no i-node at all
     for p in VERIFY_GRID:
         for n in range(7):
+            s = asymptotic_charge(p, n)
             for mp in enumerate_multipartitions(p.d, n):
                 scan = charge.am_reduced_signatures(mp, p)
                 assert set(scan) <= set(range(p.e)), mp
                 for i in range(p.e):
                     assert scan.get(i, ([], [])) == \
-                        _reduced_signature_oracle(mp, i, "am", p), (mp, i)
+                        _reduced_signature_oracle(mp, i, s, p), (mp, i)
                     assert (i in scan) == bool(addable_i_nodes(mp, i, p)
                                                or removable_i_nodes(mp, i, p)), (mp, i)
     with pytest.raises(ValueError, match="out of range"):

@@ -10,7 +10,7 @@ import pytest
 
 import ariki
 from ariki.canonical import DecompositionMatrix
-from ariki._oracles import below_key, divided_power_holds, f_action
+from ariki._oracles import asymptotic_charge, below_key, divided_power_holds, f_action
 from ariki.charge import ChargeParams, i_signature
 from ariki.crystal import crystal_graph, good_addable_node, good_removable_node
 from ariki.fock import FockVector, _f_divided, _moves, f_divided
@@ -24,11 +24,11 @@ EMPTY2 = FockVector.unit(((), ()))
 
 
 def test_f_action_on_empty():
-    out = f_action(EMPTY2, 0, "flotw", P24)
+    out = f_action(EMPTY2, 0, P24.v, P24)
     assert out == FockVector.unit(((1,), ()))
-    out = f_action(EMPTY2, 1, "flotw", P24)
+    out = f_action(EMPTY2, 1, P24.v, P24)
     assert out == FockVector.unit(((), (1,)))
-    assert f_action(FockVector.zero(), 2, "flotw", P24).is_zero()
+    assert f_action(FockVector.zero(), 2, P24.v, P24).is_zero()
 
 
 def test_action_coefficients_are_monomials():
@@ -36,9 +36,9 @@ def test_action_coefficients_are_monomials():
         for n in range(4):
             for mp in enumerate_multipartitions(p.d, n):
                 vec = FockVector.unit(mp)
-                for order in ("am", "flotw"):
+                for s in (asymptotic_charge(p, n), p.v):
                     for i in range(p.e):
-                        out = f_action(vec, i, order, p)
+                        out = f_action(vec, i, s, p)
                         for nu in out.support():
                             assert len(out.coefficient(nu).coeffs) == 1
 
@@ -101,7 +101,7 @@ def test_f_divided_trivial_cases():
     vec = FockVector.unit(((1,), (1,)))
     assert f_divided(vec, 0, 0, "flotw", P24) == vec
     for i in range(4):
-        assert f_divided(vec, i, 1, "flotw", P24) == f_action(vec, i, "flotw", P24)
+        assert f_divided(vec, i, 1, "flotw", P24) == f_action(vec, i, P24.v, P24)
     with pytest.raises(ValueError):
         f_divided(vec, 0, -1, "flotw", P24)
 
@@ -121,16 +121,19 @@ def test_divided_power_oracle_multi_term():
     # terms from different multipartitions accumulate on a common target
     rng = random.Random(20260)
     for p in GRID:
+        # the component-major order as the diagonal order of a charge
+        # asymptotic for every rank reached, 3 + 4
+        charges = (("am", asymptotic_charge(p, 7)), ("flotw", p.v))
         for n in range(4):
             mps = enumerate_multipartitions(p.d, n)
             for _ in range(3):
                 chosen = rng.sample(mps, min(len(mps), rng.randint(2, 5)))
                 vec = FockVector({mp: _random_poly(rng) for mp in chosen})
-                for order in ("am", "flotw"):
+                for order, s in charges:
                     for i in range(p.e):
                         for j in range(1, 5):
                             out = f_divided(vec, i, j, order, p)
-                            assert divided_power_holds(out, vec, i, j, order, p)
+                            assert divided_power_holds(out, vec, i, j, s, p)
                             _assert_normalized(out)
 
 
@@ -158,14 +161,14 @@ def test_divided_power_cancelling_terms_dropped():
     # at e = 2 both (2) and (1,1) reach (2,1) by adding one 1-node
     p = GRID[1]
     lam1, lam2, mu = ((2,), ()), ((1, 1), ()), ((2, 1), ())
-    for order in ("am", "flotw"):
+    for order, s in (("am", asymptotic_charge(p, 4)), ("flotw", p.v)):
         x1 = f_divided(FockVector.unit(lam1), 1, 1, order, p).coefficient(mu)
         x2 = f_divided(FockVector.unit(lam2), 1, 1, order, p).coefficient(mu)
         assert not x1.is_zero() and not x2.is_zero()
         vec = FockVector({lam1: x2, lam2: -x1})
         for j in (1, 2):
             out = f_divided(vec, 1, j, order, p)
-            assert divided_power_holds(out, vec, 1, j, order, p)
+            assert divided_power_holds(out, vec, 1, j, s, p)
             assert mu not in out.terms
             _assert_normalized(out)
         assert not f_divided(vec, 1, 1, order, p).is_zero()
@@ -178,10 +181,10 @@ def test_distant_residues_commute():
     for n in range(4):
         for mp in enumerate_multipartitions(2, n):
             vec = FockVector.unit(mp)
-            for order in ("am", "flotw"):
+            for s in (asymptotic_charge(p, n + 1), p.v):
                 for i, j in pairs:
-                    ab = f_action(f_action(vec, i, order, p), j, order, p)
-                    ba = f_action(f_action(vec, j, order, p), i, order, p)
+                    ab = f_action(f_action(vec, i, s, p), j, s, p)
+                    ba = f_action(f_action(vec, j, s, p), i, s, p)
                     assert ab == ba
 
 
@@ -207,22 +210,29 @@ def test_unchecked_constructors_are_private():
 
 
 @pytest.mark.parametrize("call", [
-    lambda order: f_action(EMPTY2, 0, order, P24),
     lambda order: f_divided(EMPTY2, 0, 1, order, P24),
     lambda order: good_addable_node(((), ()), 0, order, P24),
     lambda order: good_removable_node(((1,), ()), 0, order, P24),
     lambda order: crystal_graph(P24, 2, order),
-    lambda order: below_key(order, P24),
-], ids=["f_action", "f_divided", "good_addable_node",
-        "good_removable_node", "crystal_graph", "below_key"])
+], ids=["f_divided", "good_addable_node", "good_removable_node", "crystal_graph"])
 def test_unknown_order_rejected(call):
     with pytest.raises(ValueError, match=r"order must be one of \('am', 'flotw'\)"):
         call("sideways")
 
 
+def test_charge_not_congruent_to_v_rejected():
+    # the oracles' order is that of a charge s: d integers with s_j = v_j mod e
+    for s in ((0,), (0, 1, 2), (), (0, 2), (1, 1)):
+        for call in (lambda: below_key(s, P24), lambda: f_action(EMPTY2, 0, s, P24)):
+            with pytest.raises(ValueError, match=r"not 2 integers congruent to \(0, 1\) mod 4"):
+                call()
+    # any representatives of v mod e
+    assert f_action(EMPTY2, 0, (-4, 9), P24) == f_action(EMPTY2, 0, P24.v, P24)
+
+
 @pytest.mark.parametrize("call", [
     lambda i, p: f_divided(FockVector.unit(((1,),)), i, 1, "flotw", p),
-    lambda i, p: f_action(FockVector.unit(((1,),)), i, "flotw", p),
+    lambda i, p: f_action(FockVector.unit(((1,),)), i, p.v, p),
     lambda i, p: good_addable_node(((1,),), i, "flotw", p),
     lambda i, p: good_removable_node(((1,),), i, "am", p),
 ], ids=["f_divided", "f_action", "good_addable_node", "good_removable_node"])

@@ -1,10 +1,12 @@
 """Import contracts: the oracles stay apart from the pipeline, the pipeline
-takes no test-only parameters, importing the package and its CLI stays cheap,
-and the benchmark harness and the README find every name they import."""
+takes no test-only parameters and defines nothing that only the checks
+read, importing the package and its CLI stays cheap, and the benchmark
+harness and the README find every name they import."""
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 
@@ -83,6 +85,50 @@ def test_pipeline_has_no_private_parameters():
         found += [(filename, node.lineno, node.arg) for node in ast.walk(tree)
                   if isinstance(node, ast.arg) and node.arg.startswith("_")]
     assert not found
+
+
+def _parsed(path):
+    with open(path) as fh:
+        return ast.parse(fh.read(), path)
+
+
+def test_pipeline_defines_nothing_only_the_checks_read():
+    # every top-level function and class of a pipeline module, and every
+    # non-dunder method, is read by the pipeline, the CLI or the benchmark
+    # harness (an AST Name, Attribute or import alias), exported from the
+    # package, or named in README; a name that only _oracles, verification
+    # or the tests read belongs in _oracles
+    pipeline = sorted(f for f in os.listdir(PACKAGE)
+                      if f.endswith(".py") and f not in NOT_PIPELINE + ("__init__.py",))
+    readers = [os.path.join(PACKAGE, f) for f in pipeline + ["cli.py"]]
+    readers += [os.path.join(PERFBENCH, f) for f in sorted(os.listdir(PERFBENCH))
+                if f.endswith(".py")]
+    read = set()
+    for path in readers:
+        for node in ast.walk(_parsed(path)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    exported = {alias.name for node in ast.walk(_parsed(os.path.join(PACKAGE, "__init__.py")))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        named = set(re.findall(r"\w+", fh.read()))
+    unread = []
+    for filename in pipeline:
+        for node in _parsed(os.path.join(PACKAGE, filename)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defined = [node.name]
+            if isinstance(node, ast.ClassDef):
+                defined += [f"{node.name}.{m.name}" for m in node.body
+                            if isinstance(m, ast.FunctionDef)
+                            and not (m.name.startswith("__") and m.name.endswith("__"))]
+            unread += [f"{filename}:{name}" for name in defined
+                       if name.split(".")[-1] not in read | exported | named]
+    assert not unread
 
 
 def test_perfbench_imports_resolve():

@@ -16,8 +16,8 @@ def _gauss_binomial(l, j):
         return LaurentPoly.zero()
     if l == 0:
         return LaurentPoly.one()
-    return (LaurentPoly.q_power(l - j) * _gauss_binomial(l - 1, j - 1)
-            + LaurentPoly.q_power(-j) * _gauss_binomial(l - 1, j))
+    return (LaurentPoly({l - j: 1}) * _gauss_binomial(l - 1, j - 1)
+            + LaurentPoly({-j: 1}) * _gauss_binomial(l - 1, j))
 
 
 def test_gauss_examples():

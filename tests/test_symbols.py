@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from ariki.charge import ChargeParams
-from ariki.partitions import enumerate_multipartitions
+from ariki.charge import ChargeParams, _weighted_min_sum
+from ariki.partitions import enumerate_multipartitions, rank
 from ariki._oracles import Weights, prec, schur_valuation
 from ariki.render import render_a_value
-from ariki.symbols import (_ScaledAValues, _scaled_a_value, _scaled_stat, a_value,
+from ariki.symbols import (_ScaledAValues, _scaled_a_value, _scaled_row, a_value,
                            format_rational, ordinary_symbol, shifted_symbol)
 
 P24 = ChargeParams(2, 4, (0, 1))
@@ -163,7 +163,9 @@ ORACLE_PARAMS = GRID + (ChargeParams(1, 5, (0,)), ChargeParams(3, 4, (0, 1, 3)),
 
 
 def test_scaled_stat_matches_pairwise_oracle():
-    # the closed forms against the pair-by-pair sums, on random
+    # the statistic that _oracles.prec reads, from the row formula: the rows'
+    # terms, less n*sum(sm), and the pair sum of the rows' entries.  The
+    # closed forms against the pair-by-pair sums, on random
     # multicompositions (unsorted rows, repeated entries) at several shifts
     rng = random.Random(11)
     for p in ORACLE_PARAMS:
@@ -172,7 +174,10 @@ def test_scaled_stat_matches_pairwise_oracle():
                        for _ in range(p.d))
             shift = rng.randint(0, 3)
             h, expect = _stat_oracle(mc, shift, p)
-            assert _scaled_stat(mc, h, p) == expect, (p, mc, shift)
+            entries = []
+            terms = sum(_scaled_row(entries, i, comp, h, p) for i, comp in enumerate(mc))
+            stat = terms - rank(mc) * p._a_weights[0] + _weighted_min_sum(entries)
+            assert stat == expect, (p, mc, shift)
 
 
 def test_prec_matches_pairwise_oracle():

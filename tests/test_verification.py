@@ -4,6 +4,7 @@ import pytest
 
 import ariki.canonical as canonical
 import ariki.charge as charge
+import ariki.symbols as symbols
 from ariki import verification
 from ariki.charge import ChargeParams
 from ariki.crystal import kleshchev_multipartitions
@@ -82,6 +83,23 @@ def test_a_function_oracle_fails_on_a_weights_without_high_weights(monkeypatch):
     monkeypatch.setattr(verification, "GRID", grid)
     ok, detail = dict(ALL_CHECKS)["a-function-oracle"]()
     assert not ok, detail
+
+
+def test_shift_invariances_reach_rows_with_high_weights(monkeypatch):
+    # a symbol row whose weights include one more than d above its own
+    # (charge.a_weights: start[i] < d) runs the hook sum's high-weight loop;
+    # no grid point has one, so the check runs (3,5,(0,0,1)) too
+    real, high = symbols._scaled_row, []
+
+    def counting(entries, i, comp, h, p):
+        if p._a_weights[3][i] < p.d:
+            high.append(p)
+        return real(entries, i, comp, h, p)
+
+    monkeypatch.setattr(symbols, "_scaled_row", counting)
+    ok, detail = dict(ALL_CHECKS)["shift-invariances"]()
+    assert ok, detail
+    assert high
 
 
 def test_canonical_structure_fails_when_q_zq_admits_constants(monkeypatch):
