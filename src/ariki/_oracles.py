@@ -23,7 +23,7 @@ cancellation, or the divided-power move table.  Instead:
 
 from typing import NamedTuple
 
-from .aseq import a_sequence_blocks
+from .aseq import _checked_multicomposition, a_sequence_blocks
 from .canonical import _elements, _leading_one
 from .charge import (ChargeParams, _weighted_min_sum, a_weights, check_residue,
                      residue)
@@ -122,9 +122,7 @@ def gauss_factorial(j: int) -> LaurentPoly:
 def composition_addable_positions(mc, k, p: ChargeParams):
     """Nodes of residue k addable to a multicomposition (any row, or a new one)."""
     check_residue(k, p)
-    mc = check_multicomposition(mc)
-    if len(mc) != p.d:
-        raise ValueError(f"expected {p.d} components, got {len(mc)}")
+    mc = _checked_multicomposition(mc, p)
     spots = (Node(a, part(comp, a) + 1, c)
              for c, comp in enumerate(mc) for a in range(1, len(comp) + 2))
     return [g for g in spots if residue(g, p) == k]
