@@ -73,7 +73,8 @@ def below_key(s, p: ChargeParams):
     under p: s = p.v is the pipeline's diagonal order, and asymptotic_charge
     gives its component-major one.
     """
-    if len(s) != p.d or any((x - v) % p.e for x, v in zip(s, p.v)):
+    if (len(s) != p.d or not all(isinstance(x, int) for x in s)
+            or any((x - v) % p.e for x, v in zip(s, p.v))):
         raise ValueError(f"charge {s} is not {p.d} integers congruent to {p.v} mod {p.e}")
     return lambda g: (-(g.col - g.row + s[g.comp]), g.comp)
 

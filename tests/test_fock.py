@@ -209,15 +209,24 @@ def test_unchecked_constructors_are_private():
     assert not hasattr(ariki, "_of")
 
 
-@pytest.mark.parametrize("call", [
-    lambda order: f_divided(EMPTY2, 0, 1, order, P24),
-    lambda order: good_addable_node(((), ()), 0, order, P24),
-    lambda order: good_removable_node(((1,), ()), 0, order, P24),
-    lambda order: crystal_graph(P24, 2, order),
-], ids=["f_divided", "good_addable_node", "good_removable_node", "crystal_graph"])
-def test_unknown_order_rejected(call):
-    with pytest.raises(ValueError, match=r"order must be one of \('am', 'flotw'\)"):
-        call("sideways")
+ORDER_NAMES = r"order must be one of \('am', 'flotw'\)"
+NOT_A_CHARGE = r"is not 2 integers congruent to \(0, 1\) mod 4"
+
+
+@pytest.mark.parametrize("call, order, message", [
+    (lambda order: f_divided(EMPTY2, 0, 1, order, P24), "sideways", ORDER_NAMES),
+    (lambda order: good_addable_node(((), ()), 0, order, P24), "sideways", ORDER_NAMES),
+    (lambda order: good_removable_node(((1,), ()), 0, order, P24), "sideways", ORDER_NAMES),
+    (lambda order: crystal_graph(P24, 2, order), "sideways", ORDER_NAMES),
+    # the oracles take their order as an integer charge: an order name,
+    # even one of length d, is not one
+    (lambda order: below_key(order, P24), "am", NOT_A_CHARGE),
+    (lambda order: f_action(EMPTY2, 0, order, P24), "flotw", NOT_A_CHARGE),
+], ids=["f_divided", "good_addable_node", "good_removable_node", "crystal_graph",
+        "below_key", "f_action"])
+def test_unknown_order_rejected(call, order, message):
+    with pytest.raises(ValueError, match=message):
+        call(order)
 
 
 def test_charge_not_congruent_to_v_rejected():
