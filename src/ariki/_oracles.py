@@ -24,7 +24,7 @@ cancellation, or the divided-power move table.  Instead:
 from typing import NamedTuple
 
 from .aseq import _checked_multicomposition, a_sequence_blocks
-from .canonical import _elements, _leading_one
+from .canonical import _elements
 from .charge import (ChargeParams, _weighted_min_sum, a_weights, check_residue,
                      residue)
 from .crystal import flotw_multipartitions
@@ -171,7 +171,9 @@ def compute_A(mp, p: ChargeParams) -> FockVector:
     vec = FockVector.unit(empty_multipartition(p.d))
     for i, count in a_sequence_blocks(mp, p):
         vec = f_divided(vec, i, count, "flotw", p)
-    return _leading_one(mp, vec)
+    if vec.coefficient(mp) != LaurentPoly.one():
+        raise RuntimeError(f"leading coefficient of A({mp}) is {vec.coefficient(mp)}, not 1")
+    return vec
 
 
 def straighten_by_scan(labels, avals, start):

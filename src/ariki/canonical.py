@@ -15,12 +15,20 @@ q*Z[q] at labels of larger a-value: one pass over its terms finds them,
 and they are corrected in ascending (a-value, label) order, each by
 subtracting the bar-symmetric completion of the coefficient times that
 label's basis element.  By Lusztig's positivity that completion lies in
-N[q, q^-1]; one with a negative coefficient is an error.  The subtraction
-is made in place on plain dicts: each term's products are subtracted
-straight into a copy of its coefficient dict, which is wrapped as one
-LaurentPoly.  A subtraction only touches labels of still larger a-value,
-so no coefficient already corrected changes; a label it leaves offending
-joins the queue.
+N[q, q^-1]; one with a negative coefficient is an error.  A subtraction
+only touches labels of still larger a-value, so no coefficient already
+corrected changes; a label it leaves offending joins the queue.
+
+Inside the walk a coefficient is a packed int (laurent.pack): P(2^B) *
+2^(B*O), where the digit width B = laurent.digit_width(n) is derived from
+the top rank n, whose docstring proves that every coefficient the walk
+holds fits a digit, and the offset O of a start vector is what its divided
+powers added to lift their negative exponents.  So a move is one shift and
+add (fock._f_divided), the q*Z[q] test one mask, and a subtraction
+gamma * G(nu) one int multiply and subtract per term of G(nu).  A finished
+element is shifted back to offset 0.  canonical_basis unpacks its top rank
+into LaurentPolys, and the decomposition matrices read q = 1 off each int
+with one remainder (laurent.packed_at_one).
 
 The walk runs on its demand set: the wanted labels, of any ranks (the
 top rank for canonical_basis and decomposition_matrix, every rank for
@@ -41,17 +49,18 @@ start, and a walk that wants one block (the labels of one residue
 content) builds each of its elements as a walk that wants the whole rank.
 
 The lifts of one rank apply divided powers to overlapping vectors G(lam'),
-so they share one table of divided-power moves (fock.f_divided), keyed by
+so they share one table of divided-power moves (fock._f_divided), keyed by
 (lam', k): within rank r the exponent c = r - |lam'| is fixed by lam'.  The
 table is made before the rank is straightened and dropped after it.  No
 hit is lost by dropping it: a move's target rank is |lam'| + c, so a key
 met again at another rank would need another c and could not be reused.
 Beside it two more tables of the same lifetime give every multipartition
-the moves reach one tuple and every coefficient value one LaurentPoly: the
-divided powers look each coefficient up as they make it, and the
-straightening only the terms its subtractions rebuilt.  So a finished rank
-holds one tuple per distinct multipartition and one polynomial per
-distinct coefficient rather than one of each per term.
+the moves reach one tuple, and every finished coefficient value one int
+object: the straightening looks up each coefficient of an element as it
+finishes it.  So a finished rank holds one tuple per distinct
+multipartition and one int per distinct coefficient rather than one of
+each per term, and the coefficients of start vectors that the
+straightening replaced are not kept.
 
 Memory: G(mu) of a lower rank is kept while a demanded label still to
 be lifted peels to mu, and no longer.  A caller that drops each yielded
@@ -61,7 +70,8 @@ straightened.
 The oracle ariki._oracles.compute_A, the paper's A-vector, replays a
 label's whole residue sequence from the empty vector.  The basis path
 replays one only for an on-demand label whose rest is gone (above), with
-its own three lines, since the pipeline does not import the oracles.
+its own packed loop, since the pipeline does not import the oracles;
+compute_A reaches the same kernel through public fock.f_divided.
 ariki._oracles.replayed_basis straightens the replays of every label with
 its own scan over every finished label of larger a-value, and must give
 the same basis, which the tests and `verify` check.
@@ -89,18 +99,20 @@ from typing import NamedTuple
 from .aseq import _blocks, _peel
 from .charge import ChargeParams
 from .crystal import _graph_bijection, crystal_graph
-from .fock import FockVector, _f_divided, _shared, f_divided
-from .laurent import LaurentPoly
+from .fock import FockVector, _f_divided
+from .laurent import (LaurentPoly, digit_width, low_mask, pack, packed_at_one, unpack,
+                      unpacked_polys)
 from .partitions import empty_multipartition, enumerate_multipartitions, rank
 from .symbols import _ScaledAValues
 
 
-def _leading_one(mp, vec: FockVector) -> FockVector:
-    """vec, whose coefficient at mp must be 1 (its dict read, no 1 built)."""
-    lead = vec.terms.get(mp)
-    if lead is None or lead.coeffs != {0: 1}:
-        raise RuntimeError(f"leading coefficient of A({mp}) is {vec.coefficient(mp)}, not 1")
-    return vec
+def _leading_one(mp, terms, width: int, offset: int):
+    """terms, packed at offset, whose coefficient at mp must be 1."""
+    lead = terms.get(mp, 0)
+    if lead != 1 << width * offset:
+        raise RuntimeError(f"leading coefficient of A({mp}) is "
+                           f"{LaurentPoly._of(unpack(lead, width, offset))}, not 1")
+    return terms
 
 
 class CanonicalBasisElement(NamedTuple):
@@ -109,67 +121,64 @@ class CanonicalBasisElement(NamedTuple):
     vector: FockVector
 
 
-def _bar_symmetric_completion(c: LaurentPoly) -> LaurentPoly:
-    """Smallest bar-invariant polynomial agreeing with c in degrees <= 0."""
-    data = {}
-    for e, coeff in c.nonpositive_part().coeffs.items():
-        data[e] = data.get(e, 0) + coeff
-        if e < 0:
-            data[-e] = data.get(-e, 0) + coeff
-    return LaurentPoly(data)
+def _bar_symmetric_completion(x: int, width: int, offset: int) -> int:
+    """Smallest bar-invariant polynomial agreeing with x in degrees <= 0,
+    both packed at offset: x's digits of exponent <= 0, read balanced, and
+    each one of exponent e < 0 again at -e."""
+    low = {e: c for e, c in unpack(x, width, offset).items() if e <= 0}
+    mirrored = {-e: c for e, c in low.items() if e}
+    return pack(low, width, offset) + pack(mirrored, width, offset)
 
 
-def _straighten(labels, vertices, avals, start, values):
-    """{label: straightened vector} of one rank: labels, and the vertices
+def _straighten(labels, vertices, avals, start, width: int, values):
+    """{label: straightened element} of one rank: labels, and the vertices
     that their corrections reach.
 
     labels are vertices of one rank, built in decreasing (a-value, label)
     order; `mp in vertices` tells whether mp is a diagonal-crystal vertex.
-    start(mp) returns a fresh term dict of a bar-invariant vector with
-    leading term mp.  avals maps the vertices the straightening reads to values ordered like
-    their a-values: the pipeline passes its table of the integers d*a
+    start(mp) returns (terms, offset): a fresh dict of a bar-invariant
+    vector with leading term mp, each coefficient packed at digit width
+    width and at offset (laurent.pack).  An element is a dict of its
+    coefficients packed at offset 0.  avals maps the vertices the
+    straightening reads to values ordered like their a-values: the
+    pipeline passes its table of the integers d*a
     (symbols._ScaledAValues), the tests may pass the Fraction a-values.
     A label's vector reads only the elements of strictly larger a-value, so
     equal-a labels never interact and the tie order cannot change the
     result.  Every non-leading coefficient (crystal label or not) must end
     in q*Z[q]; anything else is an error.
 
-    One pass over the start vector's terms checks every non-leading
-    coefficient and queues the offending ones, those outside q*Z[q] at a
-    vertex of larger a-value.  The queue is corrected in ascending (a-value,
-    label) order: each correction subtracts the bar-symmetric completion of
-    the coefficient, which must lie in N[q, q^-1], times that label's basis
-    element, and a label the subtraction leaves offending, past the one
-    being corrected, is queued too.  The subtraction works in place on
-    dicts: for each term of that element, every product of a monomial of
-    its coefficient with one of the completion is subtracted straight into
-    one dict, a copy of the vector's coefficient there (empty if it has
-    none); an entry reaching 0 is deleted, a term whose dict empties is
-    dropped, and the dict is wrapped once as a LaurentPoly.  A label's
-    coefficient changes only through labels of smaller key, all corrected
-    before it, so these are the corrections a scan over every label of
-    larger a-value makes, in the same order.  At the end only the
-    terms a subtraction touched, or that the pass found outside q*Z[q] but
-    could not correct, are checked again.
+    One pass over the start vector's terms queues the offending
+    coefficients, those outside q*Z[q] (a nonzero digit under
+    laurent.low_mask) at a vertex of larger a-value.  The queue is
+    corrected in ascending (a-value, label) order: each correction
+    subtracts gamma, the bar-symmetric completion of the coefficient, which
+    must lie in N[q, q^-1], times that label's element, one int multiply
+    per term of the element (gamma is packed at the vector's offset, the
+    element at 0), and a label the subtraction leaves offending, past the
+    one being corrected, is queued too; a term that reaches 0 is dropped.
+    A label's coefficient changes only through labels of smaller key, all
+    corrected before it, so these are the corrections a scan over every
+    label of larger a-value makes, in the same order.  At the end the
+    leading coefficient must be exactly 1 and every other coefficient in
+    q*Z[q], and each is shifted back to offset 0.
 
     A correction at a vertex not yet built, never one of labels, builds it
     there and then (_build) and keeps it in the returned rank: each
     canonical basis element is unique, so it does not matter which label's
     correction asked for it first.
 
-    values is the rank's coefficient table of fock._f_divided, which made
-    the start vectors' coefficients one object per value; each term a
-    subtraction rebuilt is replaced by that table's object of its value
-    (fock._shared), so the returned rank holds one LaurentPoly per distinct
+    values is the rank's table of finished coefficients: each maps to its
+    first int object, so the returned rank holds one int per distinct
     value.
     """
     basis = {}
     for mp in sorted(labels, key=lambda m: (avals[m], m), reverse=True):
-        _build(mp, vertices, avals, start, values, basis)
+        _build(mp, vertices, avals, start, width, values, basis)
     return basis
 
 
-def _build(mp, vertices, avals, start, values, basis):
+def _build(mp, vertices, avals, start, width, values, basis):
     """Straighten start(mp) into basis[mp]; see _straighten.
 
     A vertex of larger a-value than mp is built already or is not one of
@@ -178,71 +187,53 @@ def _build(mp, vertices, avals, start, values, basis):
     needs is built first, by a plain call to this function, so no closure
     refers to itself and a rank's elements die with the rank.
     """
-    terms = start(mp)
+    terms, offset = start(mp)
+    low = low_mask(width, offset)  # x & low is 0 iff x lies in q*Z[q]
     a = avals[mp]
-    queue, recheck = [], {}
-    for nu, c in terms.items():
-        if c.in_q_zq():
-            continue
-        if nu in vertices and avals[nu] > a:
-            queue.append((avals[nu], nu))
-        elif nu != mp:  # nothing corrects it unless a subtraction does
-            recheck[nu] = None
+    queue = [(avals[nu], nu) for nu, x in terms.items()
+             if x & low and nu in vertices and avals[nu] > a]
     queue.sort(reverse=True)  # pop() takes the smallest key
     while queue:
         key = queue.pop()
         nu = key[1]
-        coeff = terms.get(nu)
-        if coeff is None or coeff.in_q_zq():
+        x = terms.get(nu)
+        if x is None or not x & low:
             continue
-        gamma = _bar_symmetric_completion(coeff)
-        if gamma != gamma.bar():
+        gamma = _bar_symmetric_completion(x, width, offset)
+        poly = LaurentPoly._of(unpack(gamma, width, offset))
+        if poly != poly.bar():
             raise RuntimeError("correction coefficient is not bar-symmetric")
-        if any(x < 0 for x in gamma.coeffs.values()):
-            raise RuntimeError(f"correction coefficient {gamma} is not in N[q, q^-1]")
+        if any(c < 0 for c in poly.coeffs.values()):
+            raise RuntimeError(f"correction coefficient {poly} is not in N[q, q^-1]")
         if nu not in basis:  # not one of labels: built on demand
-            _build(nu, vertices, avals, start, values, basis)
-        # terms -= gamma * basis[nu], each term's product subtracted
-        # straight into one dict, wrapped once
-        gamma_items = gamma.coeffs.items()
-        for mu, c in basis[nu].terms.items():
-            old = terms.get(mu)
-            data = {} if old is None else old.coeffs.copy()
-            for e1, c1 in c.coeffs.items():
-                for e2, c2 in gamma_items:
-                    e = e1 + e2
-                    x = data.get(e, 0) - c1 * c2
-                    if x:
-                        data[e] = x
-                    else:
-                        del data[e]
-            recheck[mu] = None
-            if not data:
+            _build(nu, vertices, avals, start, width, values, basis)
+        for mu, g in basis[nu].items():  # terms -= gamma * basis[nu]
+            new = terms.get(mu, 0) - gamma * g
+            if not new:
                 terms.pop(mu, None)
                 continue
-            new = terms[mu] = LaurentPoly._of(data)
-            if mu in vertices and not new.in_q_zq():
+            terms[mu] = new
+            if new & low and mu in vertices:
                 later = (avals[mu], mu)
                 if later > key:  # a label queued twice is skipped once corrected
                     queue.append(later)
                     queue.sort(reverse=True)
-    lead = terms.get(mp)
-    if lead is None or lead.coeffs != {0: 1}:
+    if terms.get(mp) != 1 << width * offset:
         raise RuntimeError(f"straightening destroyed the leading term of {mp}")
-    for nu in recheck:
-        c = terms.get(nu)
-        if c is None:
-            continue
-        if nu != mp and not c.in_q_zq():
+    shift = width * offset
+    element = {}
+    for nu, x in terms.items():
+        if x & low and nu != mp:
             raise RuntimeError(
-                f"coefficient of {nu} in the element labeled {mp} "
-                f"is {c}, not in q*Z[q]")
-        terms[nu] = _shared(values, c.coeffs)
-    basis[mp] = FockVector._of(terms)
+                f"coefficient of {nu} in the element labeled {mp} is "
+                f"{LaurentPoly._of(unpack(x, width, offset))}, not in q*Z[q]")
+        x >>= shift
+        element[nu] = values.setdefault(x, x)
+    basis[mp] = element
 
 
-def _bases_by_rank(p: ChargeParams, wanted, vertices, avals):
-    """Yield {label: straightened vector} for each rank 0..the top of wanted.
+def _bases_by_rank(p: ChargeParams, wanted, vertices, avals, width: int):
+    """Yield {label: straightened element} for each rank 0..the top of wanted.
 
     wanted holds the diagonal-crystal vertices whose elements the caller
     reads, of any ranks; see the module docstring for the demand set.
@@ -251,6 +242,9 @@ def _bases_by_rank(p: ChargeParams, wanted, vertices, avals):
     rest is held as that tuple, not as a copy.  avals maps each vertex the
     straightening reads to a value ordered like its a-value, as in
     _straighten: the pipeline passes one lazy table for the whole walk.
+    An element is a dict of coefficients packed at digit width width
+    and offset 0 (see _straighten); width must be
+    laurent.digit_width of the top rank or more.
     A caller that wants only the top rank should drop each rank as it comes.
 
     A label of the demand set starts from f_k^(c) of its peel rest's
@@ -258,15 +252,15 @@ def _bases_by_rank(p: ChargeParams, wanted, vertices, avals):
     correction reaches is peeled when it is lifted, and if its rest is not
     held it starts from f_k^(c) of the rest's A-vector, replayed along the
     rest's residue blocks: that is A(lam), whose blocks are the rest's
-    followed by (k, c), so it straightens to the same G(lam).
+    followed by (k, c), so it straightens to the same G(lam).  A start
+    vector's offset is the sum of the offsets its divided powers added.
 
     Each rank has three tables of its own, made before its straightening
     and deleted after it: moves, (lam, k) -> the moves of f_k^(r - |lam|)
     (see fock._f_divided); targets, each multipartition those moves reach
     -> its one tuple, so every support of the rank holds one tuple per
-    multipartition; and values, each coefficient value the lifts and the
-    straightening make -> its one LaurentPoly.  They stay separate tables,
-    so that moves holds (lam, k) keys only.
+    multipartition; and values, each finished coefficient -> its one int.
+    They stay separate tables, so that moves holds (lam, k) keys only.
     """
     top = max(map(rank, wanted))
     demand = [set() for _ in range(top + 1)]  # D's labels, by rank
@@ -282,10 +276,11 @@ def _bases_by_rank(p: ChargeParams, wanted, vertices, avals):
             demand[r - len(removed)].add(rest)
             refs[rest] = refs.get(rest, 0) + 1
     empty = empty_multipartition(p.d)
-    finished = {empty: FockVector.unit(empty)}
+    finished = {empty: {empty: 1}}
     yield dict(finished)
 
     def lift(mp):
+        offset = 0
         if mp in peels:
             k, c, rest = peels.pop(mp)
             below = finished.get(rest)
@@ -299,17 +294,20 @@ def _bases_by_rank(p: ChargeParams, wanted, vertices, avals):
             c = len(removed)
             below = finished.get(rest)
             if below is None:  # its rest is not held: replay A(rest)
-                below = FockVector.unit(empty)
+                below = {empty: 1}
                 for i, count in _blocks(rest, p):
-                    below = f_divided(below, i, count, "flotw", p)
-        lifted = _f_divided(below, k, c, "flotw", p, moves, targets, values)
-        return _leading_one(mp, lifted).terms  # fresh: nothing else holds lifted
+                    below, shift = _f_divided(below, i, count, "flotw", p, {}, {}, width)
+                    offset += shift
+        lifted, shift = _f_divided(below, k, c, "flotw", p, moves, targets, width)
+        offset += shift
+        # fresh: nothing else holds lifted
+        return _leading_one(mp, lifted, width, offset), offset
 
     for r in range(1, top + 1):
         moves = {}  # this rank's (lam, k) -> moves of f_k^(r - |lam|)
         targets = {}  # this rank's multipartition -> the one tuple its moves hold
-        values = {}  # this rank's coefficient value -> the one LaurentPoly of it
-        basis = _straighten(demand[r], vertices, avals, lift, values)
+        values = {}  # this rank's finished coefficient -> the one int of it
+        basis = _straighten(demand[r], vertices, avals, lift, width, values)
         del moves, targets, values
         demand[r] = None
         finished.update((mp, vec) for mp, vec in basis.items() if refs.get(mp))
@@ -317,10 +315,10 @@ def _bases_by_rank(p: ChargeParams, wanted, vertices, avals):
         del basis  # only the elements some label above still peels to stay
 
 
-def _top_basis(p: ChargeParams, levels, avals):
-    """The top level's {label: straightened vector}; lower ranks are dropped."""
+def _top_basis(p: ChargeParams, levels, avals, width: int):
+    """The top level's {label: straightened element}; lower ranks are dropped."""
     vertices = {mp: mp for level in levels for mp in level}
-    ranks = _bases_by_rank(p, levels[-1], vertices, avals)
+    ranks = _bases_by_rank(p, levels[-1], vertices, avals, width)
     for _ in levels[1:]:
         next(ranks)
     return next(ranks)
@@ -332,6 +330,15 @@ def _elements(basis, avals):
     return [CanonicalBasisElement(label=mp, vector=basis[mp]) for mp in order]
 
 
+def _unpacked(basis, width: int):
+    """{label: FockVector} of a rank's packed elements, with one LaurentPoly
+    per distinct coefficient."""
+    polys = unpacked_polys((x for element in basis.values() for x in element.values()),
+                           width, 0)
+    return {mp: FockVector._of({mu: polys[x] for mu, x in element.items()})
+            for mp, element in basis.items()}
+
+
 def canonical_basis(p: ChargeParams, n: int):
     """All canonical basis elements at rank n, sorted by (a-value, label).
 
@@ -340,7 +347,8 @@ def canonical_basis(p: ChargeParams, n: int):
     """
     levels = crystal_graph(p, n, "flotw").levels
     avals = _ScaledAValues(p)
-    return _elements(_top_basis(p, levels, avals), avals)
+    width = digit_width(n)
+    return _elements(_unpacked(_top_basis(p, levels, avals, width), width), avals)
 
 
 class DecompositionMatrix:
@@ -409,7 +417,8 @@ def decomposition_matrix(p: ChargeParams, n: int) -> DecompositionMatrix:
     del flotw
     rows = enumerate_multipartitions(p.d, n)
     avals = _ScaledAValues(p)  # d*a of the rows and of every rank of the walk
-    basis = _top_basis(p, levels, avals)
+    width = digit_width(n)
+    basis = _top_basis(p, levels, avals, width)
     # rows come in label order and the sort is stable, so ties keep label
     # order; the columns are a subset of the rows, so they keep theirs
     rows.sort(key=avals.__getitem__)
@@ -420,8 +429,8 @@ def decomposition_matrix(p: ChargeParams, n: int) -> DecompositionMatrix:
     nonzero = [[] for _ in rows]
     cells = {}
     for j, col in enumerate(columns):
-        for mp, coeff in basis.pop(col).terms.items():
-            x = coeff.at_one()
+        for mp, packed in basis.pop(col).items():
+            x = packed_at_one(packed, width)
             if x:
                 cell = (j, x)
                 nonzero[row_of[mp]].append(cells.setdefault(cell, cell))

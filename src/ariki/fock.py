@@ -27,24 +27,26 @@ the accumulation multiplies each input coefficient into its moves.  The
 moves are read from a table keyed by (lam, i), so one table serves one
 order and one target rank |lam| + j, where j is fixed by lam.  A second
 table, targets, gives each multipartition the moves build its first tuple,
-so the moves of one table share one tuple per target.  A third, values,
-gives each coefficient value the accumulation builds its first
-LaurentPoly, so equal output coefficients are one object and a LaurentPoly
-is made only for a value new to the table.  Public f_divided uses fresh
-tables per call; the LLT recursion shares one set of three among all the
+so the moves of one table share one tuple per target.  Public f_divided
+uses fresh tables per call; the LLT recursion shares one pair among all the
 lifts of a rank, whose input vectors overlap, and drops it with the rank.
 
-The accumulation loops over the monomials of lam's coefficient outside the
-loop over lam's moves; most coefficients on the basis path are monomials.
-A target mu met for the first time gets the one-entry dict
-{exponent: coefficient}, later hits add into it, and zero entries are
-filtered out only from the targets where some sum cancelled.
+The accumulation runs on packed coefficients (laurent.pack): each
+coefficient is one int, a polynomial's value at q = 2^B shifted by an
+offset.  A move of exponent exp then adds the input coefficient shifted by
+B*(exp + O) bits into its target, one int shift and add per move, where O,
+the offset the call adds, lifts the least move exponent to 0.  Public
+f_divided packs its input at a width B that the sum of the input's
+coefficients' absolute values fits (each target is reached at most once
+from each lam, so no output coefficient exceeds it), runs the same
+accumulation and unpacks the result; the LLT recursion keeps its
+coefficients packed from the empty vector to the finished basis.
 """
 
 from itertools import combinations
 
 from .charge import ChargeParams, check_order, check_residue, i_signature
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, pack, unpacked_polys, width_for
 from .partitions import (check_components, check_multipartition, format_multipartition,
                          rank)
 
@@ -125,8 +127,9 @@ class FockVector:
         return f"FockVector({self.terms!r})"
 
 
-def _moves(lam, i, j: int, order: str, p: ChargeParams, targets):
-    """The (mu, exponent) pairs of f_i^(j) on the basis vector lam.
+def _moves(lam, i, j: int, order: str, p: ChargeParams, targets, width: int):
+    """(least, moves): the moves of f_i^(j) on the basis vector lam, as
+    (mu, width * exponent) pairs, and min(0, their least width * exponent).
 
     Adding i-nodes changes no other addable i-node, so for lam's addable
     i-nodes A sorted lowest first and a subset at indices s_0 < ... < s_{j-1}
@@ -136,101 +139,83 @@ def _moves(lam, i, j: int, order: str, p: ChargeParams, targets):
     weight[s] = s - rem_below[s] is s minus the removable nodes seen before
     A[s].  Each subset of (node, weight) pairs is walked once: the touched
     components are rebuilt by tuple slices (a node past the last row starts
-    a new row of length 1) while the weights are summed.  targets maps
+    a new row of length 1) while the weights, each times width, are summed
+    into the shift of a packed coefficient (laurent.pack).  targets maps
     each multipartition built so far to its first tuple, and each mu is
     that tuple: the moves of several lam that reach one mu share it.
     """
     pairs, rem_below = [], 0
     for _, _, is_addable, g in i_signature(lam, i, order, p):
         if is_addable:
-            pairs.append((g, len(pairs) - rem_below))
+            pairs.append((g, width * (len(pairs) - rem_below)))
         else:
             rem_below += 1
-    offset = j * (j - 1) // 2  # the -k terms, the same for every subset
-    out = []
+    offset = width * (j * (j - 1) // 2)  # the -k terms, the same for every subset
+    out, least = [], 0
     for chosen in combinations(pairs, j):
-        comps, exp = list(lam), -offset
+        comps, bits = list(lam), -offset
         for (a, _, c), weight in chosen:
             comp = comps[c]
             if a > len(comp):
                 comps[c] = comp + (1,)
             else:
                 comps[c] = comp[:a - 1] + (comp[a - 1] + 1,) + comp[a:]
-            exp += weight
+            bits += weight
+        if bits < least:
+            least = bits
         mu = tuple(comps)
-        out.append((targets.setdefault(mu, mu), exp))
-    return out
+        out.append((targets.setdefault(mu, mu), bits))
+    return least, out
 
 
-def _f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams, table, targets,
-               values):
-    """f_divided with j > 0 and the order checked, reading lam's moves from table.
+def _f_divided(terms, i, j: int, order: str, p: ChargeParams, table, targets, width: int):
+    """f_i^(j) on packed coefficients, with j > 0 and the order checked.
 
-    table maps (lam, i) to _moves(lam, i, j, order, p, targets) and is
-    filled on a miss.  Its key leaves out j and order, so one table must
-    serve one order and one target rank |lam| + j only.  targets, the
-    interning table of the moves' multipartitions, lives as long as table;
-    it is a table of its own, so that table holds (lam, i) keys only.  Each
-    monomial c0*q^e0 of lam's coefficient is added into every move's
-    target, the monomials in the outer loop; a target's dict drops its
-    zeros only when a sum cancelled (0 is among its values).
+    terms maps each lam to its coefficient packed at digit width width and
+    at some offset O_in (laurent.pack).  Returns (raw, shift): raw maps each
+    target mu to its coefficient packed at offset O_in + shift, with no
+    zero entries, and shift >= 0 is the least offset that makes every
+    exponent of the moves used nonnegative.  The caller makes sure every
+    coefficient of the result fits a digit.
 
-    values shares the output coefficients through _shared: each maps to
-    the first LaurentPoly made for its value, so a LaurentPoly is made only
-    for a value new to the table.  It may live longer than one call: a
-    LaurentPoly is immutable and never changed in place.
+    table maps (lam, i) to _moves(lam, i, j, order, p, targets, width) and
+    is filled on a miss.  Its key leaves out j, order and width, so one
+    table must serve one order, one target rank |lam| + j and one width
+    only.  targets, the interning table of the moves' multipartitions,
+    lives as long as table; it is a table of its own, so that table holds
+    (lam, i) keys only.  One pass reads every lam's moves and their least
+    shift, the second adds each coefficient, shifted, into every move's
+    target.
     """
+    moved, least = [], 0
+    for lam, x in terms.items():
+        entry = table.get((lam, i))
+        if entry is None:
+            entry = table[lam, i] = _moves(lam, i, j, order, p, targets, width)
+        low, moves = entry
+        if low < least:
+            least = low
+        moved.append((x, moves))
     raw = {}
-    for lam, coef in v.terms.items():
-        moves = table.get((lam, i))
-        if moves is None:
-            moves = table[lam, i] = _moves(lam, i, j, order, p, targets)
-        for e0, c0 in coef.coeffs.items():
-            for mu, exp in moves:
-                acc = raw.get(mu)
-                if acc is None:
-                    raw[mu] = {e0 + exp: c0}
-                else:
-                    e = e0 + exp
-                    acc[e] = acc.get(e, 0) + c0
-    out = {}
-    for mu, acc in raw.items():
-        if 0 in acc.values():  # some sum cancelled
-            acc = {e: c for e, c in acc.items() if c}
-            if not acc:
-                continue
-        out[mu] = _shared(values, acc)
-    return FockVector._of(out)
-
-
-def _shared(values, coeffs):
-    """The one LaurentPoly of the value coeffs in values, made on a miss.
-
-    values is keyed by a value's items tuple in the order met, and by its
-    items sorted: a value stored in another order finds the same object
-    through the sorted key.  Any items tuple determines its value, so the
-    two kinds of key share one table.
-    """
-    key = tuple(coeffs.items())
-    one = values.get(key)
-    if one is None:  # a new value, or one stored in another order
-        ordered = tuple(sorted(key))
-        one = values.get(ordered)
-        if one is None:
-            one = values[ordered] = LaurentPoly._of(coeffs)
-        values[key] = one
-    return one
+    get = raw.get
+    for x, moves in moved:
+        for mu, bits in moves:
+            raw[mu] = get(mu, 0) + (x << (bits - least))
+    if 0 in raw.values():  # some sum cancelled
+        raw = {mu: x for mu, x in raw.items() if x}
+    return raw, -least // width
 
 
 def f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVector:
     """Divided power f_i^(j): add j distinct i-nodes with the multi-node exponent.
 
     Two steps: _moves lists, once per support multipartition lam, the
-    (mu, exponent) pairs of f_i^(j) on lam (one i_signature scan, the
+    (mu, width * exponent) pairs of f_i^(j) on lam (one i_signature scan, the
     subsets and their weights, the new multipartitions); the accumulation
-    multiplies each coefficient of v into its moves.  This call reads the
-    moves from fresh tables; the LLT recursion shares its tables among all
-    the divided powers of one target rank (canonical._bases_by_rank).
+    multiplies each coefficient of v into its moves.  This call packs v's
+    coefficients, reads the moves from fresh tables and unpacks the result;
+    the LLT recursion shares its tables among all the divided powers of one
+    target rank (canonical._bases_by_rank) and never unpacks.
     v's support must have p.d components and i must be in 0..e-1; the
     checks are made here, once per call, and _f_divided makes none.
     """
@@ -242,4 +227,11 @@ def f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVect
         check_components(lam, p.d)
     if j == 0:
         return v
-    return _f_divided(v, i, j, order, p, {}, {}, {})
+    coeffs = [poly.coeffs for poly in v.terms.values()]
+    # a target's coefficient of q^e sums at most one product per monomial of v
+    width = width_for(sum(abs(c) for cs in coeffs for c in cs.values()))
+    offset = max(0, -min((e for cs in coeffs for e in cs), default=0))
+    packed = {lam: pack(poly.coeffs, width, offset) for lam, poly in v.terms.items()}
+    raw, shift = _f_divided(packed, i, j, order, p, {}, {}, width)
+    polys = unpacked_polys(raw.values(), width, offset + shift)
+    return FockVector._of({mu: polys[x] for mu, x in raw.items()})

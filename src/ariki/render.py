@@ -155,10 +155,10 @@ def _capture(write, *args) -> str:
 def write_canonical(out, p: ChargeParams, n: int):
     basis = canonical_basis(p, n)
     # one position and one text per distinct multipartition in any support,
-    # and one text per coefficient object, keyed by its id: a rank holds one
-    # object per distinct value (fock._shared), every object stays alive in
-    # basis while the writer runs, and an equal value held by a second
-    # object only formats the same text again
+    # and one text per coefficient object, keyed by its id: canonical_basis
+    # makes one object per distinct value (canonical._unpacked), every
+    # object stays alive in basis while the writer runs, and an equal value
+    # held by a second object only formats the same text again
     support = sorted({mp for el in basis for mp in el.vector.terms})
     position = {mp: i for i, mp in enumerate(support)}
     name = dict(zip(support, map(_Labels(), support)))

@@ -6,7 +6,8 @@ when the component sizes match, and zero otherwise; the basic set consists
 of the bipartitions with both components e-regular, which _both_regular
 picks with one is_e_regular test per distinct component.  Every factor, of
 every rank 0..n, is read at q = 1 off the ranks of one type-A canonical
-basis recursion.  Its labels, the e-regular partitions of sizes 0..n (the
+basis recursion, one remainder per packed coefficient
+(laurent.packed_at_one).  Its labels, the e-regular partitions of sizes 0..n (the
 vertices of the d = 1 diagonal crystal), are the components of the basic
 set: each such lam is a component of the column (lam, (n - |lam|)), so no
 crystal is walked.  For even e the algebra
@@ -22,6 +23,7 @@ e, so the a-values read no e.
 from .canonical import DecompositionMatrix, _bases_by_rank, decomposition_matrix
 from .charge import ChargeParams
 from .crystal import flotw_multipartitions
+from .laurent import digit_width, packed_at_one
 from .partitions import check_multipartition, enumerate_multipartitions, is_e_regular
 from .symbols import _ScaledAValues, _scaled_a_value
 
@@ -95,10 +97,12 @@ def decomposition_matrix_b(n: int, e: int) -> DecompositionMatrix:
     every = {(c,): (c,) for c in {c for bp in columns for c in bp}}
     # per rank and row partition of a type-A factor: its nonzero (column, entry)
     factors = []
-    for basis in _bases_by_rank(pa, every, every, _ScaledAValues(pa)):
+    width = digit_width(n)
+    for basis in _bases_by_rank(pa, every, every, _ScaledAValues(pa), width):
         pairs = {}
-        for (lam,), vec in basis.items():
-            for (mu,), x in vec.at_one().items():
+        for (lam,), element in basis.items():
+            for (mu,), packed in element.items():
+                x = packed_at_one(packed, width)
                 if x:
                     pairs.setdefault(mu, []).append((lam, x))
         factors.append(pairs)

@@ -225,10 +225,10 @@ def _structure_error(basis, p):
     """Why basis breaks the canonical-basis shape, or None.
 
     The shape: leading coefficient 1; every other coefficient of minimum
-    degree >= 1, read off the degrees, not through LaurentPoly.in_q_zq,
-    which the straightening itself uses; in N[q], every monomial
-    coefficient >= 0 (positivity); and at a multipartition of strictly
-    larger a-value.
+    degree >= 1, read off the degrees, not through the packed mask
+    (laurent.low_mask) that the straightening itself uses; in N[q],
+    every monomial coefficient >= 0 (positivity); and at a multipartition
+    of strictly larger a-value.
     """
     a = {mp: a_value(mp, p) for mp in {mp for el in basis for mp in el.vector.terms}}
     for el in basis:

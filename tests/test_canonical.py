@@ -7,12 +7,12 @@ import pytest
 from ariki._oracles import compute_A, diagram_residues, replayed_basis, straighten_by_scan
 from ariki.aseq import peel_step
 from ariki.canonical import (DecompositionMatrix, _bar_symmetric_completion,
-                             _bases_by_rank, _elements, _straighten, _top_basis,
+                             _bases_by_rank, _elements, _straighten, _top_basis, _unpacked,
                              canonical_basis, decomposition_matrix, simple_module_a_values)
 from ariki.charge import ChargeParams
 from ariki.crystal import crystal_graph, flotw_multipartitions
 from ariki.fock import FockVector
-from ariki.laurent import LaurentPoly
+from ariki.laurent import LaurentPoly, digit_width, low_mask, pack, unpack
 from ariki.partitions import enumerate_multipartitions, rank
 from ariki.symbols import _ScaledAValues, a_value
 from ariki.typeb import decomposition_matrix_b
@@ -25,6 +25,19 @@ D1E2 = ChargeParams(1, 2, (0,))
 def q(k):
     """The monomial q^k."""
     return LaurentPoly({k: 1})
+
+
+# the digit width of the hand-built ranks, whose coefficients are small
+W = 16
+
+
+def _straightened(starts, avals, offset):
+    """_straighten of a hand-built rank, its start vectors packed at offset:
+    the packed elements, and the same unpacked into FockVectors."""
+    def start(mp):
+        return {mu: pack(c.coeffs, W, offset) for mu, c in starts[mp].items()}, offset
+    packed = _straighten(list(starts), set(starts), avals, start, W, {})
+    return packed, _unpacked(packed, W)
 
 
 def test_compute_A_examples():
@@ -56,11 +69,18 @@ def test_compute_A_support_triangular_small():
 
 
 def test_bar_symmetric_completion():
-    c = LaurentPoly({-2: 3, 0: 1, 1: 5})
-    gamma = _bar_symmetric_completion(c)
-    assert gamma == LaurentPoly({-2: 3, 0: 1, 2: 3})
-    assert gamma == gamma.bar()
-    assert (c - gamma).in_q_zq()
+    # on packed coefficients, at several offsets that fit, with a negative
+    # digit below exponent 0 and one above it
+    for coeffs, expect in (({-2: 3, 0: 1, 1: 5}, {-2: 3, 0: 1, 2: 3}),
+                           ({-1: -2, 0: 1, 2: -7}, {-1: -2, 0: 1, 1: -2})):
+        c = LaurentPoly(coeffs)
+        for offset in (2, 3, 6):
+            x = pack(c.coeffs, W, offset)
+            packed = _bar_symmetric_completion(x, W, offset)
+            gamma = LaurentPoly(unpack(packed, W, offset))
+            assert gamma == LaurentPoly(expect)
+            assert gamma == gamma.bar()
+            assert not (x - packed) & low_mask(W, offset)
 
 
 def test_subtraction_that_makes_an_offending_coefficient_queues_it():
@@ -73,10 +93,11 @@ def test_subtraction_that_makes_an_offending_coefficient_queues_it():
     starts = {C: {C: q(0)}, B: {B: q(0), C: -q(1)},
               A: {A: q(0), B: q(-1), C: q(3)}}
     avals = {A: 0, B: 1, C: 2}
-    basis = _straighten(list(starts), set(starts), avals, lambda mp: dict(starts[mp]), {})
-    assert basis[A] == FockVector({A: 1, B: LaurentPoly({1: -1}),
-                                   C: LaurentPoly({3: 1, 2: 1})})
-    assert basis == straighten_by_scan(list(starts), avals, lambda mp: starts[mp])
+    for offset in (1, 4):
+        _, basis = _straightened(starts, avals, offset)
+        assert basis[A] == FockVector({A: 1, B: LaurentPoly({1: -1}),
+                                       C: LaurentPoly({3: 1, 2: 1})})
+        assert basis == straighten_by_scan(list(starts), avals, lambda mp: starts[mp])
 
 
 def test_negative_correction_coefficient_raises():
@@ -85,7 +106,7 @@ def test_negative_correction_coefficient_raises():
     A, B = ((2,), ()), ((1,), (1,))
     starts = {B: {B: q(0)}, A: {A: q(0), B: -q(-1)}}
     with pytest.raises(RuntimeError, match=r"is not in N\[q, q\^-1\]"):
-        _straighten(list(starts), set(starts), {A: 0, B: 1}, lambda mp: dict(starts[mp]), {})
+        _straightened(starts, {A: 0, B: 1}, 1)
 
 
 _A, _B, _C, _D = ((2,), ()), ((1, 1), ()), ((1,), (1,)), ((), (2,))
@@ -104,13 +125,13 @@ def test_in_place_subtraction_edge_terms(a_start, gone):
     starts = {_D: {_D: q(0)}, _C: {_C: q(0)},
               _B: {_B: q(0), _C: q(2), _D: q(2)}, _A: a_start}
     avals = {_A: 0, _B: 1, _C: 2, _D: 3}
-    basis = _straighten(list(starts), set(starts), avals, lambda mp: dict(starts[mp]), {})
+    packed, basis = _straightened(starts, avals, 1)
     gamma = LaurentPoly({-1: 1, 1: 1})
     expect = {mu: starts[_A].get(mu, LaurentPoly()) - gamma * basis[_B].coefficient(mu)
               for mu in set(starts[_A]) | set(basis[_B].terms)}
     assert basis[_A].terms == {mu: c for mu, c in expect.items() if c}
     assert _D in basis[_A].terms and gone not in basis[_A].terms
-    assert all(c for vec in basis.values() for c in vec.terms.values())
+    assert all(x for element in packed.values() for x in element.values())
     assert basis == straighten_by_scan(list(starts), avals, lambda mp: starts[mp])
 
 
@@ -137,6 +158,22 @@ def test_rank_recursion_matches_compute_A_replay():
             assert canonical_basis(p, n) == replayed_basis(p, n), (p, n)
 
 
+def test_digit_width_is_load_bearing(monkeypatch):
+    # at the derived width the walk to (2,2,(0,1)) n=9 gives the replay's
+    # basis; at 2-bit digits its coefficients overflow, and the walk must
+    # then raise or give another basis
+    import ariki.canonical as canonical
+    p, n = ChargeParams(2, 2, (0, 1)), 9
+    replayed = replayed_basis(p, n)
+    assert canonical_basis(p, n) == replayed
+    monkeypatch.setattr(canonical, "digit_width", lambda n: 2)
+    try:
+        narrow = canonical_basis(p, n)
+    except RuntimeError:
+        return
+    assert narrow != replayed
+
+
 def test_every_yielded_rank_is_that_rank_canonical_basis():
     # one walk to rank 5 that wants every label yields ranks 0..5 whole; each
     # must be the basis a walk stopping at that rank builds.  A walk that
@@ -146,11 +183,12 @@ def test_every_yielded_rank_is_that_rank_canonical_basis():
         levels = crystal_graph(p, top, "flotw").levels
         every = {mp: mp for level in levels for mp in level}
         avals = {mp: a_value(mp, p) for mp in every}
-        ranks = list(_bases_by_rank(p, every, every, avals))
+        width = digit_width(top)
+        ranks = list(_bases_by_rank(p, every, every, avals, width))
         assert len(ranks) == top + 1
         for r, basis in enumerate(ranks):
-            assert _elements(basis, avals) == canonical_basis(p, r), (p, r)
-        demanded = list(_bases_by_rank(p, levels[top], every, avals))
+            assert _elements(_unpacked(basis, width), avals) == canonical_basis(p, r), (p, r)
+        demanded = list(_bases_by_rank(p, levels[top], every, avals, width))
         assert demanded[top] == ranks[top], p
         for r, basis in enumerate(demanded):
             assert basis and all(ranks[r][mp] == vec for mp, vec in basis.items()), (p, r)
@@ -177,7 +215,7 @@ def test_walk_to_the_top_lifts_the_peel_closure_and_what_corrections_reach(monke
     lifted, peeled = [], []
     real_leading, real_peel = canonical._leading_one, canonical._peel
     monkeypatch.setattr(canonical, "_leading_one",
-                        lambda mp, vec: (lifted.append(mp), real_leading(mp, vec))[1])
+                        lambda mp, *rest: (lifted.append(mp), real_leading(mp, *rest))[1])
     monkeypatch.setattr(canonical, "_peel",
                         lambda mp, p: (peeled.append(mp), real_peel(mp, p))[1])
     canonical_basis(p, n)
@@ -199,13 +237,14 @@ def test_one_block_at_a_time():
         levels = crystal_graph(p, n, "flotw").levels
         every = {mp: mp for level in levels for mp in level}
         avals = _ScaledAValues(p)
-        full = _top_basis(p, levels, avals)
+        width = digit_width(n)
+        full = _top_basis(p, levels, avals, width)
         blocks = {}
         for mp in levels[n]:
             blocks.setdefault(tuple(diagram_residues(mp, p).items()), []).append(mp)
         assert len(blocks) > 1, (p, n)
         for block in blocks.values():
-            *_, basis = _bases_by_rank(p, block, every, avals)
+            *_, basis = _bases_by_rank(p, block, every, avals, width)
             assert set(block) <= set(basis), (p, n, block)
             assert all(full[mp] == vec for mp, vec in basis.items()), (p, n, block)
 
@@ -219,7 +258,8 @@ def test_label_built_on_demand_without_its_rest_replays_the_rest(monkeypatch):
     p, n = ChargeParams(2, 2, (0, 1)), 9
     levels = crystal_graph(p, n, "flotw").levels
     avals = _ScaledAValues(p)  # d*a of every label the walks read
-    full = _top_basis(p, levels, avals)
+    width = digit_width(n)
+    full = _top_basis(p, levels, avals, width)
     assert len(full) == len(levels[n])
     every = {mp: mp for level in levels for mp in level}
     replayed = []
@@ -227,7 +267,7 @@ def test_label_built_on_demand_without_its_rest_replays_the_rest(monkeypatch):
     monkeypatch.setattr(canonical, "_blocks",
                         lambda mp, p: (replayed.append(mp), real(mp, p))[1])
     for label in levels[n]:
-        *_, basis = _bases_by_rank(p, [label], every, avals)
+        *_, basis = _bases_by_rank(p, [label], every, avals, width)
         assert label in basis and all(full[mp] == vec for mp, vec in basis.items()), label
     assert len(replayed) == 48
 
@@ -286,9 +326,9 @@ def test_one_move_table_per_rank(monkeypatch):
     computed = []
     real = fock._moves
 
-    def counting(lam, i, j, order, p, targets):
+    def counting(lam, i, j, order, p, targets, width):
         computed.append((rank(lam) + j, lam, i))
-        return real(lam, i, j, order, p, targets)
+        return real(lam, i, j, order, p, targets, width)
 
     monkeypatch.setattr(fock, "_moves", counting)
     for p, n in ((ChargeParams(2, 2, (0, 1)), 9), (P24, 8)):
@@ -309,16 +349,16 @@ def _ranks(p, n, wanted=None):
     levels = crystal_graph(p, n, "flotw").levels
     every = {mp: mp for level in levels for mp in level}
     return _bases_by_rank(p, levels[n] if wanted == "top" else every, every,
-                          _ScaledAValues(p))
+                          _ScaledAValues(p), digit_width(n))
 
 
 def test_one_coefficient_object_per_value_in_a_rank():
-    # _straighten replaces each finished coefficient by the first equal one
-    # of its call, so a rank holds one object per distinct value
+    # _straighten replaces each finished coefficient by the first equal int
+    # of its rank, so a rank holds one int object per distinct value
     for p, n in SHARING_CASES:
         for wanted in (None, "top"):
             for r, basis in enumerate(_ranks(p, n, wanted)):
-                coeffs = [c for vec in basis.values() for c in vec.terms.values()]
+                coeffs = [x for element in basis.values() for x in element.values()]
                 assert len({id(c) for c in coeffs}) == len(set(coeffs)), (p, r, wanted)
 
 
@@ -331,7 +371,7 @@ def test_one_target_tuple_per_multipartition_in_a_rank(monkeypatch):
 
     def recording(lam, i, j, *rest):
         out = real(lam, i, j, *rest)
-        made.setdefault(rank(lam) + j, []).extend(mu for mu, _ in out)
+        made.setdefault(rank(lam) + j, []).extend(mu for mu, _ in out[1])
         return out
 
     monkeypatch.setattr(fock, "_moves", recording)
@@ -339,7 +379,7 @@ def test_one_target_tuple_per_multipartition_in_a_rank(monkeypatch):
         for wanted in (None, "top"):
             made.clear()
             for r, basis in enumerate(_ranks(p, n, wanted)):
-                support = [mu for vec in basis.values() for mu in vec.terms]
+                support = [mu for element in basis.values() for mu in element]
                 assert len({id(mu) for mu in support}) == len(set(support)), (p, r, wanted)
             assert sorted(made) == list(range(1, n + 1)), (p, wanted)
             for r, targets in made.items():

@@ -14,7 +14,7 @@ from ariki._oracles import asymptotic_charge, below_key, divided_power_holds, f_
 from ariki.charge import ChargeParams, i_signature
 from ariki.crystal import crystal_graph, good_addable_node, good_removable_node
 from ariki.fock import FockVector, _f_divided, _moves, f_divided
-from ariki.laurent import LaurentPoly
+from ariki.laurent import LaurentPoly, pack, unpack
 from ariki.partitions import add_node, enumerate_multipartitions
 
 P24 = ChargeParams(2, 4, (0, 1))
@@ -55,7 +55,7 @@ def test_add_nodes_matches_one_node_at_a_time():
                         add = [g for *_, is_addable, g in i_signature(lam, i, order, p)
                                if is_addable]
                         for j in range(1, len(add) + 1):
-                            targets = [mu for mu, _ in _moves(lam, i, j, order, p, {})]
+                            targets = [mu for mu, _ in _moves(lam, i, j, order, p, {}, 1)[1]]
                             subsets = list(combinations(add, j))
                             assert targets == [reduce(add_node, chosen, lam)
                                                for chosen in subsets], (lam, i, j)
@@ -137,10 +137,31 @@ def test_divided_power_oracle_multi_term():
                             _assert_normalized(out)
 
 
+def test_f_divided_packs_coefficients_of_any_size():
+    # public f_divided packs at a width derived from its input, so huge and
+    # cancelling coefficients at negative exponents come back exact
+    p = GRID[1]
+    big = 10 ** 40
+    lam1, lam2 = ((2,), ()), ((1, 1), ())
+    vecs = [FockVector({lam1: LaurentPoly({-5: big, 3: -big - 1}),
+                        lam2: LaurentPoly({-1: big, 0: -(2 ** 200)})}),
+            FockVector({lam1: LaurentPoly({-9: 1}), lam2: LaurentPoly({7: -big})})]
+    for vec in vecs:
+        for order, s in (("am", asymptotic_charge(p, 4)), ("flotw", p.v)):
+            for i in range(p.e):
+                for j in (1, 2):
+                    out = f_divided(vec, i, j, order, p)
+                    assert divided_power_holds(out, vec, i, j, s, p), (vec, order, i, j)
+                    _assert_normalized(out)
+
+
 def test_shared_move_table_matches_fresh_calls():
-    # one table serves every divided power of one order and one target rank,
-    # for every residue: two vectors with overlapping support, applied one
-    # after the other, give what two fresh f_divided calls give
+    # one table serves every divided power of one order, one target rank and
+    # one digit width, for every residue: two vectors with overlapping
+    # support, packed and applied one after the other, give what two fresh
+    # f_divided calls give.  Each vector's coefficients sum to at most 45 in
+    # absolute value, so 8-bit digits fit, at input offsets 3 and 5
+    width = 8
     rng = random.Random(20261)
     for p in GRID:
         mps = enumerate_multipartitions(p.d, 3)
@@ -149,10 +170,14 @@ def test_shared_move_table_matches_fresh_calls():
                 for _ in range(2)]
         for order in ("am", "flotw"):
             for j in (1, 2, 3):
-                table, targets, values = {}, {}, {}
+                table, targets = {}, {}
                 for i in range(p.e):
-                    for vec in vecs:
-                        out = _f_divided(vec, i, j, order, p, table, targets, values)
+                    for vec, offset in zip(vecs, (3, 5)):
+                        packed = {lam: pack(c.coeffs, width, offset)
+                                  for lam, c in vec.terms.items()}
+                        raw, shift = _f_divided(packed, i, j, order, p, table, targets, width)
+                        out = FockVector({mu: LaurentPoly(unpack(x, width, offset + shift))
+                                          for mu, x in raw.items()})
                         assert out == f_divided(vec, i, j, order, p), (p, order, i, j)
                 assert {key[0] for key in table} >= set(shared)
 

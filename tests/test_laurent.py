@@ -1,4 +1,5 @@
-"""Laurent polynomial arithmetic and the balanced q-analogues of the oracles."""
+"""Laurent polynomial arithmetic, its packed-int form, and the balanced
+q-analogues of the oracles."""
 
 import math
 import random
@@ -6,7 +7,8 @@ import random
 import pytest
 
 from ariki._oracles import gauss_factorial, gauss_number
-from ariki.laurent import LaurentPoly
+from ariki.laurent import (LaurentPoly, digit_width, low_mask, pack, packed_at_one, unpack,
+                           width_for)
 
 
 def _gauss_binomial(l, j):
@@ -72,10 +74,62 @@ def test_bar_is_an_involution():
         assert (a * b).bar() == a.bar() * b.bar()
 
 
+def _in_q_zq(poly, width, offset):
+    return not pack(poly.coeffs, width, offset) & low_mask(width, offset)
+
+
 def test_in_q_zq():
-    assert LaurentPoly({1: 2, 3: 1}).in_q_zq()
-    assert not LaurentPoly({0: 1, 2: 1}).in_q_zq()
-    assert LaurentPoly.zero().in_q_zq()
+    # read off a packed int with one mask, at any offset, negative digits too
+    for width, offset in ((8, 0), (8, 3), (35, 1)):
+        assert _in_q_zq(LaurentPoly({1: 2, 3: 1}), width, offset)
+        assert not _in_q_zq(LaurentPoly({0: 1, 2: 1}), width, offset)
+        assert _in_q_zq(LaurentPoly.zero(), width, offset)
+        assert _in_q_zq(LaurentPoly({1: -1, 2: 1}), width, offset)
+        assert not _in_q_zq(LaurentPoly({0: -1, 2: 1}), width, offset)
+    assert not _in_q_zq(LaurentPoly({-3: 1, 1: -1}), 8, 3)
+
+
+def _random_wide_poly(rng, bound):
+    return LaurentPoly({rng.randint(-6, 6): rng.randint(-bound, bound) for _ in range(5)})
+
+
+def test_pack_round_trip():
+    # every coefficient below 2^(width-1) in absolute value comes back, at
+    # every offset that lifts the least exponent to 0 or more, the extreme
+    # digits -2^(width-1) and 2^(width-1) - 1 included
+    rng = random.Random(17)
+    for width in (2, 8, 35, 64):
+        half = 1 << (width - 1)
+        for _ in range(40):
+            poly = _random_wide_poly(rng, half - 1)
+            least = min(poly.coeffs, default=0)
+            for offset in {max(0, -least), 6, 9}:
+                assert LaurentPoly(unpack(pack(poly.coeffs, width, offset), width, offset)) == poly
+        for extreme in ({-6: -half, 0: half - 1, 6: -half}, {-1: half - 1, 1: half - 1}):
+            assert unpack(pack(extreme, width, 6), width, 6) == extreme
+    assert unpack(0, 8, 3) == {}
+
+
+def test_packed_at_one_is_the_balanced_value_at_one():
+    rng = random.Random(19)
+    for width in (8, 35):
+        for _ in range(60):
+            poly = _random_wide_poly(rng, 20)
+            for offset in (6, 7):
+                x = pack(poly.coeffs, width, offset)
+                assert packed_at_one(x, width) == poly.at_one()
+    assert packed_at_one(pack({-2: -3, 1: -4}, 8, 2), 8) == -7
+    assert packed_at_one(pack({0: 127}, 8, 0), 8) == 127
+    assert packed_at_one(0, 8) == 0
+
+
+def test_digit_width_bound():
+    # every coefficient of the walk to rank n lies in 0..n!; the width
+    # leaves a factor 2 over it, and is the least such width
+    for n in range(31):
+        width = digit_width(n)
+        assert 2 ** (width - 1) > 2 * math.factorial(n) >= 2 ** (width - 2), n
+    assert [width_for(b) for b in (0, 1, 2, 127, 128)] == [2, 2, 3, 8, 9]
 
 
 def test_str():

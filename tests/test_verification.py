@@ -9,7 +9,7 @@ from ariki import verification
 from ariki.charge import ChargeParams
 from ariki.crystal import kleshchev_multipartitions
 from ariki.fock import FockVector
-from ariki.laurent import LaurentPoly
+from ariki.laurent import LaurentPoly, low_mask, pack, unpack
 from ariki.verification import ALL_CHECKS
 
 
@@ -103,11 +103,10 @@ def test_shift_invariances_reach_rows_with_high_weights(monkeypatch):
 
 
 def test_canonical_structure_fails_when_q_zq_admits_constants(monkeypatch):
-    # the straightening decides what to correct with in_q_zq; one that lets
-    # degree 0 through leaves constant terms, which the check reads off the
-    # degrees itself
-    monkeypatch.setattr(LaurentPoly, "in_q_zq",
-                        lambda self: not self.coeffs or min(self.coeffs) >= 0)
+    # the straightening decides what to correct with a packed coefficient's
+    # low_mask digits; a mask that lets degree 0 through leaves constant
+    # terms, which the check reads off the degrees itself
+    monkeypatch.setattr(canonical, "low_mask", lambda width, offset: (1 << width * offset) - 1)
     ok, detail = dict(ALL_CHECKS)["canonical-structure"]()
     assert not ok, detail
 
@@ -141,25 +140,33 @@ def test_canonical_structure_fails_on_a_negative_monomial(monkeypatch, p, n):
 
 
 def _drop_high_degree_values(at_one):
-    # the q = 1 value of a coefficient of minimum degree >= 5 read as 0
-    return lambda c: 0 if c.coeffs and min(c.coeffs) >= 5 else at_one(c)
+    # the q = 1 value of a coefficient of minimum degree >= 5, packed at
+    # offset 0 as every finished element is, read as 0
+    return lambda x, width: 0 if not x & low_mask(width, 4) else at_one(x, width)
+
+
+def _completion_digits(completion, change):
+    # the packed completion with change applied to its {exponent: digit} map
+    def call(x, width, offset):
+        return pack(change(unpack(completion(x, width, offset), width, offset)), width, offset)
+    return call
 
 
 def _unmirrored(completion):
     # degree -1 is kept but not mirrored to degree 1
-    return lambda c: LaurentPoly({e: x for e, x in completion(c).coeffs.items() if e != 1})
+    return _completion_digits(completion, lambda g: {e: c for e, c in g.items() if e != 1})
 
 
 def _constant_capped(completion):
     # the constant term of the completion is at most 1
-    return lambda c: LaurentPoly({e: min(x, 1) if e == 0 else x
-                                  for e, x in completion(c).coeffs.items()})
+    return _completion_digits(completion, lambda g: {e: min(c, 1) if e == 0 else c
+                                                     for e, c in g.items()})
 
 
 PIPELINE_BREAKS = [
-    # decomposition_matrix reads each entry through at_one; the first entry
-    # lost is at rank 10, the check's top rank
-    ("regularization", LaurentPoly, "at_one", _drop_high_degree_values,
+    # decomposition_matrix reads each entry through packed_at_one; the first
+    # entry lost is at rank 10, the check's top rank
+    ("regularization", canonical, "packed_at_one", _drop_high_degree_values,
      "FAIL regularization"),
     ("canonical-structure", canonical, "_bar_symmetric_completion", _unmirrored,
      "RuntimeError: correction coefficient is not bar-symmetric"),
