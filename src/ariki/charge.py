@@ -15,11 +15,15 @@ only over the weights more than d above the row's own.
 Two strict total orders on same-residue nodes drive everything downstream:
 the component-major order (below = smaller (comp, row)) and the
 diagonal order (below = larger b - a + v_c, ties to the smaller component).
-Four row scans find a multipartition's addable and removable nodes by
+Five row scans find a multipartition's addable and removable nodes by
 residue, each in one pass over its rows.  i_signature lists the i-nodes of
-one residue i lowest first in either order; the divided powers read it in
-both orders, and the crystal's good nodes and the bijection's replay in
-the diagonal one.  border_signatures lists every residue that occurs at
+one residue i lowest first in either order; the crystal's good nodes and
+the bijection's replay read it in the diagonal order.
+component_signature is its pass over one component, each addable node
+with the component it makes; the divided powers keep one per (component,
+index, residue) for a whole walk, concatenate them over a
+multipartition's components and sort the result for the diagonal order
+(fock._moves).  border_signatures lists every residue that occurs at
 once, as {residue: i_signature items in the component-major order}, for
 the diagonal-order crystal walks that try several residues of one vertex
 (the crystal graph and the raising paths), which sort the lists they read.
@@ -179,6 +183,34 @@ def i_signature(mp, i, order, p: ChargeParams):
     if order == "flotw":
         items.sort()
     return items
+
+
+def component_signature(comp, c, i, p: ChargeParams):
+    """The i-nodes of the one component comp at index c, lowest first in the
+    component-major order, each addable one with the component it makes.
+
+    The pass of i_signature over one component's rows, with smaller items:
+    (-content, c, row, new), where new is comp with the addable node added,
+    or None for a removable node, whose column is comp[row - 1] (an addable
+    node's is new[row - 1]).  Written with their nodes, these lists,
+    concatenated over mp's components, are i_signature(mp, i, "am", p), and
+    the concatenation sorted by (-content, c) is the diagonal order.  The
+    items leave out i_signature's node tuple and addable flag because the
+    divided powers keep one list per (comp, c, i) for a whole walk
+    (fock._moves).  c is not checked here.
+    """
+    e, before, vc, height = p.e, (i - 1) % p.e, p.v[c], len(comp)
+    items = []
+    for a, length in enumerate(comp, start=1):
+        r = (length - a + vc) % e
+        if r == i:
+            if a == height or comp[a] < length:  # row a+1 is shorter
+                items.append((a - length - vc, c, a, None))
+        elif r == before and (a == 1 or comp[a - 2] > length):  # row a-1 longer
+            items.append((a - length - 1 - vc, c, a, comp[:a - 1] + (length + 1,) + comp[a:]))
+    if (vc - height) % e == i:
+        items.append((height - vc, c, height + 1, comp + (1,)))
+    return tuple(items)
 
 
 def border_signatures(mp, p: ChargeParams):

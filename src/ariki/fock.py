@@ -17,9 +17,11 @@ summed over gamma in S, counts those below gamma minus lam's removable
 i-nodes R below gamma.  With A sorted lowest first and S at indices
 s_0 < ... < s_{j-1}, below A[s_k] lie s_k nodes of A, k of them in S, so
 the exponent is sum_k (s_k - k - #{r in R below A[s_k]}).  f_divided
-reads A and R, lowest first, from the one row scan charge.i_signature,
-which the crystal operators read too; its nodes are plain (row, col, comp)
-tuples.
+reads A and R, lowest first, from charge.component_signature, the row
+scan of one component: its lists, concatenated over lam's components, are
+the i-nodes that charge.i_signature, which the crystal operators read,
+lists in the component-major order, and sorted once they are the diagonal
+order.  Each addable node comes with the component that adding it makes.
 
 f_divided works in two steps.  The moves of lam, the (mu, exponent) pairs
 of f_i^(j) on the basis vector lam, depend on lam, i, j and the order only;
@@ -27,9 +29,14 @@ the accumulation multiplies each input coefficient into its moves.  The
 moves are read from a table keyed by (lam, i), so one table serves one
 order and one target rank |lam| + j, where j is fixed by lam.  A second
 table, targets, gives each multipartition the moves build its first tuple,
-so the moves of one table share one tuple per target.  Public f_divided
-uses fresh tables per call; the LLT recursion shares one pair among all the
-lifts of a rank, whose input vectors overlap, and drops it with the rank.
+so the moves of one table share one tuple per target.  A third table,
+scans, holds each (component, index, residue)'s scan; it depends on
+neither the order nor j, so it serves every divided power of a walk, and
+each addable node's new component is built once per walk.  Public
+f_divided uses fresh tables per call; the LLT recursion shares one moves
+and targets pair among all the lifts of a rank, whose input vectors
+overlap, and drops it with the rank, and one scans table among every
+divided power of the walk, which it drops with the walk.
 
 The accumulation runs on packed coefficients (laurent.pack): each
 coefficient is one int, a polynomial's value at q = 2^B shifted by an
@@ -45,7 +52,7 @@ coefficients packed from the empty vector to the finished basis.
 
 from itertools import combinations
 
-from .charge import ChargeParams, check_order, check_residue, i_signature
+from .charge import ChargeParams, check_order, check_residue, component_signature
 from .laurent import LaurentPoly, pack, unpacked_polys, width_for
 from .partitions import (check_components, check_multipartition, format_multipartition,
                          rank)
@@ -127,7 +134,7 @@ class FockVector:
         return f"FockVector({self.terms!r})"
 
 
-def _moves(lam, i, j: int, order: str, p: ChargeParams, targets, width: int):
+def _moves(lam, i, j: int, order: str, p: ChargeParams, scans, targets, width: int):
     """(least, moves): the moves of f_i^(j) on the basis vector lam, as
     (mu, width * exponent) pairs, and min(0, their least width * exponent).
 
@@ -135,28 +142,54 @@ def _moves(lam, i, j: int, order: str, p: ChargeParams, targets, width: int):
     i-nodes A sorted lowest first and a subset at indices s_0 < ... < s_{j-1}
     the exponent is sum_k (s_k - k - rem_below[s_k]), where rem_below[s]
     counts lam's removable i-nodes below A[s] (see the module docstring).
-    One charge.i_signature scan of lam lists both kinds lowest first, so
+    scans maps (c, i) to {comp: charge.component_signature(comp, c, i, p)}
+    and is filled on a miss.  The components' items, concatenated, list
+    lam's i-nodes of both kinds lowest first in the component-major order,
+    and sorted once by (-content, comp) in the diagonal order, so nodes of
+    equal content in two components break ties by component.  So
     weight[s] = s - rem_below[s] is s minus the removable nodes seen before
-    A[s].  Each subset of (node, weight) pairs is walked once: the touched
-    components are rebuilt by tuple slices (a node past the last row starts
-    a new row of length 1) while the weights, each times width, are summed
-    into the shift of a packed coefficient (laurent.pack).  targets maps
-    each multipartition built so far to its first tuple, and each mu is
-    that tuple: the moves of several lam that reach one mu share it.
+    A[s].  A one-node move puts the node's new component, which its item
+    carries, into lam; a subset of j >= 2 nodes is walked once, the first
+    node in a component taking its new component and a second one in the
+    same component rebuilding it by a tuple slice (a node past the last row
+    starts a new row of length 1), while the weights, each times width, are
+    summed into the shift of a packed coefficient (laurent.pack).  targets
+    maps each multipartition built so far to its first tuple, and each mu
+    is that tuple: the moves of several lam that reach one mu share it.
     """
+    items = []
+    for c, comp in enumerate(lam):
+        known = scans.get((c, i))
+        if known is None:
+            known = scans[c, i] = {}
+        scan = known.get(comp)
+        if scan is None:
+            scan = known[comp] = component_signature(comp, c, i, p)
+        items += scan
+    if order == "flotw":
+        items.sort()
     pairs, rem_below = [], 0
-    for _, _, is_addable, g in i_signature(lam, i, order, p):
-        if is_addable:
-            pairs.append((g, width * (len(pairs) - rem_below)))
+    for _, c, a, new in items:
+        if new is not None:
+            pairs.append((a, c, new, width * (len(pairs) - rem_below)))
         else:
             rem_below += 1
-    offset = width * (j * (j - 1) // 2)  # the -k terms, the same for every subset
     out, least = [], 0
+    if j == 1:
+        for _, c, new, bits in pairs:
+            if bits < least:
+                least = bits
+            mu = lam[:c] + (new,) + lam[c + 1:]
+            out.append((targets.setdefault(mu, mu), bits))
+        return least, out
+    offset = width * (j * (j - 1) // 2)  # the -k terms, the same for every subset
     for chosen in combinations(pairs, j):
         comps, bits = list(lam), -offset
-        for (a, _, c), weight in chosen:
+        for a, c, new, weight in chosen:
             comp = comps[c]
-            if a > len(comp):
+            if comp is lam[c]:
+                comps[c] = new
+            elif a > len(comp):
                 comps[c] = comp + (1,)
             else:
                 comps[c] = comp[:a - 1] + (comp[a - 1] + 1,) + comp[a:]
@@ -168,7 +201,8 @@ def _moves(lam, i, j: int, order: str, p: ChargeParams, targets, width: int):
     return least, out
 
 
-def _f_divided(terms, i, j: int, order: str, p: ChargeParams, table, targets, width: int):
+def _f_divided(terms, i, j: int, order: str, p: ChargeParams, scans, table, targets,
+                width: int):
     """f_i^(j) on packed coefficients, with j > 0 and the order checked.
 
     terms maps each lam to its coefficient packed at digit width width and
@@ -178,20 +212,22 @@ def _f_divided(terms, i, j: int, order: str, p: ChargeParams, table, targets, wi
     exponent of the moves used nonnegative.  The caller makes sure every
     coefficient of the result fits a digit.
 
-    table maps (lam, i) to _moves(lam, i, j, order, p, targets, width) and
-    is filled on a miss.  Its key leaves out j, order and width, so one
-    table must serve one order, one target rank |lam| + j and one width
-    only.  targets, the interning table of the moves' multipartitions,
+    table maps (lam, i) to _moves(lam, i, j, order, p, scans, targets,
+    width) and is filled on a miss.  Its key leaves out j, order and width,
+    so one table must serve one order, one target rank |lam| + j and one
+    width only.  targets, the interning table of the moves' multipartitions,
     lives as long as table; it is a table of its own, so that table holds
-    (lam, i) keys only.  One pass reads every lam's moves and their least
-    shift, the second adds each coefficient, shifted, into every move's
-    target.
+    (lam, i) keys only.  scans, the table of component scans that _moves
+    reads, depends on none of j, order and width, so one may serve every
+    divided power of a walk.  One pass reads every lam's moves and their
+    least shift, the second adds each coefficient, shifted, into every
+    move's target.
     """
     moved, least = [], 0
     for lam, x in terms.items():
         entry = table.get((lam, i))
         if entry is None:
-            entry = table[lam, i] = _moves(lam, i, j, order, p, targets, width)
+            entry = table[lam, i] = _moves(lam, i, j, order, p, scans, targets, width)
         low, moves = entry
         if low < least:
             least = low
@@ -210,12 +246,13 @@ def f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVect
     """Divided power f_i^(j): add j distinct i-nodes with the multi-node exponent.
 
     Two steps: _moves lists, once per support multipartition lam, the
-    (mu, width * exponent) pairs of f_i^(j) on lam (one i_signature scan, the
-    subsets and their weights, the new multipartitions); the accumulation
-    multiplies each coefficient of v into its moves.  This call packs v's
-    coefficients, reads the moves from fresh tables and unpacks the result;
-    the LLT recursion shares its tables among all the divided powers of one
-    target rank (canonical._bases_by_rank) and never unpacks.
+    (mu, width * exponent) pairs of f_i^(j) on lam (the scans of lam's
+    components, the subsets and their weights, the new multipartitions); the
+    accumulation multiplies each coefficient of v into its moves.  This call
+    packs v's coefficients, reads the moves from fresh tables and unpacks
+    the result; the LLT recursion shares its moves tables among all the
+    divided powers of one target rank, and its scans table among those of
+    the walk (canonical._bases_by_rank), and never unpacks.
     v's support must have p.d components and i must be in 0..e-1; the
     checks are made here, once per call, and _f_divided makes none.
     """
@@ -232,6 +269,6 @@ def f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVect
     width = width_for(sum(abs(c) for cs in coeffs for c in cs.values()))
     offset = max(0, -min((e for cs in coeffs for e in cs), default=0))
     packed = {lam: pack(poly.coeffs, width, offset) for lam, poly in v.terms.items()}
-    raw, shift = _f_divided(packed, i, j, order, p, {}, {}, width)
+    raw, shift = _f_divided(packed, i, j, order, p, {}, {}, {}, width)
     polys = unpacked_polys(raw.values(), width, offset + shift)
     return FockVector._of({mu: polys[x] for mu, x in raw.items()})

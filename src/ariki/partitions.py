@@ -17,8 +17,9 @@ class Node(NamedTuple):
 
     This is the public record: functions that return a node return a Node.
     The hot row scans (charge's signatures, fock._moves, aseq._peel) carry
-    plain (row, col, comp) tuples, which compare and hash equal to it, and
-    a Node is built from one only at the API.
+    plain (row, col, comp) tuples, which compare and hash equal to it, or,
+    in charge.component_signature, a node's row and the component it
+    makes; a Node is built from one only at the API.
     """
     row: int
     col: int

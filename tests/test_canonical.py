@@ -326,9 +326,9 @@ def test_one_move_table_per_rank(monkeypatch):
     computed = []
     real = fock._moves
 
-    def counting(lam, i, j, order, p, targets, width):
+    def counting(lam, i, j, order, p, scans, targets, width):
         computed.append((rank(lam) + j, lam, i))
-        return real(lam, i, j, order, p, targets, width)
+        return real(lam, i, j, order, p, scans, targets, width)
 
     monkeypatch.setattr(fock, "_moves", counting)
     for p, n in ((ChargeParams(2, 2, (0, 1)), 9), (P24, 8)):
@@ -337,6 +337,30 @@ def test_one_move_table_per_rank(monkeypatch):
             for _ in _ranks(p, n, wanted):
                 pass
             assert computed and len(set(computed)) == len(computed), (p, wanted)
+
+
+def test_one_component_scan_per_walk(monkeypatch):
+    # the divided powers of one walk share one table of component i-nodes,
+    # so each (component, index, residue) is scanned at most once per walk,
+    # across its ranks and its on-demand replays
+    import ariki.fock as fock
+    scanned = []
+    real = fock.component_signature
+
+    def counting(comp, c, i, p):
+        scanned.append((comp, c, i))
+        return real(comp, c, i, p)
+
+    monkeypatch.setattr(fock, "component_signature", counting)
+    for p, n in SHARING_CASES:
+        for wanted in (None, "top"):
+            scanned.clear()
+            for _ in _ranks(p, n, wanted):
+                pass
+            assert scanned and len(set(scanned)) == len(scanned), (p, wanted)
+    scanned.clear()
+    canonical_basis(ChargeParams(2, 2, (0, 1)), 13)
+    assert len(scanned) == len(set(scanned)) == 790
 
 
 # GRID where straightening acts, and the canonical_e2 point at a smaller rank
@@ -399,15 +423,23 @@ def test_one_tuple_per_distinct_matrix_cell():
 
 def test_no_sharing_table_outlives_a_call():
     # each call shares its coefficients within itself, but two calls alive
-    # at once share no coefficient object: no table is kept between calls
+    # at once share no coefficient object and no component of a support
+    # multipartition: no table, of coefficients or of the components the
+    # divided powers build, is kept between calls.  The empty component, and
+    # the (1,) that adding a first row to it gives, which is the code
+    # constant of the scan, are one object each in any process, so they are
+    # left out
     for p, n in SHARING_CASES:
         first, second = canonical_basis(p, n), canonical_basis(p, n)
-        ids = []
+        ids, comp_ids = [], []
         for basis in (first, second):
             coeffs = [c for el in basis for c in el.vector.terms.values()]
             assert len({id(c) for c in coeffs}) == len(set(coeffs)), (p, n)
             ids.append({id(c) for c in coeffs})
+            comp_ids.append({id(comp) for el in basis for mu in el.vector.terms
+                             for comp in mu if comp not in ((), (1,))})
         assert first == second and ids[0].isdisjoint(ids[1]), (p, n)
+        assert comp_ids[0] and comp_ids[0].isdisjoint(comp_ids[1]), (p, n)
 
 
 def test_peel_rest_must_be_a_finished_label(monkeypatch):

@@ -10,10 +10,10 @@ import pytest
 
 from ariki._oracles import (Weights, addable_i_nodes, asymptotic_charge, below_key,
                             bumped_weights, diagram_nodes, removable_i_nodes)
-from ariki.charge import (ChargeParams, _weighted_min_sum, border_signatures, i_signature,
-                          is_semisimple, residue)
+from ariki.charge import (ChargeParams, _weighted_min_sum, border_signatures,
+                          component_signature, i_signature, is_semisimple, residue)
 from ariki.crystal import flotw_multipartitions
-from ariki.partitions import Node, enumerate_multipartitions
+from ariki.partitions import Node, add_node, enumerate_multipartitions
 from ariki.render import render_a_value
 from ariki.verification import GRID
 
@@ -73,6 +73,31 @@ def test_border_signatures_equal_i_signature():
                     assert sorted(items) == i_signature(mp, i, "flotw", p), (p, mp, i)
     with pytest.raises(ValueError):
         border_signatures(((1,), (), ()), ChargeParams(2, 4, (0, 1)))
+
+
+def test_component_signature_equals_i_signature():
+    # the one-component scans, each item written with its node, are
+    # i_signature's items in the component-major order when concatenated
+    # over the components, and sorted by (-content, comp) its diagonal
+    # order; each addable item carries the component that adding its node
+    # makes.  Equal charges make equal contents in two components, where
+    # the sort breaks ties by component
+    for p in (*GRID, ChargeParams(2, 3, (0, 0)), ChargeParams(3, 2, (0, 0, 1))):
+        for n in range(7):
+            for mp in enumerate_multipartitions(p.d, n):
+                for i in range(p.e):
+                    items = []
+                    for c, comp in enumerate(mp):
+                        for key, comp_index, a, new in component_signature(comp, c, i, p):
+                            assert comp_index == c, (p, mp, i)
+                            if new is None:
+                                items.append((key, c, False, (a, comp[a - 1], c)))
+                                continue
+                            g = (a, new[a - 1], c)
+                            assert new == add_node(mp, Node(*g))[c], (p, mp, i, g)
+                            items.append((key, c, True, g))
+                    assert items == i_signature(mp, i, "am", p), (p, mp, i)
+                    assert sorted(items) == i_signature(mp, i, "flotw", p), (p, mp, i)
 
 
 def test_am_below_examples():

@@ -196,8 +196,8 @@ def test_public_functions_return_node_records():
 
 def test_hot_scans_build_no_node_records():
     # the row scans carry plain (row, col, comp) tuples
-    scans = {charge: ["i_signature", "border_signatures", "am_reduced_signature",
-                      "am_reduced_signatures"],
+    scans = {charge: ["i_signature", "component_signature", "border_signatures",
+                      "am_reduced_signature", "am_reduced_signatures"],
              fock: ["_moves"], aseq: ["_peel"]}
     for module, names in scans.items():
         tree = ast.parse(inspect.getsource(module))

@@ -55,7 +55,8 @@ def test_add_nodes_matches_one_node_at_a_time():
                         add = [g for *_, is_addable, g in i_signature(lam, i, order, p)
                                if is_addable]
                         for j in range(1, len(add) + 1):
-                            targets = [mu for mu, _ in _moves(lam, i, j, order, p, {}, 1)[1]]
+                            moves = _moves(lam, i, j, order, p, {}, {}, 1)[1]
+                            targets = [mu for mu, _ in moves]
                             subsets = list(combinations(add, j))
                             assert targets == [reduce(add_node, chosen, lam)
                                                for chosen in subsets], (lam, i, j)
@@ -157,10 +158,11 @@ def test_f_divided_packs_coefficients_of_any_size():
 
 def test_shared_move_table_matches_fresh_calls():
     # one table serves every divided power of one order, one target rank and
-    # one digit width, for every residue: two vectors with overlapping
-    # support, packed and applied one after the other, give what two fresh
-    # f_divided calls give.  Each vector's coefficients sum to at most 45 in
-    # absolute value, so 8-bit digits fit, at input offsets 3 and 5
+    # one digit width, for every residue, and one table of component i-nodes
+    # serves both orders, every residue and every j: two vectors with
+    # overlapping support, packed and applied one after the other, give what
+    # two fresh f_divided calls give.  Each vector's coefficients sum to at
+    # most 45 in absolute value, so 8-bit digits fit, at input offsets 3 and 5
     width = 8
     rng = random.Random(20261)
     for p in GRID:
@@ -168,6 +170,7 @@ def test_shared_move_table_matches_fresh_calls():
         shared = rng.sample(mps, 3)
         vecs = [FockVector({mp: _random_poly(rng) for mp in shared + rng.sample(mps, 2)})
                 for _ in range(2)]
+        scans = {}
         for order in ("am", "flotw"):
             for j in (1, 2, 3):
                 table, targets = {}, {}
@@ -175,7 +178,8 @@ def test_shared_move_table_matches_fresh_calls():
                     for vec, offset in zip(vecs, (3, 5)):
                         packed = {lam: pack(c.coeffs, width, offset)
                                   for lam, c in vec.terms.items()}
-                        raw, shift = _f_divided(packed, i, j, order, p, table, targets, width)
+                        raw, shift = _f_divided(packed, i, j, order, p, scans, table, targets,
+                                                width)
                         out = FockVector({mu: LaurentPoly(unpack(x, width, offset + shift))
                                           for mu, x in raw.items()})
                         assert out == f_divided(vec, i, j, order, p), (p, order, i, j)
