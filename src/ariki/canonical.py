@@ -27,8 +27,9 @@ powers added to lift their negative exponents.  So a move is one shift and
 add (fock._f_divided), the q*Z[q] test one mask, and a subtraction
 gamma * G(nu) one int multiply and subtract per term of G(nu).  A finished
 element is shifted back to offset 0.  canonical_basis unpacks its top rank
-into LaurentPolys, and the decomposition matrices read q = 1 off each int
-with one remainder (laurent.packed_at_one).
+into LaurentPolys, render.write_canonical formats each distinct packed
+int once, and the decomposition matrices read q = 1 off each int with one
+remainder (laurent.packed_at_one).
 
 The walk runs on its demand set: the wanted labels, of any ranks (the
 top rank for canonical_basis and decomposition_matrix, every rank for
@@ -48,25 +49,44 @@ unique, so the elements do not depend on what was built or from which
 start, and a walk that wants one block (the labels of one residue
 content) builds each of its elements as a walk that wants the whole rank.
 
+The walk keys every vector by multipartition ids.  One id table
+(fock._Ids), made by the caller and kept as long as the walk, gives each
+multipartition the walk meets one small int id and keeps one tuple of it,
+so the accumulation of the divided powers, the straightening's
+subtractions and the finished elements, the held peel rests and the
+demand labels all read and write int keys.  The ids of every rank share
+one table, so a lift reads an element of any lower rank, and an
+on-demand replay of A(rest) adds into the same ids, with no translation.
+The walk to (2,2,(0,1)) n=13 meets 4,575 multipartitions of ranks 0..13.
+A tuple is read off the table only where the mathematics needs one: the
+component scans of the moves, the vertex and a-value tests of the terms
+outside q*Z[q] (514 of the 38,006 start-vector terms at (2,2,(0,1)) n=13,
+and 108 that subtractions leave there), and the (a-value, label) orders,
+whose ties the tuple still breaks.  At the boundary each id becomes its
+tuple once: canonical_basis returns tuple-keyed FockVectors,
+decomposition_matrix maps each id to its row through one list, odd-e
+typeb.decomposition_matrix_b reads each rank's 1-tuples, and
+render.write_canonical reads the packed, id-keyed top rank that
+canonical_basis unpacks (_packed_basis).
+
 The lifts of one rank apply divided powers to overlapping vectors G(lam'),
 so they share one table of divided-power moves (fock._f_divided), keyed by
-(lam', k): within rank r the exponent c = r - |lam'| is fixed by lam'.  The
-table is made before the rank is straightened and dropped after it.  No
-hit is lost by dropping it: a move's target rank is |lam'| + c, so a key
-met again at another rank would need another c and could not be reused.
-Beside it two more tables of the same lifetime give every multipartition
-the moves reach one tuple, and every finished coefficient value one int
-object: the straightening looks up each coefficient of an element as it
-finishes it.  So a finished rank holds one tuple per distinct
-multipartition and one int per distinct coefficient rather than one of
-each per term, and the coefficients of start vectors that the
-straightening replaced are not kept.  One table lives as long as the
-whole walk: the component scans the moves are built from
-(charge.component_signature), keyed by (component, index, residue), which
-no rank changes, so each is scanned, and each addable node's new
-component built, once per walk; the on-demand replays of A(rest) read it
-too.  At (2,2,(0,1)) n=13 the walk makes 790 component scans, where a
-scan of the whole multipartition per (lam', k) and rank would make 4,476.
+(lam's id, k): within rank r the exponent c = r - |lam'| is fixed by lam'.
+The table is made before the rank is straightened and dropped after it.
+No hit is lost by dropping it: a move's target rank is |lam'| + c, so a
+key met again at another rank would need another c and could not be
+reused.  Beside it a table of the same lifetime gives every finished
+coefficient value one int object: the straightening looks up each
+coefficient of an element as it finishes it.  So a finished rank holds one
+int per distinct coefficient rather than one per term, and the
+coefficients of start vectors that the straightening replaced are not
+kept.  One more table lives as long as the whole walk: the component scans
+the moves are built from (charge.component_signature), keyed by
+(component, index, residue), which no rank changes, so each is scanned,
+and each addable node's new component built, once per walk; the on-demand
+replays of A(rest) read it too.  At (2,2,(0,1)) n=13 the walk makes 790
+component scans, where a scan of the whole multipartition per (lam', k)
+and rank would make 4,476.
 
 Memory: G(mu) of a lower rank is kept while a demanded label still to
 be lifted peels to mu, and no longer.  A caller that drops each yielded
@@ -105,16 +125,16 @@ from typing import NamedTuple
 from .aseq import _blocks, _peel
 from .charge import ChargeParams
 from .crystal import _graph_bijection, crystal_graph
-from .fock import FockVector, _f_divided
+from .fock import FockVector, _f_divided, _Ids
 from .laurent import (LaurentPoly, digit_width, low_mask, pack, packed_at_one, unpack,
                       unpacked_polys)
 from .partitions import empty_multipartition, enumerate_multipartitions, rank
 from .symbols import _ScaledAValues
 
 
-def _leading_one(mp, terms, width: int, offset: int):
-    """terms, packed at offset, whose coefficient at mp must be 1."""
-    lead = terms.get(mp, 0)
+def _leading_one(mp, terms, key, width: int, offset: int):
+    """terms, packed at offset, whose coefficient at mp, of id key, must be 1."""
+    lead = terms.get(key, 0)
     if lead != 1 << width * offset:
         raise RuntimeError(f"leading coefficient of A({mp}) is "
                            f"{LaurentPoly._of(unpack(lead, width, offset))}, not 1")
@@ -136,18 +156,21 @@ def _bar_symmetric_completion(x: int, width: int, offset: int) -> int:
     return pack(low, width, offset) + pack(mirrored, width, offset)
 
 
-def _straighten(labels, vertices, avals, start, width: int, values):
-    """{label: straightened element} of one rank: labels, and the vertices
-    that their corrections reach.
+def _straighten(labels, vertices, avals, start, width: int, values, ids):
+    """{label's id: straightened element} of one rank: labels, and the
+    vertices that their corrections reach.
 
     labels are vertices of one rank, built in decreasing (a-value, label)
     order; `mp in vertices` tells whether mp is a diagonal-crystal vertex.
-    start(mp) returns (terms, offset): a fresh dict of a bar-invariant
-    vector with leading term mp, each coefficient packed at digit width
-    width and at offset (laurent.pack).  An element is a dict of its
-    coefficients packed at offset 0.  avals maps the vertices the
-    straightening reads to values ordered like their a-values: the
-    pipeline passes its table of the integers d*a
+    ids is the walk's id table (fock._Ids): every vector here is a dict
+    keyed by the ids of its multipartitions, and a tuple is read off
+    ids.tuples only for the vertex and a-value tests and the orders.
+    start(key) returns (terms, offset) for the label of id key: a fresh dict
+    of a bar-invariant vector with leading term that label, each
+    coefficient packed at digit width width and at offset (laurent.pack).
+    An element is a dict of its coefficients packed at offset 0.  avals maps
+    the vertices the straightening reads to values ordered like their
+    a-values: the pipeline passes its table of the integers d*a
     (symbols._ScaledAValues), the tests may pass the Fraction a-values.
     A label's vector reads only the elements of strictly larger a-value, so
     equal-a labels never interact and the tie order cannot change the
@@ -180,28 +203,36 @@ def _straighten(labels, vertices, avals, start, width: int, values):
     """
     basis = {}
     for mp in sorted(labels, key=lambda m: (avals[m], m), reverse=True):
-        _build(mp, vertices, avals, start, width, values, basis)
+        _build(ids[mp], vertices, avals, start, width, values, basis, ids.tuples)
     return basis
 
 
-def _build(mp, vertices, avals, start, width, values, basis):
-    """Straighten start(mp) into basis[mp]; see _straighten.
+def _build(key, vertices, avals, start, width, values, basis, tuples):
+    """Straighten start(key) into basis[key], key the id of a label whose
+    tuple is tuples[key]; see _straighten.
 
-    A vertex of larger a-value than mp is built already or is not one of
-    the rank's labels: the labels of larger key are all built, and those
-    of smaller key have no larger a-value.  One not built that a correction
-    needs is built first, by a plain call to this function, so no closure
-    refers to itself and a rank's elements die with the rank.
+    A vertex of larger a-value than the label is built already or is not
+    one of the rank's labels: the labels later in the (a-value, label)
+    order are all built, and those earlier have no larger a-value.  One not
+    built that a correction needs is built first, by a plain call to this
+    function, so no closure refers to itself and a rank's elements die with
+    the rank.  Queue entries are (a-value, tuple, id): the tuple breaks
+    ties, so the corrections run in the (a-value, label) order.
     """
-    terms, offset = start(mp)
+    terms, offset = start(key)
     low = low_mask(width, offset)  # x & low is 0 iff x lies in q*Z[q]
+    mp = tuples[key]
     a = avals[mp]
-    queue = [(avals[nu], nu) for nu, x in terms.items()
-             if x & low and nu in vertices and avals[nu] > a]
+    queue = []
+    for nu, x in terms.items():
+        if x & low:
+            lam = tuples[nu]
+            if lam in vertices and avals[lam] > a:
+                queue.append((avals[lam], lam, nu))
     queue.sort(reverse=True)  # pop() takes the smallest key
     while queue:
-        key = queue.pop()
-        nu = key[1]
+        head = queue.pop()
+        nu = head[2]
         x = terms.get(nu)
         if x is None or not x & low:
             continue
@@ -212,46 +243,50 @@ def _build(mp, vertices, avals, start, width, values, basis):
         if any(c < 0 for c in poly.coeffs.values()):
             raise RuntimeError(f"correction coefficient {poly} is not in N[q, q^-1]")
         if nu not in basis:  # not one of labels: built on demand
-            _build(nu, vertices, avals, start, width, values, basis)
+            _build(nu, vertices, avals, start, width, values, basis, tuples)
         for mu, g in basis[nu].items():  # terms -= gamma * basis[nu]
             new = terms.get(mu, 0) - gamma * g
             if not new:
                 terms.pop(mu, None)
                 continue
             terms[mu] = new
-            if new & low and mu in vertices:
-                later = (avals[mu], mu)
-                if later > key:  # a label queued twice is skipped once corrected
-                    queue.append(later)
-                    queue.sort(reverse=True)
-    if terms.get(mp) != 1 << width * offset:
+            if new & low:
+                lam = tuples[mu]
+                if lam in vertices:
+                    later = (avals[lam], lam, mu)
+                    if later > head:  # a label queued twice is skipped once corrected
+                        queue.append(later)
+                        queue.sort(reverse=True)
+    if terms.get(key) != 1 << width * offset:
         raise RuntimeError(f"straightening destroyed the leading term of {mp}")
     shift = width * offset
     element = {}
     for nu, x in terms.items():
-        if x & low and nu != mp:
+        if x & low and nu != key:
             raise RuntimeError(
-                f"coefficient of {nu} in the element labeled {mp} is "
+                f"coefficient of {tuples[nu]} in the element labeled {mp} is "
                 f"{LaurentPoly._of(unpack(x, width, offset))}, not in q*Z[q]")
         x >>= shift
         element[nu] = values.setdefault(x, x)
-    basis[mp] = element
+    basis[key] = element
 
 
-def _bases_by_rank(p: ChargeParams, wanted, vertices, avals, width: int):
-    """Yield {label: straightened element} for each rank 0..the top of wanted.
+def _bases_by_rank(p: ChargeParams, wanted, vertices, avals, width: int, ids):
+    """Yield {label's id: straightened element} for each rank 0..the top of
+    wanted.
 
     wanted holds the diagonal-crystal vertices whose elements the caller
     reads, of any ranks; see the module docstring for the demand set.
-    vertices maps every vertex the walk meets to the caller's own tuple of
-    it: corrections test membership in it (_straighten), and each peel
-    rest is held as that tuple, not as a copy.  avals maps each vertex the
-    straightening reads to a value ordered like its a-value, as in
-    _straighten: the pipeline passes one lazy table for the whole walk.
-    An element is a dict of coefficients packed at digit width width
-    and offset 0 (see _straighten); width must be
-    laurent.digit_width of the top rank or more.
-    A caller that wants only the top rank should drop each rank as it comes.
+    vertices holds every vertex the walk meets: corrections test membership
+    in it (_straighten).  avals maps each vertex the straightening reads to
+    a value ordered like its a-value, as in _straighten: the pipeline passes
+    one lazy table for the whole walk.  ids is the walk's id table
+    (fock._Ids), which the caller makes empty and reads the yielded ids
+    through: every label, rest and support term of the walk is held by its
+    id.  An element is a dict of coefficients packed at digit width width
+    and offset 0 (see _straighten); width must be laurent.digit_width of
+    the top rank or more.  A caller that wants only the top rank should drop
+    each rank as it comes.
 
     A label of the demand set starts from f_k^(c) of its peel rest's
     element, held until the last such label is lifted.  A vertex a
@@ -261,15 +296,11 @@ def _bases_by_rank(p: ChargeParams, wanted, vertices, avals, width: int):
     followed by (k, c), so it straightens to the same G(lam).  A start
     vector's offset is the sum of the offsets its divided powers added.
 
-    Each rank has three tables of its own, made before its straightening
-    and deleted after it: moves, (lam, k) -> the moves of f_k^(r - |lam|)
-    (see fock._f_divided); targets, each multipartition those moves reach
-    -> its one tuple, so every support of the rank holds one tuple per
-    multipartition; and values, each finished coefficient -> its one int.
-    They stay separate tables, so that moves holds (lam, k) keys only.  The
-    walk has one more, scans, the component scans every lift and replay
-    builds its moves from (fock._moves), made before rank 0 is yielded and
-    dropped with the walk.
+    Each rank has two tables of its own, made before its straightening and
+    deleted after it: moves, (lam's id, k) -> the moves of f_k^(r - |lam|)
+    (see fock._f_divided), and values, each finished coefficient -> its one
+    int.  The id table and scans, the component scans every lift and replay
+    builds its moves from (fock._moves), serve the whole walk.
     """
     top = max(map(rank, wanted))
     demand = [set() for _ in range(top + 1)]  # D's labels, by rank
@@ -280,56 +311,58 @@ def _bases_by_rank(p: ChargeParams, wanted, vertices, avals, width: int):
     for r in range(top, 0, -1):
         for mp in demand[r]:
             k, removed, rest = _peel(mp, p)  # D holds valid vertices
-            rest = vertices[rest]
-            peels[mp] = (k, len(removed), rest)
             demand[r - len(removed)].add(rest)
+            rest = ids[rest]
+            peels[ids[mp]] = (k, len(removed), rest)
             refs[rest] = refs.get(rest, 0) + 1
-    empty = empty_multipartition(p.d)
+    empty = ids[empty_multipartition(p.d)]
     finished = {empty: {empty: 1}}
     scans = {}  # the walk's (c, k) -> {comp: comp's k-nodes} (fock._moves)
+    tuples = ids.tuples
     yield dict(finished)
 
-    def lift(mp):
+    def lift(key):
         offset = 0
-        if mp in peels:
-            k, c, rest = peels.pop(mp)
+        if key in peels:
+            k, c, rest = peels.pop(key)
             below = finished.get(rest)
             if below is None:
-                raise RuntimeError(f"{mp} peels to {rest}, which is not a finished label")
+                raise RuntimeError(f"{tuples[key]} peels to {tuples[rest]}, "
+                                   "which is not a finished label")
             refs[rest] -= 1
             if not refs[rest]:
                 del finished[rest], refs[rest]
         else:  # reached by a correction
-            k, removed, rest = _peel(mp, p)
+            k, removed, rest = _peel(tuples[key], p)
             c = len(removed)
-            below = finished.get(rest)
+            below = finished.get(ids.get(rest))
             if below is None:  # its rest is not held: replay A(rest)
                 below = {empty: 1}
                 for i, count in _blocks(rest, p):
-                    below, shift = _f_divided(below, i, count, "flotw", p, scans, {}, {},
+                    below, shift = _f_divided(below, i, count, "flotw", p, scans, {}, ids,
                                               width)
                     offset += shift
-        lifted, shift = _f_divided(below, k, c, "flotw", p, scans, moves, targets, width)
+        lifted, shift = _f_divided(below, k, c, "flotw", p, scans, moves, ids, width)
         offset += shift
         # fresh: nothing else holds lifted
-        return _leading_one(mp, lifted, width, offset), offset
+        return _leading_one(tuples[key], lifted, key, width, offset), offset
 
     for r in range(1, top + 1):
-        moves = {}  # this rank's (lam, k) -> moves of f_k^(r - |lam|)
-        targets = {}  # this rank's multipartition -> the one tuple its moves hold
+        moves = {}  # this rank's (lam's id, k) -> moves of f_k^(r - |lam|)
         values = {}  # this rank's finished coefficient -> the one int of it
-        basis = _straighten(demand[r], vertices, avals, lift, width, values)
-        del moves, targets, values
+        basis = _straighten(demand[r], vertices, avals, lift, width, values, ids)
+        del moves, values
         demand[r] = None
         finished.update((mp, vec) for mp, vec in basis.items() if refs.get(mp))
         yield basis
         del basis  # only the elements some label above still peels to stay
 
 
-def _top_basis(p: ChargeParams, levels, avals, width: int):
-    """The top level's {label: straightened element}; lower ranks are dropped."""
-    vertices = {mp: mp for level in levels for mp in level}
-    ranks = _bases_by_rank(p, levels[-1], vertices, avals, width)
+def _top_basis(p: ChargeParams, levels, avals, width: int, ids):
+    """The top level's {label's id: straightened element}, keyed by the ids
+    of ids (fock._Ids); lower ranks are dropped."""
+    vertices = {mp for level in levels for mp in level}
+    ranks = _bases_by_rank(p, levels[-1], vertices, avals, width, ids)
     for _ in levels[1:]:
         next(ranks)
     return next(ranks)
@@ -341,13 +374,26 @@ def _elements(basis, avals):
     return [CanonicalBasisElement(label=mp, vector=basis[mp]) for mp in order]
 
 
-def _unpacked(basis, width: int):
-    """{label: FockVector} of a rank's packed elements, with one LaurentPoly
-    per distinct coefficient."""
+def _unpacked(basis, width: int, tuples):
+    """{label: FockVector} of a rank's packed elements keyed by ids, read
+    through the id table's tuples, with one LaurentPoly per distinct
+    coefficient."""
     polys = unpacked_polys((x for element in basis.values() for x in element.values()),
                            width, 0)
-    return {mp: FockVector._of({mu: polys[x] for mu, x in element.items()})
+    return {tuples[mp]: FockVector._of({tuples[mu]: polys[x] for mu, x in element.items()})
             for mp, element in basis.items()}
+
+
+def _packed_basis(p: ChargeParams, n: int):
+    """(basis, tuples, avals, width): the rank-n canonical basis as
+    _top_basis gives it, packed at digit width width and keyed by ids, the
+    tuples of its id table, and the a-value table that sorts it.  What
+    canonical_basis and render.write_canonical read."""
+    levels = crystal_graph(p, n, "flotw").levels
+    avals = _ScaledAValues(p)
+    width = digit_width(n)
+    ids = _Ids()
+    return _top_basis(p, levels, avals, width, ids), ids.tuples, avals, width
 
 
 def canonical_basis(p: ChargeParams, n: int):
@@ -356,10 +402,8 @@ def canonical_basis(p: ChargeParams, n: int):
     The labels are the rank-n vertices of the diagonal crystal; the basis of
     every lower rank is built on the way (see the module docstring).
     """
-    levels = crystal_graph(p, n, "flotw").levels
-    avals = _ScaledAValues(p)
-    width = digit_width(n)
-    return _elements(_unpacked(_top_basis(p, levels, avals, width), width), avals)
+    basis, tuples, avals, width = _packed_basis(p, n)
+    return _elements(_unpacked(basis, width, tuples), avals)
 
 
 class DecompositionMatrix:
@@ -429,22 +473,35 @@ def decomposition_matrix(p: ChargeParams, n: int) -> DecompositionMatrix:
     rows = enumerate_multipartitions(p.d, n)
     avals = _ScaledAValues(p)  # d*a of the rows and of every rank of the walk
     width = digit_width(n)
-    basis = _top_basis(p, levels, avals, width)
+    ids = _Ids()
+    basis = _top_basis(p, levels, avals, width, ids)
+    del levels
     # rows come in label order and the sort is stable, so ties keep label
     # order; the columns are a subset of the rows, so they keep theirs
     rows.sort(key=avals.__getitem__)
-    columns = [mp for mp in rows if mp in basis]
+    # each id of the top rank -> its row, through one list (every
+    # multipartition of rank n is a row), and the columns' ids; the id
+    # table is dropped before the matrix is assembled
+    row_of = [None] * len(ids)
+    columns, column_ids = [], []
+    for r, mp in enumerate(rows):
+        key = ids.get(mp)
+        if key is not None:
+            row_of[key] = r
+            if key in basis:
+                columns.append(mp)
+                column_ids.append(key)
+    del ids
     # each column's q = 1 values go straight into its rows' nonzero pairs,
     # and its vector is dropped once read; equal cells share one tuple
-    row_of = {mp: r for r, mp in enumerate(rows)}
     nonzero = [[] for _ in rows]
     cells = {}
-    for j, col in enumerate(columns):
-        for mp, packed in basis.pop(col).items():
+    for j, key in enumerate(column_ids):
+        for mu, packed in basis.pop(key).items():
             x = packed_at_one(packed, width)
             if x:
                 cell = (j, x)
-                nonzero[row_of[mp]].append(cells.setdefault(cell, cell))
+                nonzero[row_of[mu]].append(cells.setdefault(cell, cell))
     from fractions import Fraction
     a_of = {x: Fraction(x, p.d) for x in {avals[mp] for mp in rows}}
     return DecompositionMatrix(

@@ -25,18 +25,20 @@ order.  Each addable node comes with the component that adding it makes.
 
 f_divided works in two steps.  The moves of lam, the (mu, exponent) pairs
 of f_i^(j) on the basis vector lam, depend on lam, i, j and the order only;
-the accumulation multiplies each input coefficient into its moves.  The
-moves are read from a table keyed by (lam, i), so one table serves one
-order and one target rank |lam| + j, where j is fixed by lam.  A second
-table, targets, gives each multipartition the moves build its first tuple,
-so the moves of one table share one tuple per target.  A third table,
-scans, holds each (component, index, residue)'s scan; it depends on
-neither the order nor j, so it serves every divided power of a walk, and
-each addable node's new component is built once per walk.  Public
-f_divided uses fresh tables per call; the LLT recursion shares one moves
-and targets pair among all the lifts of a rank, whose input vectors
-overlap, and drops it with the rank, and one scans table among every
-divided power of the walk, which it drops with the walk.
+the accumulation multiplies each input coefficient into its moves.  Inside
+these steps a multipartition is a small int id from an id table (_Ids): a
+dict from each multipartition met to its id, and a list from each id to
+that one tuple.  A vector is a dict keyed by ids, so the accumulation adds
+into int keys, and a tuple is read only to scan lam's components.  The
+moves, a list of target ids and a list of shifts, are read from a table
+keyed by (lam's id, i), so one table serves one order and one target rank
+|lam| + j, where j is fixed by lam.  A second table, scans, holds each
+(component, index, residue)'s scan; it depends on neither the order nor j,
+so it serves every divided power of a walk, and each addable node's new
+component is built once per walk.  Public f_divided uses fresh tables per
+call; the LLT recursion shares one id table and one scans table among
+every divided power of the walk, and one moves table among all the lifts
+of a rank, whose input vectors overlap, which it drops with the rank.
 
 The accumulation runs on packed coefficients (laurent.pack): each
 coefficient is one int, a polynomial's value at q = 2^B shifted by an
@@ -56,6 +58,21 @@ from .charge import ChargeParams, check_order, check_residue, component_signatur
 from .laurent import LaurentPoly, pack, unpacked_polys, width_for
 from .partitions import (check_components, check_multipartition, format_multipartition,
                          rank)
+
+
+class _Ids(dict):
+    """An id table: self[mp] is the small int id of the multipartition mp,
+    made on first use, and self.tuples[id] is mp, the first tuple met."""
+    __slots__ = ("tuples",)
+
+    def __init__(self):
+        super().__init__()
+        self.tuples = []
+
+    def __missing__(self, mp):
+        key = self[mp] = len(self.tuples)
+        self.tuples.append(mp)
+        return key
 
 
 class FockVector:
@@ -134,9 +151,12 @@ class FockVector:
         return f"FockVector({self.terms!r})"
 
 
-def _moves(lam, i, j: int, order: str, p: ChargeParams, scans, targets, width: int):
-    """(least, moves): the moves of f_i^(j) on the basis vector lam, as
-    (mu, width * exponent) pairs, and min(0, their least width * exponent).
+def _moves(lam, i, j: int, order: str, p: ChargeParams, scans, ids, width: int):
+    """(least, mus, shifts): the moves of f_i^(j) on the basis vector lam,
+    the m-th adding its coefficient shifted by shifts[m] = width * exponent
+    into the target of id mus[m], and least = min(0, the least shift).  The
+    two lists hold a move in two slots where a list of pairs would add a
+    tuple per move (9,964 moves held at the top rank of (2,2,(0,1)) n=13).
 
     Adding i-nodes changes no other addable i-node, so for lam's addable
     i-nodes A sorted lowest first and a subset at indices s_0 < ... < s_{j-1}
@@ -153,9 +173,8 @@ def _moves(lam, i, j: int, order: str, p: ChargeParams, scans, targets, width: i
     node in a component taking its new component and a second one in the
     same component rebuilding it by a tuple slice (a node past the last row
     starts a new row of length 1), while the weights, each times width, are
-    summed into the shift of a packed coefficient (laurent.pack).  targets
-    maps each multipartition built so far to its first tuple, and each mu
-    is that tuple: the moves of several lam that reach one mu share it.
+    summed into the shift of a packed coefficient (laurent.pack).  ids is
+    the id table (_Ids) that gives each mu its id.
     """
     items = []
     for c, comp in enumerate(lam):
@@ -174,14 +193,14 @@ def _moves(lam, i, j: int, order: str, p: ChargeParams, scans, targets, width: i
             pairs.append((a, c, new, width * (len(pairs) - rem_below)))
         else:
             rem_below += 1
-    out, least = [], 0
+    mus, shifts, least = [], [], 0
     if j == 1:
         for _, c, new, bits in pairs:
             if bits < least:
                 least = bits
-            mu = lam[:c] + (new,) + lam[c + 1:]
-            out.append((targets.setdefault(mu, mu), bits))
-        return least, out
+            mus.append(ids[lam[:c] + (new,) + lam[c + 1:]])
+            shifts.append(bits)
+        return least, mus, shifts
     offset = width * (j * (j - 1) // 2)  # the -k terms, the same for every subset
     for chosen in combinations(pairs, j):
         comps, bits = list(lam), -offset
@@ -196,46 +215,46 @@ def _moves(lam, i, j: int, order: str, p: ChargeParams, scans, targets, width: i
             bits += weight
         if bits < least:
             least = bits
-        mu = tuple(comps)
-        out.append((targets.setdefault(mu, mu), bits))
-    return least, out
+        mus.append(ids[tuple(comps)])
+        shifts.append(bits)
+    return least, mus, shifts
 
 
-def _f_divided(terms, i, j: int, order: str, p: ChargeParams, scans, table, targets,
+def _f_divided(terms, i, j: int, order: str, p: ChargeParams, scans, table, ids,
                 width: int):
     """f_i^(j) on packed coefficients, with j > 0 and the order checked.
 
-    terms maps each lam to its coefficient packed at digit width width and
-    at some offset O_in (laurent.pack).  Returns (raw, shift): raw maps each
-    target mu to its coefficient packed at offset O_in + shift, with no
-    zero entries, and shift >= 0 is the least offset that makes every
-    exponent of the moves used nonnegative.  The caller makes sure every
-    coefficient of the result fits a digit.
+    terms maps the id of each lam in the id table ids (_Ids) to its
+    coefficient packed at digit width width and at some offset O_in
+    (laurent.pack).  Returns (raw, shift): raw maps the id of each target mu
+    to its coefficient packed at offset O_in + shift, with no zero entries,
+    and shift >= 0 is the least offset that makes every exponent of the
+    moves used nonnegative.  The caller makes sure every coefficient of the
+    result fits a digit.
 
-    table maps (lam, i) to _moves(lam, i, j, order, p, scans, targets,
-    width) and is filled on a miss.  Its key leaves out j, order and width,
-    so one table must serve one order, one target rank |lam| + j and one
-    width only.  targets, the interning table of the moves' multipartitions,
-    lives as long as table; it is a table of its own, so that table holds
-    (lam, i) keys only.  scans, the table of component scans that _moves
-    reads, depends on none of j, order and width, so one may serve every
-    divided power of a walk.  One pass reads every lam's moves and their
-    least shift, the second adds each coefficient, shifted, into every
-    move's target.
+    table maps (lam's id, i) to _moves(lam, i, j, order, p, scans, ids,
+    width), lam being the id's tuple, and is filled on a miss.  Its key
+    leaves out j, order and width, so one table must serve one id table,
+    one order, one target rank |lam| + j and one width only.  scans, the
+    table of component scans that _moves reads, depends on none of j, order
+    and width, so one may serve every divided power of a walk.  One pass
+    reads every lam's moves and their least shift, the second adds each
+    coefficient, shifted, into every move's target.
     """
     moved, least = [], 0
+    tuples = ids.tuples
     for lam, x in terms.items():
         entry = table.get((lam, i))
         if entry is None:
-            entry = table[lam, i] = _moves(lam, i, j, order, p, scans, targets, width)
-        low, moves = entry
+            entry = table[lam, i] = _moves(tuples[lam], i, j, order, p, scans, ids, width)
+        low, mus, shifts = entry
         if low < least:
             least = low
-        moved.append((x, moves))
+        moved.append((x, mus, shifts))
     raw = {}
     get = raw.get
-    for x, moves in moved:
-        for mu, bits in moves:
+    for x, mus, shifts in moved:
+        for mu, bits in zip(mus, shifts):
             raw[mu] = get(mu, 0) + (x << (bits - least))
     if 0 in raw.values():  # some sum cancelled
         raw = {mu: x for mu, x in raw.items() if x}
@@ -249,10 +268,11 @@ def f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVect
     (mu, width * exponent) pairs of f_i^(j) on lam (the scans of lam's
     components, the subsets and their weights, the new multipartitions); the
     accumulation multiplies each coefficient of v into its moves.  This call
-    packs v's coefficients, reads the moves from fresh tables and unpacks
-    the result; the LLT recursion shares its moves tables among all the
-    divided powers of one target rank, and its scans table among those of
-    the walk (canonical._bases_by_rank), and never unpacks.
+    packs v's coefficients under the ids of a fresh id table, reads the
+    moves from fresh tables and unpacks the result; the LLT recursion shares
+    its moves tables among all the divided powers of one target rank, and
+    its id and scans tables among those of the walk
+    (canonical._bases_by_rank), and never unpacks.
     v's support must have p.d components and i must be in 0..e-1; the
     checks are made here, once per call, and _f_divided makes none.
     """
@@ -268,7 +288,9 @@ def f_divided(v: FockVector, i, j: int, order: str, p: ChargeParams) -> FockVect
     # a target's coefficient of q^e sums at most one product per monomial of v
     width = width_for(sum(abs(c) for cs in coeffs for c in cs.values()))
     offset = max(0, -min((e for cs in coeffs for e in cs), default=0))
-    packed = {lam: pack(poly.coeffs, width, offset) for lam, poly in v.terms.items()}
-    raw, shift = _f_divided(packed, i, j, order, p, {}, {}, {}, width)
+    ids = _Ids()
+    packed = {ids[lam]: pack(poly.coeffs, width, offset) for lam, poly in v.terms.items()}
+    raw, shift = _f_divided(packed, i, j, order, p, {}, {}, ids, width)
     polys = unpacked_polys(raw.values(), width, offset + shift)
-    return FockVector._of({mu: polys[x] for mu, x in raw.items()})
+    tuples = ids.tuples
+    return FockVector._of({tuples[mu]: polys[x] for mu, x in raw.items()})

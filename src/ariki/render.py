@@ -9,8 +9,13 @@ stdout itself.  All iteration happens over canonically sorted structures,
 so equal inputs produce byte-identical output across runs and hash seeds.
 
 Text is made only for what the output shows: a matrix row is a copy of one
-blank row with its nonzero cells written in, and a canonical basis formats
-each distinct coefficient once.  Labels are formatted once per distinct
+blank row with its nonzero cells written in.  The canonical writer reads
+the packed top rank keyed by multipartition ids that canonical_basis
+unpacks (canonical._packed_basis), with no FockVector or LaurentPoly per
+term: it formats each distinct packed coefficient once, keyed by its
+value, and each distinct multipartition once, orders each element's terms
+by a list from each id to its multipartition's sorted position, and drops
+each element once written.  Labels are formatted once per distinct
 component: each call keeps one _Labels table of {component: text}, filled
 through format_multipartition((component,)), so a matrix's rows, columns
 and kleshchev labels, a canonical basis's support, and the enumerate,
@@ -34,9 +39,10 @@ import io
 from math import gcd
 
 from .aseq import a_graph, a_sequence
-from .canonical import decomposition_matrix, canonical_basis
+from .canonical import _packed_basis, decomposition_matrix
 from .charge import ChargeParams
 from .crystal import bijection_j, bijection_j_inverse, crystal_graph
+from .laurent import unpacked_polys
 from .partitions import (check_components, enumerate_multipartitions,
                          format_multipartition, multipartition_to_json)
 from .symbols import (_format_ratio, _scaled_a_value, format_rational, ordinary_symbol,
@@ -153,26 +159,23 @@ def _capture(write, *args) -> str:
 
 
 def write_canonical(out, p: ChargeParams, n: int):
-    basis = canonical_basis(p, n)
-    # one position and one text per distinct multipartition in any support,
-    # and one text per coefficient object, keyed by its id: canonical_basis
-    # makes one object per distinct value (canonical._unpacked), every
-    # object stays alive in basis while the writer runs, and an equal value
-    # held by a second object only formats the same text again
-    support = sorted({mp for el in basis for mp in el.vector.terms})
-    position = {mp: i for i, mp in enumerate(support)}
-    name = dict(zip(support, map(_Labels(), support)))
-    coeff_text = {}
-    for el in basis:
-        terms = el.vector.terms
-        parts = []
-        for mp in sorted(terms, key=position.__getitem__):
-            c = terms[mp]
-            text = coeff_text.get(id(c))
-            if text is None:
-                text = coeff_text[id(c)] = f"({c})*["
-            parts.append(f"{text}{name[mp]}]")
-        out.write(f"{name[el.label]}: {' + '.join(parts)}\n")
+    basis, tuples, avals, width = _packed_basis(p, n)
+    labels = sorted(basis, key=lambda m: (avals[tuples[m]], tuples[m]))
+    # one text per distinct multipartition of any support, and each id's
+    # position in their sorted list, by which every element's terms are
+    # ordered; one text per distinct coefficient value
+    support = sorted(set().union(*basis.values()), key=tuples.__getitem__)
+    position, name = [0] * len(tuples), [""] * len(tuples)
+    label = _Labels()
+    for i, mu in enumerate(support):
+        position[mu], name[mu] = i, label(tuples[mu])
+    values = set().union(*map(dict.values, basis.values()))
+    coeff_text = {x: f"({poly})*[" for x, poly in unpacked_polys(values, width, 0).items()}
+    for mp in labels:
+        element = basis.pop(mp)  # dropped once written
+        parts = [f"{coeff_text[element[mu]]}{name[mu]}]"
+                 for mu in sorted(element, key=position.__getitem__)]
+        out.write(f"{name[mp]}: {' + '.join(parts)}\n")
 
 
 def render_canonical(p: ChargeParams, n: int) -> str:

@@ -23,6 +23,7 @@ e, so the a-values read no e.
 from .canonical import DecompositionMatrix, _bases_by_rank, decomposition_matrix
 from .charge import ChargeParams
 from .crystal import flotw_multipartitions
+from .fock import _Ids
 from .laurent import digit_width, packed_at_one
 from .partitions import check_multipartition, enumerate_multipartitions, is_e_regular
 from .symbols import _ScaledAValues, _scaled_a_value
@@ -94,17 +95,20 @@ def decomposition_matrix_b(n: int, e: int) -> DecompositionMatrix:
 
     pa = type_a_params(e)
     # the type-A labels of ranks 0..n: the components of the basic set
-    every = {(c,): (c,) for c in {c for bp in columns for c in bp}}
+    every = {(c,) for c in {c for bp in columns for c in bp}}
     # per rank and row partition of a type-A factor: its nonzero (column, entry)
     factors = []
     width = digit_width(n)
-    for basis in _bases_by_rank(pa, every, every, _ScaledAValues(pa), width):
+    ids = _Ids()
+    tuples = ids.tuples
+    for basis in _bases_by_rank(pa, every, every, _ScaledAValues(pa), width, ids):
         pairs = {}
-        for (lam,), element in basis.items():
-            for (mu,), packed in element.items():
+        for key, element in basis.items():
+            (lam,) = tuples[key]
+            for mu, packed in element.items():
                 x = packed_at_one(packed, width)
                 if x:
-                    pairs.setdefault(mu, []).append((lam, x))
+                    pairs.setdefault(tuples[mu][0], []).append((lam, x))
         factors.append(pairs)
     # an entry is the product of the component-wise type-A entries, so only
     # products of two nonzeros are stored; size mismatches stay zero.

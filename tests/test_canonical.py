@@ -7,11 +7,12 @@ import pytest
 from ariki._oracles import compute_A, diagram_residues, replayed_basis, straighten_by_scan
 from ariki.aseq import peel_step
 from ariki.canonical import (DecompositionMatrix, _bar_symmetric_completion,
-                             _bases_by_rank, _elements, _straighten, _top_basis, _unpacked,
-                             canonical_basis, decomposition_matrix, simple_module_a_values)
+                             _bases_by_rank, _elements, _packed_basis, _straighten,
+                             _top_basis, _unpacked, canonical_basis, decomposition_matrix,
+                             simple_module_a_values)
 from ariki.charge import ChargeParams
 from ariki.crystal import crystal_graph, flotw_multipartitions
-from ariki.fock import FockVector
+from ariki.fock import FockVector, _Ids
 from ariki.laurent import LaurentPoly, digit_width, low_mask, pack, unpack
 from ariki.partitions import enumerate_multipartitions, rank
 from ariki.symbols import _ScaledAValues, a_value
@@ -34,10 +35,13 @@ W = 16
 def _straightened(starts, avals, offset):
     """_straighten of a hand-built rank, its start vectors packed at offset:
     the packed elements, and the same unpacked into FockVectors."""
-    def start(mp):
-        return {mu: pack(c.coeffs, W, offset) for mu, c in starts[mp].items()}, offset
-    packed = _straighten(list(starts), set(starts), avals, start, W, {})
-    return packed, _unpacked(packed, W)
+    ids = _Ids()
+
+    def start(key):
+        return {ids[mu]: pack(c.coeffs, W, offset)
+                for mu, c in starts[ids.tuples[key]].items()}, offset
+    packed = _straighten(list(starts), set(starts), avals, start, W, {}, ids)
+    return packed, _unpacked(packed, W, ids.tuples)
 
 
 def test_compute_A_examples():
@@ -181,14 +185,17 @@ def test_every_yielded_rank_is_that_rank_canonical_basis():
     top = 5
     for p in GRID:
         levels = crystal_graph(p, top, "flotw").levels
-        every = {mp: mp for level in levels for mp in level}
+        every = {mp for level in levels for mp in level}
         avals = {mp: a_value(mp, p) for mp in every}
         width = digit_width(top)
-        ranks = list(_bases_by_rank(p, every, every, avals, width))
+        ids, demand_ids = _Ids(), _Ids()
+        ranks = [_unpacked(basis, width, ids.tuples)
+                 for basis in _bases_by_rank(p, every, every, avals, width, ids)]
         assert len(ranks) == top + 1
         for r, basis in enumerate(ranks):
-            assert _elements(_unpacked(basis, width), avals) == canonical_basis(p, r), (p, r)
-        demanded = list(_bases_by_rank(p, levels[top], every, avals, width))
+            assert _elements(basis, avals) == canonical_basis(p, r), (p, r)
+        demanded = [_unpacked(basis, width, demand_ids.tuples) for basis
+                    in _bases_by_rank(p, levels[top], every, avals, width, demand_ids)]
         assert demanded[top] == ranks[top], p
         for r, basis in enumerate(demanded):
             assert basis and all(ranks[r][mp] == vec for mp, vec in basis.items()), (p, r)
@@ -235,18 +242,31 @@ def test_one_block_at_a_time():
     cases = [(p, 6 if p.d == 3 else 8) for p in GRID] + [(P24, 14)]
     for p, n in cases:
         levels = crystal_graph(p, n, "flotw").levels
-        every = {mp: mp for level in levels for mp in level}
+        every = {mp for level in levels for mp in level}
         avals = _ScaledAValues(p)
         width = digit_width(n)
-        full = _top_basis(p, levels, avals, width)
+        full = _top(p, levels, avals, width)
         blocks = {}
         for mp in levels[n]:
             blocks.setdefault(tuple(diagram_residues(mp, p).items()), []).append(mp)
         assert len(blocks) > 1, (p, n)
         for block in blocks.values():
-            *_, basis = _bases_by_rank(p, block, every, avals, width)
+            basis = _last_rank(p, block, every, avals, width)
             assert set(block) <= set(basis), (p, n, block)
             assert all(full[mp] == vec for mp, vec in basis.items()), (p, n, block)
+
+
+def _top(p, levels, avals, width):
+    """_top_basis unpacked: the top level's {label: FockVector}."""
+    ids = _Ids()
+    return _unpacked(_top_basis(p, levels, avals, width, ids), width, ids.tuples)
+
+
+def _last_rank(p, wanted, vertices, avals, width):
+    """The last rank _bases_by_rank yields, unpacked into {label: FockVector}."""
+    ids = _Ids()
+    *_, basis = _bases_by_rank(p, wanted, vertices, avals, width, ids)
+    return _unpacked(basis, width, ids.tuples)
 
 
 def test_label_built_on_demand_without_its_rest_replays_the_rest(monkeypatch):
@@ -259,15 +279,15 @@ def test_label_built_on_demand_without_its_rest_replays_the_rest(monkeypatch):
     levels = crystal_graph(p, n, "flotw").levels
     avals = _ScaledAValues(p)  # d*a of every label the walks read
     width = digit_width(n)
-    full = _top_basis(p, levels, avals, width)
+    full = _top(p, levels, avals, width)
     assert len(full) == len(levels[n])
-    every = {mp: mp for level in levels for mp in level}
+    every = {mp for level in levels for mp in level}
     replayed = []
     real = canonical._blocks
     monkeypatch.setattr(canonical, "_blocks",
                         lambda mp, p: (replayed.append(mp), real(mp, p))[1])
     for label in levels[n]:
-        *_, basis = _bases_by_rank(p, [label], every, avals, width)
+        basis = _last_rank(p, [label], every, avals, width)
         assert label in basis and all(full[mp] == vec for mp, vec in basis.items()), label
     assert len(replayed) == 48
 
@@ -326,9 +346,9 @@ def test_one_move_table_per_rank(monkeypatch):
     computed = []
     real = fock._moves
 
-    def counting(lam, i, j, order, p, scans, targets, width):
+    def counting(lam, i, j, order, p, scans, ids, width):
         computed.append((rank(lam) + j, lam, i))
-        return real(lam, i, j, order, p, scans, targets, width)
+        return real(lam, i, j, order, p, scans, ids, width)
 
     monkeypatch.setattr(fock, "_moves", counting)
     for p, n in ((ChargeParams(2, 2, (0, 1)), 9), (P24, 8)):
@@ -367,13 +387,14 @@ def test_one_component_scan_per_walk(monkeypatch):
 SHARING_CASES = [(p, 7 if p.d == 3 else 8) for p in GRID] + [(ChargeParams(2, 2, (0, 1)), 10)]
 
 
-def _ranks(p, n, wanted=None):
-    """Each rank's {label: vector} of one walk to rank n that wants every
-    label (wanted=None) or the top level ("top")."""
+def _ranks(p, n, wanted=None, ids=None):
+    """Each rank's {label's id: packed element} of one walk to rank n that
+    wants every label (wanted=None) or the top level ("top"), keyed by the
+    ids of ids (a fresh id table if None)."""
     levels = crystal_graph(p, n, "flotw").levels
-    every = {mp: mp for level in levels for mp in level}
+    every = {mp for level in levels for mp in level}
     return _bases_by_rank(p, levels[n] if wanted == "top" else every, every,
-                          _ScaledAValues(p), digit_width(n))
+                          _ScaledAValues(p), digit_width(n), _Ids() if ids is None else ids)
 
 
 def test_one_coefficient_object_per_value_in_a_rank():
@@ -386,28 +407,40 @@ def test_one_coefficient_object_per_value_in_a_rank():
                 assert len({id(c) for c in coeffs}) == len(set(coeffs)), (p, r, wanted)
 
 
-def test_one_target_tuple_per_multipartition_in_a_rank(monkeypatch):
-    # the moves of one rank hold one tuple per distinct target, and so do
-    # the supports of that rank's basis vectors, which are built from them
+def test_one_id_and_one_tuple_per_multipartition_of_a_table(monkeypatch):
+    # a walk's id table gives each distinct multipartition one id and keeps
+    # one tuple of it; every id the moves return, every label and every
+    # support term of every rank is an id of that table, and the
+    # multipartitions canonical_basis returns are the table's tuples, one per
+    # distinct multipartition
     import ariki.fock as fock
     real = fock._moves
     made = {}  # target rank -> every move target returned for it
 
     def recording(lam, i, j, *rest):
         out = real(lam, i, j, *rest)
-        made.setdefault(rank(lam) + j, []).extend(mu for mu, _ in out[1])
+        made.setdefault(rank(lam) + j, []).extend(out[1])
         return out
 
     monkeypatch.setattr(fock, "_moves", recording)
     for p, n in SHARING_CASES:
         for wanted in (None, "top"):
             made.clear()
-            for r, basis in enumerate(_ranks(p, n, wanted)):
-                support = [mu for element in basis.values() for mu in element]
-                assert len({id(mu) for mu in support}) == len(set(support)), (p, r, wanted)
+            ids = _Ids()
+            for r, basis in enumerate(_ranks(p, n, wanted, ids)):
+                for key, element in basis.items():
+                    terms = {rank(ids.tuples[mu]) for mu in element}
+                    assert rank(ids.tuples[key]) == r and terms == {r}, (p, r, wanted)
+            assert len(ids) == len(ids.tuples) == len(set(ids.tuples)), (p, wanted)
+            assert all(ids[mp] == key for key, mp in enumerate(ids.tuples)), (p, wanted)
             assert sorted(made) == list(range(1, n + 1)), (p, wanted)
             for r, targets in made.items():
-                assert len({id(mu) for mu in targets}) == len(set(targets)), (p, r, wanted)
+                assert {rank(ids.tuples[mu]) for mu in targets} == {r}, (p, r, wanted)
+        support = [mu for el in canonical_basis(p, n) for mu in el.vector.terms]
+        assert len({id(mu) for mu in support}) == len(set(support)), (p, n)
+    # the walk to (2,2,(0,1)) n=13 meets 4,575 distinct multipartitions
+    tuples = _packed_basis(ChargeParams(2, 2, (0, 1)), 13)[1]
+    assert len(tuples) == len(set(tuples)) == 4575
 
 
 def test_one_tuple_per_distinct_matrix_cell():
@@ -431,15 +464,22 @@ def test_no_sharing_table_outlives_a_call():
     # left out
     for p, n in SHARING_CASES:
         first, second = canonical_basis(p, n), canonical_basis(p, n)
-        ids, comp_ids = [], []
+        ids, comp_ids, mp_ids = [], [], []
         for basis in (first, second):
             coeffs = [c for el in basis for c in el.vector.terms.values()]
             assert len({id(c) for c in coeffs}) == len(set(coeffs)), (p, n)
             ids.append({id(c) for c in coeffs})
             comp_ids.append({id(comp) for el in basis for mu in el.vector.terms
                              for comp in mu if comp not in ((), (1,))})
+            # the tuples of the call's own id table
+            mp_ids.append({id(mu) for el in basis for mu in el.vector.terms})
         assert first == second and ids[0].isdisjoint(ids[1]), (p, n)
         assert comp_ids[0] and comp_ids[0].isdisjoint(comp_ids[1]), (p, n)
+        assert mp_ids[0].isdisjoint(mp_ids[1]), (p, n)
+        # and each call of the walk makes an id table of its own
+        tables = [_packed_basis(p, n)[1] for _ in range(2)]
+        assert tables[0] == tables[1] and tables[0] is not tables[1], (p, n)
+        assert {id(mu) for mu in tables[0]}.isdisjoint(map(id, tables[1])), (p, n)
 
 
 def test_peel_rest_must_be_a_finished_label(monkeypatch):

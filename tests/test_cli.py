@@ -328,9 +328,15 @@ def test_reader_closing_early_ends_quietly():
 
 
 def test_render_canonical_matches_per_element_formatting():
-    # reference: each element through FockVector.__str__, every term formatted anew
-    # (2,2,(0,1)) n=10 has a part 10
+    # reference: each element through FockVector.__str__, every term formatted
+    # anew.  The writer reads the packed, id-keyed basis that canonical_basis
+    # unpacks, so this is the one check that the two agree.  (2,2,(0,1))
+    # n=10 has a part 10; equal charges put i-nodes of equal content in two
+    # components; d = 1 reaches rank 10 on one component
     cases = [(p, n) for p in GRID for n in range(7)]
+    cases += [(p, n) for p in (ChargeParams(2, 3, (0, 0)), ChargeParams(3, 2, (0, 0, 1)))
+              for n in range(7)]
+    cases += [(ChargeParams(1, e, (0,)), n) for e in (2, 3) for n in range(11)]
     cases.append((ChargeParams(2, 2, (0, 1)), 10))
     for p, n in cases:
         lines = [f"{format_multipartition(el.label)}: {el.vector}"

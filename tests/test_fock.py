@@ -13,7 +13,7 @@ from ariki.canonical import DecompositionMatrix
 from ariki._oracles import asymptotic_charge, below_key, divided_power_holds, f_action
 from ariki.charge import ChargeParams, i_signature
 from ariki.crystal import crystal_graph, good_addable_node, good_removable_node
-from ariki.fock import FockVector, _f_divided, _moves, f_divided
+from ariki.fock import FockVector, _f_divided, _Ids, _moves, f_divided
 from ariki.laurent import LaurentPoly, pack, unpack
 from ariki.partitions import add_node, enumerate_multipartitions
 
@@ -55,8 +55,9 @@ def test_add_nodes_matches_one_node_at_a_time():
                         add = [g for *_, is_addable, g in i_signature(lam, i, order, p)
                                if is_addable]
                         for j in range(1, len(add) + 1):
-                            moves = _moves(lam, i, j, order, p, {}, {}, 1)[1]
-                            targets = [mu for mu, _ in moves]
+                            ids = _Ids()
+                            mus = _moves(lam, i, j, order, p, {}, ids, 1)[1]
+                            targets = [ids.tuples[mu] for mu in mus]
                             subsets = list(combinations(add, j))
                             assert targets == [reduce(add_node, chosen, lam)
                                                for chosen in subsets], (lam, i, j)
@@ -173,17 +174,18 @@ def test_shared_move_table_matches_fresh_calls():
         scans = {}
         for order in ("am", "flotw"):
             for j in (1, 2, 3):
-                table, targets = {}, {}
+                table, ids = {}, _Ids()
                 for i in range(p.e):
                     for vec, offset in zip(vecs, (3, 5)):
-                        packed = {lam: pack(c.coeffs, width, offset)
+                        packed = {ids[lam]: pack(c.coeffs, width, offset)
                                   for lam, c in vec.terms.items()}
-                        raw, shift = _f_divided(packed, i, j, order, p, scans, table, targets,
+                        raw, shift = _f_divided(packed, i, j, order, p, scans, table, ids,
                                                 width)
-                        out = FockVector({mu: LaurentPoly(unpack(x, width, offset + shift))
+                        out = FockVector({ids.tuples[mu]:
+                                          LaurentPoly(unpack(x, width, offset + shift))
                                           for mu, x in raw.items()})
                         assert out == f_divided(vec, i, j, order, p), (p, order, i, j)
-                assert {key[0] for key in table} >= set(shared)
+                assert {ids.tuples[key[0]] for key in table} >= set(shared)
 
 
 def test_divided_power_cancelling_terms_dropped():
