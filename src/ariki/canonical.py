@@ -26,10 +26,11 @@ holds fits a digit, and the offset O of a start vector is what its divided
 powers added to lift their negative exponents.  So a move is one shift and
 add (fock._f_divided), the q*Z[q] test one mask, and a subtraction
 gamma * G(nu) one int multiply and subtract per term of G(nu).  A finished
-element is shifted back to offset 0.  canonical_basis unpacks its top rank
-into LaurentPolys, render.write_canonical formats each distinct packed
-int once, and the decomposition matrices read q = 1 off each int with one
-remainder (laurent.packed_at_one).
+element is shifted back to offset 0.  The walk to a top rank has one
+entry, _packed_basis, which returns that rank packed and keyed by ids:
+canonical_basis unpacks it into LaurentPolys, render.write_canonical
+formats each distinct packed int once, and decomposition_matrix reads
+q = 1 off each int with one remainder (laurent.packed_at_one).
 
 The walk runs on its demand set: the wanted labels, of any ranks (the
 top rank for canonical_basis and decomposition_matrix, every rank for
@@ -64,10 +65,10 @@ outside q*Z[q] (514 of the 38,006 start-vector terms at (2,2,(0,1)) n=13,
 and 108 that subtractions leave there), and the (a-value, label) orders,
 whose ties the tuple still breaks.  At the boundary each id becomes its
 tuple once: canonical_basis returns tuple-keyed FockVectors,
-decomposition_matrix maps each id to its row through one list, odd-e
-typeb.decomposition_matrix_b reads each rank's 1-tuples, and
-render.write_canonical reads the packed, id-keyed top rank that
-canonical_basis unpacks (_packed_basis).
+decomposition_matrix maps each id to its row through one list,
+render.write_canonical orders each element's terms through one list,
+all three reading the id table _packed_basis returns, and odd-e
+typeb.decomposition_matrix_b reads each rank's 1-tuples.
 
 The lifts of one rank apply divided powers to overlapping vectors G(lam'),
 so they share one table of divided-power moves (fock._f_divided), keyed by
@@ -358,16 +359,6 @@ def _bases_by_rank(p: ChargeParams, wanted, vertices, avals, width: int, ids):
         del basis  # only the elements some label above still peels to stay
 
 
-def _top_basis(p: ChargeParams, levels, avals, width: int, ids):
-    """The top level's {label's id: straightened element}, keyed by the ids
-    of ids (fock._Ids); lower ranks are dropped."""
-    vertices = {mp for level in levels for mp in level}
-    ranks = _bases_by_rank(p, levels[-1], vertices, avals, width, ids)
-    for _ in levels[1:]:
-        next(ranks)
-    return next(ranks)
-
-
 def _elements(basis, avals):
     """Basis elements sorted by (a-value, label)."""
     order = sorted(basis, key=lambda m: (avals[m], m))
@@ -384,16 +375,22 @@ def _unpacked(basis, width: int, tuples):
             for mp, element in basis.items()}
 
 
-def _packed_basis(p: ChargeParams, n: int):
-    """(basis, tuples, avals, width): the rank-n canonical basis as
-    _top_basis gives it, packed at digit width width and keyed by ids, the
-    tuples of its id table, and the a-value table that sorts it.  What
-    canonical_basis and render.write_canonical read."""
-    levels = crystal_graph(p, n, "flotw").levels
+def _packed_basis(p: ChargeParams, levels):
+    """(basis, ids, avals, width): the canonical basis of the top level of
+    levels, the diagonal crystal's vertices by rank, as {label's id:
+    element}, each element packed at digit width width and keyed by the
+    ids of the walk's id table ids (fock._Ids), and the a-value table that
+    sorts it.  The one entry to the walk at the top rank: canonical_basis,
+    decomposition_matrix and render.write_canonical read it, and the lower
+    ranks are dropped as they come."""
+    vertices = {mp for level in levels for mp in level}
     avals = _ScaledAValues(p)
-    width = digit_width(n)
+    width = digit_width(len(levels) - 1)
     ids = _Ids()
-    return _top_basis(p, levels, avals, width, ids), ids.tuples, avals, width
+    ranks = _bases_by_rank(p, levels[-1], vertices, avals, width, ids)
+    for _ in levels[1:]:
+        next(ranks)
+    return next(ranks), ids, avals, width
 
 
 def canonical_basis(p: ChargeParams, n: int):
@@ -402,8 +399,8 @@ def canonical_basis(p: ChargeParams, n: int):
     The labels are the rank-n vertices of the diagonal crystal; the basis of
     every lower rank is built on the way (see the module docstring).
     """
-    basis, tuples, avals, width = _packed_basis(p, n)
-    return _elements(_unpacked(basis, width, tuples), avals)
+    basis, ids, avals, width = _packed_basis(p, crystal_graph(p, n, "flotw").levels)
+    return _elements(_unpacked(basis, width, ids.tuples), avals)
 
 
 class DecompositionMatrix:
@@ -471,10 +468,8 @@ def decomposition_matrix(p: ChargeParams, n: int) -> DecompositionMatrix:
     levels = flotw.levels
     del flotw
     rows = enumerate_multipartitions(p.d, n)
-    avals = _ScaledAValues(p)  # d*a of the rows and of every rank of the walk
-    width = digit_width(n)
-    ids = _Ids()
-    basis = _top_basis(p, levels, avals, width, ids)
+    # avals: d*a of the rows and of every rank of the walk
+    basis, ids, avals, width = _packed_basis(p, levels)
     del levels
     # rows come in label order and the sort is stable, so ties keep label
     # order; the columns are a subset of the rows, so they keep theirs

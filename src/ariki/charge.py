@@ -17,11 +17,11 @@ the component-major order (below = smaller (comp, row)) and the
 diagonal order (below = larger b - a + v_c, ties to the smaller component).
 Five row scans find a multipartition's addable and removable nodes by
 residue, each in one pass over its rows.  i_signature lists the i-nodes of
-one residue i lowest first in either order; the crystal's good nodes and
-the bijection's replay read it in the diagonal order.
-component_signature is its pass over one component, each addable node
-with the component it makes; the divided powers keep one per (component,
-index, residue) for a whole walk, concatenate them over a
+one residue i lowest first in the diagonal order, for the crystal's good
+nodes and the bijection's replay in that order.  component_signature is
+its pass over one component, in the component-major order, each addable
+node with the component it makes; the divided powers keep one per
+(component, index, residue) for a whole walk, concatenate them over a
 multipartition's components and sort the result for the diagonal order
 (fock._moves).  border_signatures lists every residue that occurs at
 once, as {residue: i_signature items in the component-major order}, for
@@ -36,8 +36,10 @@ that order).  A reader that wants a single residue stays on a one-residue
 scan: a pass that files every node by residue costs more than one that
 keeps the nodes of one residue.  The nodes are plain (row, col, comp)
 tuples; the public functions that return a node build the partitions.Node
-record from one.  The oracles read both orders as the diagonal order of
-an integer charge s = v (mod e): ariki._oracles.below_key.
+record from one.  No scan checks its multipartition: every caller has
+run partitions.check_components on it or walks from the empty one.  The
+oracles read both orders as the diagonal order of an integer charge
+s = v (mod e): ariki._oracles.below_key.
 """
 
 from bisect import bisect_right
@@ -153,20 +155,18 @@ def check_residue(i, p: ChargeParams):
         raise ValueError(f"residue must be an integer in 0..{p.e - 1}, got {i!r}")
 
 
-def i_signature(mp, i, order, p: ChargeParams):
-    """The addable and removable i-nodes of mp, lowest first in the order.
+def i_signature(mp, i, p: ChargeParams):
+    """The addable and removable i-nodes of mp, lowest first in the
+    diagonal order.
 
     One pass over the rows yields tuples (-content, comp, addable?, node),
     where content is b - a + v_c and node is a plain (row, col, comp)
     tuple, not a partitions.Node.  The end of row a has residue
     (length - a + v_c) mod e and the node after it the next residue, so a
-    row gives at most one i-node (e >= 2), and a component's new-row node
-    comes after its rows: the pass emits the component-major order as it
-    goes.  The diagonal order sorts the tuples once; (-content, comp) is
-    unique among the i-nodes.  Neither order nor residue is checked here.
+    row gives at most one i-node (e >= 2).  The tuples are sorted once;
+    (-content, comp) is unique among the i-nodes.  Neither mp nor the
+    residue is checked here.
     """
-    if len(mp) > p.d:
-        raise ValueError(f"component index {p.d} out of range for d={p.d}")
     e, before = p.e, (i - 1) % p.e
     items = []
     for c, comp in enumerate(mp):
@@ -180,8 +180,7 @@ def i_signature(mp, i, order, p: ChargeParams):
                 items.append((a - length - 1 - vc, c, True, (a, length + 1, c)))
         if (vc - height) % e == i:
             items.append((height - vc, c, True, (height + 1, 1, c)))
-    if order == "flotw":
-        items.sort()
+    items.sort()
     return items
 
 
@@ -193,11 +192,12 @@ def component_signature(comp, c, i, p: ChargeParams):
     (-content, c, row, new), where new is comp with the addable node added,
     or None for a removable node, whose column is comp[row - 1] (an addable
     node's is new[row - 1]).  Written with their nodes, these lists,
-    concatenated over mp's components, are i_signature(mp, i, "am", p), and
-    the concatenation sorted by (-content, c) is the diagonal order.  The
-    items leave out i_signature's node tuple and addable flag because the
-    divided powers keep one list per (comp, c, i) for a whole walk
-    (fock._moves).  c is not checked here.
+    concatenated over mp's components, are mp's i-nodes in the
+    component-major order, and sorted by (-content, c) they are
+    i_signature(mp, i, p), the diagonal order.  The items leave out
+    i_signature's node tuple and addable flag because the divided powers
+    keep one list per (comp, c, i) for a whole walk (fock._moves).  c is
+    not checked here.
     """
     e, before, vc, height = p.e, (i - 1) % p.e, p.v[c], len(comp)
     items = []
@@ -214,7 +214,8 @@ def component_signature(comp, c, i, p: ChargeParams):
 
 
 def border_signatures(mp, p: ChargeParams):
-    """{i: i_signature(mp, i, "am", p)} for every residue i with an i-node.
+    """{i: mp's i-nodes as i_signature's items, in the component-major
+    order} for every residue i with an i-node.
 
     The same items as i_signature, from one pass over the rows for all
     residues at once: the end of row a is removable with residue
@@ -226,8 +227,6 @@ def border_signatures(mp, p: ChargeParams):
     they read; the component-major walks read am_reduced_signatures.  Only
     the residues that occur are keys, so the cost does not grow with e.
     """
-    if len(mp) > p.d:
-        raise ValueError(f"component index {p.d} out of range for d={p.d}")
     e, out = p.e, {}
     for c, comp in enumerate(mp):
         vc, height = p.v[c], len(comp)
@@ -246,15 +245,13 @@ def border_signatures(mp, p: ChargeParams):
 def am_reduced_signature(mp, i, p: ChargeParams):
     """The surviving addable and removable i-nodes in the component-major order.
 
-    The nodes of i_signature(mp, i, "am", p), cancelled while the rows are
-    scanned: the scan meets them in the order itself, so an addable i-node
-    is pushed and a removable one pops the last surviving addable node, or
-    survives if there is none.  The scan steps a run of equal rows at a
-    time, since only its first row has an addable node and only its last a
-    removable one.  Both lists come out lowest node first.
+    The i-nodes of mp, cancelled while the rows are scanned: the scan
+    meets them in the order itself, so an addable i-node is pushed and a
+    removable one pops the last surviving addable node, or survives if
+    there is none.  The scan steps a run of equal rows at a time, since
+    only its first row has an addable node and only its last a removable
+    one.  Both lists come out lowest node first.
     """
-    if len(mp) > p.d:
-        raise ValueError(f"component index {p.d} out of range for d={p.d}")
     e = p.e
     addable, removable = [], []
     for c, comp in enumerate(mp):
@@ -285,8 +282,6 @@ def am_reduced_signatures(mp, p: ChargeParams):
     component-major order.  Only the residues that occur are keys, so the
     cost does not grow with e.
     """
-    if len(mp) > p.d:
-        raise ValueError(f"component index {p.d} out of range for d={p.d}")
     e, out = p.e, {}
     for c, comp in enumerate(mp):
         vc, height = p.v[c], len(comp)

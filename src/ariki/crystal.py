@@ -22,7 +22,7 @@ charge.border_signatures and sort and cancel each list they use.  The
 good nodes and the bijection's replay want one residue: in the
 component-major order they read charge.am_reduced_signature, the same
 cancelling scan for one residue, and in the diagonal order
-charge.i_signature, the scan the divided powers read too.
+charge.i_signature, that residue's i-nodes sorted, which they cancel.
 The signature's nodes are plain (row, col, comp) tuples; a
 partitions.Node is built only where a public function returns one (the
 good nodes and crystal_graph's edges).  The walks (the raising paths, the
@@ -60,7 +60,7 @@ def _reduced_signature(mp, i, order, p):
     """
     if order == "am":
         return am_reduced_signature(mp, i, p)
-    return _cancelled(i_signature(mp, i, order, p))
+    return _cancelled(i_signature(mp, i, p))
 
 
 def _cancelled(items):

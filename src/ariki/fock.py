@@ -19,9 +19,10 @@ s_0 < ... < s_{j-1}, below A[s_k] lie s_k nodes of A, k of them in S, so
 the exponent is sum_k (s_k - k - #{r in R below A[s_k]}).  f_divided
 reads A and R, lowest first, from charge.component_signature, the row
 scan of one component: its lists, concatenated over lam's components, are
-the i-nodes that charge.i_signature, which the crystal operators read,
-lists in the component-major order, and sorted once they are the diagonal
-order.  Each addable node comes with the component that adding it makes.
+lam's i-nodes in the component-major order, and sorted once they are the
+diagonal order that charge.i_signature, which the diagonal crystal
+operators read, lists.  Each addable node comes with the component that
+adding it makes.
 
 f_divided works in two steps.  The moves of lam, the (mu, exponent) pairs
 of f_i^(j) on the basis vector lam, depend on lam, i, j and the order only;
@@ -168,13 +169,13 @@ def _moves(lam, i, j: int, order: str, p: ChargeParams, scans, ids, width: int):
     and sorted once by (-content, comp) in the diagonal order, so nodes of
     equal content in two components break ties by component.  So
     weight[s] = s - rem_below[s] is s minus the removable nodes seen before
-    A[s].  A one-node move puts the node's new component, which its item
-    carries, into lam; a subset of j >= 2 nodes is walked once, the first
-    node in a component taking its new component and a second one in the
-    same component rebuilding it by a tuple slice (a node past the last row
+    A[s].  Each subset is walked once, the first node in a component taking
+    the new component its item carries and a second one in the same
+    component rebuilding it by a tuple slice (a node past the last row
     starts a new row of length 1), while the weights, each times width, are
-    summed into the shift of a packed coefficient (laurent.pack).  ids is
-    the id table (_Ids) that gives each mu its id.
+    summed into the shift of a packed coefficient (laurent.pack); for j = 1
+    every node is the first in its component.  ids is the id table (_Ids)
+    that gives each mu its id.
     """
     items = []
     for c, comp in enumerate(lam):
@@ -194,13 +195,6 @@ def _moves(lam, i, j: int, order: str, p: ChargeParams, scans, ids, width: int):
         else:
             rem_below += 1
     mus, shifts, least = [], [], 0
-    if j == 1:
-        for _, c, new, bits in pairs:
-            if bits < least:
-                least = bits
-            mus.append(ids[lam[:c] + (new,) + lam[c + 1:]])
-            shifts.append(bits)
-        return least, mus, shifts
     offset = width * (j * (j - 1) // 2)  # the -k terms, the same for every subset
     for chosen in combinations(pairs, j):
         comps, bits = list(lam), -offset

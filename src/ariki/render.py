@@ -159,7 +159,8 @@ def _capture(write, *args) -> str:
 
 
 def write_canonical(out, p: ChargeParams, n: int):
-    basis, tuples, avals, width = _packed_basis(p, n)
+    basis, ids, avals, width = _packed_basis(p, crystal_graph(p, n, "flotw").levels)
+    tuples = ids.tuples
     labels = sorted(basis, key=lambda m: (avals[tuples[m]], tuples[m]))
     # one text per distinct multipartition of any support, and each id's
     # position in their sorted list, by which every element's terms are

@@ -8,7 +8,7 @@ from ariki._oracles import compute_A, diagram_residues, replayed_basis, straight
 from ariki.aseq import peel_step
 from ariki.canonical import (DecompositionMatrix, _bar_symmetric_completion,
                              _bases_by_rank, _elements, _packed_basis, _straighten,
-                             _top_basis, _unpacked, canonical_basis, decomposition_matrix,
+                             _unpacked, canonical_basis, decomposition_matrix,
                              simple_module_a_values)
 from ariki.charge import ChargeParams
 from ariki.crystal import crystal_graph, flotw_multipartitions
@@ -245,7 +245,7 @@ def test_one_block_at_a_time():
         every = {mp for level in levels for mp in level}
         avals = _ScaledAValues(p)
         width = digit_width(n)
-        full = _top(p, levels, avals, width)
+        full = _top(p, levels)
         blocks = {}
         for mp in levels[n]:
             blocks.setdefault(tuple(diagram_residues(mp, p).items()), []).append(mp)
@@ -256,10 +256,10 @@ def test_one_block_at_a_time():
             assert all(full[mp] == vec for mp, vec in basis.items()), (p, n, block)
 
 
-def _top(p, levels, avals, width):
-    """_top_basis unpacked: the top level's {label: FockVector}."""
-    ids = _Ids()
-    return _unpacked(_top_basis(p, levels, avals, width, ids), width, ids.tuples)
+def _top(p, levels):
+    """_packed_basis unpacked: the top level's {label: FockVector}."""
+    basis, ids, _, width = _packed_basis(p, levels)
+    return _unpacked(basis, width, ids.tuples)
 
 
 def _last_rank(p, wanted, vertices, avals, width):
@@ -279,7 +279,7 @@ def test_label_built_on_demand_without_its_rest_replays_the_rest(monkeypatch):
     levels = crystal_graph(p, n, "flotw").levels
     avals = _ScaledAValues(p)  # d*a of every label the walks read
     width = digit_width(n)
-    full = _top(p, levels, avals, width)
+    full = _top(p, levels)
     assert len(full) == len(levels[n])
     every = {mp for level in levels for mp in level}
     replayed = []
@@ -439,7 +439,8 @@ def test_one_id_and_one_tuple_per_multipartition_of_a_table(monkeypatch):
         support = [mu for el in canonical_basis(p, n) for mu in el.vector.terms]
         assert len({id(mu) for mu in support}) == len(set(support)), (p, n)
     # the walk to (2,2,(0,1)) n=13 meets 4,575 distinct multipartitions
-    tuples = _packed_basis(ChargeParams(2, 2, (0, 1)), 13)[1]
+    p = ChargeParams(2, 2, (0, 1))
+    tuples = _packed_basis(p, crystal_graph(p, 13, "flotw").levels)[1].tuples
     assert len(tuples) == len(set(tuples)) == 4575
 
 
@@ -477,7 +478,8 @@ def test_no_sharing_table_outlives_a_call():
         assert comp_ids[0] and comp_ids[0].isdisjoint(comp_ids[1]), (p, n)
         assert mp_ids[0].isdisjoint(mp_ids[1]), (p, n)
         # and each call of the walk makes an id table of its own
-        tables = [_packed_basis(p, n)[1] for _ in range(2)]
+        tables = [_packed_basis(p, crystal_graph(p, n, "flotw").levels)[1].tuples
+                  for _ in range(2)]
         assert tables[0] == tables[1] and tables[0] is not tables[1], (p, n)
         assert {id(mu) for mu in tables[0]}.isdisjoint(map(id, tables[1])), (p, n)
 

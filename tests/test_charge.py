@@ -38,44 +38,34 @@ def test_residue_constant_on_diagonals():
                 assert residue(Node(a, b, c), p) == residue(Node(a + 1, b + 1, c), p)
 
 
-def test_i_signature_matches_generic_filters():
-    # the one-pass scan equals the residue filters sorted lowest first, the
-    # component-major order as the diagonal order of an asymptotic charge
+def test_i_signature_matches_generic_filters(ordered_i_nodes):
+    # the one-pass scan equals the residue filters sorted lowest first in
+    # the diagonal order
     for p in (*GRID, ChargeParams(3, 4, (0, 1, 3))):
         for n in range(7):
-            charges = (("am", asymptotic_charge(p, n)), ("flotw", p.v))
             for mp in enumerate_multipartitions(p.d, n):
-                for order, s in charges:
-                    key = below_key(s, p)
-                    for i in range(p.e):
-                        tagged = ([(g, True) for g in addable_i_nodes(mp, i, p)]
-                                  + [(g, False) for g in removable_i_nodes(mp, i, p)])
-                        tagged.sort(key=lambda item: key(item[0]))
-                        expected = [(g.row - g.col - p.v[g.comp], g.comp, is_addable, g)
-                                    for g, is_addable in tagged]
-                        assert i_signature(mp, i, order, p) == expected, (p, mp, i, order)
-    with pytest.raises(ValueError):
-        i_signature(((1,), (), ()), 0, "am", ChargeParams(2, 4, (0, 1)))
+                for i in range(p.e):
+                    assert i_signature(mp, i, p) == ordered_i_nodes(mp, i, p.v, p), (p, mp, i)
 
 
-def test_border_signatures_equal_i_signature():
+def test_border_signatures_equal_i_signature(ordered_i_nodes):
     # one pass for every residue lists each residue's i_signature items in
-    # the component-major order; sorted, they are the diagonal order's, and
-    # a residue with no i-node is no key
+    # the component-major order, the diagonal order of an asymptotic
+    # charge; sorted, they are i_signature's, and a residue with no i-node
+    # is no key
     for p in GRID:
         for n in range(7):
+            s = asymptotic_charge(p, n)
             for mp in enumerate_multipartitions(p.d, n):
                 scan = border_signatures(mp, p)
                 assert all(scan.values()) and set(scan) <= set(range(p.e)), (p, mp)
                 for i in range(p.e):
                     items = scan.get(i, [])
-                    assert items == i_signature(mp, i, "am", p), (p, mp, i)
-                    assert sorted(items) == i_signature(mp, i, "flotw", p), (p, mp, i)
-    with pytest.raises(ValueError):
-        border_signatures(((1,), (), ()), ChargeParams(2, 4, (0, 1)))
+                    assert items == ordered_i_nodes(mp, i, s, p), (p, mp, i)
+                    assert sorted(items) == i_signature(mp, i, p), (p, mp, i)
 
 
-def test_component_signature_equals_i_signature():
+def test_component_signature_equals_i_signature(ordered_i_nodes):
     # the one-component scans, each item written with its node, are
     # i_signature's items in the component-major order when concatenated
     # over the components, and sorted by (-content, comp) its diagonal
@@ -84,6 +74,7 @@ def test_component_signature_equals_i_signature():
     # the sort breaks ties by component
     for p in (*GRID, ChargeParams(2, 3, (0, 0)), ChargeParams(3, 2, (0, 0, 1))):
         for n in range(7):
+            s = asymptotic_charge(p, n)
             for mp in enumerate_multipartitions(p.d, n):
                 for i in range(p.e):
                     items = []
@@ -96,8 +87,8 @@ def test_component_signature_equals_i_signature():
                             g = (a, new[a - 1], c)
                             assert new == add_node(mp, Node(*g))[c], (p, mp, i, g)
                             items.append((key, c, True, g))
-                    assert items == i_signature(mp, i, "am", p), (p, mp, i)
-                    assert sorted(items) == i_signature(mp, i, "flotw", p), (p, mp, i)
+                    assert items == ordered_i_nodes(mp, i, s, p), (p, mp, i)
+                    assert sorted(items) == i_signature(mp, i, p), (p, mp, i)
 
 
 def test_am_below_examples():

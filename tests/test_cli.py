@@ -123,11 +123,15 @@ def test_bijection(capsys):
 
 
 def test_bijection_wrong_component_count_exit_2(capsys):
-    for flags in ([], ["--inverse"]):
+    # every --mp subcommand checks the component count at the boundary; the
+    # scans under it (charge's signatures) check it no more
+    commands = (["a-value"], ["a-seq"], ["a-graph"], ["symbol"], ["bijection"],
+                ["bijection", "--inverse"])
+    for command in commands:
         for mp in ("2", "2,-,1"):
-            code, out, err = run_cli(capsys, "bijection", "--d", "2", "--e", "4",
-                                     "--charges", "0,1", "--mp", mp, *flags)
-            assert code == 2 and out == "" and "expected 2 components" in err
+            code, out, err = run_cli(capsys, *command, "--d", "2", "--e", "4",
+                                     "--charges", "0,1", "--mp", mp)
+            assert code == 2 and out == "" and "expected 2 components" in err, (command, mp)
 
 
 def test_bijection_replay_fault_exit_1(capsys, monkeypatch):

@@ -406,10 +406,6 @@ def test_all_residue_pass_matches_generic_filters():
                         _reduced_signature_oracle(mp, i, s, p), (mp, i)
                     assert (i in scan) == bool(addable_i_nodes(mp, i, p)
                                                or removable_i_nodes(mp, i, p)), (mp, i)
-    with pytest.raises(ValueError, match="out of range"):
-        charge.am_reduced_signatures(((1,), (), ()), P24)
-    with pytest.raises(ValueError, match="out of range"):
-        charge.am_reduced_signature(((1,), (), ()), 0, P24)
 
 
 def test_validation_stays_at_the_boundary(monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 import ariki
 from ariki.canonical import DecompositionMatrix
 from ariki._oracles import asymptotic_charge, below_key, divided_power_holds, f_action
-from ariki.charge import ChargeParams, i_signature
+from ariki.charge import ChargeParams
 from ariki.crystal import crystal_graph, good_addable_node, good_removable_node
 from ariki.fock import FockVector, _f_divided, _Ids, _moves, f_divided
 from ariki.laurent import LaurentPoly, pack, unpack
@@ -43,16 +43,18 @@ def test_action_coefficients_are_monomials():
                             assert len(out.coefficient(nu).coeffs) == 1
 
 
-def test_add_nodes_matches_one_node_at_a_time():
+def test_add_nodes_matches_one_node_at_a_time(ordered_i_nodes):
     # the targets of _moves, one per subset of the addable i-nodes in the
-    # scan's order, are what add_node gives one node at a time
+    # order, are what add_node gives one node at a time; the component-major
+    # order is the diagonal order of an asymptotic charge
     grew_both = False
     for p in GRID:
         for n in range(6):
+            charges = (("am", asymptotic_charge(p, n)), ("flotw", p.v))
             for lam in enumerate_multipartitions(p.d, n):
-                for order in ("am", "flotw"):
+                for order, s in charges:
                     for i in range(p.e):
-                        add = [g for *_, is_addable, g in i_signature(lam, i, order, p)
+                        add = [g for *_, is_addable, g in ordered_i_nodes(lam, i, s, p)
                                if is_addable]
                         for j in range(1, len(add) + 1):
                             ids = _Ids()
